@@ -4,7 +4,7 @@
         --spawn-time T --work-dir DIR [--span-file PATH]
 
 `--spawn-time` is the parent's `time.monotonic()` just before it started
-this process, so `setup_s` covers interpreter start, import, input
+this process, so the set-up laps cover interpreter start, import, input
 generation and oracle precomputation.
 """
 
@@ -17,8 +17,31 @@ import resource
 import sys
 import time
 
+import speed
+
 HERE = os.path.dirname(os.path.abspath(__file__))
 SRC = os.path.join(os.path.dirname(HERE), "src")
+
+
+class Stopwatch:
+    """Set-up time as named laps, so each step can be taken at its fastest
+    pass.  Each lap is scaled to the reference host speed (see `speed`)."""
+
+    def __init__(self, start: float):
+        self.start = start
+        self.last = start
+        self.scaler = None
+        self.laps: list[tuple[str, float]] = []
+
+    def lap(self, label: str) -> None:
+        seconds = time.monotonic() - self.last
+        if self.scaler is None:  # the first lap has no reference reading before it
+            self.scaler = speed.Scaler()
+            seconds *= speed.REFERENCE_S / self.scaler.previous
+        else:
+            seconds = self.scaler.scale(seconds)
+        self.laps.append((label, seconds))
+        self.last = time.monotonic()
 
 
 def main() -> int:
@@ -30,6 +53,8 @@ def main() -> int:
     ap.add_argument("--work-dir", required=True)
     ap.add_argument("--span-file", help="where a traced pass writes its spans")
     args = ap.parse_args()
+    watch = Stopwatch(args.spawn_time)
+    watch.lap("interpreter")
 
     sys.path[:0] = [SRC, HERE]
     import ternaryforms.cli  # noqa: F401  (every layer module must be loaded before patching)
@@ -43,18 +68,21 @@ def main() -> int:
 
     from workloads import WORKLOADS, Ledger
 
+    watch.lap("import")
     workload = WORKLOADS[args.workload]()
-    workload.setup(args.work_dir, args.seed)
+    workload.setup(args.work_dir, args.seed, watch)
+    watch.lap("set-up")
     ledger = Ledger()
-    first_op = time.monotonic()
+    setup_s = time.monotonic() - watch.start
     start = time.perf_counter()
     workload.run(ledger)
     wall_s = time.perf_counter() - start
+    extra = workload.after(ledger)
     ledger.settle()
-    extra = workload.after()
 
     result = {
-        "setup_s": first_op - args.spawn_time,
+        "setup_s": setup_s,
+        "setup_laps": watch.laps,
         "wall_s": wall_s,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         "latencies_ms": ledger.latencies_ms,
@@ -65,8 +93,9 @@ def main() -> int:
     }
     if recorder is not None:
         result["per_layer"] = recorder.metrics()
-        result["stages"] = recorder.stages("verify.verify_all")
-        result["span_table"] = recorder.stage_table()
+        if args.workload == "verify-all":
+            result["stages"] = recorder.stages("verify.verify_all")
+            result["span_table"] = recorder.stage_table()
         if args.span_file:
             recorder.dump(args.span_file)
     print(json.dumps(result))

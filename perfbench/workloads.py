@@ -1,10 +1,10 @@
 """The benchmark's workloads, their inputs and their oracles.
 
-Each workload has a set-up step (untimed by `wall_s`, timed by `setup_s`), a
-timed phase that makes every call into the program through a `Ledger`, and
-oracle checks that run after the timed phase.  Every check compares with a
-value from `oracles` or with the program's own exact report, never with a
-second run of the code path being checked.
+Each workload has a set-up step (untimed by `wall_s`, timed by `setup_s` in
+named laps), a timed phase that makes every call into the program through a
+`Ledger`, an untimed `after` step, and oracle checks that run after both.
+Every check compares with a value from `oracles` or with the program's own
+exact report, never with a second run of the code path being checked.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import time
 from fractions import Fraction
 
 import oracles as orc
+import speed
 from ternaryforms import cli, genus, local, verify
 from ternaryforms.forms import TernaryForm
 
@@ -30,7 +31,8 @@ class Ledger:
     them; otherwise the call's check says how many failed.  Checks are
     deferred to `settle()` so oracle work stays out of the timed phase.
     The label names the request: calls with equal labels in different
-    passes are the same request.
+    passes are the same request.  Latencies are scaled to the reference
+    host speed (see `speed`).
     """
 
     def __init__(self):
@@ -40,6 +42,7 @@ class Ledger:
         self.notes: list[str] = []
         self.results: dict = {}
         self._pending: list = []
+        self._speed = speed.Scaler()
 
     def call(self, label: str, ops: int, fn, check, key=None) -> None:
         start = time.perf_counter()
@@ -47,9 +50,14 @@ class Ledger:
             result, exc = fn(), None
         except Exception as err:  # any program error fails the call's operations
             result, exc = None, err
-        self.latencies_ms.append((label, 1000 * (time.perf_counter() - start)))
+        elapsed = time.perf_counter() - start
+        self.latencies_ms.append((label, 1000 * self._speed.scale(elapsed)))
         if key is not None and exc is None:
             self.results[key] = result
+        self.record(label, ops, result, exc, check)
+
+    def record(self, label: str, ops: int, result, exc, check) -> None:
+        """Count and check an answer obtained outside the timed calls."""
         self._pending.append((label, ops, result, exc, check))
 
     def settle(self) -> None:
@@ -79,12 +87,12 @@ def _fresh(path: str) -> str:
 class GenusSweep:
     """Cold genus enumeration into a fresh cache file, then the identities."""
 
-    PRIMES = orc.odd_primes(73)
+    PRIMES = orc.odd_primes(61)
     N_THM13 = 150
     N_WATSON = 60
     N_THM11 = 1000
 
-    def setup(self, workdir: str, seed: int) -> None:
+    def setup(self, workdir: str, seed: int, watch) -> None:
         self.path = _fresh(os.path.join(workdir, "genus-sweep-cache.json"))
 
     def run(self, ledger: Ledger) -> None:
@@ -109,7 +117,7 @@ class GenusSweep:
         ledger.call("thm1.1", self.N_THM11, lambda: verify.verify_theorem_1_1(self.N_THM11), _report_check)
         ledger.call("thm1.2", self.N_THM11, lambda: verify.verify_theorem_1_2(self.N_THM11), _report_check)
 
-    def after(self) -> dict:
+    def after(self, ledger: Ledger) -> dict:
         return {"cache_bytes": os.path.getsize(self.path)}
 
 
@@ -150,16 +158,17 @@ class DensitySweep:
     )
     GIANT = [49 * k for k in range(1, 7)]  # x^2+y^2+z^2 at p = 7: modulus 7^6
     REP_PRIMES = (3, 5, 7, 11)
-    DYADIC_N = (1, 2, 3, 5, 6, 7)
+    DYADIC_N = (1, 2, 3, 5, 7)
     # TG2 classes of p = 5, 11, 13 that the 2-adic counter can only brute-force.
     PROBE_FORMS = (TernaryForm(3, 7, 7, 6, 2, -2), TernaryForm(3, 15, 15, 14, 2, -2), TernaryForm(7, 8, 15, 8, 2, 4))
     PROBE_N = 32
 
-    def setup(self, workdir: str, seed: int) -> None:
+    def setup(self, workdir: str, seed: int, watch) -> None:
         self.reps = {}
         for p in self.REP_PRIMES:
             tg1 = genus.enumerate_tg1(p)
             self.reps[p] = ([f for f, _ in tg1.classes], [f for f, _ in genus.build_tg2(tg1).classes])
+            watch.lap(f"representatives p={p}")
         self.giant_expected = {n: orc.density_sum_of_three_squares_odd(n, 7) for n in self.GIANT}
         self.dyadic_expected = {n: orc.density_four_yz_minus_xx_2adic(n) for n in self.DYADIC_N}
 
@@ -195,23 +204,34 @@ class DensitySweep:
                         lambda r, _, e=expected: int(r != e),
                     )
 
-    def after(self) -> dict:
-        """Probe the known 2-adic defect outside the timed, gated operations.
+    def after(self, ledger: Ledger) -> dict:
+        return {"defect_probe": probe_defect(
+            ledger, self.PROBE_FORMS, self.PROBE_N, lambda f, n: local.local_density(f, n, 2).value,
+        )}
 
-        For these forms the 2-adic counter has no split and falls back to a
-        loop over all (x, y, z) mod 2^t, which the default work limit refuses
-        at n = 32.  The probe reports how many still raise, and checks any
-        value that does come back.
-        """
-        expected = orc.density_four_yz_minus_xx_2adic(self.PROBE_N)
-        outcome = {}
-        for f in self.PROBE_FORMS:
-            try:
-                value = local.local_density(f, self.PROBE_N, 2).value
-                outcome[str(f)] = "ok" if value == expected else f"wrong: {value} != {expected}"
-            except Exception as exc:  # the probe records how the program refuses
-                outcome[str(f)] = type(exc).__name__
-        return {"defect_probe": outcome}
+
+def probe_defect(ledger: Ledger, forms, n: int, density) -> dict:
+    """Probe the known 2-adic defect outside the timed phase.
+
+    For these forms the 2-adic counter has no split and falls back to a loop
+    over all (x, y, z) mod 2^t, which the default work limit refuses at
+    n = 32.  A refusal is the known defect and is only reported; any value
+    that does come back, and any other error, is an operation checked
+    against the closed form.
+    """
+    expected = orc.density_four_yz_minus_xx_2adic(n)
+    outcome = {}
+    for f in forms:
+        try:
+            value, exc = density(f, n), None
+        except local.ResourceLimitError as err:
+            outcome[str(f)] = type(err).__name__
+            continue
+        except Exception as err:  # any other error fails the operation
+            value, exc = None, err
+        outcome[str(f)] = type(exc).__name__ if exc else str(value)
+        ledger.record(f"defect probe {f} n={n} p=2", 1, value, exc, lambda r, _: int(r != expected))
+    return outcome
 
 
 def _agree(p: int, n: int, forms):
@@ -227,28 +247,33 @@ def _agree(p: int, n: int, forms):
 # -- cli-queries --------------------------------------------------------------
 
 CACHE_PRIMES = orc.odd_primes(61)
-# (kind, queries per 100).  The stream depends on the seed alone and every
-# pass of a run sends it again.  Within a kind the size parameter (prime, c
-# or n) is stratified over its range, so the seed changes forms, witnesses
-# and order but not how much work the stream holds.
+# (kind, shares).  A synthetic mix, not measured traffic: each of the seven
+# tqf commands gets two shares of the stream, and reduce splits its two
+# between TG1 forms and elongated forms.  The stream depends on the seed
+# alone and every pass of a run sends it again.  Within a kind the size
+# parameter (prime, c or n) is stratified over its range, and the rest of
+# what sets a query's work (class, skew of U, v_q(n)) is fixed by its index,
+# so the seed changes forms, witnesses and order but not how much work the
+# stream holds.
 QUERY_MIX = (
-    ("reduce", 24),
-    ("reduce-elongated", 5),
-    ("equiv", 16),
-    ("auts", 16),
-    ("count", 8),
-    ("density", 12),
-    ("mass", 6),
-    ("phi", 13),
+    ("reduce", 1),
+    ("reduce-elongated", 1),
+    ("equiv", 2),
+    ("auts", 2),
+    ("count", 2),
+    ("density", 2),
+    ("mass", 2),
+    ("phi", 2),
 )
+SHARES = sum(share for _, share in QUERY_MIX)
 
 
 class CliQueries:
     """A closed loop with one client: seeded `tqf` queries through cli.main."""
 
-    QUERIES = 500
+    QUERIES = 24 * SHARES
 
-    def setup(self, workdir: str, seed: int) -> None:
+    def setup(self, workdir: str, seed: int, watch) -> None:
         self.path = _fresh(os.path.join(workdir, "cli-queries-cache.json"))
         cache = genus.GenusCache(self.path)
         self.tg1 = {}
@@ -256,11 +281,13 @@ class CliQueries:
         for p in CACHE_PRIMES:
             self.tg1[p] = [(f.coeffs, aut) for f, aut in cache.tg1(p).classes]
             self.tg2[p] = {str(f) for f, _ in cache.tg2(p).classes}
+            watch.lap(f"warm cache p={p}")
         self.r3 = orc.three_square_counts(1000)
+        watch.lap("three-square counts")
         rng = random.Random(f"cli-queries:{seed}")
         self.queries = []
-        for kind, per_100 in QUERY_MIX:
-            count = self.QUERIES * per_100 // 100
+        for kind, share in QUERY_MIX:
+            count = self.QUERIES * share // SHARES
             for i in range(count):
                 argv, check = self._query(rng, kind, i, (i + rng.random()) / count)
                 self.queries.append((f"{kind} #{i}", argv, check))
@@ -270,14 +297,14 @@ class CliQueries:
         for label, argv, check in self.queries:
             ledger.call(label, 1, lambda argv=argv: invoke(["--cache", self.path, *argv]), cli_check(check))
 
-    def after(self) -> dict:
+    def after(self, ledger: Ledger) -> dict:
         return {"queries": len(self.queries)}
 
     def _query(self, rng, kind, i, x):
         """The i-th query of its kind; x in [0, 1) is its stratified size."""
         p = CACHE_PRIMES[int(x * len(CACHE_PRIMES))]
-        form, aut = rng.choice(self.tg1[p])
-        u = orc.random_unimodular(rng)
+        form, aut = self.tg1[p][i % len(self.tg1[p])]  # |Aut| sets the work, so the class is not drawn
+        u = _unimodular(rng, i)
         g = orc.transform(form, u)
         if kind == "reduce":
             return ["reduce", orc.form_str(g)], _reduced_check(g, form)
@@ -287,11 +314,12 @@ class CliQueries:
             return ["reduce", orc.form_str(g)], _reduced_check(g, target)
         if kind == "equiv":
             if i % 10 < 3:  # inequivalent classes of one genus
-                p = rng.choice([q for q in CACHE_PRIMES if len(self.tg1[q]) > 1])
-                (f1, _), (f2, _) = rng.sample(self.tg1[p], 2)
-                h = orc.transform(f2, orc.random_unimodular(rng))
+                several = [q for q in CACHE_PRIMES if len(self.tg1[q]) > 1]
+                classes = self.tg1[several[int(x * len(several))]]
+                (f1, _), (f2, _) = classes[i % len(classes)], classes[(i + 1) % len(classes)]
+                h = orc.transform(f2, _unimodular(rng, i + 1))
                 return ["equiv", orc.form_str(orc.transform(f1, u)), orc.form_str(h)], _equiv_check(None, None)
-            h = orc.transform(form, orc.random_unimodular(rng))
+            h = orc.transform(form, _unimodular(rng, i + 1))
             return ["equiv", orc.form_str(g), orc.form_str(h)], _equiv_check(g, h)
         if kind == "auts":
             return ["auts", orc.form_str(g)], _auts_check(g, aut)
@@ -300,10 +328,14 @@ class CliQueries:
             g = orc.transform((1, 1, 1, 0, 0, 0), u)
             return ["count", orc.form_str(g), str(n)], _field_check("count", self.r3[n])
         if kind == "density":
+            # v_q(n) sets the modulus the counter needs, so it is fixed by the
+            # index, not drawn: per prime, a third of the queries have v_q(n) = 1.
             q = (3, 5, 7)[i % 3]
-            n = 1 + int(x * 1000)
-            while n % (q * q) == 0:  # keep v_q(n) <= 1
-                n += 1
+            v = int(i // 3 % 3 == 2)
+            m = 1 + int(x * 1000 // q**v)
+            while m % q == 0:
+                m += 1
+            n = m * q**v
             g = orc.transform((1, 1, 1, 0, 0, 0), u)
             d = orc.density_sum_of_three_squares_odd(n, q)
             return ["density", orc.form_str(g), str(n), str(q)], _field_check("density", _frac(d))
@@ -312,6 +344,18 @@ class CliQueries:
         if kind == "phi":
             return ["phi", orc.form_str(g)], _phi_check(p, self.tg2[p])
         raise ValueError(kind)
+
+
+def _unimodular(rng, i: int) -> tuple:
+    """A random unimodular U whose largest entry is 2, 3, 4 or 5, by index.
+
+    How skewed U leaves a form sets much of the work of a query, so the
+    skew is fixed by the index, not drawn."""
+    size = 2 + i % 4
+    while True:
+        u = orc.random_unimodular(rng)
+        if max(abs(v) for row in u for v in row) == size:
+            return u
 
 
 def invoke(argv: list[str]) -> tuple[int, str]:
@@ -383,14 +427,14 @@ def _phi_check(p, tg2):
 # -- verify-all (one-shot stage profile, not a gated workload) ----------------
 
 class VerifyAll:
-    def setup(self, workdir: str, seed: int) -> None:
+    def setup(self, workdir: str, seed: int, watch) -> None:
         self.path = _fresh(os.path.join(workdir, "verify-all-cache.json"))
 
     def run(self, ledger: Ledger) -> None:
         cache = genus.GenusCache(self.path)
         ledger.call("verify_all", 1, lambda: verify.verify_all(cache=cache), lambda r, _: int(not r["pass"]))
 
-    def after(self) -> dict:
+    def after(self, ledger: Ledger) -> dict:
         return {}
 
 
