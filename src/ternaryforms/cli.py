@@ -1,13 +1,16 @@
 """Command line front end.
 
 Exit codes: 0 success (and identity checks passing), 1 identity failure,
-2 usage error, 3 resource limit exceeded.
+2 usage error (including a bad form, a non-prime p and an unreadable or
+corrupt genus cache), 3 resource limit exceeded, 4 internal error (any other
+exception, reported in one line on stderr).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -30,6 +33,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+EXIT_INTERNAL = 4
 
 
 class _UsageError(Exception):
@@ -57,13 +61,20 @@ def _jsonable(obj):
 
 def _emit(data: dict, fmt: str) -> None:
     data = _jsonable(data)
-    if fmt == "json":
-        print(json.dumps(data, indent=1))
-    else:
-        for key, value in data.items():
-            if isinstance(value, list):
-                value = ";".join(str(v) for v in value)
-            print(f"{key}\t{value}")
+    try:
+        if fmt == "json":
+            print(json.dumps(data, indent=1))
+        else:
+            for key, value in data.items():
+                if isinstance(value, list):
+                    value = ";".join(str(v) for v in value)
+                print(f"{key}\t{value}")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader stopped early (`tqf ... | head`).  Point stdout at
+        # /dev/null so the flush at interpreter exit cannot fail again; the
+        # exit code still reports the computation.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _genus_payload(genus: GenusSet) -> dict:
@@ -253,15 +264,16 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return _run(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FormError as exc:
+    except (_UsageError, FormError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except Exception as exc:
+        # A crash must not read as a disproved identity (exit 1).
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -14,11 +14,18 @@ from .matrices import (
     IDENTITY,
     Mat3,
     Vec3,
+    column_hnf,
+    complete_primitive,
     det3,
-    from_columns,
     mat_mul,
+    shear,
+    smith_normal_form,
     transpose,
+    unimodular_inverse,
 )
+
+# Largest residue box m^3 the m-divisibility scan may walk.
+_LATTICE_SCAN_LIMIT = 10**8
 
 
 class FormError(ValueError):
@@ -74,10 +81,6 @@ class TernaryForm:
         return cls(*vals)
 
 
-def evaluate(form: TernaryForm, x: int, y: int, z: int) -> int:
-    return form(x, y, z)
-
-
 def discriminant(form: TernaryForm) -> int:
     a, b, c, d, e, f = form.coeffs
     return 4 * a * b * c + d * e * f - a * d * d - b * e * e - c * f * f
@@ -94,17 +97,11 @@ def is_positive_definite(form: TernaryForm) -> bool:
 
 
 def is_primitive(form: TernaryForm) -> bool:
-    g = 0
-    for v in form.coeffs:
-        g = gcd(g, v)
-    return g == 1
+    return content(form) == 1
 
 
 def content(form: TernaryForm) -> int:
-    g = 0
-    for v in form.coeffs:
-        g = gcd(g, v)
-    return g
+    return gcd(*form.coeffs)
 
 
 def apply_map(form: TernaryForm, u: Mat3) -> TernaryForm:
@@ -120,14 +117,8 @@ def apply_basis(form: TernaryForm, u: Mat3) -> TernaryForm:
     return TernaryForm.from_gram(g)
 
 
-# Elementary moves of the Convenient Shape procedure: M_ij is the identity
-# with an extra 1 at position (i, j) (1-based), M0 swaps y and z with a sign.
-def shear(i: int, j: int) -> Mat3:
-    rows = [list(r) for r in IDENTITY]
-    rows[i - 1][j - 1] = 1
-    return tuple(tuple(r) for r in rows)
-
-
+# Elementary moves of the Convenient Shape procedure are column shears
+# (matrices.shear); M0 swaps y and z with a sign.
 M0: Mat3 = ((1, 0, 0), (0, 0, -1), (0, 1, 0))
 
 
@@ -174,7 +165,7 @@ def to_convenient_shape_1(form: TernaryForm) -> tuple[TernaryForm, Mat3]:
     if _is_shape1(form):
         return form, IDENTITY
 
-    u = complete_to_unimodular(_represented_odd_vector(form))
+    u = complete_primitive(_represented_odd_vector(form))
     cur = apply_map(form, u)
 
     def step(m: Mat3):
@@ -187,11 +178,11 @@ def to_convenient_shape_1(form: TernaryForm) -> tuple[TernaryForm, Mat3]:
         step(M0)  # <a,c,b,-d,-f,e>: makes e odd
     if cur.e % 2 == 1:
         if cur.d % 2 == 0:
-            step(shear(1, 2))  # d += e (odd), f += 2a
+            step(shear(1, 0))  # d += e (odd), f += 2a
         if cur.f % 2 == 1:
-            step(shear(3, 2))  # f += e (even), d += 2c
+            step(shear(1, 2))  # f += e (even), d += 2c
         if cur.e % 2 == 1:
-            step(shear(2, 1))  # e += d (even), a += b + f
+            step(shear(0, 1))  # e += d (even), a += b + f
     if not _is_shape1(cur):
         raise AssertionError(f"shape-1 move sequence failed on {form}")
     assert (cur.a + delta) % 4 == 0
@@ -206,24 +197,20 @@ def _is_shape2(form: TernaryForm) -> bool:
     return form.a % 2 == 1 and all(v % 4 == 0 for v in (form.b, form.c, form.d, form.e, form.f))
 
 
-def complete_to_unimodular(v: Vec3) -> Mat3:
-    from .matrices import complete_primitive
-
-    return complete_primitive(v)
-
-
-def _lambda4_lattice_basis(form: TernaryForm) -> Mat3:
-    """Canonical basis of {v : G v ≡ 0 (mod 4), form(v) ≡ 0 (mod 4)}."""
-    from .matrices import column_hnf
-
+def divisibility_lattice_basis(form: TernaryForm, m: int) -> Mat3:
+    """Canonical (column-HNF) basis of {v : G v ≡ 0, form(v) ≡ 0 (mod m)}."""
+    if m < 1:
+        raise FormError("modulus must be >= 1")
+    if m**3 > _LATTICE_SCAN_LIMIT:
+        raise FormError(f"modulus {m} too large for the residue scan")
     g = form.gram()
-    cols: list[Vec3] = [(4, 0, 0), (0, 4, 0), (0, 0, 4)]
-    for x in range(4):
-        for y in range(4):
-            for z in range(4):
+    cols: list[Vec3] = [(m, 0, 0), (0, m, 0), (0, 0, m)]
+    for x in range(m):
+        for y in range(m):
+            for z in range(m):
                 v = (x, y, z)
                 gv = tuple(sum(g[i][k] * v[k] for k in range(3)) for i in range(3))
-                if all(t % 4 == 0 for t in gv) and form(*v) % 4 == 0:
+                if all(t % m == 0 for t in gv) and form(*v) % m == 0:
                     cols.append(v)
     return column_hnf(cols)
 
@@ -254,16 +241,12 @@ def to_convenient_shape_2(form: TernaryForm, scan_bound: int | None = None) -> t
 
     # The index-2 sublattice where the form is 4-divisible pins down the
     # single odd coordinate direction; rotate it into x.
-    from .matrices import smith_normal_form
-
-    basis = _lambda4_lattice_basis(form)
+    basis = divisibility_lattice_basis(form, 4)
     u_left, diag, _ = smith_normal_form(basis)
     if (diag[0][0], diag[1][1], diag[2][2]) != (1, 1, 2):
         raise FormError("form is not 4-divisible on an index-2 sublattice; not in the TG2 shape class")
     # basis columns span L = inv(u_left) * diag(1,1,2) * Z^3.  We need a
     # unimodular U with U * diag(2,1,1) * Z^3 = L.
-    from .matrices import unimodular_inverse
-
     swap: Mat3 = ((0, 0, 1), (0, 1, 0), (1, 0, 0))
     u = mat_mul(unimodular_inverse(u_left), swap)
     out = apply_map(form, u)

@@ -13,11 +13,12 @@ import os
 import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt
 
 from .counting import rep_count
-from .forms import FormError, TernaryForm
+from .forms import FormError, TernaryForm, is_primitive
 from .isometry import automorphs
+from .local import is_prime
 from .reduction import reduce_form
 from .watson import phi
 
@@ -41,8 +42,8 @@ class GenusSet:
 
 
 def mass_closed_form(p: int) -> Fraction:
-    if p < 3 or p % 2 == 0:
-        raise FormError("p must be an odd prime")
+    if p == 2 or not is_prime(p):
+        raise FormError(f"{p} is not an odd prime")
     return Fraction(p - 1, 48)
 
 
@@ -79,33 +80,18 @@ def _scan_reduced_candidates(disc: int):
                         yield TernaryForm(a, b, c, d, e, f)
 
 
-def _is_odd_prime(p: int) -> bool:
-    if p < 3 or p % 2 == 0:
-        return False
-    i = 3
-    while i * i <= p:
-        if p % i == 0:
-            return False
-        i += 2
-    return True
-
-
 def enumerate_tg1(p: int, prime_bound: int = DEFAULT_PRIME_BOUND) -> GenusSet:
     """All classes of positive primitive forms of discriminant p^2.
 
     Completeness is certified against the closed-form mass (p-1)/48.
     """
-    if not _is_odd_prime(p):
-        raise FormError(f"{p} is not an odd prime")
+    mass = mass_closed_form(p)
     if p > prime_bound:
         raise FormError(f"p = {p} exceeds the configured bound {prime_bound}")
     disc = p * p
     seen: dict[TernaryForm, None] = {}
     for cand in _scan_reduced_candidates(disc):
-        g = 0
-        for v in cand.coeffs:
-            g = gcd(g, v)
-        if g != 1:
+        if not is_primitive(cand):
             continue
         canon, _ = reduce_form(cand)
         seen.setdefault(canon, None)
@@ -113,9 +99,9 @@ def enumerate_tg1(p: int, prime_bound: int = DEFAULT_PRIME_BOUND) -> GenusSet:
         sorted((form, automorphs(form).order) for form in seen)
     )
     result = GenusSet("TG1", p, classes)
-    if result.mass != mass_closed_form(p):
+    if result.mass != mass:
         raise IncompletenessError(
-            f"TG1({p}) mass {result.mass} != {mass_closed_form(p)}; enumeration bound bug"
+            f"TG1({p}) mass {result.mass} != {mass}; enumeration bound bug"
         )
     return result
 
@@ -175,22 +161,45 @@ def _genus_from_dict(data: dict) -> GenusSet:
 
 
 class GenusCache:
-    """Persists genus enumerations to a JSON file, written atomically."""
+    """Persists genus enumerations to a JSON file, written atomically.
+
+    The automorph orders of a genus read from the file are recomputed on its
+    first use: the mass check alone cannot see two orders swapped.
+    """
 
     def __init__(self, path: str | None = None):
         self.path = path or os.environ.get(CACHE_ENV)
         self._store: dict[str, dict] = {}
         if self.path and os.path.exists(self.path):
-            with open(self.path) as fh:
-                self._store = json.load(fh)
+            try:
+                with open(self.path) as fh:
+                    self._store = json.load(fh)
+            except (OSError, ValueError) as exc:
+                raise FormError(f"cannot read genus cache {self.path}: {exc}") from None
+            if not isinstance(self._store, dict):
+                raise FormError(f"genus cache {self.path} is not a JSON object")
+        self._unchecked = set(self._store)
 
     @staticmethod
     def _key(label: str, p: int) -> str:
         return f"{label},{p}"
 
     def get(self, label: str, p: int) -> GenusSet | None:
-        data = self._store.get(self._key(label, p))
-        return _genus_from_dict(data) if data else None
+        key = self._key(label, p)
+        data = self._store.get(key)
+        if not data:
+            return None
+        genus = _genus_from_dict(data)
+        if key in self._unchecked:
+            for form, aut in genus.classes:
+                order = automorphs(form).order
+                if order != aut:
+                    raise FormError(
+                        f"genus cache {self.path}: {key} stores |Aut({form})| = {aut}, "
+                        f"recomputed {order}; cache corrupt"
+                    )
+            self._unchecked.discard(key)
+        return genus
 
     def put(self, genus: GenusSet) -> None:
         self._store[self._key(genus.label, genus.prime)] = _genus_to_dict(genus)

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .forms import TernaryForm, apply_basis
-from .matrices import IDENTITY
+from .forms import FormError, TernaryForm, apply_basis
+from .matrices import shear
 
 DEFAULT_WORK_LIMIT = 10**9
 
@@ -30,7 +30,31 @@ class StabilizationError(RuntimeError):
     """Density failed to stabilize between exponents t and t+1."""
 
 
-# -- Kronecker symbol -----------------------------------------------------
+# -- elementary number theory ---------------------------------------------
+
+def valuation(n: int, p: int) -> tuple[int, int]:
+    """(v, n // p**v) for the largest v with p**v dividing the nonzero n."""
+    if p < 2:
+        raise ValueError(f"valuation base must be >= 2, got {p}")
+    if n == 0:
+        raise ValueError("valuation of 0 is undefined")
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v, n
+
+
+def is_prime(p: int) -> bool:
+    if p < 2:
+        return False
+    i = 2
+    while i * i <= p:
+        if p % i == 0:
+            return False
+        i += 1
+    return True
+
 
 def kronecker(a: int, n: int) -> int:
     """The Kronecker symbol (a|n), defined for all integers."""
@@ -41,10 +65,7 @@ def kronecker(a: int, n: int) -> int:
         n = -n
         if a < 0:
             result = -1
-    t = 0
-    while n % 2 == 0:
-        n //= 2
-        t += 1
+    t, n = valuation(n, 2)
     if t:
         if a % 2 == 0:
             return 0
@@ -53,10 +74,9 @@ def kronecker(a: int, n: int) -> int:
     a %= n
     # Jacobi loop: n odd positive.
     while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
+        e, a = valuation(a, 2)
+        if e % 2 and n % 8 in (3, 5):
+            result = -result
         a, n = n, a
         if a % 4 == 3 and n % 4 == 3:
             result = -result
@@ -77,10 +97,12 @@ def _uni_hist(alpha: int, q: int) -> list[int]:
 def _conv_cyclic(h1: list[int], h2: list[int]) -> list[int]:
     """Exact cyclic convolution via packed big-int multiplication.
 
-    Entries must stay below 2^63 (true here: they are solution counts
-    bounded by q^3 <= 2^42).
+    Both inputs are single-variable histograms, each summing to q, so every
+    coefficient of the product is at most q^2; it fits its 8-byte word
+    while q < 2^32.
     """
     q = len(h1)
+    assert q < 1 << 32, "histogram too long for 8-byte product words"
     b1 = b"".join(v.to_bytes(8, "little") for v in h1)
     b2 = b"".join(v.to_bytes(8, "little") for v in h2)
     prod = int.from_bytes(b1, "little") * int.from_bytes(b2, "little")
@@ -98,11 +120,7 @@ def _yz_pair_count(w: int, s: int) -> int:
         return 1
     if w % (1 << s) == 0:
         return s * (1 << (s - 1)) + (1 << s)
-    i = 0
-    w %= 1 << s
-    while w % 2 == 0:
-        w //= 2
-        i += 1
+    i, _ = valuation(w % (1 << s), 2)
     return (i + 1) * (1 << (s - 1))
 
 
@@ -114,10 +132,7 @@ def _scaled_yz_hist(k: int, t: int) -> list[int]:
     if k == 0:
         h[0] = q * q
         return h
-    j = 0
-    while k % 2 == 0:
-        k //= 2
-        j += 1
+    j, k = valuation(k, 2)
     s = t - j
     mult = 1 << (2 * j)
     for w in range(1 << s):
@@ -137,22 +152,6 @@ def _binary_hist_brute(b: int, c: int, d: int, q: int) -> list[int]:
 
 # -- direct congruence counting -------------------------------------------
 
-def _vp(x: int, p: int) -> int:
-    if x == 0:
-        return -1  # sentinel: treated as "divisible by everything"
-    v = 0
-    while x % p == 0:
-        x //= p
-        v += 1
-    return v
-
-
-def _shear(i: int, j: int, t: int = 1):
-    rows = [list(r) for r in IDENTITY]
-    rows[j][i] = t
-    return tuple(tuple(r) for r in rows)
-
-
 @lru_cache(maxsize=256)
 def _odd_split_hists(a: int, b: int, c: int, d: int, p: int, t: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Histograms of a*x^2 and of b*y^2 + c*z^2 + d*yz modulo p^t (odd p)."""
@@ -161,7 +160,7 @@ def _odd_split_hists(a: int, b: int, c: int, d: int, p: int, t: int) -> tuple[tu
     b %= q
     c %= q
     d %= q
-    vals = [v for v in (_vp(b, p), _vp(c, p), _vp(d, p)) if v >= 0]
+    vals = [valuation(v, p)[0] for v in (b, c, d) if v]
     if not vals:
         h2 = [0] * q
         h2[0] = q * q
@@ -210,12 +209,12 @@ def _count_odd(coeffs, n: int, p: int, t: int) -> int:
         elif form.c % p:
             form = apply_basis(form, ((0, 0, 1), (0, -1, 0), (1, 0, 0)))
         elif form.d % p:
-            form = apply_basis(form, _shear(1, 2))  # b += c + d
+            form = apply_basis(form, shear(1, 2))  # b += c + d
             form = apply_basis(form, ((0, 1, 0), (1, 0, 0), (0, 0, -1)))
         elif form.e % p:
-            form = apply_basis(form, _shear(0, 2))  # a += c + e
+            form = apply_basis(form, shear(0, 2))  # a += c + e
         else:
-            form = apply_basis(form, _shear(0, 1))  # a += b + f
+            form = apply_basis(form, shear(0, 1))  # a += b + f
     # Kill the cross terms involving x.
     inv2a = pow(2 * form.a, -1, q)
     t2 = (-form.f * inv2a) % q
@@ -285,6 +284,8 @@ def count_solutions_mod(
     form: TernaryForm, n: int, p: int, t: int, work_limit: int = DEFAULT_WORK_LIMIT
 ) -> int:
     """#{(x,y,z) mod p^t : form(x,y,z) ≡ n (mod p^t)}, exactly."""
+    if not is_prime(p):
+        raise FormError(f"{p} is not a prime")
     if t < 1:
         raise ValueError("t must be >= 1")
     if p**t > work_limit // 64:
@@ -307,12 +308,7 @@ class LocalDensity:
 
 
 def sufficient_exponent(n: int, p: int) -> int:
-    v = 0
-    m = n
-    while m and m % p == 0:
-        m //= p
-        v += 1
-    return v + (5 if p == 2 else 3)
+    return valuation(n, p)[0] + (5 if p == 2 else 3)
 
 
 def local_density(
@@ -325,6 +321,8 @@ def local_density(
     """
     if n < 1:
         raise ValueError("local density is defined for n >= 1")
+    if not is_prime(p):
+        raise FormError(f"{p} is not a prime")
     t = sufficient_exponent(n, p)
     val = Fraction(count_solutions_mod(form, n, p, t, work_limit), p ** (2 * t))
     val2 = Fraction(count_solutions_mod(form, n, p, t + 1, work_limit), p ** (2 * (t + 1)))
@@ -339,11 +337,7 @@ def density_formula_odd(n: int, p: int) -> Fraction:
     """Two-case closed form for the density at an odd prime coprime to 2*disc."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    v = 0
-    m = n
-    while m % p == 0:
-        m //= p
-        v += 1
+    v, m = valuation(n, p)
     k = v // 2
     if v % 2 == 0:
         return Fraction(1, p) + 1 + Fraction(kronecker(-m, p) - 1, p ** (k + 1))
@@ -354,11 +348,7 @@ def psi(n: int) -> Fraction:
     """2-adic density of x^2+y^2+z^2: the three-case 4^a*k table."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    a = 0
-    k = n
-    while k % 4 == 0:
-        k //= 4
-        a += 1
+    a, k = valuation(n, 4)
     if k % 8 == 7:
         return Fraction(0)
     if k % 8 == 3:
@@ -370,11 +360,7 @@ def gamma_p(n: int, p: int) -> Fraction:
     """p * (density(p^2*n) - density(n)) for x^2+y^2+z^2, in closed form."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    v = 0
-    m = n
-    while m % p == 0:
-        m //= p
-        v += 1
+    v, m = valuation(n, p)
     k = v // 2
     lead = Fraction(p - 1, p ** (1 + k))
     if v % 2 == 0:
@@ -387,18 +373,13 @@ def p_factor(n: int) -> Fraction:
     if n < 1:
         raise ValueError("n must be >= 1")
     result = Fraction(1)
-    m = n
-    # Factor by trial division; desk-scale n only.
+    # Factor by trial division; desk-scale n only.  The factor left over
+    # after the loop is a prime to the first power, so it contributes 1.
     p = 3
-    rest = n
-    while rest % 2 == 0:
-        rest //= 2
+    _, rest = valuation(n, 2)
     while p * p <= rest:
         if rest % p == 0:
-            v = 0
-            while rest % p == 0:
-                rest //= p
-                v += 1
+            v, rest = valuation(rest, p)
             b = v // 2
             if b >= 1:
                 mm = n // p ** (2 * b)
@@ -406,20 +387,6 @@ def p_factor(n: int) -> Fraction:
                 term += 1 / (p**b * (1 - Fraction(kronecker(-mm, p), p)))
                 result *= term
         p += 2
-    if rest > 1:
-        # rest is an odd prime dividing n exactly once beyond the loop
-        # (v_p(n) could still be >= 2 if p^2 > original bound; recheck).
-        v = 0
-        mm = n
-        while mm % rest == 0:
-            mm //= rest
-            v += 1
-        b = v // 2
-        if b >= 1:
-            mm = n // rest ** (2 * b)
-            term = sum(Fraction(1, rest**i) for i in range(b))
-            term += 1 / (rest**b * (1 - Fraction(kronecker(-mm, rest), rest)))
-            result *= term
     return result
 
 
@@ -432,10 +399,7 @@ def sqrt_count_mod_2t(c: int, t: int) -> int:
         raise ValueError("need 0 <= c < 2^t")
     if c == 0:
         return 1 << (t // 2)
-    j = 0
-    while c % 2 == 0:
-        c //= 2
-        j += 1
+    j, c = valuation(c, 2)
     if j % 2:
         return 0
     m = j // 2

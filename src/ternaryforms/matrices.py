@@ -22,10 +22,6 @@ def mat_mul(a: Mat3, b: Mat3) -> Mat3:
     )
 
 
-def mat_vec(a: Mat3, v: Vec3) -> Vec3:
-    return tuple(sum(a[i][k] * v[k] for k in range(3)) for i in range(3))
-
-
 def transpose(a: Mat3) -> Mat3:
     return tuple(tuple(a[j][i] for j in range(3)) for i in range(3))
 
@@ -79,8 +75,11 @@ def from_columns(c1: Vec3, c2: Vec3, c3: Vec3) -> Mat3:
     return tuple((c1[i], c2[i], c3[i]) for i in range(3))
 
 
-def columns(a: Mat3) -> tuple[Vec3, Vec3, Vec3]:
-    return tuple(tuple(a[i][j] for i in range(3)) for j in range(3))
+def shear(i: int, j: int, t: int = 1) -> Mat3:
+    """Elementary unimodular matrix: right-multiplying adds t * column j to column i."""
+    rows = [list(r) for r in IDENTITY]
+    rows[j][i] = t
+    return tuple(tuple(r) for r in rows)
 
 
 def column_hnf(cols: list[Vec3]) -> Mat3:

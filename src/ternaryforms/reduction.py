@@ -9,23 +9,11 @@ picks the unique lexicographically least equivalent sextuple, ordered by
 
 from __future__ import annotations
 
-from itertools import permutations
 from math import gcd
 
 from .counting import half_points_up_to
 from .forms import FormError, TernaryForm, apply_map, is_positive_definite
-from .matrices import IDENTITY, Mat3, Vec3, det3, from_columns, mat_mul
-
-_PERM_MATS: list[Mat3] = [
-    from_columns(*(tuple(1 if r == p[c] else 0 for r in range(3)) for c in range(3)))
-    for p in permutations(range(3))
-]
-
-
-def _shear_mat(i: int, j: int, t: int) -> Mat3:
-    rows = [list(r) for r in IDENTITY]
-    rows[j][i] = t  # column i += t * column j
-    return tuple(tuple(r) for r in rows)
+from .matrices import IDENTITY, Mat3, Vec3, det3, from_columns, mat_mul, shear
 
 
 def _greedy(form: TernaryForm) -> tuple[TernaryForm, Mat3]:
@@ -45,7 +33,7 @@ def _greedy(form: TernaryForm) -> tuple[TernaryForm, Mat3]:
                     continue
                 delta = 2 * t * gij + t * t * gjj
                 if delta < 0:
-                    m = _shear_mat(i, j, t)
+                    m = shear(i, j, t)
                     cur = apply_map(cur, m)
                     u = mat_mul(u, m)
                     improved = True

@@ -8,10 +8,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .counting import rep_count, s_batch, theta
 from .forms import TernaryForm
-from .genus import GenusCache, GenusSet, mass_closed_form
+from .genus import GenusCache, mass_closed_form
 from .isometry import automorphs, equivalent
 from .local import (
     density_formula_odd,
@@ -19,6 +20,7 @@ from .local import (
     kronecker,
     local_density,
     psi,
+    valuation,
 )
 from .watson import lambda_m, phi, transport_automorph
 
@@ -53,19 +55,25 @@ class IdentityReport:
         }
 
 
-def _check_weighted_identity(
-    identity: str, p: int, n_max: int, weights_forms, scale_batch=None
-) -> IdentityReport:
-    """s(p^2 n) - p*s(n) == sum of weight * R_form(n), for 1 <= n <= n_max."""
+def _check_weighted_identity(identity: str, p: int, n_max: int, weights_forms) -> IdentityReport:
+    """s(p^2 n) - p*s(n) == sum of weight * R_form(n), for 1 <= n <= n_max.
+
+    Weights are ints or Fractions.  The sum is taken in integers over their
+    common denominator; a right-hand side that is not an integer is reported
+    as a failure of its own kind.
+    """
     report = IdentityReport(identity, p, n_max)
     values = sorted({n for n in range(1, n_max + 1)} | {p * p * n for n in range(1, n_max + 1)})
     sval = s_batch(values)
-    thetas = [(w, theta(f, n_max).counts) for w, f in weights_forms]
+    den = lcm(*(w.denominator for w, _ in weights_forms))
+    thetas = [(w.numerator * (den // w.denominator), theta(f, n_max).counts) for w, f in weights_forms]
     for n in range(1, n_max + 1):
         lhs = sval[p * p * n] - p * sval[n]
-        rhs = sum(w * counts[n] for w, counts in thetas)
-        if lhs != rhs:
-            report.failures.append({"n": n, "lhs": lhs, "rhs": rhs})
+        num = sum(w * counts[n] for w, counts in thetas)
+        if num % den:
+            report.failures.append({"n": n, "lhs": lhs, "rhs": str(Fraction(num, den)), "error": "non-integer RHS"})
+        elif lhs != num // den:
+            report.failures.append({"n": n, "lhs": lhs, "rhs": num // den})
     return report
 
 
@@ -80,23 +88,9 @@ def verify_theorem_1_2(n_max: int) -> IdentityReport:
 def verify_theorem_1_3(p: int, n_max: int, cache: GenusCache | None = None) -> IdentityReport:
     """s(p^2 n) - p*s(n) == 48*sum_TG1 R/|Aut| - 96*sum_TG2 R/|Aut|."""
     cache = cache or GenusCache()
-    tg1 = cache.tg1(p)
-    tg2 = cache.tg2(p)
-    report = IdentityReport("thm1.3", p, n_max)
-    values = sorted({n for n in range(1, n_max + 1)} | {p * p * n for n in range(1, n_max + 1)})
-    sval = s_batch(values)
-    t1 = [(aut, theta(f, n_max).counts) for f, aut in tg1.classes]
-    t2 = [(aut, theta(f, n_max).counts) for f, aut in tg2.classes]
-    for n in range(1, n_max + 1):
-        lhs = sval[p * p * n] - p * sval[n]
-        rhs = 48 * sum(Fraction(c[n], aut) for aut, c in t1) - 96 * sum(
-            Fraction(c[n], aut) for aut, c in t2
-        )
-        if rhs.denominator != 1:
-            report.failures.append({"n": n, "lhs": lhs, "rhs": str(rhs), "error": "non-integer RHS"})
-        elif lhs != rhs:
-            report.failures.append({"n": n, "lhs": lhs, "rhs": int(rhs)})
-    return report
+    weights_forms = [(Fraction(48, aut), f) for f, aut in cache.tg1(p).classes]
+    weights_forms += [(Fraction(-96, aut), f) for f, aut in cache.tg2(p).classes]
+    return _check_weighted_identity("thm1.3", p, n_max, weights_forms)
 
 
 # -- density suites -------------------------------------------------------
@@ -105,16 +99,8 @@ YZ_MINUS_XX = TernaryForm(-1, 0, 0, 1, 0, 0)
 FOUR_YZ_MINUS_XX = TernaryForm(-1, 0, 0, 4, 0, 0)
 
 
-def _strip_fours(n: int) -> tuple[int, int]:
-    a = 0
-    while n % 4 == 0:
-        n //= 4
-        a += 1
-    return a, n
-
-
 def _yz_table(n: int) -> Fraction:
-    a, k = _strip_fours(n)
+    a, k = valuation(n, 4)
     if k % 8 == 7:
         return Fraction(3, 2)
     if k % 8 == 3:
@@ -123,7 +109,7 @@ def _yz_table(n: int) -> Fraction:
 
 
 def _four_yz_table(n: int) -> Fraction:
-    a, k = _strip_fours(n)
+    a, k = valuation(n, 4)
     if k % 8 == 7:
         return Fraction(3)
     if k % 8 == 3:

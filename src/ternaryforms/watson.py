@@ -18,15 +18,15 @@ from .forms import (
     _is_shape2,
     apply_map,
     discriminant,
+    divisibility_lattice_basis,
     is_positive_definite,
     to_convenient_shape_1,
     to_convenient_shape_2,
 )
+from .isometry import equivalent
 from .matrices import (
     Mat3,
-    Vec3,
     adjugate,
-    column_hnf,
     det3,
     mat_mul,
     mat_neg,
@@ -34,8 +34,7 @@ from .matrices import (
     transpose,
     unimodular_inverse,
 )
-
-_LATTICE_SCAN_LIMIT = 10**8
+from .reduction import reduce_form
 
 
 @dataclass(frozen=True)
@@ -44,27 +43,10 @@ class WatsonLattice:
     modulus: int
     basis: Mat3
 
-    @property
-    def index(self) -> int:
-        return abs(det3(self.basis))
-
 
 def lambda_lattice(form: TernaryForm, m: int) -> WatsonLattice:
     """Canonical (column-HNF) basis of the m-divisibility sublattice."""
-    if m < 1:
-        raise FormError("modulus must be >= 1")
-    if m**3 > _LATTICE_SCAN_LIMIT:
-        raise FormError(f"modulus {m} too large for the residue scan")
-    g = form.gram()
-    cols: list[Vec3] = [(m, 0, 0), (0, m, 0), (0, 0, m)]
-    for x in range(m):
-        for y in range(m):
-            for z in range(m):
-                v = (x, y, z)
-                gv = tuple(sum(g[i][k] * v[k] for k in range(3)) for i in range(3))
-                if all(t % m == 0 for t in gv) and form(*v) % m == 0:
-                    cols.append(v)
-    return WatsonLattice(form, m, column_hnf(cols))
+    return WatsonLattice(form, m, divisibility_lattice_basis(form, m))
 
 
 def _lambda_raw(form: TernaryForm, m: int) -> tuple[TernaryForm, Mat3, Mat3]:
@@ -90,16 +72,17 @@ def _lambda_raw(form: TernaryForm, m: int) -> tuple[TernaryForm, Mat3, Mat3]:
     return raw, mbasis, n
 
 
+def _canonical(form: TernaryForm) -> TernaryForm:
+    """The reduced class representative when the form is definite, else the form."""
+    return reduce_form(form)[0] if is_positive_definite(form) else form
+
+
 def lambda_m(form: TernaryForm, m: int) -> TernaryForm:
     """Watson's m-mapping; canonically reduced when the input is definite."""
     if m < 2:
         raise FormError("modulus must be >= 2")
     raw, _, _ = _lambda_raw(form, m)
-    if is_positive_definite(raw):
-        from .reduction import reduce_form
-
-        return reduce_form(raw)[0]
-    return raw
+    return _canonical(raw)
 
 
 def phi(form: TernaryForm, reduce: bool = True) -> TernaryForm:
@@ -110,11 +93,7 @@ def phi(form: TernaryForm, reduce: bool = True) -> TernaryForm:
         form, _ = to_convenient_shape_1(form)
     a, b, c, d, e, f = form.coeffs
     out = TernaryForm(a, 4 * b, 4 * c, 4 * d, 2 * e, 2 * f)
-    if reduce and is_positive_definite(out):
-        from .reduction import reduce_form
-
-        return reduce_form(out)[0]
-    return out
+    return _canonical(out) if reduce else out
 
 
 def phi_inverse(form: TernaryForm, reduce: bool = True) -> TernaryForm:
@@ -123,11 +102,7 @@ def phi_inverse(form: TernaryForm, reduce: bool = True) -> TernaryForm:
         form, _ = to_convenient_shape_2(form)
     a, b, c, d, e, f = form.coeffs
     out = TernaryForm(a, b // 4, c // 4, d // 4, e // 2, f // 2)
-    if reduce and is_positive_definite(out):
-        from .reduction import reduce_form
-
-        return reduce_form(out)[0]
-    return out
+    return _canonical(out) if reduce else out
 
 
 def transport_automorph(
@@ -151,8 +126,6 @@ def transport_automorph(
         raise FormError("transported matrix is not an automorph of the image")
     if raw == image:
         return s_raw
-    from .isometry import equivalent
-
     w = equivalent(raw, image)
     if w is None:
         raise FormError(f"image {image} is not equivalent to lambda_{m} of the preimage")

@@ -4,6 +4,7 @@ The heavy work happens once, in a session fixture that runs the headless
 CLI sweep and keeps its genus cache for the structural criteria.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -35,7 +36,7 @@ def full_run(tmp_path_factory):
         timeout=1800,
     )
     assert proc.stdout, proc.stderr
-    return proc.returncode, json.loads(proc.stdout), str(cache)
+    return proc.returncode, json.loads(proc.stdout), str(cache), proc.stdout
 
 
 def _identity(report, name, p):
@@ -174,3 +175,16 @@ def test_criterion_8_headless_and_deterministic(full_run):
         assert proc.returncode == 0
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
+
+
+# SHA-256 of the `verify all` stdout (1658 bytes), recorded at commit 87e0c13
+# with `python -m ternaryforms.cli --cache <fresh file> verify all`.  A
+# refactor leaves it unchanged; only a deliberate change to the report's
+# content, order or formatting may update it.
+VERIFY_ALL_STDOUT_SHA256 = "b6547fa4c73e7e9069c84b13ea57ad41ca80d6c8be5e0fff9bc179959fdf2786"
+
+
+def test_verify_all_stdout_is_byte_identical(full_run):
+    """The `verify all` report is byte-for-byte the recorded one."""
+    digest = hashlib.sha256(full_run[3].encode()).hexdigest()
+    assert digest == VERIFY_ALL_STDOUT_SHA256

@@ -1,8 +1,18 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
-from ternaryforms.cli import EXIT_FAIL, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main
+from ternaryforms import cli
+from ternaryforms.cli import (
+    EXIT_FAIL,
+    EXIT_INTERNAL,
+    EXIT_OK,
+    EXIT_RESOURCE,
+    EXIT_USAGE,
+    main,
+)
 
 
 def run(capsys, *args):
@@ -84,6 +94,14 @@ def test_density(capsys):
     assert data["density"] == "3/2"
 
 
+@pytest.mark.parametrize("p", ["1", "0", "4", "9"])
+def test_density_rejects_non_prime_p(capsys, p):
+    code, out, err = run(capsys, "density", "1,1,1,0,0,0", "5", p)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "not a prime" in err
+
+
 def test_density_resource_limit(capsys):
     code, _, err = run(
         capsys, "--work-limit", "1000000", "density", "1,1,1,0,0,0", "1594323", "3"
@@ -134,3 +152,40 @@ def test_threads_flag_accepted(capsys):
     code4, out4, _ = run(capsys, "--threads", "4", "count", "2,2,2,1,1,-1", "25")
     assert code1 == code4 == EXIT_OK
     assert out1 == out4
+
+
+@pytest.mark.parametrize("kind", ["garbage", "directory"])
+def test_unreadable_cache_is_a_usage_error(capsys, tmp_path, kind):
+    path = tmp_path / "genus.json"
+    if kind == "garbage":
+        path.write_text('{"TG1,5": ')
+    else:
+        path.mkdir()
+    code, _, err = run(capsys, "--cache", str(path), "mass", "TG1", "5")
+    assert code == EXIT_USAGE
+    assert str(path) in err
+
+
+def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
+    def boom(form):
+        raise RuntimeError("simulated fault")
+
+    monkeypatch.setattr(cli, "discriminant", boom)
+    code, out, err = run(capsys, "disc", "1,1,1,0,0,0")
+    assert code == EXIT_INTERNAL
+    assert out == ""
+    assert err.splitlines() == ["internal error: RuntimeError: simulated fault"]
+
+
+def test_closed_stdout_pipe_ends_quietly():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ternaryforms.cli", "theta", "1,1,1,0,0,0", "3000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()  # no reader is left before the program writes
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == EXIT_OK
+    assert "Traceback" not in err
+    assert "BrokenPipeError" not in err

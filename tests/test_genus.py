@@ -31,8 +31,9 @@ def test_known_small_genera(p):
 
 def test_mass_closed_form():
     assert mass_closed_form(73) == Fraction(3, 2)
-    with pytest.raises(FormError):
-        mass_closed_form(4)
+    for p in (4, 9, 2, 1):
+        with pytest.raises(FormError):
+            mass_closed_form(p)
 
 
 def test_rejects_bad_p():
@@ -96,6 +97,17 @@ def test_cache_detects_corruption(tmp_path):
     path.write_text(json.dumps(data))
     with pytest.raises(FormError):
         GenusCache(str(path)).get("TG1", 7)
+
+
+def test_cache_detects_swapped_automorph_orders(tmp_path):
+    path = tmp_path / "genus.json"
+    GenusCache(str(path)).tg1(11)  # classes with |Aut| 8 and 12
+    data = json.loads(path.read_text())
+    first, second = data["TG1,11"]["classes"]
+    first["aut"], second["aut"] = second["aut"], first["aut"]  # mass unchanged
+    path.write_text(json.dumps(data))
+    with pytest.raises(FormError, match="corrupt"):
+        GenusCache(str(path)).tg1(11)
 
 
 def test_cache_env_var(tmp_path, monkeypatch):

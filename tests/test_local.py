@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ternaryforms.forms import TernaryForm
+from ternaryforms.forms import FormError, TernaryForm
 from ternaryforms.local import (
     ResourceLimitError,
     _scaled_yz_hist,
@@ -18,6 +18,7 @@ from ternaryforms.local import (
     p_factor,
     psi,
     sqrt_count_mod_2t,
+    valuation,
 )
 
 ODD_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23]
@@ -203,3 +204,22 @@ def test_character_sum():
     for p in (3, 5, 7, 11, 13):
         for a in range(1, p):
             assert character_sum_check(a, p) == -1
+
+
+def test_valuation():
+    assert valuation(48, 2) == (4, 3)
+    assert valuation(-50, 5) == (2, -2)
+    assert valuation(7, 3) == (0, 7)
+    assert valuation(4**5 * 7, 4) == (5, 7)
+    for n, p in ((5, 1), (5, 0), (5, -3), (0, 3)):
+        with pytest.raises(ValueError):
+            valuation(n, p)
+
+
+def test_counting_rejects_non_prime_p():
+    form = TernaryForm(1, 1, 1, 0, 0, 0)
+    for p in (-3, 0, 1, 4, 9, 15):
+        with pytest.raises(FormError):
+            count_solutions_mod(form, 1, p, 2)
+        with pytest.raises(FormError):
+            local_density(form, 1, p)

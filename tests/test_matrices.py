@@ -10,6 +10,7 @@ from ternaryforms.matrices import (
     complete_primitive,
     det3,
     mat_mul,
+    shear,
     smith_normal_form,
     transpose,
     unimodular_inverse,
@@ -108,3 +109,17 @@ def test_column_hnf_spans_input(cols):
     # index of the HNF lattice times any original full-rank sublattice index
     # agree, checked via idempotence
     assert column_hnf([tuple(h[i][j] for i in range(3)) for j in range(3)]) == h
+
+
+@given(mat, st.integers(0, 2), st.integers(0, 2), ints)
+@settings(max_examples=200, deadline=None)
+def test_shear_adds_a_multiple_of_one_column_to_another(m, i, j, t):
+    if i == j:
+        return
+    out = mat_mul(m, shear(i, j, t))
+    for r in range(3):
+        assert out[r][i] == m[r][i] + t * m[r][j]
+        for k in range(3):
+            if k != i:
+                assert out[r][k] == m[r][k]
+    assert det3(shear(i, j, t)) == 1

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 from ternaryforms.forms import TernaryForm
 from ternaryforms.verify import (
     IdentityReport,
@@ -42,6 +44,18 @@ def test_wrong_weights_are_detected():
     assert report.failures
     first = report.failures[0]
     assert first["lhs"] != first["rhs"]
+
+    report = _check_weighted_identity(
+        "broken",
+        3,
+        6,
+        (
+            (Fraction(5, 3), TernaryForm(1, 1, 3, 0, 0, 1)),
+            (-4, TernaryForm(4, 3, 4, 0, 4, 0)),
+        ),
+    )
+    assert {"n": 3, "lhs": 8, "rhs": "16/3", "error": "non-integer RHS"} in report.failures
+    assert {"n": 1, "lhs": 12, "rhs": 10} in report.failures
 
 
 def test_failing_report_is_not_pass():
