@@ -8,6 +8,7 @@ determinant.  All arithmetic is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from math import gcd
 
 from .matrices import (
@@ -215,13 +216,13 @@ def divisibility_lattice_basis(form: TernaryForm, m: int) -> Mat3:
     return column_hnf(cols)
 
 
-def to_convenient_shape_2(form: TernaryForm, scan_bound: int | None = None) -> tuple[TernaryForm, Mat3]:
+def to_convenient_shape_2(form: TernaryForm) -> tuple[TernaryForm, Mat3]:
     """Equivalent form with a odd and b, c, d, e, f all divisible by 4.
 
     Requires: discriminant 16*delta with delta odd, classically even cross
     coefficients, and no represented value n ≡ 1, 2 (mod 4).  The last
-    condition is verified by a finite scan (default bound 4*|disc|); the
-    structural congruences of the output are the authoritative certificate.
+    condition is checked exactly on the residues x mod 4; the structural
+    congruences of the output are the authoritative certificate.
     """
     delta16 = discriminant(form)
     if delta16 % 16 != 0:
@@ -237,7 +238,7 @@ def to_convenient_shape_2(form: TernaryForm, scan_bound: int | None = None) -> t
         return form, IDENTITY
 
     if is_positive_definite(form):
-        _check_no_1_2_mod_4(form, scan_bound)
+        _check_no_1_2_mod_4(form)
 
     # The index-2 sublattice where the form is 4-divisible pins down the
     # single odd coordinate direction; rotate it into x.
@@ -255,12 +256,13 @@ def to_convenient_shape_2(form: TernaryForm, scan_bound: int | None = None) -> t
     return out, u
 
 
-def _check_no_1_2_mod_4(form: TernaryForm, scan_bound: int | None) -> None:
-    from .counting import theta
+def _check_no_1_2_mod_4(form: TernaryForm) -> None:
+    """Refuse a form taking a value ≡ 1, 2 (mod 4), read off x mod 4.
 
-    bound = scan_bound if scan_bound is not None else 4 * discriminant(form)
-    bound = min(bound, 4 * discriminant(form))
-    counts = theta(form, bound).counts
-    for n in range(1, bound + 1):
-        if n % 4 in (1, 2) and counts[n]:
-            raise FormError(f"form represents {n} ≡ {n % 4} (mod 4); not in the TG2 shape class")
+    f(x + 4y) = f(x) + 4 x'Gy + 16 f(y) ≡ f(x) (mod 4), so the 64 residues
+    decide it exactly.
+    """
+    for x in product(range(4), repeat=3):
+        v = form(*x)
+        if v % 4 in (1, 2):
+            raise FormError(f"form takes the value {v} ≡ {v % 4} (mod 4) at {x}; not in the TG2 shape class")

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .counting import rep_count
-from .forms import FormError, TernaryForm, is_primitive
+from .forms import FormError, TernaryForm, discriminant, is_positive_definite, is_primitive
 from .isometry import automorphs
 from .local import is_prime
 from .reduction import reduce_form
@@ -147,15 +147,32 @@ def _genus_to_dict(genus: GenusSet) -> dict:
     }
 
 
-def _genus_from_dict(data: dict) -> GenusSet:
+def _genus_from_dict(data: dict, label: str, p: int) -> GenusSet:
+    """The genus stored under (label, p); every class must be positive definite
+    of discriminant p^2 (TG1) or 16p^2 (TG2).  Reducedness is not checked."""
+    key = f"{label},{p}"
+    if not isinstance(data, dict):
+        raise FormError(f"genus cache entry {key} is not a JSON object; cache corrupt")
     if data.get("v") != 1:
         raise FormError(f"unsupported genus cache version {data.get('v')}")
-    classes = tuple(
-        (TernaryForm(*entry["coeffs"]), entry["aut"]) for entry in data["classes"]
-    )
-    genus = GenusSet(data["label"], data["p"], classes)
-    num, den = data["mass"].split("/")
-    if genus.mass != Fraction(int(num), int(den)):
+    try:
+        classes = []
+        for entry in data["classes"]:
+            coeffs, aut = entry["coeffs"], entry["aut"]
+            if len(coeffs) != 6 or not all(type(v) is int for v in (*coeffs, aut)) or aut < 1:
+                raise ValueError(f"class {entry} is not six integers and a positive order")
+            classes.append((TernaryForm(*coeffs), aut))
+        genus = GenusSet(data["label"], data["p"], tuple(classes))
+        mass = Fraction(data["mass"])
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise FormError(f"genus cache entry {key} is malformed ({type(exc).__name__}: {exc}); cache corrupt") from None
+    if (genus.label, genus.prime) != (label, p):
+        raise FormError(f"genus cache entry {key} holds {genus.label},{genus.prime}; cache corrupt")
+    disc = (1 if label == "TG1" else 16) * p * p
+    for form, _ in genus.classes:
+        if not is_positive_definite(form) or discriminant(form) != disc:
+            raise FormError(f"genus cache entry {key} holds {form}, not positive definite of discriminant {disc}; cache corrupt")
+    if genus.mass != mass:
         raise FormError("genus cache mass mismatch; cache corrupt")
     return genus
 
@@ -189,7 +206,10 @@ class GenusCache:
         data = self._store.get(key)
         if not data:
             return None
-        genus = _genus_from_dict(data)
+        try:
+            genus = _genus_from_dict(data, label, p)
+        except FormError as exc:
+            raise FormError(f"genus cache {self.path}: {exc}") from None
         if key in self._unchecked:
             for form, aut in genus.classes:
                 order = automorphs(form).order

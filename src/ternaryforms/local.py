@@ -1,9 +1,13 @@
 """Exact p-adic local representation densities by congruence counting.
 
-The direct counter works modulo p^t in O(p^2t)-ish time: it splits off one
-variable, histograms each piece's values, and convolves the histograms
-(exactly, via packed big-integer multiplication).  Densities are rationals
-count / p^(2t), certified by recomputing at t+1 and demanding equality.
+The counter works modulo p^t by recursion on x mod p, in work that grows
+with t, not with p^t.  At odd p the form is diagonalised over Z/p^t and a
+Jordan recursion counts the solutions that are smooth mod p in closed form
+and recurses on the rest with one exponent less.  At p = 2 a Hensel
+recursion on x mod 2 lifts smooth residues by a power of 4 and recurses on
+the singular ones, counting identical subproblems once.  Densities are
+rationals count / p^(2t), certified by recomputing at t+1 and demanding
+equality.
 
 The closed-form densities (odd-prime two-case formula, the 2-adic table for
 sums of three squares, the difference kernel, the squarefree-part product)
@@ -14,10 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from itertools import product
+from math import gcd, prod
 
-from .forms import FormError, TernaryForm, apply_basis
-from .matrices import shear
+from .forms import FormError, TernaryForm
 
 DEFAULT_WORK_LIMIT = 10**9
 
@@ -84,200 +88,126 @@ def kronecker(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-# -- value histograms -----------------------------------------------------
+# -- congruence counting by recursion on x mod p -------------------------
 
-def _uni_hist(alpha: int, q: int) -> list[int]:
-    """hist[v] = #{x mod q : alpha * x^2 ≡ v (mod q)}."""
-    h = [0] * q
-    for x in range(q):
-        h[(alpha * x * x) % q] += 1
-    return h
+def _diagonal_odd(coeffs, p: int, q: int) -> list[int]:
+    """Diagonal coefficients of the form after a change of basis over Z/q.
 
-
-def _conv_cyclic(h1: list[int], h2: list[int]) -> list[int]:
-    """Exact cyclic convolution via packed big-int multiplication.
-
-    Both inputs are single-variable histograms, each summing to q, so every
-    coefficient of the product is at most q^2; it fits its 8-byte word
-    while q < 2^32.
+    q is a power of the odd prime p, so the form is x'Ax with A = Gram/2.
+    Each step pivots on an entry of A of least valuation (gcd with q),
+    preferring a diagonal one; an off-diagonal pivot A_ij is first moved onto
+    the diagonal by e_i -> e_i + e_j, which gives A_ii + 2A_ij + A_jj of the
+    same valuation.  The Schur complement of the pivot is the rest of the form.
     """
-    q = len(h1)
-    assert q < 1 << 32, "histogram too long for 8-byte product words"
-    b1 = b"".join(v.to_bytes(8, "little") for v in h1)
-    b2 = b"".join(v.to_bytes(8, "little") for v in h2)
-    prod = int.from_bytes(b1, "little") * int.from_bytes(b2, "little")
-    raw = prod.to_bytes(16 * q, "little")
-    out = [0] * q
-    for i in range(2 * q - 1):
-        word = int.from_bytes(raw[8 * i : 8 * i + 8], "little")
-        out[i % q] += word
-    return out
+    a, b, c, d, e, f = coeffs
+    h = (q + 1) // 2  # 1/2 mod q
+    m = [[a, f * h, e * h], [f * h, b, d * h], [e * h, d * h, c]]
+    diag = []
+    while m:
+        k = len(m)
+        i, j = min(
+            ((i, j) for i in range(k) for j in range(i, k)),
+            key=lambda ij: (gcd(m[ij[0]][ij[1]], q), ij[0] != ij[1]),
+        )
+        if i != j:
+            m[i] = [x + y for x, y in zip(m[i], m[j])]
+            for row in m:
+                row[i] += row[j]
+        g = gcd(m[i][i], q)
+        if g == q:  # every entry left is 0 mod q
+            return diag + [0] * k
+        diag.append(m[i][i] % q)
+        inv = pow(m[i][i] // g, -1, q)
+        rest = [r for r in range(k) if r != i]
+        m = [[(m[r][s] - m[i][r] // g * inv * m[i][s]) % q for s in rest] for r in rest]
+    return diag
 
 
-def _yz_pair_count(w: int, s: int) -> int:
-    """#{(y, z) mod 2^s : y*z ≡ w (mod 2^s)}."""
-    if s == 0:
-        return 1
-    if w % (1 << s) == 0:
-        return s * (1 << (s - 1)) + (1 << s)
-    i, _ = valuation(w % (1 << s), 2)
-    return (i + 1) * (1 << (s - 1))
+def _nonzero_solutions(units: list[int], m: int, p: int) -> int:
+    """#{x in F_p^k, x != 0 : sum u_i x_i^2 = m}, for units u_i and odd p.
 
-
-def _scaled_yz_hist(k: int, t: int) -> list[int]:
-    """hist[v] = #{(y, z) mod 2^t : k*y*z ≡ v (mod 2^t)}."""
-    q = 1 << t
-    k %= q
-    h = [0] * q
+    The classical counts of a diagonal quadratic form over F_p (Lidl and
+    Niederreiter, Finite Fields, section 6.2) with the zero vector taken out.
+    """
+    k = len(units)
     if k == 0:
-        h[0] = q * q
-        return h
-    j, k = valuation(k, 2)
-    s = t - j
-    mult = 1 << (2 * j)
-    for w in range(1 << s):
-        h[((k << j) * w) % q] += mult * _yz_pair_count(w, s)
-    return h
-
-
-def _binary_hist_brute(b: int, c: int, d: int, q: int) -> list[int]:
-    h = [0] * q
-    for y in range(q):
-        by = b * y * y
-        dy = d * y
-        for z in range(q):
-            h[(by + c * z * z + dy * z) % q] += 1
-    return h
-
-
-# -- direct congruence counting -------------------------------------------
-
-@lru_cache(maxsize=256)
-def _odd_split_hists(a: int, b: int, c: int, d: int, p: int, t: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Histograms of a*x^2 and of b*y^2 + c*z^2 + d*yz modulo p^t (odd p)."""
-    q = p**t
-    h1 = _uni_hist(a, q)
-    b %= q
-    c %= q
-    d %= q
-    vals = [valuation(v, p)[0] for v in (b, c, d) if v]
-    if not vals:
-        h2 = [0] * q
-        h2[0] = q * q
-        return tuple(h1), tuple(h2)
-    j = min(min(vals), t)
-    pj = p**j
-    b2, c2, d2 = b // pj, c // pj, d // pj
-    t2 = t - j
-    q2 = p**t2
-    if t2 == 0:
-        h2 = [0] * q
-        h2[0] = q * q
-        return tuple(h1), tuple(h2)
-    if b2 % p == 0 and c2 % p == 0:
-        # cross term is the unit: y -> y, z -> y + z
-        b2, c2, d2 = b2 + c2 + d2, c2, 2 * c2 + d2
-    elif b2 % p == 0:
-        b2, c2 = c2, b2
-    inv4b = pow(4 * b2, -1, q2)
-    gamma = (c2 - d2 * d2 * inv4b) % q2
-    hq2 = _conv_cyclic(_uni_hist(b2, q2), _uni_hist(gamma, q2))
-    h2 = [0] * q
-    mult = pj * pj
-    for w in range(q2):
-        h2[(pj * w) % q] += mult * hq2[w]
-    return tuple(h1), tuple(h2)
+        return 0
+    det = prod(units)
+    half = (k - 1) // 2
+    if k % 2:
+        total = p ** (k - 1) + p**half * kronecker((-1) ** half * m * det, p)
+    else:
+        nu = p - 1 if m % p == 0 else -1
+        total = p ** (k - 1) + nu * p**half * kronecker((-1) ** (k // 2) * det, p)
+    return total - (m % p == 0)
 
 
 def _count_odd(coeffs, n: int, p: int, t: int) -> int:
-    if t <= 0:
-        return 1
-    q = p**t
-    a, b, c, d, e, f = (v % q for v in coeffs)
-    n %= q
-    if all(v % p == 0 for v in (a, b, c, d, e, f)):
+    """Jordan recursion on the diagonal form <c_1, c_2, c_3> modulo p^t.
+
+    With I the indices of the unit c_i, every solution with x_I != 0 (mod p)
+    is smooth and lifts p^(2(t-1)) ways, the other coordinates free mod p;
+    the rest have x_I = p*y_I, which needs p | n and leaves the form with
+    c_I multiplied and the other c_i divided by p, modulo p^(t-1):
+
+        N_t(n) = p^(2(t-1)) p^(3-k) Z(n mod p) + [p | n] p^(3-k) N_(t-1)(n/p).
+    """
+    diag = _diagonal_odd(coeffs, p, p**t)
+    n %= p**t
+    total, scale = 0, 1
+    while t:
+        units = [c for c in diag if c % p]
+        free = p ** (3 - len(units))
+        total += scale * p ** (2 * (t - 1)) * free * _nonzero_solutions(units, n, p)
         if n % p:
-            return 0
-        return p**3 * _count_odd(
-            tuple(v // p for v in (a, b, c, d, e, f)), n // p, p, t - 1
-        )
-    form = TernaryForm(a, b, c, d, e, f)
-    # Move a unit onto the x^2 coefficient.
-    if form.a % p == 0:
-        if form.b % p:
-            form = apply_basis(form, ((0, 1, 0), (1, 0, 0), (0, 0, -1)))
-        elif form.c % p:
-            form = apply_basis(form, ((0, 0, 1), (0, -1, 0), (1, 0, 0)))
-        elif form.d % p:
-            form = apply_basis(form, shear(1, 2))  # b += c + d
-            form = apply_basis(form, ((0, 1, 0), (1, 0, 0), (0, 0, -1)))
-        elif form.e % p:
-            form = apply_basis(form, shear(0, 2))  # a += c + e
-        else:
-            form = apply_basis(form, shear(0, 1))  # a += b + f
-    # Kill the cross terms involving x.
-    inv2a = pow(2 * form.a, -1, q)
-    t2 = (-form.f * inv2a) % q
-    t3 = (-form.e * inv2a) % q
-    form = apply_basis(form, ((1, t2, t3), (0, 1, 0), (0, 0, 1)))
-    assert form.e % q == 0 and form.f % q == 0
-    h1, h2 = _odd_split_hists(form.a % q, form.b % q, form.c % q, form.d % q, p, t)
-    return sum(h1[v] * h2[(n - v) % q] for v in range(q))
-
-
-@lru_cache(maxsize=256)
-def _two_split_hists(alpha: int, b: int, c: int, d: int, t: int, work_limit: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    q = 1 << t
-    h1 = _uni_hist(alpha, q)
-    if d % q == 0:
-        h2 = _conv_cyclic(_uni_hist(b, q), _uni_hist(c, q))
-    elif b % q == 0 and c % q == 0:
-        h2 = _scaled_yz_hist(d, t)
-    else:
-        if q * q > work_limit:
-            raise ResourceLimitError(
-                f"binary histogram modulo 2^{t} needs {q * q} operations (limit {work_limit})"
-            )
-        h2 = _binary_hist_brute(b % q, c % q, d % q, q)
-    return tuple(h1), tuple(h2)
+            return total
+        scale *= free
+        n //= p
+        t -= 1
+        diag = [c * p if c % p else c // p for c in diag]
+    return total + scale
 
 
 def _count_two(coeffs, n: int, t: int, work_limit: int) -> int:
-    if t <= 0:
-        return 1
-    q = 1 << t
-    a, b, c, d, e, f = (v % q for v in coeffs)
-    n %= q
-    if all(v % 2 == 0 for v in (a, b, c, d, e, f)):
-        if n % 2:
-            return 0
-        return 8 * _count_two(
-            tuple(v // 2 for v in (a, b, c, d, e, f)), n // 2, t - 1, work_limit
-        )
-    # Find a variable with no cross terms modulo q.
-    if e % q == 0 and f % q == 0:
-        alpha, bin3 = a, (b, c, d)
-    elif d % q == 0 and f % q == 0:
-        alpha, bin3 = b, (a, c, e)
-    elif d % q == 0 and e % q == 0:
-        alpha, bin3 = c, (a, b, f)
-    else:
-        if q**3 > work_limit:
+    """Hensel recursion on x mod 2 for F = Q + L.x + k ≡ 0 (mod 2^t).
+
+    An all-even F is halved (8 lifts per solution).  Otherwise each x0 mod 2
+    with F(x0) even is either smooth (an odd entry of grad F(x0)), lifting
+    4^(t-1) ways, or recursed on as F(x0 + 2y)/2 = F(x0)/2 + grad F(x0).y
+    + 2Q(y) modulo 2^(t-1).  Identical subproblems are counted once; each
+    costs 8 units of work_limit.
+    """
+    memo: dict[tuple, int] = {}
+
+    def count(F: tuple[int, ...], t: int) -> int:
+        if t == 0:
+            return 1
+        F = tuple(v % (1 << t) for v in F)
+        key = (F, t)
+        if key in memo:
+            return memo[key]
+        if 8 * (len(memo) + 1) > work_limit:
             raise ResourceLimitError(
-                f"brute-force count modulo 2^{t} needs {q**3} operations (limit {work_limit})"
+                f"2-adic lifting modulo 2^{t} needs more than {len(memo)} subproblems (limit {work_limit})"
             )
-        form = TernaryForm(a, b, c, d, e, f)
-        total = 0
-        for x in range(q):
-            for y in range(q):
-                base = a * x * x + b * y * y + f * x * y
-                lin = d * y + e * x
-                for z in range(q):
-                    if (base + c * z * z + lin * z - n) % q == 0:
-                        total += 1
-        return total
-    h1, h2 = _two_split_hists(alpha, bin3[0], bin3[1], bin3[2], t, work_limit)
-    return sum(h1[v] * h2[(n - v) % q] for v in range(q))
+        a, b, c, d, e, f, l1, l2, l3, k = F
+        if all(v % 2 == 0 for v in F):
+            res = 8 * count(tuple(v // 2 for v in F), t - 1)
+        else:
+            res = 0
+            for x, y, z in product((0, 1), repeat=3):  # x*x = x on {0, 1}
+                val = a * x + b * y + c * z + d * y * z + e * z * x + f * x * y + l1 * x + l2 * y + l3 * z + k
+                if val % 2:
+                    continue
+                grad = (2 * a * x + f * y + e * z + l1, f * x + 2 * b * y + d * z + l2, e * x + d * y + 2 * c * z + l3)
+                if any(g % 2 for g in grad):
+                    res += 1 << (2 * (t - 1))
+                else:
+                    res += count((2 * a, 2 * b, 2 * c, 2 * d, 2 * e, 2 * f, *grad, val // 2), t - 1)
+        memo[key] = res
+        return res
+
+    return count((*coeffs, 0, 0, 0, -n), t)
 
 
 def count_solutions_mod(
@@ -388,27 +318,6 @@ def p_factor(n: int) -> Fraction:
                 result *= term
         p += 2
     return result
-
-
-def sqrt_count_mod_2t(c: int, t: int) -> int:
-    """#{0 <= x < 2^t : x^2 ≡ c (mod 2^t)}."""
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    q = 1 << t
-    if not 0 <= c < q:
-        raise ValueError("need 0 <= c < 2^t")
-    if c == 0:
-        return 1 << (t // 2)
-    j, c = valuation(c, 2)
-    if j % 2:
-        return 0
-    m = j // 2
-    r = t - j  # >= 1 since 2^j <= c < 2^t
-    if r >= 3:
-        return (1 << m) * 4 if c % 8 == 1 else 0
-    if r == 2:
-        return (1 << m) * 2 if c % 4 == 1 else 0
-    return 1 << m  # r == 1: x^2 ≡ 1 (mod 2) always solvable by odd x
 
 
 def character_sum_check(a: int, p: int) -> int:

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from test_genus import _corrupt_tg1_11
 from ternaryforms import cli
 from ternaryforms.cli import (
     EXIT_FAIL,
@@ -94,6 +95,13 @@ def test_density(capsys):
     assert data["density"] == "3/2"
 
 
+@pytest.mark.parametrize("form", ["3,7,7,6,2,-2", "3,15,15,14,2,-2", "7,8,15,8,2,4"])
+def test_density_at_two_without_split(capsys, form):
+    code, data, _ = run_json(capsys, "density", form, "32", "2")
+    assert code == EXIT_OK
+    assert data["density"] == "9/4"
+
+
 @pytest.mark.parametrize("p", ["1", "0", "4", "9"])
 def test_density_rejects_non_prime_p(capsys, p):
     code, out, err = run(capsys, "density", "1,1,1,0,0,0", "5", p)
@@ -164,6 +172,16 @@ def test_unreadable_cache_is_a_usage_error(capsys, tmp_path, kind):
     code, _, err = run(capsys, "--cache", str(path), "mass", "TG1", "5")
     assert code == EXIT_USAGE
     assert str(path) in err
+
+
+@pytest.mark.parametrize("how", ["wrong-class", "missing-coeffs"])
+def test_damaged_cache_class_is_a_usage_error(capsys, tmp_path, how):
+    path = tmp_path / "genus.json"
+    _corrupt_tg1_11(path, how)
+    code, out, err = run(capsys, "--cache", str(path), "genus", "TG1", "11")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "cache corrupt" in err
 
 
 def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):

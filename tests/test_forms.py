@@ -147,3 +147,11 @@ def test_shape2_rejects_odd_cross_terms():
     assert discriminant(f) == 48
     with pytest.raises(FormError, match="even"):
         to_convenient_shape_2(f)
+
+
+@pytest.mark.parametrize("form", [TernaryForm(1, 2, 2, 0, 0, 0), TernaryForm(3, 2, 2, 0, 0, 0)], ids=str)
+def test_shape2_rejects_values_one_or_two_mod_4(form):
+    # discriminant 16 * odd and even cross terms, but x^2 takes 1 and 2y^2 takes 2
+    assert discriminant(form) // 16 % 2 == 1
+    with pytest.raises(FormError, match="mod 4"):
+        to_convenient_shape_2(form)

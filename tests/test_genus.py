@@ -110,6 +110,36 @@ def test_cache_detects_swapped_automorph_orders(tmp_path):
         GenusCache(str(path)).tg1(11)
 
 
+def _corrupt_tg1_11(path, how):
+    """Write TG1(11) to the cache file at path, then damage its second class."""
+    GenusCache(str(path)).tg1(11)  # 1,3,11,0,0,1 (|Aut| 8) and 3,4,4,3,2,-2 (|Aut| 12)
+    data = json.loads(path.read_text())
+    entry = data["TG1,11"]["classes"][1]
+    if how == "wrong-class":
+        entry["coeffs"] = [2, 2, 2, 1, 1, -1]  # TG1(5)'s class: same |Aut|, mass unchanged
+    else:
+        del entry["coeffs"]
+    path.write_text(json.dumps(data))
+
+
+@pytest.mark.parametrize("how", ["wrong-class", "missing-coeffs"])
+def test_cache_rejects_damaged_class(tmp_path, how):
+    path = tmp_path / "genus.json"
+    _corrupt_tg1_11(path, how)
+    with pytest.raises(FormError, match="cache corrupt"):
+        GenusCache(str(path)).tg1(11)
+
+
+def test_cache_rejects_entry_stored_under_another_key(tmp_path):
+    path = tmp_path / "genus.json"
+    GenusCache(str(path)).tg1(7)
+    data = json.loads(path.read_text())
+    data["TG1,11"] = data["TG1,7"]
+    path.write_text(json.dumps(data))
+    with pytest.raises(FormError, match="cache corrupt"):
+        GenusCache(str(path)).tg1(11)
+
+
 def test_cache_env_var(tmp_path, monkeypatch):
     path = tmp_path / "env_cache.json"
     monkeypatch.setenv("TERNARY_CACHE", str(path))

@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,8 +9,6 @@ from hypothesis import strategies as st
 from ternaryforms.forms import FormError, TernaryForm
 from ternaryforms.local import (
     ResourceLimitError,
-    _scaled_yz_hist,
-    _yz_pair_count,
     character_sum_check,
     count_solutions_mod,
     density_formula_odd,
@@ -17,7 +17,6 @@ from ternaryforms.local import (
     local_density,
     p_factor,
     psi,
-    sqrt_count_mod_2t,
     valuation,
 )
 
@@ -58,14 +57,18 @@ def test_kronecker_multiplicative_in_modulus(a, m, n):
     assert kronecker(a, m * n) == kronecker(a, m) * kronecker(a, n)
 
 
-def brute_count(form, n, q):
-    total = 0
+def brute_hist(form, q):
+    """hist[v] = #{(x, y, z) mod q : form(x, y, z) ≡ v (mod q)}, over all q^3 points."""
+    hist = [0] * q
     for x in range(q):
         for y in range(q):
             for z in range(q):
-                if (form(x, y, z) - n) % q == 0:
-                    total += 1
-    return total
+                hist[form(x, y, z) % q] += 1
+    return hist
+
+
+def brute_count(form, n, q):
+    return brute_hist(form, q)[n % q]
 
 
 BRUTE_FORMS = [
@@ -166,38 +169,106 @@ def brute_sqrt_count(c, t):
     return sum(1 for x in range(q) if (x * x - c) % q == 0)
 
 
+X_SQUARED = TernaryForm(1, 0, 0, 0, 0, 0)
+
+
 def test_sqrt_count_mod_2t():
+    # x^2 ≡ c (mod 2^t): y and z are free, so the count is 4^t times the roots.
     for t in range(1, 11):
         for c in range(1 << t):
-            assert sqrt_count_mod_2t(c, t) == brute_sqrt_count(c, t), (c, t)
+            assert count_solutions_mod(X_SQUARED, c, 2, t) == 4**t * brute_sqrt_count(c, t), (c, t)
 
 
 def test_sqrt_count_four_mod_sixteen():
     # x^2 ≡ 4 (mod 16) has solutions x ∈ {2, 6, 10, 14}: exactly 4.
-    assert sqrt_count_mod_2t(4, 4) == 4
+    assert count_solutions_mod(X_SQUARED, 4, 2, 4) == 4 * 16**2
     assert brute_sqrt_count(4, 4) == 4
 
 
+def _pair_hist(k, q):
+    """hist[w] = #{(y, z) mod q : k*y*z ≡ w (mod q)}, directly."""
+    hist = [0] * q
+    for y in range(q):
+        for z in range(q):
+            hist[(k * y * z) % q] += 1
+    return hist
+
+
 def test_yz_pair_count():
-    for s in range(0, 7):
+    # yz: x is free, so the count is q times the number of (y, z) pairs.
+    for s in range(1, 7):
         q = 1 << s
+        hist = _pair_hist(1, q)
         for w in range(q):
-            direct = sum(
-                1 for y in range(q) for z in range(q) if (y * z - w) % q == 0
-            )
-            assert _yz_pair_count(w, s) == direct, (w, s)
+            assert count_solutions_mod(TernaryForm(0, 0, 0, 1, 0, 0), w, 2, s) == q * hist[w], (w, s)
 
 
 def test_scaled_yz_hist():
     for t in range(1, 6):
         q = 1 << t
         for k in (0, 1, 2, 3, 4, 6, q - 1):
-            hist = _scaled_yz_hist(k, t)
-            direct = [0] * q
-            for y in range(q):
-                for z in range(q):
-                    direct[(k * y * z) % q] += 1
-            assert list(hist) == direct, (k, t)
+            hist = _pair_hist(k, q)
+            form = TernaryForm(0, 0, 0, k, 0, 0)
+            assert [count_solutions_mod(form, w, 2, t) for w in range(q)] == [q * h for h in hist], (k, t)
+
+
+# Every (p, t) with q^3 <= 3*10^4.
+SMALL_MODULI = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1)]
+
+
+@st.composite
+def p_heavy_forms(draw, p):
+    """Forms whose coefficients carry p^0..p^2, and sparse rank-1/rank-2 shapes."""
+    coeff = st.builds(lambda c, e: c * p**e, st.integers(-6, 6), st.integers(0, 2))
+    coeffs = draw(st.lists(coeff, min_size=6, max_size=6))
+    support = draw(st.sampled_from([range(6), (0,), (3,), (0, 3), (0, 1), (1, 2, 3)]))
+    return TernaryForm(*(c if i in support else 0 for i, c in enumerate(coeffs)))
+
+
+SHAPED_FORMS = [
+    X_SQUARED,
+    TernaryForm(0, 0, 0, 1, 0, 0),  # yz
+    TernaryForm(-1, 0, 0, 4, 0, 0),  # 4yz - x^2
+]
+
+
+@pytest.mark.parametrize("p,t", SMALL_MODULI)
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_count_matches_brute_force_property(p, t, data):
+    form = data.draw(st.one_of(st.sampled_from(SHAPED_FORMS), p_heavy_forms(p)), label="form")
+    q = p**t
+    hist = brute_hist(form, q)
+    for n in range(2 * q + 1):
+        assert count_solutions_mod(form, n, p, t) == hist[n % q], (form, n, p, t)
+
+
+def test_count_matches_closed_forms_at_large_t():
+    three = TernaryForm(1, 1, 1, 0, 0, 0)
+    limit = 10**30
+    for v in range(6):
+        for m in (1, 2, 3, 5, 6, 7, 10):
+            n = 11**v * m
+            assert local_density(three, n, 11, work_limit=limit).value == density_formula_odd(n, 11), n
+    for k in (1, 2, 3, 5, 6, 7, 11, 15):
+        n = 2**20 * k
+        assert local_density(three, n, 2, work_limit=limit).value == psi(n), n
+
+
+def test_rank_one_count_is_bounded():
+    start = time.perf_counter()
+    count = count_solutions_mod(X_SQUARED, 0, 2, 24, work_limit=10**12)
+    assert time.perf_counter() - start < 1
+    assert count == 2**12 * 2**48  # x ≡ 0 (mod 2^12), y and z free
+
+
+@pytest.mark.parametrize("form", ["3,7,7,6,2,-2", "3,15,15,14,2,-2", "7,8,15,8,2,4"])
+def test_two_adic_density_without_split(form):
+    # Every variable has a cross term, so none splits off; the density of a
+    # TG2 class at 2 is that of 4yz - x^2.
+    res = local_density(TernaryForm.parse(form), 32, 2)
+    assert res.value == Fraction(9, 4)
+    assert res.value == local_density(TernaryForm(-1, 0, 0, 4, 0, 0), 32, 2).value
 
 
 def test_character_sum():
