@@ -8,25 +8,18 @@ determinant.  All arithmetic is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from math import gcd
 
 from .matrices import (
     IDENTITY,
     Mat3,
     Vec3,
-    column_hnf,
     complete_primitive,
     det3,
     mat_mul,
     shear,
-    smith_normal_form,
     transpose,
-    unimodular_inverse,
 )
-
-# Largest residue box m^3 the m-divisibility scan may walk.
-_LATTICE_SCAN_LIMIT = 10**8
 
 
 class FormError(ValueError):
@@ -192,77 +185,3 @@ def to_convenient_shape_1(form: TernaryForm) -> tuple[TernaryForm, Mat3]:
 
 def _is_shape1(form: TernaryForm) -> bool:
     return form.a % 2 == 1 and form.d % 2 == 1 and form.e % 2 == 0 and form.f % 2 == 0
-
-
-def _is_shape2(form: TernaryForm) -> bool:
-    return form.a % 2 == 1 and all(v % 4 == 0 for v in (form.b, form.c, form.d, form.e, form.f))
-
-
-def divisibility_lattice_basis(form: TernaryForm, m: int) -> Mat3:
-    """Canonical (column-HNF) basis of {v : G v ≡ 0, form(v) ≡ 0 (mod m)}."""
-    if m < 1:
-        raise FormError("modulus must be >= 1")
-    if m**3 > _LATTICE_SCAN_LIMIT:
-        raise FormError(f"modulus {m} too large for the residue scan")
-    g = form.gram()
-    cols: list[Vec3] = [(m, 0, 0), (0, m, 0), (0, 0, m)]
-    for x in range(m):
-        for y in range(m):
-            for z in range(m):
-                v = (x, y, z)
-                gv = tuple(sum(g[i][k] * v[k] for k in range(3)) for i in range(3))
-                if all(t % m == 0 for t in gv) and form(*v) % m == 0:
-                    cols.append(v)
-    return column_hnf(cols)
-
-
-def to_convenient_shape_2(form: TernaryForm) -> tuple[TernaryForm, Mat3]:
-    """Equivalent form with a odd and b, c, d, e, f all divisible by 4.
-
-    Requires: discriminant 16*delta with delta odd, classically even cross
-    coefficients, and no represented value n ≡ 1, 2 (mod 4).  The last
-    condition is checked exactly on the residues x mod 4; the structural
-    congruences of the output are the authoritative certificate.
-    """
-    delta16 = discriminant(form)
-    if delta16 % 16 != 0:
-        raise FormError("convenient shape 2 requires discriminant divisible by 16")
-    if (delta16 // 16) % 2 == 0:
-        raise FormError("convenient shape 2 requires discriminant 16*delta with delta odd")
-    if any(v % 2 for v in (form.d, form.e, form.f)):
-        raise FormError("convenient shape 2 requires even d, e, f")
-    if not is_primitive(form):
-        raise FormError("convenient shape 2 requires a primitive form")
-
-    if _is_shape2(form):
-        return form, IDENTITY
-
-    if is_positive_definite(form):
-        _check_no_1_2_mod_4(form)
-
-    # The index-2 sublattice where the form is 4-divisible pins down the
-    # single odd coordinate direction; rotate it into x.
-    basis = divisibility_lattice_basis(form, 4)
-    u_left, diag, _ = smith_normal_form(basis)
-    if (diag[0][0], diag[1][1], diag[2][2]) != (1, 1, 2):
-        raise FormError("form is not 4-divisible on an index-2 sublattice; not in the TG2 shape class")
-    # basis columns span L = inv(u_left) * diag(1,1,2) * Z^3.  We need a
-    # unimodular U with U * diag(2,1,1) * Z^3 = L.
-    swap: Mat3 = ((0, 0, 1), (0, 1, 0), (1, 0, 0))
-    u = mat_mul(unimodular_inverse(u_left), swap)
-    out = apply_map(form, u)
-    if not _is_shape2(out):
-        raise AssertionError(f"shape-2 construction failed on {form}")
-    return out, u
-
-
-def _check_no_1_2_mod_4(form: TernaryForm) -> None:
-    """Refuse a form taking a value ≡ 1, 2 (mod 4), read off x mod 4.
-
-    f(x + 4y) = f(x) + 4 x'Gy + 16 f(y) ≡ f(x) (mod 4), so the 64 residues
-    decide it exactly.
-    """
-    for x in product(range(4), repeat=3):
-        v = form(*x)
-        if v % 4 in (1, 2):
-            raise FormError(f"form takes the value {v} ≡ {v % 4} (mod 4) at {x}; not in the TG2 shape class")

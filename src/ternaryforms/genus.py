@@ -80,14 +80,14 @@ def _scan_reduced_candidates(disc: int):
                         yield TernaryForm(a, b, c, d, e, f)
 
 
-def enumerate_tg1(p: int, prime_bound: int = DEFAULT_PRIME_BOUND) -> GenusSet:
+def enumerate_tg1(p: int) -> GenusSet:
     """All classes of positive primitive forms of discriminant p^2.
 
     Completeness is certified against the closed-form mass (p-1)/48.
     """
     mass = mass_closed_form(p)
-    if p > prime_bound:
-        raise FormError(f"p = {p} exceeds the configured bound {prime_bound}")
+    if p > DEFAULT_PRIME_BOUND:
+        raise FormError(f"p = {p} exceeds the configured bound {DEFAULT_PRIME_BOUND}")
     disc = p * p
     seen: dict[TernaryForm, None] = {}
     for cand in _scan_reduced_candidates(disc):

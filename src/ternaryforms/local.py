@@ -318,10 +318,3 @@ def p_factor(n: int) -> Fraction:
                 result *= term
         p += 2
     return result
-
-
-def character_sum_check(a: int, p: int) -> int:
-    """sum_{y=0}^{p-1} (y^2 + a | p); equals -1 whenever p is odd, p ∤ a."""
-    if p % 2 == 0 or a % p == 0:
-        raise ValueError("need an odd prime p not dividing a")
-    return sum(kronecker(y * y + a, p) for y in range(p))

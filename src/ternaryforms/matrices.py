@@ -122,85 +122,6 @@ def column_hnf(cols: list[Vec3]) -> Mat3:
     return from_columns(*(tuple(c) for c in basis))
 
 
-def smith_normal_form(a: Mat3) -> tuple[Mat3, Mat3, Mat3]:
-    """Return (u, d, v) with u*a*v = d diagonal, u and v unimodular.
-
-    Diagonal entries are nonnegative and each divides the next.
-    """
-    m = [list(row) for row in a]
-    u = [list(row) for row in IDENTITY]
-    v = [list(row) for row in IDENTITY]
-
-    def swap_rows(i, j):
-        m[i], m[j] = m[j], m[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for r in range(3):
-            m[r][i], m[r][j] = m[r][j], m[r][i]
-            v[r][i], v[r][j] = v[r][j], v[r][i]
-
-    def addmul_row(dst, src, q):
-        for k in range(3):
-            m[dst][k] += q * m[src][k]
-            u[dst][k] += q * u[src][k]
-
-    def addmul_col(dst, src, q):
-        for r in range(3):
-            m[r][dst] += q * m[r][src]
-            v[r][dst] += q * v[r][src]
-
-    for k in range(3):
-        while True:
-            # Find smallest nonzero entry in the trailing block.
-            best = None
-            for i in range(k, 3):
-                for j in range(k, 3):
-                    if m[i][j] and (best is None or abs(m[i][j]) < abs(m[best[0]][best[1]])):
-                        best = (i, j)
-            if best is None:
-                break
-            if best != (k, k):
-                if best[0] != k:
-                    swap_rows(k, best[0])
-                if best[1] != k:
-                    swap_cols(k, best[1])
-            done = True
-            for i in range(k + 1, 3):
-                if m[i][k]:
-                    addmul_row(i, k, -(m[i][k] // m[k][k]))
-                    if m[i][k]:
-                        done = False
-            for j in range(k + 1, 3):
-                if m[k][j]:
-                    addmul_col(j, k, -(m[k][j] // m[k][k]))
-                    if m[k][j]:
-                        done = False
-            if done:
-                # Divisibility fix-up: pivot must divide the trailing block.
-                bad = None
-                for i in range(k + 1, 3):
-                    for j in range(k + 1, 3):
-                        if m[i][j] % m[k][k]:
-                            bad = i
-                            break
-                    if bad is not None:
-                        break
-                if bad is None:
-                    break
-                addmul_row(k, bad, 1)
-        if m[k][k] < 0:
-            for j in range(3):
-                m[k][j] = -m[k][j]
-            for j in range(3):
-                u[k][j] = -u[k][j]
-    return (
-        tuple(tuple(r) for r in u),
-        tuple(tuple(r) for r in m),
-        tuple(tuple(r) for r in v),
-    )
-
-
 def complete_primitive(v: Vec3) -> Mat3:
     """A unimodular matrix whose first column is the primitive vector v."""
     x, y, z = v

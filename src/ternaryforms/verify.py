@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
-from .counting import rep_count, s_batch, theta
+from .counting import s_batch, theta
 from .forms import TernaryForm
 from .genus import GenusCache, mass_closed_form
 from .isometry import automorphs, equivalent
@@ -236,8 +236,10 @@ def watson_suite(
                 fails_phi_lambda.append(f"p={p} {form}: lambda_4 differs from phi")
             if lambda_m(image, 4) != form:
                 fails_invol.append(f"p={p} {form}: lambda_4^2 is not the identity")
+            counts = theta(form, n_scaling).counts
+            image_counts = theta(image, 4 * n_scaling).counts
             for n in range(1, n_scaling + 1):
-                if rep_count(form, n) != rep_count(image, 4 * n):
+                if counts[n] != image_counts[4 * n]:
                     fails_scaling.append(f"p={p} {form} n={n}: R(n) != R_phi(4n)")
             aut_pre = automorphs(form)
             aut_img = automorphs(image)

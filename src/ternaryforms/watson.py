@@ -4,29 +4,27 @@ Lambda_m restricts a form to the sublattice where it is m-divisible
 (G*v ≡ 0 and f(v) ≡ 0 mod m), rescales by 1/m, and rereads the result as an
 integral form.  For forms of odd discriminant lambda_4 is the coefficient
 map Phi(<a,b,c,d,e,f>) = <a,4b,4c,4d,2e,2f> on Convenient Shape 1, and is
-an involution on classes.
+an involution on classes, so Phi^-1 is lambda_4 with Phi as its exact check.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .forms import (
     FormError,
     TernaryForm,
     _is_shape1,
-    _is_shape2,
     apply_map,
     discriminant,
-    divisibility_lattice_basis,
     is_positive_definite,
+    is_primitive,
     to_convenient_shape_1,
-    to_convenient_shape_2,
 )
 from .isometry import equivalent
 from .matrices import (
     Mat3,
+    Vec3,
     adjugate,
+    column_hnf,
     det3,
     mat_mul,
     mat_neg,
@@ -36,23 +34,31 @@ from .matrices import (
 )
 from .reduction import reduce_form
 
-
-@dataclass(frozen=True)
-class WatsonLattice:
-    form: TernaryForm
-    modulus: int
-    basis: Mat3
+# Largest residue box m^3 the m-divisibility scan may walk.
+_LATTICE_SCAN_LIMIT = 10**8
 
 
-def lambda_lattice(form: TernaryForm, m: int) -> WatsonLattice:
-    """Canonical (column-HNF) basis of the m-divisibility sublattice."""
-    return WatsonLattice(form, m, divisibility_lattice_basis(form, m))
+def divisibility_lattice_basis(form: TernaryForm, m: int) -> Mat3:
+    """Canonical (column-HNF) basis of {v : G v ≡ 0, form(v) ≡ 0 (mod m)}."""
+    if m < 1:
+        raise FormError("modulus must be >= 1")
+    if m**3 > _LATTICE_SCAN_LIMIT:
+        raise FormError(f"modulus {m} too large for the residue scan")
+    g = form.gram()
+    cols: list[Vec3] = [(m, 0, 0), (0, m, 0), (0, 0, m)]
+    for x in range(m):
+        for y in range(m):
+            for z in range(m):
+                v = (x, y, z)
+                gv = tuple(sum(g[i][k] * v[k] for k in range(3)) for i in range(3))
+                if all(t % m == 0 for t in gv) and form(*v) % m == 0:
+                    cols.append(v)
+    return column_hnf(cols)
 
 
 def _lambda_raw(form: TernaryForm, m: int) -> tuple[TernaryForm, Mat3, Mat3]:
     """(raw transformed form, basis M, cofactor N with M*N = N*M = m*I)."""
-    lat = lambda_lattice(form, m)
-    mbasis = lat.basis
+    mbasis = divisibility_lattice_basis(form, m)
     gram2 = mat_mul(transpose(mbasis), mat_mul(form.gram(), mbasis))
     try:
         scaled = mat_scale_exact(gram2, 1, m)
@@ -85,24 +91,28 @@ def lambda_m(form: TernaryForm, m: int) -> TernaryForm:
     return _canonical(raw)
 
 
-def phi(form: TernaryForm, reduce: bool = True) -> TernaryForm:
+def phi(form: TernaryForm) -> TernaryForm:
     """<a,b,c,d,e,f> -> <a,4b,4c,4d,2e,2f> on Convenient Shape 1."""
     if discriminant(form) % 2 == 0:
         raise FormError("phi requires odd discriminant")
     if not _is_shape1(form):
         form, _ = to_convenient_shape_1(form)
     a, b, c, d, e, f = form.coeffs
-    out = TernaryForm(a, 4 * b, 4 * c, 4 * d, 2 * e, 2 * f)
-    return _canonical(out) if reduce else out
+    return _canonical(TernaryForm(a, 4 * b, 4 * c, 4 * d, 2 * e, 2 * f))
 
 
-def phi_inverse(form: TernaryForm, reduce: bool = True) -> TernaryForm:
-    """Quarter the Shape-2 Gram via (1/4) * D * H * D with D = diag(2,1,1)."""
-    if not _is_shape2(form):
-        form, _ = to_convenient_shape_2(form)
-    a, b, c, d, e, f = form.coeffs
-    out = TernaryForm(a, b // 4, c // 4, d // 4, e // 2, f // 2)
-    return _canonical(out) if reduce else out
+def phi_inverse(form: TernaryForm) -> TernaryForm:
+    """The reduced primitive preimage under Phi, computed as lambda_4.
+
+    lambda_4 inverts Phi on classes; the result is returned only when Phi maps
+    it back onto the class of the input, so a wrong preimage cannot escape.
+    """
+    if not is_positive_definite(form):
+        raise FormError("phi_inverse requires a positive definite form")
+    pre = lambda_m(form, 4)
+    if discriminant(pre) % 2 == 0 or not is_primitive(pre) or phi(pre) != reduce_form(form)[0]:
+        raise FormError(f"{form} is not Φ of a primitive form of odd discriminant")
+    return pre
 
 
 def transport_automorph(

@@ -83,6 +83,22 @@ def test_phi_round_trip(capsys):
     assert data["preimage"] == "1,1,3,0,0,1"
 
 
+def test_phi_inverse_of_a_delta_three_mod_four_image(capsys):
+    code, data, _ = run_json(capsys, "phi", "2,5,7,3,1,-2")
+    assert code == EXIT_OK
+    assert data["image"] == "5,8,25,0,2,4"
+    code, data, _ = run_json(capsys, "phi-inv", "5,8,25,0,2,4")
+    assert code == EXIT_OK
+    assert data["preimage"] == "2,5,7,3,1,-2"
+
+
+def test_phi_inverse_refuses_an_even_discriminant_preimage(capsys):
+    # lambda_4 of 1,4,4,0,0,0 is x^2 + y^2 + z^2, of discriminant 4.
+    code, _, err = run(capsys, "phi-inv", "1,4,4,0,0,0")
+    assert code == EXIT_USAGE
+    assert "not Φ of a primitive form of odd discriminant" in err
+
+
 def test_lambda(capsys):
     code, data, _ = run_json(capsys, "lambda", "9,9,9,0,0,0", "9")
     assert code == EXIT_OK

@@ -11,11 +11,11 @@ from ternaryforms.forms import (
     is_positive_definite,
     is_primitive,
     to_convenient_shape_1,
-    to_convenient_shape_2,
     _is_shape1,
-    _is_shape2,
 )
 from ternaryforms.matrices import IDENTITY
+from ternaryforms.reduction import reduce_form
+from ternaryforms.watson import phi, phi_inverse
 
 H1 = TernaryForm(31, 5, 11, 1, -14, 6)
 
@@ -129,29 +129,31 @@ TG2_SAMPLE = [
 ]
 
 
+# The TG2 side has no shape conversion of its own: phi_inverse is lambda_4,
+# accepted only when phi maps it back onto the class of the input.
 @pytest.mark.parametrize("form", TG2_SAMPLE, ids=str)
 def test_shape2_conversion(form):
-    out, u = to_convenient_shape_2(form)
-    assert _is_shape2(out)
-    assert apply_map(form, u) == out
+    pre = phi_inverse(form)
+    assert discriminant(form) == 16 * discriminant(pre)
+    assert phi(pre) == reduce_form(form)[0]
 
 
 def test_shape2_rejects_wrong_discriminant():
-    with pytest.raises(FormError):
-        to_convenient_shape_2(TernaryForm(1, 1, 3, 0, 0, 1))
+    with pytest.raises(FormError, match="not Φ"):
+        phi_inverse(TernaryForm(1, 1, 3, 0, 0, 1))
 
 
 def test_shape2_rejects_odd_cross_terms():
     # discriminant 48 = 16 * 3, but f is odd
     f = TernaryForm(1, 1, 16, 0, 0, -1)
     assert discriminant(f) == 48
-    with pytest.raises(FormError, match="even"):
-        to_convenient_shape_2(f)
+    with pytest.raises(FormError, match="not Φ"):
+        phi_inverse(f)
 
 
 @pytest.mark.parametrize("form", [TernaryForm(1, 2, 2, 0, 0, 0), TernaryForm(3, 2, 2, 0, 0, 0)], ids=str)
 def test_shape2_rejects_values_one_or_two_mod_4(form):
     # discriminant 16 * odd and even cross terms, but x^2 takes 1 and 2y^2 takes 2
     assert discriminant(form) // 16 % 2 == 1
-    with pytest.raises(FormError, match="mod 4"):
-        to_convenient_shape_2(form)
+    with pytest.raises(FormError, match="not Φ"):
+        phi_inverse(form)

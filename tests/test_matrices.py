@@ -11,7 +11,6 @@ from ternaryforms.matrices import (
     det3,
     mat_mul,
     shear,
-    smith_normal_form,
     transpose,
     unimodular_inverse,
 )
@@ -40,23 +39,6 @@ def test_det_multiplicative(m1, m2):
 @settings(max_examples=200, deadline=None)
 def test_transpose_involution(m):
     assert transpose(transpose(m)) == m
-
-
-@given(mat)
-@settings(max_examples=150, deadline=None)
-def test_smith_normal_form(m):
-    u, d, v = smith_normal_form(m)
-    assert det3(u) in (1, -1)
-    assert det3(v) in (1, -1)
-    assert mat_mul(u, mat_mul(m, v)) == d
-    d1, d2, d3 = d[0][0], d[1][1], d[2][2]
-    assert all(d[i][j] == 0 for i in range(3) for j in range(3) if i != j)
-    assert d1 >= 0 and d2 >= 0 and d3 >= 0
-    if d2:
-        assert d2 % d1 == 0
-    if d3:
-        assert d3 % d2 == 0
-    assert abs(det3(m)) == d1 * d2 * d3
 
 
 primitive_vec = st.tuples(ints, ints, ints).filter(

@@ -1,17 +1,20 @@
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ternaryforms.counting import rep_count
 from ternaryforms.forms import (
     FormError,
     TernaryForm,
-    apply_map,
     discriminant,
+    is_primitive,
     to_convenient_shape_1,
 )
 from ternaryforms.genus import build_tg2, enumerate_tg1
-from ternaryforms.isometry import automorphs, equivalent
+from ternaryforms.isometry import automorphs
+from ternaryforms.reduction import reduce_form
 from ternaryforms.watson import (
-    lambda_lattice,
+    divisibility_lattice_basis,
     lambda_m,
     phi,
     phi_inverse,
@@ -24,8 +27,8 @@ PRIMES = [3, 5, 7, 11, 13]
 def test_phi_is_a_coefficient_map_on_shape_1():
     shape1, _ = to_convenient_shape_1(TernaryForm(1, 1, 3, 0, 0, 1))
     a, b, c, d, e, f = shape1.coeffs
-    image = phi(shape1, reduce=False)
-    assert image == TernaryForm(a, 4 * b, 4 * c, 4 * d, 2 * e, 2 * f)
+    image = phi(shape1)
+    assert image == reduce_form(TernaryForm(a, 4 * b, 4 * c, 4 * d, 2 * e, 2 * f))[0]
 
 
 def test_phi_requires_odd_discriminant():
@@ -49,6 +52,53 @@ def test_phi_inverse_round_trip(p):
         assert phi(phi_inverse(form)) == form
 
 
+def test_phi_inverse_of_a_delta_three_mod_four_image():
+    # delta = 59 ≡ 3 (mod 4): the image takes the value 25 ≡ 1 (mod 4).
+    image = phi(TernaryForm(2, 5, 7, 3, 1, -2))
+    assert image == TernaryForm(5, 8, 25, 0, 2, 4)
+    assert phi_inverse(image) == TernaryForm(2, 5, 7, 3, 1, -2)
+
+
+@pytest.mark.parametrize(
+    "form",
+    [
+        TernaryForm(1, 4, 4, 0, 0, 0),  # lambda_4 gives x^2 + y^2 + z^2, discriminant 4
+        TernaryForm(3, 12, 12, 12, 0, 0),  # content 3
+    ],
+    ids=str,
+)
+def test_phi_inverse_refuses_forms_outside_the_image(form):
+    with pytest.raises(FormError, match="not Φ of a primitive form of odd discriminant"):
+        phi_inverse(form)
+
+
+def test_phi_inverse_requires_definite_form():
+    with pytest.raises(FormError, match="positive definite"):
+        phi_inverse(TernaryForm(-1, 4, 4, 0, 0, 0))
+
+
+diagonal = st.integers(0, 12)
+cross = st.integers(-6, 6)
+
+
+@pytest.mark.parametrize("residue", [1, 3])
+@given(diagonal, diagonal, diagonal, cross, cross, cross)
+@settings(max_examples=100, deadline=None)
+def test_phi_inverse_inverts_phi(residue, a0, b0, c0, k, e, f):
+    # An odd d makes the discriminant ≡ K - a (mod 4), K = def - be^2 - cf^2,
+    # so a's residue picks the discriminant's; a diagonally dominant Gram
+    # matrix is positive definite.
+    d = 2 * k + 1
+    b = b0 + (abs(d) + abs(f)) // 2 + 1
+    c = c0 + (abs(d) + abs(e)) // 2 + 1
+    a = a0 + (abs(e) + abs(f)) // 2 + 1
+    a += (d * e * f - b * e * e - c * f * f - residue - a) % 4
+    form = TernaryForm(a, b, c, d, e, f)
+    assert discriminant(form) % 4 == residue
+    assume(is_primitive(form))
+    assert phi_inverse(phi(form)) == reduce_form(form)[0]
+
+
 @pytest.mark.parametrize("p", PRIMES)
 def test_lambda_4_equals_phi(p):
     for form, _ in enumerate_tg1(p).classes:
@@ -58,10 +108,9 @@ def test_lambda_4_equals_phi(p):
 
 def test_lambda_lattice_structure():
     form = TernaryForm(1, 1, 3, 0, 0, 1)
-    lat = lambda_lattice(form, 4)
-    assert lat.modulus == 4
+    basis = divisibility_lattice_basis(form, 4)
     g = form.gram()
-    cols = [tuple(lat.basis[i][j] for i in range(3)) for j in range(3)]
+    cols = [tuple(basis[i][j] for i in range(3)) for j in range(3)]
     for v in cols:
         assert form(*v) % 4 == 0
         assert all(sum(g[i][k] * v[k] for k in range(3)) % 4 == 0 for i in range(3))
