@@ -59,23 +59,26 @@ def _icbrt(n: int) -> int:
 def _scan_reduced_candidates(disc: int):
     """Sextuples in the reduced box with the given discriminant.
 
-    Bounds: 0 < a <= b <= c, |d| <= b, |e| <= a, |f| <= a, a*b*c <= disc
-    (Minkowski: the product of the successive minima is below the
-    discriminant for canonical forms, so every class appears).
+    Bounds: 0 < a <= b <= c, |d| <= b, 0 <= e <= a, 0 <= f <= a and
+    a*b*c <= disc // 2.  Every class has a Minkowski-reduced form, which has
+    |e|, |f| <= a; changing the sign of e_1, e_2 or e_3 multiplies (d, e, f)
+    by (1, -1, -1), (-1, 1, -1) or (-1, -1, 1) inside that box, so one sign
+    pattern has e, f >= 0.  Seeber's inequality abc <= 2 det(Gram/2) for
+    reduced forms reads abc <= disc / 2 here (Gauss's 1831 review of Seeber;
+    Conway-Sloane, SPLAG ch. 15).  The mass certificate checks completeness.
     """
-    for a in range(1, _icbrt(disc) + 1):
-        for b in range(a, isqrt(disc // a) + 1):
-            for f in range(-a, a + 1):
+    half = disc // 2
+    for a in range(1, _icbrt(half) + 1):
+        for b in range(a, isqrt(half // a) + 1):
+            for f in range(a + 1):
                 denom = 4 * a * b - f * f
-                if denom <= 0:
-                    continue
-                for e in range(-a, a + 1):
+                for e in range(a + 1):
                     for d in range(-b, b + 1):
                         num = disc - d * e * f + a * d * d + b * e * e
                         if num % denom:
                             continue
                         c = num // denom
-                        if c < b or a * b * c > disc:
+                        if c < b or a * b * c > half:
                             continue
                         yield TernaryForm(a, b, c, d, e, f)
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .counting import vectors_with_value
 from .forms import FormError, TernaryForm, discriminant, is_positive_definite
-from .matrices import Mat3, Vec3, det3, from_columns
+from .matrices import Mat3, det3, from_columns, gram_dot
 
 
 @dataclass(frozen=True)
@@ -23,10 +23,6 @@ class AutomorphGroup:
     @property
     def order(self) -> int:
         return len(self.elements)
-
-
-def _gram_dot(g: Mat3, v: Vec3, w: Vec3) -> int:
-    return sum(v[i] * g[i][j] * w[j] for i in range(3) for j in range(3))
 
 
 def _isometries(g: TernaryForm, h: TernaryForm, first_only: bool) -> list[Mat3]:
@@ -44,12 +40,12 @@ def _isometries(g: TernaryForm, h: TernaryForm, first_only: bool) -> list[Mat3]:
     found: list[Mat3] = []
     for v1 in s1:
         for v2 in s2:
-            if _gram_dot(gram, v1, v2) != h.f:
+            if gram_dot(gram, v1, v2) != h.f:
                 continue
             for v3 in s3:
-                if _gram_dot(gram, v1, v3) != h.e:
+                if gram_dot(gram, v1, v3) != h.e:
                     continue
-                if _gram_dot(gram, v2, v3) != h.d:
+                if gram_dot(gram, v2, v3) != h.d:
                     continue
                 u = from_columns(v1, v2, v3)
                 if det3(u) not in (1, -1):

@@ -3,11 +3,11 @@
 The counter works modulo p^t by recursion on x mod p, in work that grows
 with t, not with p^t.  At odd p the form is diagonalised over Z/p^t and a
 Jordan recursion counts the solutions that are smooth mod p in closed form
-and recurses on the rest with one exponent less.  At p = 2 a Hensel
-recursion on x mod 2 lifts smooth residues by a power of 4 and recurses on
-the singular ones, counting identical subproblems once.  Densities are
-rationals count / p^(2t), certified by recomputing at t+1 and demanding
-equality.
+and recurses on the rest with one exponent less.  At p = 2 Hensel
+lifting on x mod 2 lifts smooth residues by a power of 4 and passes the
+singular ones down one exponent, level by level, counting identical
+subproblems once.  Densities are rationals count / p^(2t), certified by
+recomputing at t+1 and demanding equality.
 
 The closed-form densities (odd-prime two-case formula, the 2-adic table for
 sums of three squares, the difference kernel, the squarefree-part product)
@@ -169,61 +169,67 @@ def _count_odd(coeffs, n: int, p: int, t: int) -> int:
 
 
 def _count_two(coeffs, n: int, t: int, work_limit: int) -> int:
-    """Hensel recursion on x mod 2 for F = Q + L.x + k ≡ 0 (mod 2^t).
+    """Hensel lifting on x mod 2 for F = Q + L.x + k ≡ 0 (mod 2^t), level by level.
 
     An all-even F is halved (8 lifts per solution).  Otherwise each x0 mod 2
     with F(x0) even is either smooth (an odd entry of grad F(x0)), lifting
-    4^(t-1) ways, or recursed on as F(x0 + 2y)/2 = F(x0)/2 + grad F(x0).y
-    + 2Q(y) modulo 2^(t-1).  Identical subproblems are counted once; each
-    costs 8 units of work_limit.
+    4^(t-1) ways, or passed down as F(x0 + 2y)/2 = F(x0)/2 + grad F(x0).y
+    + 2Q(y) modulo 2^(t-1).  Each level maps its distinct subproblems to the
+    number of ways they are reached; the keys below the top level are reduced
+    modulo the level's 2^t, so identical subproblems are counted once.  A
+    subproblem modulo 2^t costs 8*t units of work_limit: 8 residues on t-bit
+    integers.
     """
-    memo: dict[tuple, int] = {}
-
-    def count(F: tuple[int, ...], t: int) -> int:
-        if t == 0:
-            return 1
-        F = tuple(v % (1 << t) for v in F)
-        key = (F, t)
-        if key in memo:
-            return memo[key]
-        if 8 * (len(memo) + 1) > work_limit:
+    level = {(*coeffs, 0, 0, 0, -n): 1}
+    total = work = 0
+    while t and level:
+        work += 8 * t * len(level)
+        if work > work_limit:
             raise ResourceLimitError(
-                f"2-adic lifting modulo 2^{t} needs more than {len(memo)} subproblems (limit {work_limit})"
+                f"2-adic lifting modulo 2^{t} exceeds the work limit {work_limit}"
             )
-        a, b, c, d, e, f, l1, l2, l3, k = F
-        if all(v % 2 == 0 for v in F):
-            res = 8 * count(tuple(v // 2 for v in F), t - 1)
-        else:
-            res = 0
+        below: dict[tuple[int, ...], int] = {}
+        mask = (1 << (t - 1)) - 1
+        for F, ways in level.items():
+            a, b, c, d, e, f, l1, l2, l3, k = F
+            if all(v % 2 == 0 for v in F):
+                child = tuple((v >> 1) & mask for v in F)
+                below[child] = below.get(child, 0) + 8 * ways
+                continue
             for x, y, z in product((0, 1), repeat=3):  # x*x = x on {0, 1}
                 val = a * x + b * y + c * z + d * y * z + e * z * x + f * x * y + l1 * x + l2 * y + l3 * z + k
                 if val % 2:
                     continue
                 grad = (2 * a * x + f * y + e * z + l1, f * x + 2 * b * y + d * z + l2, e * x + d * y + 2 * c * z + l3)
                 if any(g % 2 for g in grad):
-                    res += 1 << (2 * (t - 1))
+                    total += ways << (2 * (t - 1))
                 else:
-                    res += count((2 * a, 2 * b, 2 * c, 2 * d, 2 * e, 2 * f, *grad, val // 2), t - 1)
-        memo[key] = res
-        return res
-
-    return count((*coeffs, 0, 0, 0, -n), t)
+                    child = tuple(v & mask for v in (2 * a, 2 * b, 2 * c, 2 * d, 2 * e, 2 * f, *grad, val // 2))
+                    below[child] = below.get(child, 0) + ways
+        level = below
+        t -= 1
+    return total + sum(level.values())
 
 
 def count_solutions_mod(
     form: TernaryForm, n: int, p: int, t: int, work_limit: int = DEFAULT_WORK_LIMIT
 ) -> int:
-    """#{(x,y,z) mod p^t : form(x,y,z) ≡ n (mod p^t)}, exactly."""
+    """#{(x,y,z) mod p^t : form(x,y,z) ≡ n (mod p^t)}, exactly.
+
+    Raises ResourceLimitError when the count would cost more than work_limit
+    units: t^2 * log2(p) at odd p, 8*t per subproblem modulo 2^t at p = 2.
+    """
     if not is_prime(p):
         raise FormError(f"{p} is not a prime")
     if t < 1:
         raise ValueError("t must be >= 1")
-    if p**t > work_limit // 64:
-        raise ResourceLimitError(
-            f"modulus p^t = {p}^{t} exceeds the work limit {work_limit}"
-        )
     if p == 2:
         return _count_two(form.coeffs, n, t, work_limit)
+    work = t * t * p.bit_length()  # _count_odd: t steps on integers of t*log2(p) bits
+    if work > work_limit:
+        raise ResourceLimitError(
+            f"counting modulo {p}^{t} costs {work} units, above the work limit {work_limit}"
+        )
     return _count_odd(form.coeffs, n, p, t)
 
 

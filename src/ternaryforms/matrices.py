@@ -75,6 +75,11 @@ def from_columns(c1: Vec3, c2: Vec3, c3: Vec3) -> Mat3:
     return tuple((c1[i], c2[i], c3[i]) for i in range(3))
 
 
+def gram_dot(g: Mat3, v: Vec3, w: Vec3) -> int:
+    """v' * g * w; with g a Gram matrix, the cross coefficient of the columns v, w."""
+    return sum(v[i] * g[i][j] * w[j] for i in range(3) for j in range(3))
+
+
 def shear(i: int, j: int, t: int = 1) -> Mat3:
     """Elementary unimodular matrix: right-multiplying adds t * column j to column i."""
     rows = [list(r) for r in IDENTITY]

@@ -1,19 +1,24 @@
 """Canonical reduction of positive definite ternary forms.
 
-Two stages: a greedy Eisenstein-style descent (signed permutations plus
-integer shears, strictly decreasing the Gram diagonal) brings the
-coefficients to desk scale; an exhaustive successive-minima search then
-picks the unique lexicographically least equivalent sextuple, ordered by
+Two stages.  The first brings the form to Minkowski reduction: a greedy
+descent (integer shears e_i -> e_i + t*e_j, strictly decreasing the Gram
+diagonal, then sorting it) makes |f| <= a, |e| <= a, |d| <= b, and
+replacing e_3 by e_3 + s1*e_1 + s2*e_2 (s1, s2 = +-1) while that lowers c,
+that is while a + b + s1*s2*f + s1*e + s2*d < 0, followed by the greedy
+step again, leaves c <= form(v) for every v with v_3 = +-1.  In three
+variables the test vectors with entries 0, +-1 suffice for Minkowski
+reduction, and the diagonal of a Minkowski-reduced form is its successive
+minima (van der Waerden, Acta Math. 96 (1956); Schiemann, Math. Ann. 308
+(1997)).  The second stage searches the vectors of values a, b and c for
+the unique lexicographically least equivalent sextuple, ordered by
 (a, b, c, |d|, |e|, |f|, sign pattern of (d, e, f)).
 """
 
 from __future__ import annotations
 
-from math import gcd
-
-from .counting import half_points_up_to
+from .counting import vectors_with_value
 from .forms import FormError, TernaryForm, apply_map, is_positive_definite
-from .matrices import IDENTITY, Mat3, Vec3, det3, from_columns, mat_mul, shear
+from .matrices import IDENTITY, Mat3, det3, from_columns, gram_dot, mat_mul, shear
 
 
 def _greedy(form: TernaryForm) -> tuple[TernaryForm, Mat3]:
@@ -50,19 +55,19 @@ def _greedy(form: TernaryForm) -> tuple[TernaryForm, Mat3]:
     return cur, u
 
 
-def _pair_primitive(v1: Vec3, v2: Vec3) -> bool:
-    m01 = v1[0] * v2[1] - v1[1] * v2[0]
-    m02 = v1[0] * v2[2] - v1[2] * v2[0]
-    m12 = v1[1] * v2[2] - v1[2] * v2[1]
-    return gcd(gcd(m01, m02), m12) == 1
-
-
-def _signed(vs: list[Vec3]) -> list[Vec3]:
-    out = []
-    for v in vs:
-        out.append(v)
-        out.append((-v[0], -v[1], -v[2]))
-    return out
+def _minkowski(form: TernaryForm) -> tuple[TernaryForm, Mat3]:
+    """A Minkowski-reduced form equivalent to form, with witness."""
+    cur, u = _greedy(form)
+    while True:
+        a, b, _, d, e, f = cur.coeffs
+        for s1, s2 in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+            if a + b + s1 * s2 * f + s1 * e + s2 * d < 0:
+                m = ((1, 0, s1), (0, 1, s2), (0, 0, 1))  # e_3 -> e_3 + s1*e_1 + s2*e_2
+                cur, u2 = _greedy(apply_map(cur, m))
+                u = mat_mul(u, mat_mul(m, u2))
+                break
+        else:
+            return cur, u
 
 
 def reduce_form(form: TernaryForm) -> tuple[TernaryForm, Mat3]:
@@ -73,69 +78,24 @@ def reduce_form(form: TernaryForm) -> tuple[TernaryForm, Mat3]:
     """
     if not is_positive_definite(form):
         raise FormError("reduction requires a positive definite form")
-    pre, u0 = _greedy(form)
+    pre, u0 = _minkowski(form)
+    firsts = vectors_with_value(pre, pre.a)
+    seconds = vectors_with_value(pre, pre.b)
+    thirds = vectors_with_value(pre, pre.c)
 
-    bound = pre.c
-    by_value: dict[int, list[Vec3]] = {}
-    for x, y, z, v in half_points_up_to(pre, bound):
-        by_value.setdefault(v, []).append((x, y, z))
-    values = sorted(by_value)
-
-    a_min = values[0]
-    firsts = by_value[a_min]
-
-    pairs: list[tuple[Vec3, Vec3]] = []
-    b_min = None
-    for v in values:
-        if v < a_min:
-            continue
-        for v1 in firsts:
-            for v2 in by_value[v]:
-                if _pair_primitive(v1, v2):
-                    pairs.append((v1, v2))
-        if pairs:
-            b_min = v
-            break
-    assert b_min is not None, "no primitive pair found below the greedy bound"
-
-    c_min = None
-    for v in values:
-        if v < b_min:
-            continue
-        found = False
-        for v1, v2 in pairs:
-            for v3 in by_value[v]:
-                if det3(from_columns(v1, v2, v3)) in (1, -1):
-                    found = True
-                    break
-            if found:
-                break
-        if found:
-            c_min = v
-            break
-    assert c_min is not None, "no unimodular completion found below the greedy bound"
-
-    best_key = None
+    gram = pre.gram()
     best = None
-    firsts_pm = _signed(firsts)
-    seconds_pm = _signed(by_value[b_min])
-    thirds_pm = _signed(by_value[c_min])
-    for v1 in firsts_pm:
-        for v2 in seconds_pm:
-            if not _pair_primitive(v1, v2):
-                continue
-            for v3 in thirds_pm:
+    for v1 in firsts:
+        for v2 in seconds:
+            f = gram_dot(gram, v1, v2)
+            for v3 in thirds:
                 m = from_columns(v1, v2, v3)
                 if det3(m) not in (1, -1):
                     continue
-                cand = apply_map(pre, m)
-                key = (
-                    abs(cand.d), abs(cand.e), abs(cand.f),
-                    cand.d < 0, cand.e < 0, cand.f < 0,
-                )
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = (cand, m)
+                d, e = gram_dot(gram, v2, v3), gram_dot(gram, v1, v3)
+                key = (abs(d), abs(e), abs(f), d < 0, e < 0, f < 0)
+                if best is None or key < best[0]:
+                    best = (key, m)
     assert best is not None
-    final, m = best
-    return final, mat_mul(u0, m)
+    m = best[1]
+    return apply_map(pre, m), mat_mul(u0, m)

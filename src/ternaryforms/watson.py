@@ -95,6 +95,8 @@ def phi(form: TernaryForm) -> TernaryForm:
     """<a,b,c,d,e,f> -> <a,4b,4c,4d,2e,2f> on Convenient Shape 1."""
     if discriminant(form) % 2 == 0:
         raise FormError("phi requires odd discriminant")
+    if not is_primitive(form):
+        raise FormError("phi requires a primitive form")
     if not _is_shape1(form):
         form, _ = to_convenient_shape_1(form)
     a, b, c, d, e, f = form.coeffs

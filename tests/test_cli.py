@@ -127,11 +127,34 @@ def test_density_rejects_non_prime_p(capsys, p):
 
 
 def test_density_resource_limit(capsys):
+    # 3^13 needs t = 16 and 17: 17^2 * 2 = 578 units.
     code, _, err = run(
-        capsys, "--work-limit", "1000000", "density", "1,1,1,0,0,0", "1594323", "3"
+        capsys, "--work-limit", "500", "density", "1,1,1,0,0,0", "1594323", "3"
     )
     assert code == EXIT_RESOURCE
     assert "limit" in err
+
+
+def test_density_at_p_73(capsys):
+    code, data, _ = run_json(capsys, "density", "1,1,73,0,0,0", "73", "73")
+    assert code == EXIT_OK
+    assert data["exponent_used"] == 4
+
+
+def test_deep_two_adic_density(capsys):
+    code, data, err = run_json(
+        capsys, "--work-limit", str(10**400), "density", "1,1,1,0,0,0", str(2**1200), "2"
+    )
+    assert (code, err) == (EXIT_OK, "")
+    assert data["density"] == f"3/{2**601}"
+
+
+@pytest.mark.parametrize("form", ["3,3,3,3,0,0", "3,3,3,0,0,3"])
+def test_phi_refuses_an_imprimitive_form(capsys, form):
+    code, out, err = run(capsys, "phi", form)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "primitive" in err
 
 
 def test_verify_passes(capsys):

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ternaryforms.counting import (
+    half_points_up_to,
     rep_count,
     s,
     s_batch,
@@ -117,15 +118,14 @@ def test_s_rejects_negative():
 
 
 def test_two_squares_sieve():
-    r2 = two_squares_sieve(50)
-    for k in range(51):
-        direct = sum(
-            1
-            for u in range(-7, 8)
-            for v in range(-7, 8)
-            if u * u + v * v == k
-        )
-        assert r2[k] == direct, k
+    for limit in (0, 1, 2, 50, 2000):
+        m = isqrt(limit)
+        direct = [0] * (limit + 1)
+        for u in range(-m, m + 1):
+            for v in range(-m, m + 1):
+                if u * u + v * v <= limit:
+                    direct[u * u + v * v] += 1
+        assert two_squares_sieve(limit) == direct, limit
 
 
 def test_rep_count_uses_exact_enumeration():
@@ -140,3 +140,28 @@ def test_rep_count_uses_exact_enumeration():
 @settings(max_examples=60, deadline=None)
 def test_rep_counts_even_for_positive_n(n):
     assert rep_count(TernaryForm(2, 3, 5, -2, 1, 1), n) % 2 == 0
+
+
+def _definite_form(m):
+    """The form of Gram 2*M'*M, positive definite when M is nonsingular."""
+    gram = tuple(
+        tuple(2 * sum(m[k][i] * m[k][j] for k in range(3)) for j in range(3))
+        for i in range(3)
+    )
+    return TernaryForm.from_gram(gram)
+
+
+@given(
+    st.lists(st.integers(-3, 3), min_size=9, max_size=9).filter(
+        lambda e: (e[0] * (e[4] * e[8] - e[5] * e[7]) - e[1] * (e[3] * e[8] - e[5] * e[6])
+                   + e[2] * (e[3] * e[7] - e[4] * e[6])) != 0
+    ),
+    st.integers(0, 200),
+)
+@settings(max_examples=150, deadline=None)
+def test_single_value_counts_match_the_filtered_enumeration(entries, n):
+    form = _definite_form((entries[0:3], entries[3:6], entries[6:9]))
+    half = [(x, y, z) for x, y, z, v in half_points_up_to(form, n) if v == n]
+    signed = half + [(-x, -y, -z) for x, y, z in half] if n else [(0, 0, 0)]
+    assert vectors_with_value(form, n) == sorted(signed)
+    assert rep_count(form, n) == len(signed)

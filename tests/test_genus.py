@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -11,7 +12,8 @@ from ternaryforms.genus import (
     mass_closed_form,
     weighted_rep_sum,
 )
-from ternaryforms.isometry import equivalent
+from ternaryforms.isometry import automorphs, equivalent
+from ternaryforms.reduction import reduce_form
 
 KNOWN_TG1 = {
     3: [((1, 1, 3, 0, 0, 1), 24)],
@@ -152,3 +154,29 @@ def test_memoryless_cache():
     cache = GenusCache(None)
     g = cache.tg1(5)
     assert g.mass == Fraction(1, 12)
+
+
+def full_box_tg1(p):
+    """Oracle: reduce every primitive sextuple of discriminant p^2 with
+    0 < a <= b <= c, |d| <= b, |e| <= a, |f| <= a and abc <= p^2."""
+    disc = p * p
+    seen = set()
+    a = 1
+    while a**3 <= disc:
+        for b in range(a, isqrt(disc // a) + 1):
+            for f in range(-a, a + 1):
+                for e in range(-a, a + 1):
+                    for d in range(-b, b + 1):
+                        num = disc - d * e * f + a * d * d + b * e * e
+                        denom = 4 * a * b - f * f
+                        if num % denom == 0 and b <= num // denom and a * b * (num // denom) <= disc:
+                            form = TernaryForm(a, b, num // denom, d, e, f)
+                            if is_primitive(form):
+                                seen.add(reduce_form(form)[0])
+        a += 1
+    return sorted((form, automorphs(form).order) for form in seen)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+def test_tg1_matches_the_full_box_scan(p):
+    assert list(enumerate_tg1(p).classes) == full_box_tg1(p)

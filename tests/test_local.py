@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ternaryforms.forms import FormError, TernaryForm
+from ternaryforms.genus import enumerate_tg1
 from ternaryforms.local import (
     ResourceLimitError,
     count_solutions_mod,
@@ -107,8 +108,30 @@ def test_count_higher_exponent_spot():
 
 
 def test_work_limit():
+    # Modulo 3^30 the count costs 30^2 * 2 units, modulo 2^30 8 * 30 per subproblem.
+    three = TernaryForm(1, 1, 1, 0, 0, 0)
     with pytest.raises(ResourceLimitError):
-        count_solutions_mod(TernaryForm(1, 1, 1, 0, 0, 0), 1, 3, 30, work_limit=10**6)
+        count_solutions_mod(three, 1, 3, 30, work_limit=10**3)
+    assert count_solutions_mod(three, 1, 3, 30, work_limit=1800) == count_solutions_mod(three, 1, 3, 30)
+    with pytest.raises(ResourceLimitError):
+        count_solutions_mod(three, 1, 2, 30, work_limit=200)
+    with pytest.raises(ResourceLimitError):
+        count_solutions_mod(three, 1, 2, 10**15)
+
+
+def test_genus_classes_share_their_density_at_p_73():
+    classes = [form for form, _ in enumerate_tg1(73).classes]
+    for n in range(1, 11):
+        values = {local_density(form, n, 73).value for form in classes}
+        assert len(values) == 1, (n, values)
+
+
+def test_two_adic_count_at_depth_1205():
+    # One level per exponent, so no recursion limit applies.
+    n = 2**1200
+    res = local_density(TernaryForm(1, 1, 1, 0, 0, 0), n, 2, work_limit=10**400)
+    assert res.exponent_used == 1205
+    assert res.value == psi(n)
 
 
 def test_local_density_stabilizes():
