@@ -10,16 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .matrices import (
-    IDENTITY,
-    Mat3,
-    Vec3,
-    complete_primitive,
-    det3,
-    mat_mul,
-    shear,
-    transpose,
-)
+from .matrices import Mat3, det3, mat_mul, transpose
 
 
 class FormError(ValueError):
@@ -109,79 +100,3 @@ def apply_basis(form: TernaryForm, u: Mat3) -> TernaryForm:
     """Form with Gram U' G U for an arbitrary integer matrix U."""
     g = mat_mul(transpose(u), mat_mul(form.gram(), u))
     return TernaryForm.from_gram(g)
-
-
-# Elementary moves of the Convenient Shape procedure are column shears
-# (matrices.shear); M0 swaps y and z with a sign.
-M0: Mat3 = ((1, 0, 0), (0, 0, -1), (0, 1, 0))
-
-
-def _represented_odd_vector(form: TernaryForm) -> Vec3:
-    """Smallest odd primitively represented value's witness vector.
-
-    Scans the box max(|x|,|y|,|z|) <= 6, growing by 2 until an odd value on a
-    primitive vector is found (a primitive form always represents one).
-    """
-    bound = 6
-    while bound <= 6 + 2 * 64:
-        best = None
-        for x in range(-bound, bound + 1):
-            for y in range(-bound, bound + 1):
-                for z in range(-bound, bound + 1):
-                    if gcd(gcd(x, y), z) != 1:
-                        continue
-                    v = form(x, y, z)
-                    if v % 2 == 0:
-                        continue
-                    key = (abs(v), x, y, z)
-                    if best is None or key < best:
-                        best = key
-        if best is not None:
-            return (best[1], best[2], best[3])
-        bound += 2
-    raise FormError("no odd represented value found; form is not primitive?")
-
-
-def to_convenient_shape_1(form: TernaryForm) -> tuple[TernaryForm, Mat3]:
-    """Equivalent form with a odd, d odd, e and f even (and a ≡ -disc mod 4).
-
-    Requires a primitive form of odd discriminant.  Positive definiteness is
-    not needed for the move sequence itself, but the odd-value search assumes
-    the form takes small values on a small box, which holds for the definite
-    desk-scale forms this library targets.
-    """
-    delta = discriminant(form)
-    if delta % 2 == 0:
-        raise FormError("convenient shape 1 requires odd discriminant")
-    if not is_primitive(form):
-        raise FormError("convenient shape 1 requires a primitive form")
-
-    if _is_shape1(form):
-        return form, IDENTITY
-
-    u = complete_primitive(_represented_odd_vector(form))
-    cur = apply_map(form, u)
-
-    def step(m: Mat3):
-        nonlocal cur, u
-        u = mat_mul(u, m)
-        cur = apply_map(cur, m)
-
-    # a is odd now; follow the move sequence for the parities of d, e, f.
-    if cur.f % 2 == 1:
-        step(M0)  # <a,c,b,-d,-f,e>: makes e odd
-    if cur.e % 2 == 1:
-        if cur.d % 2 == 0:
-            step(shear(1, 0))  # d += e (odd), f += 2a
-        if cur.f % 2 == 1:
-            step(shear(1, 2))  # f += e (even), d += 2c
-        if cur.e % 2 == 1:
-            step(shear(0, 1))  # e += d (even), a += b + f
-    if not _is_shape1(cur):
-        raise AssertionError(f"shape-1 move sequence failed on {form}")
-    assert (cur.a + delta) % 4 == 0
-    return cur, u
-
-
-def _is_shape1(form: TernaryForm) -> bool:
-    return form.a % 2 == 1 and form.d % 2 == 1 and form.e % 2 == 0 and form.f % 2 == 0

@@ -152,7 +152,8 @@ def _genus_to_dict(genus: GenusSet) -> dict:
 
 def _genus_from_dict(data: dict, label: str, p: int) -> GenusSet:
     """The genus stored under (label, p); every class must be positive definite
-    of discriminant p^2 (TG1) or 16p^2 (TG2).  Reducedness is not checked."""
+    of discriminant p^2 (TG1) or 16p^2 (TG2), and the mass must be the
+    closed-form (p-1)/48 of both genera.  Reducedness is not checked."""
     key = f"{label},{p}"
     if not isinstance(data, dict):
         raise FormError(f"genus cache entry {key} is not a JSON object; cache corrupt")
@@ -177,6 +178,8 @@ def _genus_from_dict(data: dict, label: str, p: int) -> GenusSet:
             raise FormError(f"genus cache entry {key} holds {form}, not positive definite of discriminant {disc}; cache corrupt")
     if genus.mass != mass:
         raise FormError("genus cache mass mismatch; cache corrupt")
+    if mass != mass_closed_form(p):
+        raise FormError(f"genus cache entry {key} has mass {mass}, not {mass_closed_form(p)}; cache corrupt")
     return genus
 
 

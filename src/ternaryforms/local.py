@@ -240,7 +240,6 @@ class LocalDensity:
     value: Fraction
     prime: int
     exponent_used: int
-    stabilized: bool
 
 
 def sufficient_exponent(n: int, p: int) -> int:
@@ -266,7 +265,7 @@ def local_density(
         raise StabilizationError(
             f"density of {form} at p={p}, n={n} differs between t={t} and t={t + 1}"
         )
-    return LocalDensity(val, p, t, True)
+    return LocalDensity(val, p, t)
 
 
 def density_formula_odd(n: int, p: int) -> Fraction:

@@ -7,8 +7,6 @@ products overflow 64 bits quickly.
 
 from __future__ import annotations
 
-from math import gcd
-
 Mat3 = tuple[tuple[int, int, int], ...]
 Vec3 = tuple[int, int, int]
 
@@ -125,38 +123,3 @@ def column_hnf(cols: list[Vec3]) -> Mat3:
             for k in range(3):
                 basis[j][k] -= q * basis[i][k]
     return from_columns(*(tuple(c) for c in basis))
-
-
-def complete_primitive(v: Vec3) -> Mat3:
-    """A unimodular matrix whose first column is the primitive vector v."""
-    x, y, z = v
-    if gcd(gcd(x, y), z) != 1:
-        raise ValueError(f"vector {v} is not primitive")
-    g = gcd(x, y)
-    if g == 0:
-        # x = y = 0, so z = ±1.
-        m = from_columns(v, (1, 0, 0), (0, 1, 0))
-    else:
-        s, t = _bezout(x, y)   # s*x + t*y == g
-        p, q = _bezout(g, z)   # p*g + q*z == 1
-        c2 = (-t, s, 0)
-        c3 = (-q * (x // g), -q * (y // g), p)
-        m = from_columns(v, c2, c3)
-    if det3(m) not in (1, -1):
-        raise AssertionError("primitive completion failed")
-    return m
-
-
-def _bezout(a: int, b: int) -> tuple[int, int]:
-    """(s, t) with s*a + t*b == gcd(a, b)."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_s, old_t = -old_s, -old_t
-    return old_s, old_t

@@ -2,22 +2,25 @@
 
 Lambda_m restricts a form to the sublattice where it is m-divisible
 (G*v ≡ 0 and f(v) ≡ 0 mod m), rescales by 1/m, and rereads the result as an
-integral form.  For forms of odd discriminant lambda_4 is the coefficient
-map Phi(<a,b,c,d,e,f>) = <a,4b,4c,4d,2e,2f> on Convenient Shape 1, and is
-an involution on classes, so Phi^-1 is lambda_4 with Phi as its exact check.
+integral form.  Phi restricts a form of odd discriminant to the index-4
+sublattice {v : G*v ≡ 0 mod 2}, with no rescaling; in a basis where a and d
+are odd and e and f even this is the coefficient map
+<a,b,c,d,e,f> -> <a,4b,4c,4d,2e,2f>.  On forms of odd discriminant lambda_4
+inverts Phi on classes, so Phi^-1 is lambda_4 with Phi as its exact check.
 """
 
 from __future__ import annotations
 
+from itertools import product
+
 from .forms import (
     FormError,
     TernaryForm,
-    _is_shape1,
+    apply_basis,
     apply_map,
     discriminant,
     is_positive_definite,
     is_primitive,
-    to_convenient_shape_1,
 )
 from .isometry import equivalent
 from .matrices import (
@@ -92,15 +95,23 @@ def lambda_m(form: TernaryForm, m: int) -> TernaryForm:
 
 
 def phi(form: TernaryForm) -> TernaryForm:
-    """<a,b,c,d,e,f> -> <a,4b,4c,4d,2e,2f> on Convenient Shape 1."""
+    """The form on {v : G v ≡ 0 (mod 2)}; canonically reduced when definite.
+
+    At odd discriminant G mod 2 is alternating of rank 2, so its kernel is a
+    line {0, r} and the sublattice is Z r + 2 Z^3, of index 4 whatever the
+    basis.  When a and d are odd and e and f even, r = e_1 and the basis
+    (e_1, 2e_2, 2e_3) gives <a,4b,4c,4d,2e,2f>.
+    """
     if discriminant(form) % 2 == 0:
         raise FormError("phi requires odd discriminant")
     if not is_primitive(form):
         raise FormError("phi requires a primitive form")
-    if not _is_shape1(form):
-        form, _ = to_convenient_shape_1(form)
-    a, b, c, d, e, f = form.coeffs
-    return _canonical(TernaryForm(a, 4 * b, 4 * c, 4 * d, 2 * e, 2 * f))
+    g = form.gram()
+    cols: list[Vec3] = [(2, 0, 0), (0, 2, 0), (0, 0, 2)]
+    for v in product(range(2), repeat=3):
+        if all(sum(g[i][k] * v[k] for k in range(3)) % 2 == 0 for i in range(3)):
+            cols.append(v)
+    return _canonical(apply_basis(form, column_hnf(cols)))
 
 
 def phi_inverse(form: TernaryForm) -> TernaryForm:

@@ -223,6 +223,20 @@ def test_damaged_cache_class_is_a_usage_error(capsys, tmp_path, how):
     assert "cache corrupt" in err
 
 
+@pytest.mark.parametrize(
+    "args", [("mass", "TG1", "11"), ("verify", "thm1.3", "--p", "11", "--n-max", "20")], ids=" ".join
+)
+def test_cache_missing_a_class_is_a_usage_error(capsys, tmp_path, args):
+    # A wrong stored mass must read neither as a failed mass check (exit 0)
+    # nor as a disproved identity (exit 1).
+    path = tmp_path / "genus.json"
+    _corrupt_tg1_11(path, "dropped-class")
+    code, out, err = run(capsys, "--cache", str(path), *args)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "mass 1/8, not 5/24; cache corrupt" in err
+
+
 def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
     def boom(form):
         raise RuntimeError("simulated fault")

@@ -10,8 +10,6 @@ from ternaryforms.forms import (
     discriminant,
     is_positive_definite,
     is_primitive,
-    to_convenient_shape_1,
-    _is_shape1,
 )
 from ternaryforms.matrices import IDENTITY
 from ternaryforms.reduction import reduce_form
@@ -96,29 +94,6 @@ def test_apply_shear_preserves_discriminant(p, q, r, s, t, u):
     m = ((1, p, q), (0, 1, r), (0, 0, 1))
     f = TernaryForm(3 + abs(s), 4 + abs(t), 5 + abs(u), 1, -1, 2)
     assert discriminant(apply_map(f, m)) == discriminant(f)
-
-
-TG1_SAMPLE = [
-    TernaryForm(1, 1, 3, 0, 0, 1),
-    TernaryForm(2, 2, 2, 1, 1, -1),
-    TernaryForm(1, 2, 7, 0, 0, 1),
-    TernaryForm(1, 3, 11, 0, 0, 1),
-    TernaryForm(3, 4, 4, 3, 2, -2),
-    H1,
-]
-
-
-@pytest.mark.parametrize("form", TG1_SAMPLE, ids=str)
-def test_shape1_conversion(form):
-    out, u = to_convenient_shape_1(form)
-    assert _is_shape1(out)
-    assert apply_map(form, u) == out
-    assert (out.a + discriminant(form)) % 4 == 0
-
-
-def test_shape1_requires_odd_discriminant():
-    with pytest.raises(FormError):
-        to_convenient_shape_1(TernaryForm(1, 1, 1, 0, 0, 0))
 
 
 TG2_SAMPLE = [

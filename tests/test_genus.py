@@ -119,12 +119,16 @@ def _corrupt_tg1_11(path, how):
     entry = data["TG1,11"]["classes"][1]
     if how == "wrong-class":
         entry["coeffs"] = [2, 2, 2, 1, 1, -1]  # TG1(5)'s class: same |Aut|, mass unchanged
+    elif how == "dropped-class":
+        # The stored mass still matches the classes left, 5/24 - 1/12.
+        data["TG1,11"]["classes"].remove(entry)
+        data["TG1,11"]["mass"] = "1/8"
     else:
         del entry["coeffs"]
     path.write_text(json.dumps(data))
 
 
-@pytest.mark.parametrize("how", ["wrong-class", "missing-coeffs"])
+@pytest.mark.parametrize("how", ["wrong-class", "missing-coeffs", "dropped-class"])
 def test_cache_rejects_damaged_class(tmp_path, how):
     path = tmp_path / "genus.json"
     _corrupt_tg1_11(path, how)

@@ -1,5 +1,3 @@
-from math import gcd
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -7,7 +5,6 @@ from ternaryforms.matrices import (
     IDENTITY,
     adjugate,
     column_hnf,
-    complete_primitive,
     det3,
     mat_mul,
     shear,
@@ -39,19 +36,6 @@ def test_det_multiplicative(m1, m2):
 @settings(max_examples=200, deadline=None)
 def test_transpose_involution(m):
     assert transpose(transpose(m)) == m
-
-
-primitive_vec = st.tuples(ints, ints, ints).filter(
-    lambda v: gcd(gcd(v[0], v[1]), v[2]) == 1
-)
-
-
-@given(primitive_vec)
-@settings(max_examples=200, deadline=None)
-def test_complete_primitive(v):
-    m = complete_primitive(v)
-    assert tuple(m[i][0] for i in range(3)) == v
-    assert det3(m) in (1, -1)
 
 
 def test_unimodular_inverse():

@@ -7,11 +7,12 @@ from ternaryforms.forms import (
     FormError,
     TernaryForm,
     discriminant,
+    apply_map,
     is_primitive,
-    to_convenient_shape_1,
 )
 from ternaryforms.genus import build_tg2, enumerate_tg1
 from ternaryforms.isometry import automorphs
+from ternaryforms.matrices import IDENTITY, mat_mul, shear
 from ternaryforms.reduction import reduce_form
 from ternaryforms.watson import (
     divisibility_lattice_basis,
@@ -24,11 +25,42 @@ from ternaryforms.watson import (
 PRIMES = [3, 5, 7, 11, 13]
 
 
-def test_phi_is_a_coefficient_map_on_shape_1():
-    shape1, _ = to_convenient_shape_1(TernaryForm(1, 1, 3, 0, 0, 1))
+# TG1 classes for p = 3, 5, 7, 11, 11, 73, each beside a unimodular image in
+# Convenient Shape 1 (a and d odd, e and f even), where Phi is the paper's
+# coefficient map <a,b,c,d,e,f> -> <a,4b,4c,4d,2e,2f>.
+SHAPE_1 = [
+    (TernaryForm(1, 1, 3, 0, 0, 1), TernaryForm(7, 4, 1, -1, -2, 10)),
+    (TernaryForm(2, 2, 2, 1, 1, -1), TernaryForm(3, 2, 2, -1, 2, 2)),
+    (TernaryForm(1, 2, 7, 0, 0, 1), TernaryForm(11, 8, 2, -1, -2, 18)),
+    (TernaryForm(1, 3, 11, 0, 0, 1), TernaryForm(15, 12, 3, -1, -2, 26)),
+    (TernaryForm(3, 4, 4, 3, 2, -2), TernaryForm(3, 4, 4, 3, 2, -2)),
+    (TernaryForm(31, 5, 11, 1, -14, 6), TernaryForm(31, 5, 11, 1, -14, 6)),
+]
+
+
+@pytest.mark.parametrize("form, shape1", SHAPE_1, ids=[str(f) for f, _ in SHAPE_1])
+def test_phi_is_a_coefficient_map_on_shape_1(form, shape1):
     a, b, c, d, e, f = shape1.coeffs
-    image = phi(shape1)
-    assert image == reduce_form(TernaryForm(a, 4 * b, 4 * c, 4 * d, 2 * e, 2 * f))[0]
+    assert a % 2 == d % 2 == 1 and e % 2 == f % 2 == 0
+    assert (a + discriminant(shape1)) % 4 == 0
+    assert reduce_form(shape1)[0] == reduce_form(form)[0]
+    image = reduce_form(TernaryForm(a, 4 * b, 4 * c, 4 * d, 2 * e, 2 * f))[0]
+    assert phi(shape1) == phi(form) == image
+
+
+@pytest.mark.parametrize(
+    "form, image",
+    [
+        # Shape 1: the coefficient map itself.
+        (TernaryForm(1, 1, -3, 1, 0, 0), TernaryForm(1, 4, -12, 4, 0, 0)),
+        # Not shape 1: the form in the Hermite basis of the sublattice.
+        (TernaryForm(1, 1, -3, 0, 0, 1), TernaryForm(4, 4, -3, 0, 0, 4)),
+    ],
+    ids=str,
+)
+def test_phi_on_indefinite_forms(form, image):
+    assert phi(form) == image
+    assert discriminant(image) == 16 * discriminant(form)
 
 
 def test_phi_requires_odd_discriminant():
@@ -81,10 +113,8 @@ diagonal = st.integers(0, 12)
 cross = st.integers(-6, 6)
 
 
-@pytest.mark.parametrize("residue", [1, 3])
-@given(diagonal, diagonal, diagonal, cross, cross, cross)
-@settings(max_examples=100, deadline=None)
-def test_phi_inverse_inverts_phi(residue, a0, b0, c0, k, e, f):
+def _odd_discriminant_form(residue, a0, b0, c0, k, e, f):
+    """Positive definite form with odd d and discriminant ≡ residue (mod 4)."""
     # An odd d makes the discriminant ≡ K - a (mod 4), K = def - be^2 - cf^2,
     # so a's residue picks the discriminant's; a diagonally dominant Gram
     # matrix is positive definite.
@@ -93,10 +123,33 @@ def test_phi_inverse_inverts_phi(residue, a0, b0, c0, k, e, f):
     c = c0 + (abs(d) + abs(e)) // 2 + 1
     a = a0 + (abs(e) + abs(f)) // 2 + 1
     a += (d * e * f - b * e * e - c * f * f - residue - a) % 4
-    form = TernaryForm(a, b, c, d, e, f)
+    return TernaryForm(a, b, c, d, e, f)
+
+
+@pytest.mark.parametrize("residue", [1, 3])
+@given(diagonal, diagonal, diagonal, cross, cross, cross)
+@settings(max_examples=100, deadline=None)
+def test_phi_inverse_inverts_phi(residue, a0, b0, c0, k, e, f):
+    form = _odd_discriminant_form(residue, a0, b0, c0, k, e, f)
     assert discriminant(form) % 4 == residue
     assume(is_primitive(form))
     assert phi_inverse(phi(form)) == reduce_form(form)[0]
+
+
+shears = st.lists(
+    st.tuples(st.integers(0, 2), st.integers(1, 2), st.integers(-2, 2)), max_size=6
+)
+
+
+@given(st.sampled_from([1, 3]), diagonal, diagonal, diagonal, cross, cross, cross, shears, st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_phi_is_a_class_invariant_equal_to_lambda_4(residue, a0, b0, c0, k, e, f, moves, flip):
+    form = _odd_discriminant_form(residue, a0, b0, c0, k, e, f)
+    assume(is_primitive(form))
+    u = ((-1, 0, 0), (0, 1, 0), (0, 0, 1)) if flip else IDENTITY
+    for i, step, t in moves:
+        u = mat_mul(u, shear(i, (i + step) % 3, t))
+    assert phi(apply_map(form, u)) == phi(form) == lambda_m(form, 4)
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -144,16 +197,13 @@ def test_transport_automorph_bijection():
 def test_transport_rejects_non_automorph():
     form = TernaryForm(3, 4, 4, 3, 2, -2)
     image = phi(form)
-    shear = ((1, 1, 0), (0, 1, 0), (0, 0, 1))
     with pytest.raises(FormError):
-        transport_automorph(form, image, 4, shear)
+        transport_automorph(form, image, 4, shear(1, 0))
 
 
 def test_transport_respects_composition():
     form = TernaryForm(2, 2, 2, 1, 1, -1)
     image = phi(form)
-    from ternaryforms.matrices import mat_mul
-
     elems = automorphs(form).elements
     tmap = {r: transport_automorph(form, image, 4, r) for r in elems}
     for r1 in elems:
