@@ -96,6 +96,26 @@ def test_apply_shear_preserves_discriminant(p, q, r, s, t, u):
     assert discriminant(apply_map(f, m)) == discriminant(f)
 
 
+# TG1 classes for p = 3, 5, 7, 11, 11, 73, each beside a unimodular image in
+# Convenient Shape 1 (a and d odd, e and f even).
+SHAPE_1 = [
+    (TernaryForm(1, 1, 3, 0, 0, 1), TernaryForm(7, 4, 1, -1, -2, 10)),
+    (TernaryForm(2, 2, 2, 1, 1, -1), TernaryForm(3, 2, 2, -1, 2, 2)),
+    (TernaryForm(1, 2, 7, 0, 0, 1), TernaryForm(11, 8, 2, -1, -2, 18)),
+    (TernaryForm(1, 3, 11, 0, 0, 1), TernaryForm(15, 12, 3, -1, -2, 26)),
+    (TernaryForm(3, 4, 4, 3, 2, -2), TernaryForm(3, 4, 4, 3, 2, -2)),
+    (H1, H1),
+]
+
+
+@pytest.mark.parametrize("form, shape1", SHAPE_1, ids=[str(f) for f, _ in SHAPE_1])
+def test_shape1_conversion(form, shape1):
+    a, _, _, d, e, f = shape1.coeffs
+    assert a % 2 == d % 2 == 1 and e % 2 == f % 2 == 0
+    assert (a + discriminant(form)) % 4 == 0
+    assert reduce_form(shape1)[0] == reduce_form(form)[0]
+
+
 TG2_SAMPLE = [
     TernaryForm(3, 4, 4, 4, 0, 0),
     TernaryForm(3, 7, 7, 6, 2, -2),

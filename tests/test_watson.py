@@ -21,31 +21,19 @@ from ternaryforms.watson import (
     phi_inverse,
     transport_automorph,
 )
+from test_forms import SHAPE_1
 
 PRIMES = [3, 5, 7, 11, 13]
 
 
-# TG1 classes for p = 3, 5, 7, 11, 11, 73, each beside a unimodular image in
-# Convenient Shape 1 (a and d odd, e and f even), where Phi is the paper's
-# coefficient map <a,b,c,d,e,f> -> <a,4b,4c,4d,2e,2f>.
-SHAPE_1 = [
-    (TernaryForm(1, 1, 3, 0, 0, 1), TernaryForm(7, 4, 1, -1, -2, 10)),
-    (TernaryForm(2, 2, 2, 1, 1, -1), TernaryForm(3, 2, 2, -1, 2, 2)),
-    (TernaryForm(1, 2, 7, 0, 0, 1), TernaryForm(11, 8, 2, -1, -2, 18)),
-    (TernaryForm(1, 3, 11, 0, 0, 1), TernaryForm(15, 12, 3, -1, -2, 26)),
-    (TernaryForm(3, 4, 4, 3, 2, -2), TernaryForm(3, 4, 4, 3, 2, -2)),
-    (TernaryForm(31, 5, 11, 1, -14, 6), TernaryForm(31, 5, 11, 1, -14, 6)),
-]
-
-
-@pytest.mark.parametrize("form, shape1", SHAPE_1, ids=[str(f) for f, _ in SHAPE_1])
-def test_phi_is_a_coefficient_map_on_shape_1(form, shape1):
-    a, b, c, d, e, f = shape1.coeffs
-    assert a % 2 == d % 2 == 1 and e % 2 == f % 2 == 0
-    assert (a + discriminant(shape1)) % 4 == 0
-    assert reduce_form(shape1)[0] == reduce_form(form)[0]
-    image = reduce_form(TernaryForm(a, 4 * b, 4 * c, 4 * d, 2 * e, 2 * f))[0]
-    assert phi(shape1) == phi(form) == image
+def test_phi_is_a_coefficient_map_on_shape_1():
+    # On Convenient Shape 1, Phi is the paper's coefficient map
+    # <a,b,c,d,e,f> -> <a,4b,4c,4d,2e,2f>; test_shape1_conversion checks
+    # that each image is in shape 1 and in its form's class.
+    for form, shape1 in SHAPE_1:
+        a, b, c, d, e, f = shape1.coeffs
+        image = reduce_form(TernaryForm(a, 4 * b, 4 * c, 4 * d, 2 * e, 2 * f))[0]
+        assert phi(shape1) == phi(form) == image
 
 
 @pytest.mark.parametrize(
