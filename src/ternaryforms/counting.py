@@ -70,15 +70,17 @@ def half_points_up_to(form: TernaryForm, bound: int) -> Iterator[tuple[int, int,
 
     One representative per +-pair: the last nonzero coordinate is positive.
     """
-    two_a = 2 * form.a
+    a = form.a
+    two_a, four_a = 2 * a, 4 * a
     for y, z, lin, dx in _rows(form, bound):
         sx = isqrt(dx)
         xlo = _ceil_div(-lin - sx - 1, two_a)
         xhi = (-lin + sx + 1) // two_a
         if z == 0 and y == 0:
             xlo = max(xlo, 1)
+        c0 = bound + (lin * lin - dx) // four_a  # form(0, y, z), exactly
         for x in range(xlo, xhi + 1):
-            v = form(x, y, z)
+            v = (a * x + lin) * x + c0
             if v <= bound:
                 yield (x, y, z, v)
 
@@ -126,8 +128,6 @@ def rep_count(form: TernaryForm, n: int) -> int:
         return 0
     if n == 0:
         return 1
-    if form == THREE_SQUARES:
-        return s(n)
     return 2 * sum(1 for _ in _half_solutions(form, n))
 
 
@@ -171,5 +171,10 @@ def s_batch(values: list[int]) -> dict[int, int]:
 
 
 def s(n: int) -> int:
-    """Number of representations of n as a sum of three integer squares."""
-    return s_batch([n])[n]
+    """Number of representations of n as a sum of three integer squares.
+
+    Counted row by row in constant memory; s_batch sieves for many values.
+    """
+    if n < 0:
+        raise FormError("s(n) requires n >= 0")
+    return rep_count(THREE_SQUARES, n)

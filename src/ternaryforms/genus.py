@@ -234,7 +234,7 @@ class GenusCache:
             fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
             try:
                 with os.fdopen(fd, "w") as fh:
-                    json.dump(self._store, fh, indent=1)
+                    fh.write(json.dumps(self._store, separators=(",", ":")))
                 os.replace(tmp, self.path)
             except BaseException:
                 if os.path.exists(tmp):

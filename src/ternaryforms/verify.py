@@ -243,9 +243,7 @@ def watson_suite(
                     fails_scaling.append(f"p={p} {form} n={n}: R(n) != R_phi(4n)")
             aut_pre = automorphs(form)
             aut_img = automorphs(image)
-            transported = set()
-            for r in aut_pre.elements:
-                transported.add(transport_automorph(form, image, 4, r))
+            transported = set(transport_automorph(form, image, 4, aut_pre.elements))
             if transported != set(aut_img.elements):
                 fails_transport.append(
                     f"p={p} {form}: transport is not a bijection "

@@ -12,6 +12,7 @@ inverts Phi on classes, so Phi^-1 is lambda_4 with Phi as its exact check.
 from __future__ import annotations
 
 from itertools import product
+from typing import Sequence
 
 from .forms import (
     FormError,
@@ -22,7 +23,6 @@ from .forms import (
     is_positive_definite,
     is_primitive,
 )
-from .isometry import equivalent
 from .matrices import (
     Mat3,
     Vec3,
@@ -47,15 +47,15 @@ def divisibility_lattice_basis(form: TernaryForm, m: int) -> Mat3:
         raise FormError("modulus must be >= 1")
     if m**3 > _LATTICE_SCAN_LIMIT:
         raise FormError(f"modulus {m} too large for the residue scan")
-    g = form.gram()
+    (g00, g01, g02), (_, g11, g12), (_, _, g22) = form.gram()
     cols: list[Vec3] = [(m, 0, 0), (0, m, 0), (0, 0, m)]
-    for x in range(m):
-        for y in range(m):
-            for z in range(m):
-                v = (x, y, z)
-                gv = tuple(sum(g[i][k] * v[k] for k in range(3)) for i in range(3))
-                if all(t % m == 0 for t in gv) and form(*v) % m == 0:
-                    cols.append(v)
+    for x, y, z in product(range(m), repeat=3):
+        u0 = g00 * x + g01 * y + g02 * z
+        u1 = g01 * x + g11 * y + g12 * z
+        u2 = g02 * x + g12 * y + g22 * z
+        # v' G v = 2 form(v), so form(v) = (x u0 + y u1 + z u2) / 2.
+        if u0 % m == 0 and u1 % m == 0 and u2 % m == 0 and (x * u0 + y * u1 + z * u2) // 2 % m == 0:
+            cols.append((x, y, z))
     return column_hnf(cols)
 
 
@@ -129,27 +129,31 @@ def phi_inverse(form: TernaryForm) -> TernaryForm:
 
 
 def transport_automorph(
-    preimage: TernaryForm, image: TernaryForm, m: int, r: Mat3
-) -> Mat3:
-    """Map an automorph r of the preimage to one of image = lambda_m(preimage).
+    preimage: TernaryForm, image: TernaryForm, m: int, rs: Sequence[Mat3]
+) -> tuple[Mat3, ...]:
+    """Map automorphs rs of the preimage to automorphs of image = lambda_m(preimage).
 
-    s = (1/m) * N * r * M on the raw transformed form, conjugated into the
-    coordinates of the canonical image.  Raises when s is not integral or
+    Each r goes to s = (1/m) * N * r * M on the raw transformed form, then
+    into the coordinates of the canonical image by the witness w of
+    reduce_form(raw): w^-1 * s * w.  The lattice and w are built once for
+    the whole sequence, and the images come back in the order of rs.  Raises
+    when image is not the reduced raw form, or when some s is not integral or
     not an automorph (which would contradict the transport construction).
     """
     raw, mbasis, n = _lambda_raw(preimage, m)
-    if apply_map(preimage, r) != preimage:
-        raise FormError("r is not an automorph of the preimage")
-    prod = mat_mul(n, mat_mul(r, mbasis))
-    try:
-        s_raw = mat_scale_exact(prod, 1, m)
-    except ValueError:
-        raise FormError("transported automorph is not integral") from None
-    if apply_map(raw, s_raw) != raw:
-        raise FormError("transported matrix is not an automorph of the image")
-    if raw == image:
-        return s_raw
-    w = equivalent(raw, image)
-    if w is None:
-        raise FormError(f"image {image} is not equivalent to lambda_{m} of the preimage")
-    return mat_mul(unimodular_inverse(w), mat_mul(s_raw, w))
+    reduced, w = reduce_form(raw)
+    if reduced != image:
+        raise FormError(f"image {image} is not lambda_{m} of the preimage")
+    w_inv = unimodular_inverse(w)
+    out = []
+    for r in rs:
+        if apply_map(preimage, r) != preimage:
+            raise FormError("r is not an automorph of the preimage")
+        try:
+            s_raw = mat_scale_exact(mat_mul(n, mat_mul(r, mbasis)), 1, m)
+        except ValueError:
+            raise FormError("transported automorph is not integral") from None
+        if apply_map(raw, s_raw) != raw:
+            raise FormError("transported matrix is not an automorph of the image")
+        out.append(mat_mul(w_inv, mat_mul(s_raw, w)))
+    return tuple(out)

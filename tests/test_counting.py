@@ -100,6 +100,16 @@ def test_s_matches_brute():
         assert s(n) == brute_s(n), n
 
 
+def test_s_counts_rows_like_the_sieve():
+    # s(n) counts row by row; s_batch sieves.  Compared value by value.
+    assert [s(n) for n in range(2001)] == [s_batch([n])[n] for n in range(2001)]
+
+
+def test_s_rejects_negative_n():
+    with pytest.raises(FormError):
+        s(-1)
+
+
 def test_s_batch_consistent():
     values = [1, 5, 9, 44, 100, 121, 250]
     batch = s_batch(values)
@@ -161,7 +171,9 @@ def _definite_form(m):
 @settings(max_examples=150, deadline=None)
 def test_single_value_counts_match_the_filtered_enumeration(entries, n):
     form = _definite_form((entries[0:3], entries[3:6], entries[6:9]))
-    half = [(x, y, z) for x, y, z, v in half_points_up_to(form, n) if v == n]
+    points = list(half_points_up_to(form, n))
+    assert all(v == form(x, y, z) for x, y, z, v in points)  # row evaluation is exact
+    half = [(x, y, z) for x, y, z, v in points if v == n]
     signed = half + [(-x, -y, -z) for x, y, z in half] if n else [(0, 0, 0)]
     assert vectors_with_value(form, n) == sorted(signed)
     assert rep_count(form, n) == len(signed)

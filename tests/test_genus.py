@@ -90,6 +90,20 @@ def test_cache_round_trip(tmp_path):
     assert cache2.tg1(7).classes == g.classes
 
 
+def test_cache_reads_the_indented_layout(tmp_path):
+    # Cache files were once written with json.dump(..., indent=1); writes are
+    # now compact, and the older layout must still load.
+    path = tmp_path / "genus.json"
+    cache = GenusCache(str(path))
+    tg2 = cache.tg2(11)
+    compact = path.read_text()
+    assert "\n" not in compact and ": " not in compact
+    path.write_text(json.dumps(json.loads(compact), indent=1))
+    reread = GenusCache(str(path))
+    assert reread.get("TG1", 11).classes == cache.tg1(11).classes
+    assert reread.get("TG2", 11).classes == tg2.classes
+
+
 def test_cache_detects_corruption(tmp_path):
     path = tmp_path / "genus.json"
     cache = GenusCache(str(path))

@@ -2,19 +2,29 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ternaryforms import isometry, verify, watson
 from ternaryforms.counting import rep_count
 from ternaryforms.forms import (
     FormError,
     TernaryForm,
     discriminant,
     apply_map,
+    is_positive_definite,
     is_primitive,
 )
 from ternaryforms.genus import build_tg2, enumerate_tg1
-from ternaryforms.isometry import automorphs
-from ternaryforms.matrices import IDENTITY, mat_mul, shear
+from ternaryforms.isometry import automorphs, equivalent
+from ternaryforms.matrices import (
+    IDENTITY,
+    column_hnf,
+    mat_mul,
+    mat_scale_exact,
+    shear,
+    unimodular_inverse,
+)
 from ternaryforms.reduction import reduce_form
 from ternaryforms.watson import (
+    _lambda_raw,
     divisibility_lattice_basis,
     lambda_m,
     phi,
@@ -157,6 +167,38 @@ def test_lambda_lattice_structure():
         assert all(sum(g[i][k] * v[k] for k in range(3)) % 4 == 0 for i in range(3))
 
 
+def _generator_sum_residues(form, m):
+    """The residues v in [0, m)^3 with G v ≡ 0 and form(v) ≡ 0 (mod m), by
+    generator sums over the Gram rows."""
+    g = form.gram()
+    found = []
+    for x in range(m):
+        for y in range(m):
+            for z in range(m):
+                v = (x, y, z)
+                gv = tuple(sum(g[i][k] * v[k] for k in range(3)) for i in range(3))
+                if all(t % m == 0 for t in gv) and form(*v) % m == 0:
+                    found.append(v)
+    return found
+
+
+@given(diagonal, diagonal, diagonal, cross, cross, cross, st.sampled_from([2, 3, 4, 5, 6, 9]))
+@settings(max_examples=150, deadline=None)
+def test_lambda_lattice_matches_the_generator_sum_scan(a0, b0, c0, d, e, f, m):
+    form = TernaryForm(
+        a0 + (abs(e) + abs(f)) // 2 + 1,
+        b0 + (abs(d) + abs(f)) // 2 + 1,
+        c0 + (abs(d) + abs(e)) // 2 + 1,
+        d,
+        e,
+        f,
+    )
+    assert is_positive_definite(form)
+    residues = _generator_sum_residues(form, m)
+    expected = column_hnf([(m, 0, 0), (0, m, 0), (0, 0, m)] + residues)
+    assert divisibility_lattice_basis(form, m) == expected
+
+
 def test_lambda_rejects_bad_modulus():
     with pytest.raises(FormError):
         lambda_m(TernaryForm(1, 1, 1, 0, 0, 0), 1)
@@ -178,25 +220,90 @@ def test_transport_automorph_bijection():
     image = phi(form)
     pre = automorphs(form)
     img = automorphs(image)
-    transported = {transport_automorph(form, image, 4, r) for r in pre.elements}
-    assert transported == set(img.elements)
+    transported = transport_automorph(form, image, 4, pre.elements)
+    assert len(transported) == pre.order
+    assert set(transported) == set(img.elements)
 
 
 def test_transport_rejects_non_automorph():
     form = TernaryForm(3, 4, 4, 3, 2, -2)
     image = phi(form)
     with pytest.raises(FormError):
-        transport_automorph(form, image, 4, shear(1, 0))
+        transport_automorph(form, image, 4, [shear(1, 0)])
 
 
 def test_transport_respects_composition():
     form = TernaryForm(2, 2, 2, 1, 1, -1)
     image = phi(form)
     elems = automorphs(form).elements
-    tmap = {r: transport_automorph(form, image, 4, r) for r in elems}
+    tmap = dict(zip(elems, transport_automorph(form, image, 4, elems)))
     for r1 in elems:
         for r2 in elems:
             assert tmap[mat_mul(r1, r2)] == mat_mul(tmap[r1], tmap[r2])
+
+
+def test_transport_rejects_a_wrong_image():
+    form = TernaryForm(3, 4, 4, 3, 2, -2)
+    with pytest.raises(FormError, match="is not lambda_4 of the preimage"):
+        transport_automorph(form, TernaryForm(1, 3, 11, 0, 0, 1), 4, automorphs(form).elements)
+
+
+def _transport_one_by_one(preimage, image, m, r):
+    """The per-automorph construction: s = N r M / m on the raw form, conjugated
+    by a witness from the backtracking equivalence search."""
+    raw, mbasis, n = _lambda_raw(preimage, m)
+    s_raw = mat_scale_exact(mat_mul(n, mat_mul(r, mbasis)), 1, m)
+    assert apply_map(raw, s_raw) == raw
+    if raw == image:
+        return s_raw
+    w = equivalent(raw, image)
+    return mat_mul(unimodular_inverse(w), mat_mul(s_raw, w))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23])
+def test_transport_matches_the_per_automorph_construction(p):
+    # The two constructions conjugate by witnesses w_old and w_new of
+    # raw -> image; t = w_old^-1 w_new is then an automorph of the image, and
+    # each batch element is the old element conjugated by t.  Where t is not
+    # central (p = 5, 11, 17, 23) the two differ element by element.
+    for form, _ in enumerate_tg1(p).classes:
+        image = phi(form)
+        elems = automorphs(form).elements
+        old = [_transport_one_by_one(form, image, 4, r) for r in elems]
+        new = transport_automorph(form, image, 4, elems)
+        raw = _lambda_raw(form, 4)[0]
+        w_old = IDENTITY if raw == image else equivalent(raw, image)
+        t = mat_mul(unimodular_inverse(w_old), reduce_form(raw)[1])
+        assert apply_map(image, t) == image
+        t_inv = unimodular_inverse(t)
+        assert list(new) == [mat_mul(t_inv, mat_mul(o, t)) for o in old]
+        assert set(new) == set(old) == set(automorphs(image).elements)
+
+
+def test_watson_suite_builds_at_most_three_lambda_lattices_per_class(monkeypatch):
+    # Per TG1 class: lambda_4 of the form, lambda_4 of its image and one
+    # transport of the whole automorph group; no equivalence search.
+    calls = {"lambda": 0, "equivalent": 0}
+    raw_builder = watson._lambda_raw
+    search = isometry.equivalent
+
+    def counted_lambda(*args):
+        calls["lambda"] += 1
+        return raw_builder(*args)
+
+    def counted_equivalent(*args):
+        calls["equivalent"] += 1
+        return search(*args)
+
+    monkeypatch.delenv("TERNARY_CACHE", raising=False)
+    monkeypatch.setattr(watson, "_lambda_raw", counted_lambda)
+    for module in (isometry, watson, verify):
+        monkeypatch.setattr(module, "equivalent", counted_equivalent, raising=False)
+    report = verify.watson_suite(primes=(11,), n_scaling=20)
+    assert not any(report.values())
+    classes = len(enumerate_tg1(11).classes)
+    assert 0 < calls["lambda"] <= 3 * classes
+    assert calls["equivalent"] == 0
 
 
 def test_lambda_9_on_nine_divisible_form():
