@@ -238,15 +238,17 @@ def _run(args) -> int:
         )
         return EXIT_OK
     if cmd == "verify":
-        n_max = args.n_max
+        n_max = args.n_max if args.n_max is not None else 200 if args.target == "thm1.3" else 1000
+        if n_max < 1 and args.target.startswith("thm"):
+            raise _UsageError("--n-max must be >= 1")
         if args.target == "thm1.1":
-            report = verify_theorem_1_1(n_max or 1000).to_dict()
+            report = verify_theorem_1_1(n_max).to_dict()
         elif args.target == "thm1.2":
-            report = verify_theorem_1_2(n_max or 1000).to_dict()
+            report = verify_theorem_1_2(n_max).to_dict()
         elif args.target == "thm1.3":
             if args.p is None:
                 raise _UsageError("verify thm1.3 requires --p")
-            report = verify_theorem_1_3(args.p, n_max or 200, cache).to_dict()
+            report = verify_theorem_1_3(args.p, n_max, cache).to_dict()
         elif args.target == "density":
             report = verify_density_theorems()
         else:

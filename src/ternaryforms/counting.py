@@ -8,12 +8,15 @@ by exact evaluation, so no point is ever missed.  A single value n needs no
 x loop: in each (y, z) row the points of value n are the integer roots of
 a quadratic in x, found by one isqrt and a perfect-square test, so
 `rep_count` and `vectors_with_value` cost O(n) rows instead of the
-O(n^(3/2)) points up to n.
+O(n^(3/2)) points up to n.  `s_batch` reads the sum of three squares on whole
+progressions from one two-squares table per process, grown in place.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from itertools import zip_longest
 from math import isqrt
 from typing import Iterator
 
@@ -133,47 +136,59 @@ def rep_count(form: TernaryForm, n: int) -> int:
 
 # -- sum of three squares -------------------------------------------------
 
-def two_squares_sieve(limit: int) -> list[int]:
-    """r2[k] = #{(u,v) in Z^2 : u^2 + v^2 == k} for 0 <= k <= limit.
+# r2(k) = #{(u, v) in Z^2 : u^2 + v^2 == k} for 0 <= k < len(_R2), shared by
+# every caller in the process.  It is a pure function of k, so it is grown in
+# place and never rebuilt.  r2(k) <= 4 d(k) <= 5376 for k <= 10^9, and an
+# array raises OverflowError rather than wrap.
+_R2 = array("H", [1])
 
-    Each unordered pair 0 <= a <= b of square roots is visited once; it stands
-    for 8 signed ordered pairs when 0 < a < b and for 4 when a = 0 < b or
-    0 < a = b.
+
+def _two_squares_table(limit: int) -> array:
+    """The shared r2 table, grown to cover 0 <= k <= limit.
+
+    Only the unordered pairs 0 <= a <= b whose a^2 + b^2 is new to the table
+    are visited; each stands for 8 signed ordered pairs when 0 < a < b and for
+    4 when a = 0 < b or 0 < a = b.
     """
-    r2 = [0] * (limit + 1)
-    r2[0] = 1
-    squares = [k * k for k in range(isqrt(limit) + 1)]
-    for i, aa in enumerate(squares[1:], 1):
-        r2[aa] += 4
-        if 2 * aa <= limit:
-            r2[2 * aa] += 4
-        for bb in squares[i + 1 : isqrt(limit - aa) + 1]:
-            r2[aa + bb] += 8
+    r2 = _R2
+    old = len(r2)
+    if limit >= old:
+        r2.frombytes(bytes(r2.itemsize * (limit + 1 - old)))
+        squares = [b * b for b in range(isqrt(limit) + 1)]
+        for a in range(isqrt(limit // 2) + 1):
+            aa = squares[a]
+            lo = max(a, isqrt(old - aa - 1) + 1 if old > aa else 0)
+            if a and lo == a:
+                r2[2 * aa] += 4
+                lo += 1
+            w = 8 if a else 4
+            for bb in squares[lo : isqrt(limit - aa) + 1]:
+                r2[aa + bb] += w
     return r2
 
 
-def s_batch(values: list[int]) -> dict[int, int]:
-    """s(n) for every n in values, sharing one two-squares sieve."""
-    if not values:
-        return {}
-    if min(values) < 0:
-        raise FormError("s(n) requires n >= 0")
-    r2 = two_squares_sieve(max(values))
-    out = {}
-    for n in values:
-        total = r2[n]
-        x = 1
-        while x * x <= n:
-            total += 2 * r2[n - x * x]
-            x += 1
-        out[n] = total
-    return out
+def s_batch(step: int, n_max: int) -> list[int]:
+    """[s(step*n) for 0 <= n <= n_max], read from the shared two-squares table.
+
+    s(m) = r2(m) + 2 * sum_{z >= 1} r2(m - z^2).  For a fixed z the arguments
+    step*n - z^2 form a progression of difference step, so each z reads one
+    strided slice of the table: r2(step*n - z^2) for n = n_max, n_max - 1, ...
+    down to the least n with step*n >= z^2.  The slices all start at n_max,
+    so the sums over z are taken position by position; no z reaches n = 0.
+    """
+    if step < 1 or n_max < 0:
+        raise FormError("s_batch requires step >= 1 and n_max >= 0")
+    top = step * n_max
+    r2 = _two_squares_table(top)
+    rows = [r2[top - z * z :: -step] for z in range(1, isqrt(top) + 1)]
+    tails = [0, *reversed(list(map(sum, zip_longest(*rows, fillvalue=0))))]
+    return [r + 2 * t for r, t in zip(r2[: top + 1 : step], tails)]
 
 
 def s(n: int) -> int:
     """Number of representations of n as a sum of three integer squares.
 
-    Counted row by row in constant memory; s_batch sieves for many values.
+    Counted row by row in constant memory; s_batch reads whole progressions.
     """
     if n < 0:
         raise FormError("s(n) requires n >= 0")

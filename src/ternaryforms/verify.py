@@ -63,12 +63,12 @@ def _check_weighted_identity(identity: str, p: int, n_max: int, weights_forms) -
     as a failure of its own kind.
     """
     report = IdentityReport(identity, p, n_max)
-    values = sorted({n for n in range(1, n_max + 1)} | {p * p * n for n in range(1, n_max + 1)})
-    sval = s_batch(values)
+    s_n = s_batch(1, n_max)
+    s_p2n = s_batch(p * p, n_max)
     den = lcm(*(w.denominator for w, _ in weights_forms))
     thetas = [(w.numerator * (den // w.denominator), theta(f, n_max).counts) for w, f in weights_forms]
     for n in range(1, n_max + 1):
-        lhs = sval[p * p * n] - p * sval[n]
+        lhs = s_p2n[n] - p * s_n[n]
         num = sum(w * counts[n] for w, counts in thetas)
         if num % den:
             report.failures.append({"n": n, "lhs": lhs, "rhs": str(Fraction(num, den)), "error": "non-integer RHS"})
@@ -232,7 +232,8 @@ def watson_suite(
         tg1 = cache.tg1(p)
         for form, aut in tg1.classes:
             image = phi(form)
-            if lambda_m(form, 4) != image:
+            lam, transported = transport_automorph(form, 4, automorphs(form).elements)
+            if lam != image:
                 fails_phi_lambda.append(f"p={p} {form}: lambda_4 differs from phi")
             if lambda_m(image, 4) != form:
                 fails_invol.append(f"p={p} {form}: lambda_4^2 is not the identity")
@@ -241,9 +242,8 @@ def watson_suite(
             for n in range(1, n_scaling + 1):
                 if counts[n] != image_counts[4 * n]:
                     fails_scaling.append(f"p={p} {form} n={n}: R(n) != R_phi(4n)")
-            aut_pre = automorphs(form)
-            aut_img = automorphs(image)
-            transported = set(transport_automorph(form, image, 4, aut_pre.elements))
+            aut_img = automorphs(lam)
+            transported = set(transported)
             if transported != set(aut_img.elements):
                 fails_transport.append(
                     f"p={p} {form}: transport is not a bijection "

@@ -129,21 +129,19 @@ def phi_inverse(form: TernaryForm) -> TernaryForm:
 
 
 def transport_automorph(
-    preimage: TernaryForm, image: TernaryForm, m: int, rs: Sequence[Mat3]
-) -> tuple[Mat3, ...]:
-    """Map automorphs rs of the preimage to automorphs of image = lambda_m(preimage).
+    preimage: TernaryForm, m: int, rs: Sequence[Mat3]
+) -> tuple[TernaryForm, tuple[Mat3, ...]]:
+    """(lambda_m(preimage), the automorphs rs of the preimage mapped into it).
 
     Each r goes to s = (1/m) * N * r * M on the raw transformed form, then
     into the coordinates of the canonical image by the witness w of
     reduce_form(raw): w^-1 * s * w.  The lattice and w are built once for
     the whole sequence, and the images come back in the order of rs.  Raises
-    when image is not the reduced raw form, or when some s is not integral or
-    not an automorph (which would contradict the transport construction).
+    when some s is not integral or not an automorph (which would contradict
+    the transport construction).
     """
     raw, mbasis, n = _lambda_raw(preimage, m)
-    reduced, w = reduce_form(raw)
-    if reduced != image:
-        raise FormError(f"image {image} is not lambda_{m} of the preimage")
+    image, w = reduce_form(raw)
     w_inv = unimodular_inverse(w)
     out = []
     for r in rs:
@@ -156,4 +154,4 @@ def transport_automorph(
         if apply_map(raw, s_raw) != raw:
             raise FormError("transported matrix is not an automorph of the image")
         out.append(mat_mul(w_inv, mat_mul(s_raw, w)))
-    return tuple(out)
+    return image, tuple(out)

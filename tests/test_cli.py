@@ -165,6 +165,22 @@ def test_verify_passes(capsys):
     assert code == EXIT_OK
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("verify", "thm1.1", "--n-max", "0"),
+        ("verify", "thm1.2", "--n-max", "-3"),
+        ("verify", "thm1.3", "--p", "5", "--n-max", "0"),
+    ],
+    ids=" ".join,
+)
+def test_verify_refuses_n_max_below_one(capsys, args):
+    code, out, err = run(capsys, *args)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "--n-max" in err
+
+
 def test_verify_requires_p(capsys):
     code, _, err = run(capsys, "verify", "thm1.3")
     assert code == EXIT_USAGE

@@ -1,16 +1,18 @@
+from array import array
 from math import isqrt
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ternaryforms import counting
 from ternaryforms.counting import (
     half_points_up_to,
     rep_count,
     s,
     s_batch,
     theta,
-    two_squares_sieve,
     vectors_with_value,
 )
 from ternaryforms.forms import FormError, TernaryForm, discriminant
@@ -101,8 +103,8 @@ def test_s_matches_brute():
 
 
 def test_s_counts_rows_like_the_sieve():
-    # s(n) counts row by row; s_batch sieves.  Compared value by value.
-    assert [s(n) for n in range(2001)] == [s_batch([n])[n] for n in range(2001)]
+    # s(n) counts row by row; s_batch reads the two-squares table.
+    assert [s(n) for n in range(2001)] == s_batch(1, 2000)
 
 
 def test_s_rejects_negative_n():
@@ -111,9 +113,46 @@ def test_s_rejects_negative_n():
 
 
 def test_s_batch_consistent():
-    values = [1, 5, 9, 44, 100, 121, 250]
-    batch = s_batch(values)
-    assert batch == {n: s(n) for n in values}
+    for step, n_max in ((1, 250), (9, 44), (121, 30), (7, 0)):
+        assert s_batch(step, n_max) == [s(step * n) for n in range(n_max + 1)]
+
+
+@given(st.sampled_from([1, 4, 9, 25, 49, 121, 169]), st.integers(0, 60))
+@settings(max_examples=60, deadline=None)
+def test_s_batch_reads_progressions_like_the_row_count(step, n_max):
+    assert s_batch(step, n_max) == [s(step * n) for n in range(n_max + 1)]
+
+
+def test_two_squares_table_grows_in_place():
+    # Rising tops extend the same array to exactly the largest top + 1
+    # entries; a smaller top leaves it alone.  Rebuilding per call fails here.
+    table = array("H", [1])
+    with patch.object(counting, "_R2", table):
+        for step, n_max in ((1, 10), (9, 30), (25, 40)):
+            s_batch(step, n_max)
+            assert counting._R2 is table
+            assert len(table) == step * n_max + 1
+        s_batch(4, 100)
+        assert counting._R2 is table
+    assert len(table) == 1001
+    assert list(table) == two_squares_sieve(1000)
+
+
+def test_s_batch_rejects_bad_arguments():
+    with pytest.raises(FormError):
+        s_batch(0, 5)
+    with pytest.raises(FormError):
+        s_batch(1, -1)
+
+
+@given(st.lists(st.integers(0, 3000), min_size=1, max_size=6))
+@settings(max_examples=40, deadline=None)
+def test_two_squares_table_grown_in_steps_equals_the_sieve(limits):
+    table = array("H", [1])
+    with patch.object(counting, "_R2", table):
+        for limit in sorted(limits):
+            counting._two_squares_table(limit)
+    assert list(table) == two_squares_sieve(max(limits))
 
 
 def test_s_vanishes_on_forbidden_residues():
@@ -125,6 +164,21 @@ def test_s_vanishes_on_forbidden_residues():
 def test_s_rejects_negative():
     with pytest.raises(FormError):
         s(-1)
+
+
+def two_squares_sieve(limit):
+    """Oracle: r2[k] = #{(u,v) in Z^2 : u^2 + v^2 == k} for 0 <= k <= limit,
+    sieved in one pass over the unordered pairs 0 <= a <= b."""
+    r2 = [0] * (limit + 1)
+    r2[0] = 1
+    squares = [k * k for k in range(isqrt(limit) + 1)]
+    for i, aa in enumerate(squares[1:], 1):
+        r2[aa] += 4
+        if 2 * aa <= limit:
+            r2[2 * aa] += 4
+        for bb in squares[i + 1 : isqrt(limit - aa) + 1]:
+            r2[aa + bb] += 8
+    return r2
 
 
 def test_two_squares_sieve():

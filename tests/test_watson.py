@@ -220,32 +220,37 @@ def test_transport_automorph_bijection():
     image = phi(form)
     pre = automorphs(form)
     img = automorphs(image)
-    transported = transport_automorph(form, image, 4, pre.elements)
+    lam, transported = transport_automorph(form, 4, pre.elements)
+    assert lam == image == lambda_m(form, 4)
     assert len(transported) == pre.order
     assert set(transported) == set(img.elements)
 
 
 def test_transport_rejects_non_automorph():
     form = TernaryForm(3, 4, 4, 3, 2, -2)
-    image = phi(form)
     with pytest.raises(FormError):
-        transport_automorph(form, image, 4, [shear(1, 0)])
+        transport_automorph(form, 4, [shear(1, 0)])
 
 
 def test_transport_respects_composition():
     form = TernaryForm(2, 2, 2, 1, 1, -1)
-    image = phi(form)
     elems = automorphs(form).elements
-    tmap = dict(zip(elems, transport_automorph(form, image, 4, elems)))
+    tmap = dict(zip(elems, transport_automorph(form, 4, elems)[1]))
     for r1 in elems:
         for r2 in elems:
             assert tmap[mat_mul(r1, r2)] == mat_mul(tmap[r1], tmap[r2])
 
 
-def test_transport_rejects_a_wrong_image():
+def test_transport_rejects_a_wrong_image(monkeypatch):
+    # transport_automorph returns the image it built; the suite compares it
+    # with phi, so a wrong image is reported by name, not transported into.
     form = TernaryForm(3, 4, 4, 3, 2, -2)
-    with pytest.raises(FormError, match="is not lambda_4 of the preimage"):
-        transport_automorph(form, TernaryForm(1, 3, 11, 0, 0, 1), 4, automorphs(form).elements)
+    wrong = TernaryForm(1, 3, 11, 0, 0, 1)
+    assert transport_automorph(form, 4, automorphs(form).elements)[0] != wrong
+    monkeypatch.delenv("TERNARY_CACHE", raising=False)
+    monkeypatch.setattr(verify, "phi", lambda f: wrong if f == form else phi(f))
+    report = verify.watson_suite(primes=(11,), n_scaling=4)
+    assert report["phi-equals-lambda4"] == [f"p=11 {form}: lambda_4 differs from phi"]
 
 
 def _transport_one_by_one(preimage, image, m, r):
@@ -270,7 +275,8 @@ def test_transport_matches_the_per_automorph_construction(p):
         image = phi(form)
         elems = automorphs(form).elements
         old = [_transport_one_by_one(form, image, 4, r) for r in elems]
-        new = transport_automorph(form, image, 4, elems)
+        lam, new = transport_automorph(form, 4, elems)
+        assert lam == image
         raw = _lambda_raw(form, 4)[0]
         w_old = IDENTITY if raw == image else equivalent(raw, image)
         t = mat_mul(unimodular_inverse(w_old), reduce_form(raw)[1])
@@ -280,9 +286,8 @@ def test_transport_matches_the_per_automorph_construction(p):
         assert set(new) == set(old) == set(automorphs(image).elements)
 
 
-def test_watson_suite_builds_at_most_three_lambda_lattices_per_class(monkeypatch):
-    # Per TG1 class: lambda_4 of the form, lambda_4 of its image and one
-    # transport of the whole automorph group; no equivalence search.
+def _count_suite_lambda_builds(monkeypatch):
+    """(lambda-lattice builds, equivalence searches, TG1 classes) of the p = 11 suite."""
     calls = {"lambda": 0, "equivalent": 0}
     raw_builder = watson._lambda_raw
     search = isometry.equivalent
@@ -301,9 +306,21 @@ def test_watson_suite_builds_at_most_three_lambda_lattices_per_class(monkeypatch
         monkeypatch.setattr(module, "equivalent", counted_equivalent, raising=False)
     report = verify.watson_suite(primes=(11,), n_scaling=20)
     assert not any(report.values())
-    classes = len(enumerate_tg1(11).classes)
-    assert 0 < calls["lambda"] <= 3 * classes
-    assert calls["equivalent"] == 0
+    return calls["lambda"], calls["equivalent"], len(enumerate_tg1(11).classes)
+
+
+def test_watson_suite_builds_at_most_three_lambda_lattices_per_class(monkeypatch):
+    builds, searches, classes = _count_suite_lambda_builds(monkeypatch)
+    assert 0 < builds <= 3 * classes
+    assert searches == 0
+
+
+def test_watson_suite_builds_at_most_two_lambda_lattices_per_class(monkeypatch):
+    # lambda_4 of the form comes with the transport of its automorph group;
+    # only lambda_4 of the image is built on its own.
+    builds, searches, classes = _count_suite_lambda_builds(monkeypatch)
+    assert 0 < builds <= 2 * classes
+    assert searches == 0
 
 
 def test_lambda_9_on_nine_divisible_form():
