@@ -40,13 +40,6 @@ class _UsageError(Exception):
     pass
 
 
-def _parse_form(text: str) -> TernaryForm:
-    try:
-        return TernaryForm.parse(text)
-    except FormError as exc:
-        raise _UsageError(str(exc)) from None
-
-
 def _jsonable(obj):
     if isinstance(obj, Fraction):
         return f"{obj.numerator}/{obj.denominator}"
@@ -144,29 +137,29 @@ def _run(args) -> int:
     cache = GenusCache(args.cache)
     cmd = args.command
     if cmd == "disc":
-        form = _parse_form(args.form)
+        form = TernaryForm.parse(args.form)
         _emit({"form": form, "disc": discriminant(form)}, fmt)
         return EXIT_OK
     if cmd == "reduce":
-        form = _parse_form(args.form)
+        form = TernaryForm.parse(args.form)
         canon, witness = reduce_form(form)
         _emit({"form": form, "reduced": canon, "witness": witness}, fmt)
         return EXIT_OK
     if cmd == "count":
-        form = _parse_form(args.form)
+        form = TernaryForm.parse(args.form)
         if args.n < 0:
             raise _UsageError("n must be nonnegative")
         _emit({"form": form, "n": args.n, "count": rep_count(form, args.n)}, fmt)
         return EXIT_OK
     if cmd == "theta":
-        form = _parse_form(args.form)
+        form = TernaryForm.parse(args.form)
         if args.bound < 0:
             raise _UsageError("bound must be nonnegative")
         vec = theta(form, args.bound)
         _emit({"form": form, "bound": args.bound, "counts": list(vec.counts)}, fmt)
         return EXIT_OK
     if cmd == "auts":
-        form = _parse_form(args.form)
+        form = TernaryForm.parse(args.form)
         group = automorphs(form)
         _emit(
             {"form": form, "order": group.order, "elements": [list(map(list, u)) for u in group.elements]},
@@ -174,8 +167,8 @@ def _run(args) -> int:
         )
         return EXIT_OK
     if cmd == "equiv":
-        f1 = _parse_form(args.form1)
-        f2 = _parse_form(args.form2)
+        f1 = TernaryForm.parse(args.form1)
+        f2 = TernaryForm.parse(args.form2)
         witness = equivalent(f1, f2)
         _emit(
             {
@@ -205,21 +198,21 @@ def _run(args) -> int:
         )
         return EXIT_OK
     if cmd == "phi":
-        form = _parse_form(args.form)
+        form = TernaryForm.parse(args.form)
         _emit({"form": form, "image": phi(form)}, fmt)
         return EXIT_OK
     if cmd == "phi-inv":
-        form = _parse_form(args.form)
+        form = TernaryForm.parse(args.form)
         _emit({"form": form, "preimage": phi_inverse(form)}, fmt)
         return EXIT_OK
     if cmd == "lambda":
-        form = _parse_form(args.form)
+        form = TernaryForm.parse(args.form)
         if args.m < 2:
             raise _UsageError("m must be >= 2")
         _emit({"form": form, "m": args.m, "image": lambda_m(form, args.m)}, fmt)
         return EXIT_OK
     if cmd == "density":
-        form = _parse_form(args.form)
+        form = TernaryForm.parse(args.form)
         if args.n < 1:
             raise _UsageError("n must be >= 1")
         kwargs = {}
@@ -238,8 +231,12 @@ def _run(args) -> int:
         )
         return EXIT_OK
     if cmd == "verify":
+        if args.p is not None and args.target != "thm1.3":
+            raise _UsageError(f"--p applies only to verify thm1.3, not {args.target}")
+        if args.n_max is not None and not args.target.startswith("thm"):
+            raise _UsageError(f"--n-max applies only to verify thm1.x, not {args.target}")
         n_max = args.n_max if args.n_max is not None else 200 if args.target == "thm1.3" else 1000
-        if n_max < 1 and args.target.startswith("thm"):
+        if n_max < 1:
             raise _UsageError("--n-max must be >= 1")
         if args.target == "thm1.1":
             report = verify_theorem_1_1(n_max).to_dict()

@@ -3,7 +3,9 @@
 TG1(p) is enumerated by scanning reduced sextuples (the mass identity
 (p-1)/48 certifies completeness, turning the heuristic scan bound into a
 verified one).  TG2(p) is constructed class by class through Phi, with the
-automorph-order match checked as required by the bijection.
+automorph-order match checked as required by the bijection.  GenusCache
+stores only the forms of each genus; |Aut| and the mass are recomputed and
+the mass checked when a stored genus is first read.
 """
 
 from __future__ import annotations
@@ -138,103 +140,69 @@ def weighted_rep_sum(genus: GenusSet, n: int) -> Fraction:
 
 # -- JSON cache -----------------------------------------------------------
 
-def _genus_to_dict(genus: GenusSet) -> dict:
-    return {
-        "v": 1,
-        "label": genus.label,
-        "p": genus.prime,
-        "classes": [
-            {"coeffs": list(form.coeffs), "aut": aut} for form, aut in genus.classes
-        ],
-        "mass": f"{genus.mass.numerator}/{genus.mass.denominator}",
-    }
-
-
-def _genus_from_dict(data: dict, label: str, p: int) -> GenusSet:
-    """The genus stored under (label, p); every class must be positive definite
-    of discriminant p^2 (TG1) or 16p^2 (TG2), and the mass must be the
-    closed-form (p-1)/48 of both genera.  Reducedness is not checked."""
+def _genus_from_rows(rows, label: str, p: int) -> GenusSet:
+    """The genus stored under (label, p) as coefficient rows.  Every row must be
+    a positive definite form of discriminant p^2 (TG1) or 16p^2 (TG2); |Aut| is
+    recomputed, and the mass must be the closed-form (p-1)/48 of both genera.
+    Reducedness is not checked."""
     key = f"{label},{p}"
-    if not isinstance(data, dict):
-        raise FormError(f"genus cache entry {key} is not a JSON object; cache corrupt")
-    if data.get("v") != 1:
-        raise FormError(f"unsupported genus cache version {data.get('v')}")
-    try:
-        classes = []
-        for entry in data["classes"]:
-            coeffs, aut = entry["coeffs"], entry["aut"]
-            if len(coeffs) != 6 or not all(type(v) is int for v in (*coeffs, aut)) or aut < 1:
-                raise ValueError(f"class {entry} is not six integers and a positive order")
-            classes.append((TernaryForm(*coeffs), aut))
-        genus = GenusSet(data["label"], data["p"], tuple(classes))
-        mass = Fraction(data["mass"])
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-        raise FormError(f"genus cache entry {key} is malformed ({type(exc).__name__}: {exc}); cache corrupt") from None
-    if (genus.label, genus.prime) != (label, p):
-        raise FormError(f"genus cache entry {key} holds {genus.label},{genus.prime}; cache corrupt")
+    if not isinstance(rows, list) or not all(
+        isinstance(row, list) and len(row) == 6 and all(type(v) is int for v in row) for row in rows
+    ):
+        raise FormError(f"genus cache entry {key} is not a list of six-integer rows; cache corrupt")
     disc = (1 if label == "TG1" else 16) * p * p
-    for form, _ in genus.classes:
+    classes = []
+    for row in rows:
+        form = TernaryForm(*row)
         if not is_positive_definite(form) or discriminant(form) != disc:
             raise FormError(f"genus cache entry {key} holds {form}, not positive definite of discriminant {disc}; cache corrupt")
-    if genus.mass != mass:
-        raise FormError("genus cache mass mismatch; cache corrupt")
-    if mass != mass_closed_form(p):
-        raise FormError(f"genus cache entry {key} has mass {mass}, not {mass_closed_form(p)}; cache corrupt")
+        classes.append((form, automorphs(form).order))
+    genus = GenusSet(label, p, tuple(classes))
+    if genus.mass != mass_closed_form(p):
+        raise FormError(f"genus cache entry {key} has mass {genus.mass}, not {mass_closed_form(p)}; cache corrupt")
     return genus
 
 
 class GenusCache:
-    """Persists genus enumerations to a JSON file, written atomically.
+    """Persists the classes of each genus to a JSON file, written atomically.
 
-    The automorph orders of a genus read from the file are recomputed on its
-    first use: the mass check alone cannot see two orders swapped.
+    The file maps "TG1,p" and "TG2,p" to the coefficient rows of the classes.
+    A genus read from the file is checked and its |Aut| recomputed once per
+    instance, which keeps every genus it has checked or built.
     """
 
     def __init__(self, path: str | None = None):
         self.path = path or os.environ.get(CACHE_ENV)
-        self._store: dict[str, dict] = {}
+        self._rows: dict[str, list] = {}
+        self._genera: dict[str, GenusSet] = {}
         if self.path and os.path.exists(self.path):
             try:
                 with open(self.path) as fh:
-                    self._store = json.load(fh)
+                    self._rows = json.load(fh)
             except (OSError, ValueError) as exc:
                 raise FormError(f"cannot read genus cache {self.path}: {exc}") from None
-            if not isinstance(self._store, dict):
+            if not isinstance(self._rows, dict):
                 raise FormError(f"genus cache {self.path} is not a JSON object")
-        self._unchecked = set(self._store)
-
-    @staticmethod
-    def _key(label: str, p: int) -> str:
-        return f"{label},{p}"
 
     def get(self, label: str, p: int) -> GenusSet | None:
-        key = self._key(label, p)
-        data = self._store.get(key)
-        if not data:
-            return None
-        try:
-            genus = _genus_from_dict(data, label, p)
-        except FormError as exc:
-            raise FormError(f"genus cache {self.path}: {exc}") from None
-        if key in self._unchecked:
-            for form, aut in genus.classes:
-                order = automorphs(form).order
-                if order != aut:
-                    raise FormError(
-                        f"genus cache {self.path}: {key} stores |Aut({form})| = {aut}, "
-                        f"recomputed {order}; cache corrupt"
-                    )
-            self._unchecked.discard(key)
-        return genus
+        key = f"{label},{p}"
+        if key not in self._genera and key in self._rows:
+            try:
+                self._genera[key] = _genus_from_rows(self._rows[key], label, p)
+            except FormError as exc:
+                raise FormError(f"genus cache {self.path}: {exc}") from None
+        return self._genera.get(key)
 
     def put(self, genus: GenusSet) -> None:
-        self._store[self._key(genus.label, genus.prime)] = _genus_to_dict(genus)
+        key = f"{genus.label},{genus.prime}"
+        self._genera[key] = genus
+        self._rows[key] = [list(form.coeffs) for form, _ in genus.classes]
         if self.path:
             d = os.path.dirname(os.path.abspath(self.path))
             fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
             try:
                 with os.fdopen(fd, "w") as fh:
-                    fh.write(json.dumps(self._store, separators=(",", ":")))
+                    fh.write(json.dumps(self._rows, separators=(",", ":")))
                 os.replace(tmp, self.path)
             except BaseException:
                 if os.path.exists(tmp):

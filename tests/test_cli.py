@@ -181,6 +181,24 @@ def test_verify_refuses_n_max_below_one(capsys, args):
     assert "--n-max" in err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("verify", "density", "--n-max", "-5"),
+        ("verify", "all", "--p", "7"),
+        ("verify", "thm1.1", "--p", "7", "--n-max", "5"),
+        ("verify", "thm1.2", "--p", "11", "--n-max", "5"),
+    ],
+    ids=" ".join,
+)
+def test_verify_refuses_a_flag_its_target_does_not_take(capsys, args):
+    code, out, err = run(capsys, *args)
+    assert code == EXIT_USAGE
+    assert out == ""
+    flag = "--n-max" if args[1] == "density" else "--p"
+    assert f"error: {flag} applies only to" in err
+
+
 def test_verify_requires_p(capsys):
     code, _, err = run(capsys, "verify", "thm1.3")
     assert code == EXIT_USAGE
@@ -243,14 +261,29 @@ def test_damaged_cache_class_is_a_usage_error(capsys, tmp_path, how):
     "args", [("mass", "TG1", "11"), ("verify", "thm1.3", "--p", "11", "--n-max", "20")], ids=" ".join
 )
 def test_cache_missing_a_class_is_a_usage_error(capsys, tmp_path, args):
-    # A wrong stored mass must read neither as a failed mass check (exit 0)
-    # nor as a disproved identity (exit 1).
+    # A genus missing a class must read neither as a failed mass check
+    # (exit 0) nor as a disproved identity (exit 1).
     path = tmp_path / "genus.json"
     _corrupt_tg1_11(path, "dropped-class")
     code, out, err = run(capsys, "--cache", str(path), *args)
     assert code == EXIT_USAGE
     assert out == ""
     assert "mass 1/8, not 5/24; cache corrupt" in err
+
+
+def test_cache_in_the_old_layout_is_a_usage_error(capsys, tmp_path):
+    # Files once stored a versioned object per genus; only coefficient rows
+    # are read now, and the message names the file to delete.
+    path = tmp_path / "genus.json"
+    path.write_text(json.dumps({"TG1,11": {
+        "v": 1, "label": "TG1", "p": 11, "mass": "5/24",
+        "classes": [{"coeffs": [1, 3, 11, 0, 0, 1], "aut": 8}, {"coeffs": [3, 4, 4, 3, 2, -2], "aut": 12}],
+    }}))
+    code, out, err = run(capsys, "--cache", str(path), "mass", "TG1", "11")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "cache corrupt" in err
+    assert str(path) in err
 
 
 def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):

@@ -5,6 +5,7 @@ from math import isqrt
 import pytest
 
 from ternaryforms.forms import FormError, TernaryForm, discriminant, is_primitive
+from ternaryforms import genus as genus_module
 from ternaryforms.genus import (
     GenusCache,
     build_tg2,
@@ -80,19 +81,31 @@ def test_weighted_rep_sum_combination_is_integral():
 def test_cache_round_trip(tmp_path):
     path = tmp_path / "genus.json"
     cache = GenusCache(str(path))
-    g = cache.tg1(7)
+    built = {(label, p): cache.tg1(p) if label == "TG1" else cache.tg2(p)
+             for label, p in [("TG1", 7), ("TG1", 3), ("TG1", 11), ("TG2", 11)]}
     assert path.exists()
     # a fresh cache object reads the stored data without re-enumerating
     cache2 = GenusCache(str(path))
-    g2 = cache2.get("TG1", 7)
-    assert g2 is not None
-    assert g2.classes == g.classes
-    assert cache2.tg1(7).classes == g.classes
+    for (label, p), g in built.items():
+        g2 = cache2.get(label, p)
+        assert g2 is not None
+        assert g2.classes == g.classes
+        assert g2.mass == mass_closed_form(p)
+    assert cache2.tg1(7).classes == built["TG1", 7].classes
+    assert cache2.tg2(11).classes == built["TG2", 11].classes
+
+
+def test_cache_stores_only_the_rows(tmp_path):
+    path = tmp_path / "genus.json"
+    GenusCache(str(path)).tg2(11)
+    assert path.read_text() == (
+        '{"TG1,11":[[1,3,11,0,0,1],[3,4,4,3,2,-2]],"TG2,11":[[3,15,15,14,2,-2],[4,11,12,0,4,0]]}'
+    )
 
 
 def test_cache_reads_the_indented_layout(tmp_path):
-    # Cache files were once written with json.dump(..., indent=1); writes are
-    # now compact, and the older layout must still load.
+    # Writes are compact; the reader does not depend on the whitespace, so an
+    # indented copy of the same rows loads the same genera.
     path = tmp_path / "genus.json"
     cache = GenusCache(str(path))
     tg2 = cache.tg2(11)
@@ -104,41 +117,57 @@ def test_cache_reads_the_indented_layout(tmp_path):
     assert reread.get("TG2", 11).classes == tg2.classes
 
 
+def test_file_loaded_genus_is_checked_once_per_instance(tmp_path, monkeypatch):
+    path = tmp_path / "genus.json"
+    GenusCache(str(path)).tg1(11)
+    calls = []
+
+    def counting(form):
+        calls.append(form)
+        return automorphs(form)
+
+    monkeypatch.setattr(genus_module, "automorphs", counting)
+    cache = GenusCache(str(path))
+    first = cache.tg1(11)
+    assert cache.tg1(11) is first
+    assert cache.get("TG1", 11) is first
+    assert sorted(calls) == [form for form, _ in first.classes]
+
+
 def test_cache_detects_corruption(tmp_path):
     path = tmp_path / "genus.json"
     cache = GenusCache(str(path))
     cache.tg1(7)
     data = json.loads(path.read_text())
-    data["TG1,7"]["classes"][0]["aut"] = 6
+    data["TG1,7"][0][2] += 1  # 1,2,8,0,0,1: discriminant 56, not 49
     path.write_text(json.dumps(data))
-    with pytest.raises(FormError):
+    with pytest.raises(FormError, match="discriminant 49; cache corrupt"):
         GenusCache(str(path)).get("TG1", 7)
 
 
 def test_cache_detects_swapped_automorph_orders(tmp_path):
+    # The file stores no |Aut|: with the two TG1(11) rows swapped, each form
+    # still gets its own order.
     path = tmp_path / "genus.json"
     GenusCache(str(path)).tg1(11)  # classes with |Aut| 8 and 12
     data = json.loads(path.read_text())
-    first, second = data["TG1,11"]["classes"]
-    first["aut"], second["aut"] = second["aut"], first["aut"]  # mass unchanged
+    data["TG1,11"].reverse()
     path.write_text(json.dumps(data))
-    with pytest.raises(FormError, match="corrupt"):
-        GenusCache(str(path)).tg1(11)
+    orders = {form.coeffs: aut for form, aut in GenusCache(str(path)).tg1(11).classes}
+    assert orders == dict(KNOWN_TG1[11])
 
 
 def _corrupt_tg1_11(path, how):
     """Write TG1(11) to the cache file at path, then damage its second class."""
     GenusCache(str(path)).tg1(11)  # 1,3,11,0,0,1 (|Aut| 8) and 3,4,4,3,2,-2 (|Aut| 12)
     data = json.loads(path.read_text())
-    entry = data["TG1,11"]["classes"][1]
+    rows = data["TG1,11"]
     if how == "wrong-class":
-        entry["coeffs"] = [2, 2, 2, 1, 1, -1]  # TG1(5)'s class: same |Aut|, mass unchanged
+        rows[1] = [2, 2, 2, 1, 1, -1]  # TG1(5)'s class: same |Aut|, mass unchanged
     elif how == "dropped-class":
-        # The stored mass still matches the classes left, 5/24 - 1/12.
-        data["TG1,11"]["classes"].remove(entry)
-        data["TG1,11"]["mass"] = "1/8"
+        del rows[1]  # mass 1/8 left of 5/24
     else:
-        del entry["coeffs"]
+        rows[1] = rows[1][:5]
     path.write_text(json.dumps(data))
 
 
