@@ -9,6 +9,7 @@ exception, reported in one line on stderr).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -79,7 +80,10 @@ def _genus_payload(genus: GenusSet) -> dict:
     }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The `tqf` parser, built on the first `main` call and reused by every
+    later one in the process; `parse_args` returns a fresh Namespace each time."""
     top = argparse.ArgumentParser(
         prog="tqf", description="Exact arithmetic for positive ternary quadratic forms."
     )

@@ -8,7 +8,11 @@ by exact evaluation, so no point is ever missed.  A single value n needs no
 x loop: in each (y, z) row the points of value n are the integer roots of
 a quadratic in x, found by one isqrt and a perfect-square test, so
 `rep_count` and `vectors_with_value` cost O(n) rows instead of the
-O(n^(3/2)) points up to n.  `s_batch` reads the sum of three squares on whole
+O(n^(3/2)) points up to n.  `theta` and `rep_count` count class invariants,
+so they enumerate the Minkowski-reduced form (`forms._minkowski`), whose
+short diagonal keeps the row ranges tight however skewed the input basis
+is; `vectors_with_value` answers in the input coordinates and enumerates
+the input basis.  `s_batch` reads the sum of three squares on whole
 progressions from one two-squares table per process, grown in place.
 """
 
@@ -20,7 +24,7 @@ from itertools import zip_longest
 from math import isqrt
 from typing import Iterator
 
-from .forms import FormError, TernaryForm, discriminant, is_positive_definite
+from .forms import FormError, TernaryForm, _minkowski, discriminant, is_positive_definite
 
 THREE_SQUARES = TernaryForm(1, 1, 1, 0, 0, 0)
 
@@ -34,6 +38,13 @@ class ThetaVector:
 
 def _ceil_div(p: int, q: int) -> int:
     return -((-p) // q)
+
+
+def _minkowski_form(form: TernaryForm) -> TernaryForm:
+    """The Minkowski-reduced form of a positive definite form's class."""
+    if not is_positive_definite(form):
+        raise FormError("enumeration requires a positive definite form")
+    return _minkowski(form)[0]
 
 
 def _rows(form: TernaryForm, bound: int) -> Iterator[tuple[int, int, int, int]]:
@@ -121,7 +132,7 @@ def theta(form: TernaryForm, bound: int) -> ThetaVector:
         raise FormError("theta bound must be nonnegative")
     counts = [0] * (bound + 1)
     counts[0] = 1
-    for _, _, _, v in half_points_up_to(form, bound):
+    for _, _, _, v in half_points_up_to(_minkowski_form(form), bound):
         counts[v] += 2
     return ThetaVector(form, bound, tuple(counts))
 
@@ -131,7 +142,7 @@ def rep_count(form: TernaryForm, n: int) -> int:
         return 0
     if n == 0:
         return 1
-    return 2 * sum(1 for _ in _half_solutions(form, n))
+    return 2 * sum(1 for _ in _half_solutions(_minkowski_form(form), n))
 
 
 # -- sum of three squares -------------------------------------------------

@@ -2,7 +2,8 @@
 
 The sextuple <a,b,c,d,e,f> is the central object; its Gram matrix is
 [[2a, f, e], [f, 2b, d], [e, d, 2c]] and the discriminant is half the Gram
-determinant.  All arithmetic is exact.
+determinant.  All arithmetic is exact.  Minkowski reduction (`_minkowski`)
+lives here, below `counting`, `isometry` and `reduction`, which all use it.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .matrices import Mat3, det3, mat_mul, transpose
+from .matrices import IDENTITY, Mat3, det3, from_columns, mat_mul, shear, transpose
 
 
 class FormError(ValueError):
@@ -100,3 +101,53 @@ def apply_basis(form: TernaryForm, u: Mat3) -> TernaryForm:
     """Form with Gram U' G U for an arbitrary integer matrix U."""
     g = mat_mul(transpose(u), mat_mul(form.gram(), u))
     return TernaryForm.from_gram(g)
+
+
+def _greedy(form: TernaryForm) -> tuple[TernaryForm, Mat3]:
+    """Shear while the Gram diagonal strictly drops, then sort it; with witness."""
+    u = IDENTITY
+    cur = form
+    while True:
+        g = cur.gram()
+        improved = False
+        for i in range(3):
+            for j in range(3):
+                if i == j:
+                    continue
+                gij, gjj = g[i][j], g[j][j]
+                # t minimizing g_ii + 2*t*g_ij + t^2*g_jj (nearest integer).
+                t = -((2 * gij + gjj) // (2 * gjj))
+                if t == 0:
+                    continue
+                delta = 2 * t * gij + t * t * gjj
+                if delta < 0:
+                    m = shear(i, j, t)
+                    cur = apply_map(cur, m)
+                    u = mat_mul(u, m)
+                    improved = True
+                    g = cur.gram()
+        if not improved:
+            break
+    # Sort the diagonal.
+    g = cur.gram()
+    order = sorted(range(3), key=lambda k: g[k][k])
+    if order != [0, 1, 2]:
+        perm = from_columns(*(tuple(1 if r == order[c] else 0 for r in range(3)) for c in range(3)))
+        cur = apply_map(cur, perm)
+        u = mat_mul(u, perm)
+    return cur, u
+
+
+def _minkowski(form: TernaryForm) -> tuple[TernaryForm, Mat3]:
+    """A Minkowski-reduced form equivalent to form, with witness."""
+    cur, u = _greedy(form)
+    while True:
+        a, b, _, d, e, f = cur.coeffs
+        for s1, s2 in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+            if a + b + s1 * s2 * f + s1 * e + s2 * d < 0:
+                m = ((1, 0, s1), (0, 1, s2), (0, 0, 1))  # e_3 -> e_3 + s1*e_1 + s2*e_2
+                cur, u2 = _greedy(apply_map(cur, m))
+                u = mat_mul(u, mat_mul(m, u2))
+                break
+        else:
+            return cur, u

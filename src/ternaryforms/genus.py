@@ -146,7 +146,7 @@ def _genus_from_rows(rows, label: str, p: int) -> GenusSet:
     recomputed, and the mass must be the closed-form (p-1)/48 of both genera.
     Reducedness is not checked."""
     key = f"{label},{p}"
-    if not isinstance(rows, list) or not all(
+    if not all(
         isinstance(row, list) and len(row) == 6 and all(type(v) is int for v in row) for row in rows
     ):
         raise FormError(f"genus cache entry {key} is not a list of six-integer rows; cache corrupt")
@@ -166,9 +166,11 @@ def _genus_from_rows(rows, label: str, p: int) -> GenusSet:
 class GenusCache:
     """Persists the classes of each genus to a JSON file, written atomically.
 
-    The file maps "TG1,p" and "TG2,p" to the coefficient rows of the classes.
-    A genus read from the file is checked and its |Aut| recomputed once per
-    instance, which keeps every genus it has checked or built.
+    The file maps "TG1,p" and "TG2,p" to the coefficient rows of the classes;
+    a file with any entry that is not a list is refused when it is opened, so
+    `put` never writes rows beside an entry of another layout.  A genus read
+    from the file is checked and its |Aut| recomputed once per instance,
+    which keeps every genus it has checked or built.
     """
 
     def __init__(self, path: str | None = None):
@@ -183,6 +185,9 @@ class GenusCache:
                 raise FormError(f"cannot read genus cache {self.path}: {exc}") from None
             if not isinstance(self._rows, dict):
                 raise FormError(f"genus cache {self.path} is not a JSON object")
+            for key, rows in self._rows.items():
+                if not isinstance(rows, list):
+                    raise FormError(f"genus cache {self.path}: entry {key} is not a list of rows; cache corrupt")
 
     def get(self, label: str, p: int) -> GenusSet | None:
         key = f"{label},{p}"

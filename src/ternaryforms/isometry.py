@@ -3,7 +3,11 @@
 Both operations backtrack over short vectors: candidate columns are the
 vectors realizing the target form's diagonal values, checked against the
 off-diagonal Gram constraints.  Complete by construction, fast at desk
-scale.
+scale.  The automorph group is a class invariant up to conjugation, so
+`automorphs` searches the Minkowski-reduced form (`forms._minkowski`), whose
+short-vector sets are the smallest, and conjugates the group back into the
+input basis.  `equivalent` searches the input basis, because its witness is
+printed in those coordinates.
 """
 
 from __future__ import annotations
@@ -11,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .counting import vectors_with_value
-from .forms import FormError, TernaryForm, discriminant, is_positive_definite
-from .matrices import Mat3, det3, from_columns, gram_dot
+from .forms import FormError, TernaryForm, _minkowski, discriminant, is_positive_definite
+from .matrices import Mat3, det3, from_columns, gram_dot, mat_mul, unimodular_inverse
 
 
 @dataclass(frozen=True)
@@ -70,5 +74,10 @@ def automorphs(form: TernaryForm) -> AutomorphGroup:
     """The full integral orthogonal group of the form (contains ±identity)."""
     if not is_positive_definite(form):
         raise FormError("automorph enumeration requires a positive definite form")
-    elements = _isometries(form, form, first_only=False)
+    pre, u = _minkowski(form)
+    elements = _isometries(pre, pre, first_only=False)
+    if pre != form:
+        # A fixes pre = form o u exactly when u A u^-1 fixes form.
+        u_inv = unimodular_inverse(u)
+        elements = [mat_mul(u, mat_mul(a, u_inv)) for a in elements]
     return AutomorphGroup(form, tuple(sorted(elements)))

@@ -14,9 +14,10 @@ IDENTITY: Mat3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 def mat_mul(a: Mat3, b: Mat3) -> Mat3:
+    (b11, b12, b13), (b21, b22, b23), (b31, b32, b33) = b
     return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3))
-        for i in range(3)
+        (x * b11 + y * b21 + z * b31, x * b12 + y * b22 + z * b32, x * b13 + y * b23 + z * b33)
+        for x, y, z in a
     )
 
 
@@ -75,7 +76,14 @@ def from_columns(c1: Vec3, c2: Vec3, c3: Vec3) -> Mat3:
 
 def gram_dot(g: Mat3, v: Vec3, w: Vec3) -> int:
     """v' * g * w; with g a Gram matrix, the cross coefficient of the columns v, w."""
-    return sum(v[i] * g[i][j] * w[j] for i in range(3) for j in range(3))
+    (g11, g12, g13), (g21, g22, g23), (g31, g32, g33) = g
+    v1, v2, v3 = v
+    w1, w2, w3 = w
+    return (
+        v1 * (g11 * w1 + g12 * w2 + g13 * w3)
+        + v2 * (g21 * w1 + g22 * w2 + g23 * w3)
+        + v3 * (g31 * w1 + g32 * w2 + g33 * w3)
+    )
 
 
 def shear(i: int, j: int, t: int = 1) -> Mat3:

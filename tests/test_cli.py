@@ -271,19 +271,74 @@ def test_cache_missing_a_class_is_a_usage_error(capsys, tmp_path, args):
     assert "mass 1/8, not 5/24; cache corrupt" in err
 
 
+# Files once stored a versioned object per genus; only coefficient rows are
+# read now, and the message names the file to delete.
+OLD_LAYOUT_TG1_11 = {
+    "v": 1, "label": "TG1", "p": 11, "mass": "5/24",
+    "classes": [{"coeffs": [1, 3, 11, 0, 0, 1], "aut": 8}, {"coeffs": [3, 4, 4, 3, 2, -2], "aut": 12}],
+}
+
+
 def test_cache_in_the_old_layout_is_a_usage_error(capsys, tmp_path):
-    # Files once stored a versioned object per genus; only coefficient rows
-    # are read now, and the message names the file to delete.
     path = tmp_path / "genus.json"
-    path.write_text(json.dumps({"TG1,11": {
-        "v": 1, "label": "TG1", "p": 11, "mass": "5/24",
-        "classes": [{"coeffs": [1, 3, 11, 0, 0, 1], "aut": 8}, {"coeffs": [3, 4, 4, 3, 2, -2], "aut": 12}],
-    }}))
+    path.write_text(json.dumps({"TG1,11": OLD_LAYOUT_TG1_11}))
     code, out, err = run(capsys, "--cache", str(path), "mass", "TG1", "11")
     assert code == EXIT_USAGE
     assert out == ""
     assert "cache corrupt" in err
     assert str(path) in err
+
+
+def test_cache_in_the_old_layout_is_refused_for_any_key(capsys, tmp_path):
+    # The file is refused when opened, so a query for a key it lacks neither
+    # succeeds nor writes new rows beside the old entry.
+    path = tmp_path / "genus.json"
+    text = json.dumps({"TG1,11": OLD_LAYOUT_TG1_11})
+    path.write_text(text)
+    code, out, err = run(capsys, "--cache", str(path), "mass", "TG1", "5")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "cache corrupt" in err
+    assert str(path) in err
+    assert path.read_text() == text
+
+
+def test_parser_is_built_once_and_carries_nothing_between_calls(capsys, tmp_path):
+    cache = str(tmp_path / "genus.json")
+    one = "1,1,1,0,0,0"
+    calls = [
+        (("count", one), EXIT_USAGE),
+        (("--help",), EXIT_OK),
+        (("--format", "tsv", "disc", one), EXIT_OK),
+        (("disc", one), EXIT_OK),
+        (("--cache", cache, "verify", "thm1.3", "--p", "7", "--n-max", "5"), EXIT_OK),
+        (("verify", "thm1.1", "--n-max", "5"), EXIT_OK),
+        (("count", one, "5"), EXIT_OK),
+        (("theta", one, "4"), EXIT_OK),
+        (("reduce", "31,5,11,1,-14,6"), EXIT_OK),
+        (("auts", "2,2,2,1,1,-1"), EXIT_OK),
+        (("equiv", "1,3,11,0,0,1", "3,4,4,3,2,-2"), EXIT_OK),
+        (("--cache", cache, "mass", "TG2", "7"), EXIT_OK),
+        (("mass", "TG1", "9"), EXIT_USAGE),
+        (("phi", "1,1,3,0,0,1"), EXIT_OK),
+        (("lambda", "9,9,9,0,0,0", "9"), EXIT_OK),
+        (("--work-limit", "500", "density", one, "1594323", "3"), EXIT_RESOURCE),
+        (("density", one, "1", "2"), EXIT_OK),
+        (("frobnicate",), EXIT_USAGE),
+        (("verify", "thm1.3"), EXIT_USAGE),
+        (("disc", one), EXIT_OK),
+    ]
+    cli._build_parser.cache_clear()
+    outs = []
+    for args, expected in calls:
+        code, out, _ = run(capsys, *args)
+        assert code == expected, args
+        outs.append(out)
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, len(calls) - 1)
+    assert outs[2] == f"form\t{one}\ndisc\t4\n"
+    assert json.loads(outs[3]) == json.loads(outs[-1]) == {"form": one, "disc": 4}
+    assert json.loads(outs[5])["pass"] is True
 
 
 def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):

@@ -6,8 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_isometry import skewed_forms
 from ternaryforms import counting
 from ternaryforms.counting import (
+    _half_solutions,
+    _rows,
     half_points_up_to,
     rep_count,
     s,
@@ -15,7 +18,7 @@ from ternaryforms.counting import (
     theta,
     vectors_with_value,
 )
-from ternaryforms.forms import FormError, TernaryForm, discriminant
+from ternaryforms.forms import FormError, TernaryForm, _minkowski, apply_map, discriminant
 from ternaryforms.matrices import adjugate
 
 H1 = TernaryForm(31, 5, 11, 1, -14, 6)
@@ -231,3 +234,51 @@ def test_single_value_counts_match_the_filtered_enumeration(entries, n):
     signed = half + [(-x, -y, -z) for x, y, z in half] if n else [(0, 0, 0)]
     assert vectors_with_value(form, n) == sorted(signed)
     assert rep_count(form, n) == len(signed)
+
+
+# theta and rep_count enumerate the Minkowski form of the class; the direct
+# enumeration in the given basis stays as their oracle.
+
+
+@given(skewed_forms, st.integers(1, 60))
+@settings(max_examples=60, deadline=None)
+def test_rep_count_matches_the_count_in_the_input_basis(g, n):
+    assert rep_count(g, n) == 2 * sum(1 for _ in _half_solutions(g, n))
+
+
+@given(skewed_forms, st.integers(0, 40))
+@settings(max_examples=40, deadline=None)
+def test_theta_matches_the_histogram_in_the_input_basis(g, bound):
+    counts = [1] + [0] * bound
+    for _, _, _, v in half_points_up_to(g, bound):
+        counts[v] += 2
+    vec = theta(g, bound)
+    assert vec.counts == tuple(counts)
+    assert vec.form == g
+
+
+@pytest.mark.parametrize(
+    "form", [H1, apply_map(TernaryForm(1, 1, 1, 0, 0, 0), ((2, 5, 1), (1, 3, 1), (1, 2, 1)))], ids=str
+)
+def test_rep_count_walks_the_rows_of_the_minkowski_form(form):
+    pre = _minkowski(form)[0]
+    assert pre != form
+    walked = []
+
+    def recording_rows(f, bound):
+        for row in _rows(f, bound):
+            walked.append((f, bound, row))
+            yield row
+
+    with patch.object(counting, "_rows", recording_rows):
+        count = rep_count(form, 50)
+    assert count == rep_count(pre, 50)
+    assert walked == [(pre, 50, row) for row in _rows(pre, 50)]
+
+
+def test_rep_count_and_theta_refuse_indefinite_forms():
+    form = TernaryForm(-1, 0, 0, 1, 0, 0)
+    for call in (lambda: rep_count(form, 1), lambda: theta(form, 3)):
+        with pytest.raises(FormError, match="enumeration requires a positive definite form"):
+            call()
+    assert rep_count(form, 0) == 1

@@ -1,11 +1,34 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ternaryforms.forms import FormError, TernaryForm, apply_map
-from ternaryforms.isometry import automorphs, equivalent
-from ternaryforms.matrices import IDENTITY, mat_mul, mat_neg, unimodular_inverse
+from ternaryforms.forms import FormError, TernaryForm, apply_map, is_positive_definite
+from ternaryforms.isometry import _isometries, automorphs, equivalent
+from ternaryforms.matrices import IDENTITY, mat_mul, mat_neg, shear, unimodular_inverse
 
 H1 = TernaryForm(31, 5, 11, 1, -14, 6)
 H3 = TernaryForm(11, 7, 20, 7, 2, 4)
+
+
+def _product(shears):
+    u = IDENTITY
+    for i, j, t in shears:
+        if i != j:
+            u = mat_mul(u, shear(i, j, t))
+    return u
+
+
+# Unimodular U with entries in [-5, 5], as products of elementary shears.
+unimodular = (
+    st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(-3, 3)), max_size=6)
+    .map(_product)
+    .filter(lambda u: max(abs(x) for row in u for x in row) <= 5)
+)
+definite_forms = st.builds(
+    TernaryForm, *[st.integers(1, 8)] * 3, *[st.integers(-8, 8)] * 3
+).filter(is_positive_definite)
+# g = f o U: a definite form in a skewed basis of its class.
+skewed_forms = st.builds(apply_map, definite_forms, unimodular)
 
 
 @pytest.mark.parametrize(
@@ -39,6 +62,14 @@ def test_automorphs_form_a_group():
 def test_automorphs_fix_the_form():
     for g in automorphs(H3).elements:
         assert apply_map(H3, g) == H3
+
+
+@given(skewed_forms)
+@settings(max_examples=60, deadline=None)
+def test_automorphs_match_the_search_in_the_input_basis(g):
+    # The search on the Minkowski form, conjugated back, against the direct
+    # search in the basis the form was given in.
+    assert automorphs(g).elements == tuple(sorted(_isometries(g, g, False)))
 
 
 def test_equivalent_with_witness():

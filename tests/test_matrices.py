@@ -6,6 +6,7 @@ from ternaryforms.matrices import (
     adjugate,
     column_hnf,
     det3,
+    gram_dot,
     mat_mul,
     shear,
     transpose,
@@ -89,3 +90,26 @@ def test_shear_adds_a_multiple_of_one_column_to_another(m, i, j, t):
             if k != i:
                 assert out[r][k] == m[r][k]
     assert det3(shear(i, j, t)) == 1
+
+
+big = st.integers(-(2**70), 2**70)
+vec = st.tuples(big, big, big)
+big_mat = st.tuples(vec, vec, vec)
+
+
+@given(big_mat, big_mat)
+@settings(max_examples=200, deadline=None)
+def test_mat_mul_is_the_sum_of_products(m1, m2):
+    assert mat_mul(m1, m2) == tuple(
+        tuple(sum(m1[i][k] * m2[k][j] for k in range(3)) for j in range(3)) for i in range(3)
+    )
+
+
+@given(big_mat, vec, vec)
+@settings(max_examples=200, deadline=None)
+def test_gram_dot_is_the_matrix_product(g, v, w):
+    # v' g w as a 1x1 product of padded 3x3 matrices: v' in the first row,
+    # w in the first column.
+    row = (v, (0, 0, 0), (0, 0, 0))
+    col = transpose((w, (0, 0, 0), (0, 0, 0)))
+    assert gram_dot(g, v, w) == mat_mul(mat_mul(row, g), col)[0][0]
