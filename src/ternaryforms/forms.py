@@ -3,7 +3,9 @@
 The sextuple <a,b,c,d,e,f> is the central object; its Gram matrix is
 [[2a, f, e], [f, 2b, d], [e, d, 2c]] and the discriminant is half the Gram
 determinant.  All arithmetic is exact.  Minkowski reduction (`_minkowski`)
-lives here, below `counting`, `isometry` and `reduction`, which all use it.
+lives here, below `counting` and `reduction`, which use it; it shears a
+mutable Gram matrix and basis in place, one integer row and column per
+shear, and builds a form only at the end.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .matrices import IDENTITY, Mat3, det3, from_columns, mat_mul, shear, transpose
+from .matrices import Mat3, det3, mat_mul, transpose
 
 
 class FormError(ValueError):
@@ -103,12 +105,20 @@ def apply_basis(form: TernaryForm, u: Mat3) -> TernaryForm:
     return TernaryForm.from_gram(g)
 
 
-def _greedy(form: TernaryForm) -> tuple[TernaryForm, Mat3]:
-    """Shear while the Gram diagonal strictly drops, then sort it; with witness."""
-    u = IDENTITY
-    cur = form
-    while True:
-        g = cur.gram()
+def _shear(g: list[list[int]], u: list[list[int]], i: int, j: int, t: int) -> None:
+    """e_i -> e_i + t*e_j, in place on the Gram matrix g and the basis columns of u."""
+    gii = g[i][i] + 2 * t * g[i][j] + t * t * g[j][j]
+    for k in range(3):
+        g[i][k] += t * g[j][k]
+        g[k][i] = g[i][k]
+        u[k][i] += t * u[k][j]
+    g[i][i] = gii
+
+
+def _greedy(g: list[list[int]], u: list[list[int]]) -> None:
+    """Shear while the Gram diagonal strictly drops, then sort it; in place."""
+    improved = True
+    while improved:
         improved = False
         for i in range(3):
             for j in range(3):
@@ -117,37 +127,26 @@ def _greedy(form: TernaryForm) -> tuple[TernaryForm, Mat3]:
                 gij, gjj = g[i][j], g[j][j]
                 # t minimizing g_ii + 2*t*g_ij + t^2*g_jj (nearest integer).
                 t = -((2 * gij + gjj) // (2 * gjj))
-                if t == 0:
-                    continue
-                delta = 2 * t * gij + t * t * gjj
-                if delta < 0:
-                    m = shear(i, j, t)
-                    cur = apply_map(cur, m)
-                    u = mat_mul(u, m)
+                if t and 2 * t * gij + t * t * gjj < 0:
+                    _shear(g, u, i, j, t)
                     improved = True
-                    g = cur.gram()
-        if not improved:
-            break
-    # Sort the diagonal.
-    g = cur.gram()
     order = sorted(range(3), key=lambda k: g[k][k])
-    if order != [0, 1, 2]:
-        perm = from_columns(*(tuple(1 if r == order[c] else 0 for r in range(3)) for c in range(3)))
-        cur = apply_map(cur, perm)
-        u = mat_mul(u, perm)
-    return cur, u
+    g[:] = [[g[r][c] for c in order] for r in order]
+    u[:] = [[row[c] for c in order] for row in u]
 
 
 def _minkowski(form: TernaryForm) -> tuple[TernaryForm, Mat3]:
     """A Minkowski-reduced form equivalent to form, with witness."""
-    cur, u = _greedy(form)
+    g = [list(row) for row in form.gram()]
+    u = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    _greedy(g, u)
     while True:
-        a, b, _, d, e, f = cur.coeffs
+        # a + b + s1*s2*f + s1*e + s2*d, doubled.
         for s1, s2 in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-            if a + b + s1 * s2 * f + s1 * e + s2 * d < 0:
-                m = ((1, 0, s1), (0, 1, s2), (0, 0, 1))  # e_3 -> e_3 + s1*e_1 + s2*e_2
-                cur, u2 = _greedy(apply_map(cur, m))
-                u = mat_mul(u, mat_mul(m, u2))
+            if g[0][0] + g[1][1] + 2 * (s1 * s2 * g[0][1] + s1 * g[0][2] + s2 * g[1][2]) < 0:
+                _shear(g, u, 2, 0, s1)  # e_3 -> e_3 + s1*e_1 + s2*e_2
+                _shear(g, u, 2, 1, s2)
+                _greedy(g, u)
                 break
         else:
-            return cur, u
+            return TernaryForm.from_gram(g), tuple(map(tuple, u))

@@ -2,10 +2,12 @@
 
 TG1(p) is enumerated by scanning reduced sextuples (the mass identity
 (p-1)/48 certifies completeness, turning the heuristic scan bound into a
-verified one).  TG2(p) is constructed class by class through Phi, with the
+verified one); |Aut| of each class is the number of bases its canonical
+reduction finds.  TG2(p) is constructed class by class through Phi, with the
 automorph-order match checked as required by the bijection.  GenusCache
-stores only the forms of each genus; |Aut| and the mass are recomputed and
-the mass checked when a stored genus is first read.
+stores only the canonical forms of each genus; each stored row is checked
+and its |Aut| recomputed, and the mass checked, when a stored genus is first
+read.
 """
 
 from __future__ import annotations
@@ -19,9 +21,8 @@ from math import isqrt
 
 from .counting import rep_count
 from .forms import FormError, TernaryForm, discriminant, is_positive_definite, is_primitive
-from .isometry import automorphs
 from .local import is_prime
-from .reduction import reduce_form
+from .reduction import _canonical_bases
 from .watson import phi
 
 CACHE_ENV = "TERNARY_CACHE"
@@ -94,16 +95,13 @@ def enumerate_tg1(p: int) -> GenusSet:
     if p > DEFAULT_PRIME_BOUND:
         raise FormError(f"p = {p} exceeds the configured bound {DEFAULT_PRIME_BOUND}")
     disc = p * p
-    seen: dict[TernaryForm, None] = {}
+    seen: dict[TernaryForm, int] = {}
     for cand in _scan_reduced_candidates(disc):
         if not is_primitive(cand):
             continue
-        canon, _ = reduce_form(cand)
-        seen.setdefault(canon, None)
-    classes = tuple(
-        sorted((form, automorphs(form).order) for form in seen)
-    )
-    result = GenusSet("TG1", p, classes)
+        canon, bases = _canonical_bases(cand)
+        seen.setdefault(canon, len(bases))  # |Aut(cand)| = |Aut(canon)|
+    result = GenusSet("TG1", p, tuple(sorted(seen.items())))
     if result.mass != mass:
         raise IncompletenessError(
             f"TG1({p}) mass {result.mass} != {mass}; enumeration bound bug"
@@ -118,7 +116,7 @@ def build_tg2(tg1: GenusSet) -> GenusSet:
     classes = []
     for form, aut in tg1.classes:
         image = phi(form)
-        image_aut = automorphs(image).order
+        image_aut = len(_canonical_bases(image)[1])
         if image_aut != aut:
             raise FormError(
                 f"automorph order changed under Phi: {form} has {aut}, image {image} has {image_aut}"
@@ -141,23 +139,36 @@ def weighted_rep_sum(genus: GenusSet, n: int) -> Fraction:
 # -- JSON cache -----------------------------------------------------------
 
 def _genus_from_rows(rows, label: str, p: int) -> GenusSet:
-    """The genus stored under (label, p) as coefficient rows.  Every row must be
-    a positive definite form of discriminant p^2 (TG1) or 16p^2 (TG2); |Aut| is
-    recomputed, and the mass must be the closed-form (p-1)/48 of both genera.
-    Reducedness is not checked."""
+    """The genus stored under (label, p) as coefficient rows.
+
+    Every row must be a primitive positive definite form of discriminant p^2
+    (TG1) or 16p^2 (TG2), be its own canonical form, and appear once; one
+    canonical reduction per row gives its canonical form and |Aut|.  The mass
+    must be the closed-form (p-1)/48 of both genera.  For TG1 these checks
+    are complete: distinct classes of discriminant p^2 whose masses sum to
+    the mass of all of TG1 are all of TG1.  A TG2 row of another genus of
+    discriminant 16p^2 is caught only when it changes the mass.
+    """
     key = f"{label},{p}"
     if not all(
         isinstance(row, list) and len(row) == 6 and all(type(v) is int for v in row) for row in rows
     ):
         raise FormError(f"genus cache entry {key} is not a list of six-integer rows; cache corrupt")
     disc = (1 if label == "TG1" else 16) * p * p
-    classes = []
+    classes: dict[TernaryForm, int] = {}
     for row in rows:
         form = TernaryForm(*row)
         if not is_positive_definite(form) or discriminant(form) != disc:
             raise FormError(f"genus cache entry {key} holds {form}, not positive definite of discriminant {disc}; cache corrupt")
-        classes.append((form, automorphs(form).order))
-    genus = GenusSet(label, p, tuple(classes))
+        if not is_primitive(form):
+            raise FormError(f"genus cache entry {key} holds {form}, which is not primitive; cache corrupt")
+        canon, bases = _canonical_bases(form)
+        if canon != form:
+            raise FormError(f"genus cache entry {key} holds {form}, not its canonical form {canon}; cache corrupt")
+        if form in classes:
+            raise FormError(f"genus cache entry {key} holds {form} twice; cache corrupt")
+        classes[form] = len(bases)
+    genus = GenusSet(label, p, tuple(classes.items()))
     if genus.mass != mass_closed_form(p):
         raise FormError(f"genus cache entry {key} has mass {genus.mass}, not {mass_closed_form(p)}; cache corrupt")
     return genus
@@ -169,8 +180,9 @@ class GenusCache:
     The file maps "TG1,p" and "TG2,p" to the coefficient rows of the classes;
     a file with any entry that is not a list is refused when it is opened, so
     `put` never writes rows beside an entry of another layout.  A genus read
-    from the file is checked and its |Aut| recomputed once per instance,
-    which keeps every genus it has checked or built.
+    from the file is checked and its |Aut| recomputed once per instance (one
+    canonical reduction per row), which keeps every genus it has checked or
+    built.
     """
 
     def __init__(self, path: str | None = None):

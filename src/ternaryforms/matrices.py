@@ -10,8 +10,6 @@ from __future__ import annotations
 Mat3 = tuple[tuple[int, int, int], ...]
 Vec3 = tuple[int, int, int]
 
-IDENTITY: Mat3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-
 
 def mat_mul(a: Mat3, b: Mat3) -> Mat3:
     (b11, b12, b13), (b21, b22, b23), (b31, b32, b33) = b
@@ -71,26 +69,7 @@ def unimodular_inverse(a: Mat3) -> Mat3:
 
 
 def from_columns(c1: Vec3, c2: Vec3, c3: Vec3) -> Mat3:
-    return tuple((c1[i], c2[i], c3[i]) for i in range(3))
-
-
-def gram_dot(g: Mat3, v: Vec3, w: Vec3) -> int:
-    """v' * g * w; with g a Gram matrix, the cross coefficient of the columns v, w."""
-    (g11, g12, g13), (g21, g22, g23), (g31, g32, g33) = g
-    v1, v2, v3 = v
-    w1, w2, w3 = w
-    return (
-        v1 * (g11 * w1 + g12 * w2 + g13 * w3)
-        + v2 * (g21 * w1 + g22 * w2 + g23 * w3)
-        + v3 * (g31 * w1 + g32 * w2 + g33 * w3)
-    )
-
-
-def shear(i: int, j: int, t: int = 1) -> Mat3:
-    """Elementary unimodular matrix: right-multiplying adds t * column j to column i."""
-    rows = [list(r) for r in IDENTITY]
-    rows[j][i] = t
-    return tuple(tuple(r) for r in rows)
+    return tuple(zip(c1, c2, c3))
 
 
 def column_hnf(cols: list[Vec3]) -> Mat3:

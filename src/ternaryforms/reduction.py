@@ -12,13 +12,66 @@ minima (van der Waerden, Acta Math. 96 (1956); Schiemann, Math. Ann. 308
 (1997)).  The second stage searches the vectors of values a, b and c for
 the unique lexicographically least equivalent sextuple, ordered by
 (a, b, c, |d|, |e|, |f|, sign pattern of (d, e, f)).
+
+This search is the package's only short-vector backtrack.  It keeps every
+basis that reaches the least sextuple r: these are all the U with
+apply_map(form, U) == r, so any two differ by an automorph, and the set of
+them times the inverse of the first is the automorph group of the form
+(`isometry.automorphs`).  Two forms are equivalent exactly when their
+canonical forms agree (`isometry.equivalent`).
 """
 
 from __future__ import annotations
 
 from .counting import vectors_with_value
-from .forms import FormError, TernaryForm, _greedy, _minkowski, apply_map, is_positive_definite
-from .matrices import Mat3, det3, from_columns, gram_dot, mat_mul
+from .forms import FormError, TernaryForm, _minkowski, is_positive_definite
+from .matrices import Mat3, from_columns
+
+
+def _canonical_bases(form: TernaryForm) -> tuple[TernaryForm, list[Mat3]]:
+    """(r, bases): the canonical form and every U with apply_map(form, U) == r.
+
+    The bases come in search order; the first is `reduce_form`'s witness and
+    their number is |Aut(form)|.
+    """
+    if not is_positive_definite(form):
+        raise FormError("reduction requires a positive definite form")
+    pre, ((u11, u12, u13), (u21, u22, u23), (u31, u32, u33)) = _minkowski(form)
+    (g11, g12, g13), (_, g22, g23), (_, _, g33) = pre.gram()
+    # For each diagonal value, its vectors v in pre's basis with G*v and with
+    # v in the input basis.
+    lifted = {
+        value: [
+            (
+                (x, y, z),
+                (g11 * x + g12 * y + g13 * z, g12 * x + g22 * y + g23 * z, g13 * x + g23 * y + g33 * z),
+                (u11 * x + u12 * y + u13 * z, u21 * x + u22 * y + u23 * z, u31 * x + u32 * y + u33 * z),
+            )
+            for x, y, z in vectors_with_value(pre, value)
+        ]
+        for value in {pre.a, pre.b, pre.c}
+    }
+    firsts, seconds, thirds = lifted[pre.a], lifted[pre.b], lifted[pre.c]
+    best = None
+    bases: list[tuple] = []
+    for (x1, y1, z1), (h1, h2, h3), w1 in firsts:
+        for (x2, y2, z2), _, w2 in seconds:
+            f = x2 * h1 + y2 * h2 + z2 * h3
+            # v1 x v2, so that det(v1, v2, v3) is its dot product with v3.
+            c1, c2, c3 = y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2
+            for (x3, y3, z3), (k1, k2, k3), w3 in thirds:
+                if c1 * x3 + c2 * y3 + c3 * z3 not in (1, -1):
+                    continue
+                d = x2 * k1 + y2 * k2 + z2 * k3
+                e = x1 * k1 + y1 * k2 + z1 * k3
+                key = (abs(d), abs(e), abs(f), d < 0, e < 0, f < 0)
+                if best is None or key < best[0]:
+                    best, bases = (key, d, e, f), [(w1, w2, w3)]
+                elif key == best[0]:
+                    bases.append((w1, w2, w3))
+    assert best is not None
+    _, d, e, f = best
+    return TernaryForm(pre.a, pre.b, pre.c, d, e, f), [from_columns(*b) for b in bases]
 
 
 def reduce_form(form: TernaryForm) -> tuple[TernaryForm, Mat3]:
@@ -27,26 +80,5 @@ def reduce_form(form: TernaryForm) -> tuple[TernaryForm, Mat3]:
     Returns (r, u) with apply_map(form, u) == r; r is the same for every
     form in the class.
     """
-    if not is_positive_definite(form):
-        raise FormError("reduction requires a positive definite form")
-    pre, u0 = _minkowski(form)
-    firsts = vectors_with_value(pre, pre.a)
-    seconds = vectors_with_value(pre, pre.b)
-    thirds = vectors_with_value(pre, pre.c)
-
-    gram = pre.gram()
-    best = None
-    for v1 in firsts:
-        for v2 in seconds:
-            f = gram_dot(gram, v1, v2)
-            for v3 in thirds:
-                m = from_columns(v1, v2, v3)
-                if det3(m) not in (1, -1):
-                    continue
-                d, e = gram_dot(gram, v2, v3), gram_dot(gram, v1, v3)
-                key = (abs(d), abs(e), abs(f), d < 0, e < 0, f < 0)
-                if best is None or key < best[0]:
-                    best = (key, m)
-    assert best is not None
-    m = best[1]
-    return apply_map(pre, m), mat_mul(u0, m)
+    canon, bases = _canonical_bases(form)
+    return canon, bases[0]

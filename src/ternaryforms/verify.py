@@ -13,7 +13,7 @@ from math import lcm
 from .counting import s_batch, theta
 from .forms import TernaryForm
 from .genus import GenusCache, mass_closed_form
-from .isometry import automorphs, equivalent
+from .isometry import automorphs
 from .local import (
     density_formula_odd,
     gamma_p,
@@ -22,6 +22,7 @@ from .local import (
     psi,
     valuation,
 )
+from .reduction import reduce_form
 from .watson import lambda_m, phi, transport_automorph
 
 THM11_FORMS = (
@@ -267,14 +268,12 @@ def mass_suite(primes=(3, 5, 7, 11, 13, 17, 19, 23, 73), cache: GenusCache | Non
         tg2 = cache.tg2(p)
         if tg2.mass != tg1.mass:
             fails.append(f"p={p}: TG2 mass {tg2.mass} != TG1 mass {tg1.mass}")
-        for i, (f1, _) in enumerate(tg1.classes):
-            for f2, _ in tg1.classes[i + 1 :]:
-                if equivalent(f1, f2) is not None:
-                    fails.append(f"p={p}: TG1 classes {f1} and {f2} are equivalent")
-        for i, (f1, _) in enumerate(tg2.classes):
-            for f2, _ in tg2.classes[i + 1 :]:
-                if equivalent(f1, f2) is not None:
-                    fails.append(f"p={p}: TG2 classes {f1} and {f2} are equivalent")
+        for genus in (tg1, tg2):
+            canon = [reduce_form(form)[0] for form, _ in genus.classes]
+            for i, (f1, _) in enumerate(genus.classes):
+                for j, (f2, _) in enumerate(genus.classes[i + 1 :], i + 1):
+                    if canon[i] == canon[j]:
+                        fails.append(f"p={p}: {genus.label} classes {f1} and {f2} are equivalent")
     return fails
 
 

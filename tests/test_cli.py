@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from test_genus import _corrupt_tg1_11
+from test_genus import INJECTED_TG1_29, _corrupt_tg1_11, inject_tg1_29
 from ternaryforms import cli
 from ternaryforms.cli import (
     EXIT_FAIL,
@@ -269,6 +269,22 @@ def test_cache_missing_a_class_is_a_usage_error(capsys, tmp_path, args):
     assert code == EXIT_USAGE
     assert out == ""
     assert "mass 1/8, not 5/24; cache corrupt" in err
+
+
+@pytest.mark.parametrize("how", sorted(INJECTED_TG1_29))
+@pytest.mark.parametrize(
+    "args", [("mass", "TG1", "29"), ("verify", "thm1.3", "--p", "29", "--n-max", "30")], ids=" ".join
+)
+def test_cache_with_an_injected_class_is_a_usage_error(capsys, tmp_path, args, how):
+    # The injections keep the mass, so only the row checks stop `mass` from
+    # printing a match and `verify` from reporting a disproved identity.
+    path = tmp_path / "genus.json"
+    inject_tg1_29(path, INJECTED_TG1_29[how][0])
+    code, out, err = run(capsys, "--cache", str(path), *args)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert f"genus cache {path}: " in err
+    assert "cache corrupt" in err
 
 
 # Files once stored a versioned object per genus; only coefficient rows are

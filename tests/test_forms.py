@@ -11,7 +11,7 @@ from ternaryforms.forms import (
     is_positive_definite,
     is_primitive,
 )
-from ternaryforms.matrices import IDENTITY
+from test_matrices import IDENTITY
 from ternaryforms.reduction import reduce_form
 from ternaryforms.watson import phi, phi_inverse
 

@@ -1,11 +1,12 @@
+import importlib
 import json
+import sys
 from fractions import Fraction
 from math import isqrt
 
 import pytest
 
 from ternaryforms.forms import FormError, TernaryForm, discriminant, is_primitive
-from ternaryforms import genus as genus_module
 from ternaryforms.genus import (
     GenusCache,
     build_tg2,
@@ -117,21 +118,39 @@ def test_cache_reads_the_indented_layout(tmp_path):
     assert reread.get("TG2", 11).classes == tg2.classes
 
 
+def count_calls(monkeypatch, module: str, name: str) -> list:
+    """The argument tuples of every later call of ternaryforms.<module>.<name>,
+    through each package module that holds a reference to it."""
+    original = getattr(importlib.import_module(f"ternaryforms.{module}"), name)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    for key, mod in list(sys.modules.items()):
+        if key.split(".")[0] == "ternaryforms" and vars(mod).get(name) is original:
+            monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
 def test_file_loaded_genus_is_checked_once_per_instance(tmp_path, monkeypatch):
     path = tmp_path / "genus.json"
     GenusCache(str(path)).tg1(11)
-    calls = []
-
-    def counting(form):
-        calls.append(form)
-        return automorphs(form)
-
-    monkeypatch.setattr(genus_module, "automorphs", counting)
+    calls = count_calls(monkeypatch, "reduction", "_canonical_bases")
     cache = GenusCache(str(path))
     first = cache.tg1(11)
     assert cache.tg1(11) is first
     assert cache.get("TG1", 11) is first
-    assert sorted(calls) == [form for form, _ in first.classes]
+    # One canonical reduction per class gives both its check and its |Aut|.
+    assert sorted(form for form, in calls) == [form for form, _ in first.classes]
+
+
+def test_enumeration_reads_aut_off_the_reduction(monkeypatch):
+    calls = count_calls(monkeypatch, "isometry", "automorphs")
+    genus = enumerate_tg1(29)
+    assert calls == []
+    assert [aut for _, aut in genus.classes] == [automorphs(form).order for form, _ in genus.classes]
 
 
 def test_cache_detects_corruption(tmp_path):
@@ -169,6 +188,45 @@ def _corrupt_tg1_11(path, how):
     else:
         rows[1] = rows[1][:5]
     path.write_text(json.dumps(data))
+
+
+def inject_tg1_29(path, row):
+    """Write TG1(29) to the cache file at path, then put row in place of the
+    class 3,8,10,1,2,3.  Its other classes are 2,11,11,7,1,-1 and
+    3,10,10,9,2,-2; every class has |Aut| 4 but the last, with 12."""
+    GenusCache(str(path)).tg1(29)
+    data = json.loads(path.read_text())
+    rows = data["TG1,29"]
+    rows[rows.index([3, 8, 10, 1, 2, 3])] = row
+    path.write_text(json.dumps(data))
+
+
+# Each injection keeps the mass: 2,12,11,8,1,3 is an unreduced form of the
+# class 2,11,11,7,1,-1, which has |Aut| 4 like the class it replaces.
+INJECTED_TG1_29 = {
+    "unreduced": ([2, 12, 11, 8, 1, 3], "holds 2,12,11,8,1,3, not its canonical form 2,11,11,7,1,-1"),
+    "repeated": ([2, 11, 11, 7, 1, -1], "holds 2,11,11,7,1,-1 twice"),
+}
+
+
+@pytest.mark.parametrize("how", sorted(INJECTED_TG1_29))
+def test_cache_rejects_an_injected_tg1_class(tmp_path, how):
+    row, message = INJECTED_TG1_29[how]
+    path = tmp_path / "genus.json"
+    inject_tg1_29(path, row)
+    with pytest.raises(FormError, match=f"{message}; cache corrupt"):
+        GenusCache(str(path)).tg1(29)
+
+
+def test_cache_rejects_a_non_primitive_tg2_row(tmp_path):
+    # 2 * <1,2,31,-2,-1,0> has discriminant 8 * 242 = 16 * 11^2.
+    path = tmp_path / "genus.json"
+    GenusCache(str(path)).tg2(11)
+    data = json.loads(path.read_text())
+    data["TG2,11"][0] = [2, 4, 62, -4, -2, 0]
+    path.write_text(json.dumps(data))
+    with pytest.raises(FormError, match="holds 2,4,62,-4,-2,0, which is not primitive; cache corrupt"):
+        GenusCache(str(path)).tg2(11)
 
 
 @pytest.mark.parametrize("how", ["wrong-class", "missing-coeffs", "dropped-class"])

@@ -2,12 +2,47 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_matrices import IDENTITY, gram_dot, shear
+from ternaryforms.counting import vectors_with_value
 from ternaryforms.forms import FormError, TernaryForm, apply_map, is_positive_definite
-from ternaryforms.isometry import _isometries, automorphs, equivalent
-from ternaryforms.matrices import IDENTITY, mat_mul, mat_neg, shear, unimodular_inverse
+from ternaryforms.genus import enumerate_tg1
+from ternaryforms.isometry import automorphs, equivalent
+from ternaryforms.matrices import Mat3, det3, from_columns, mat_mul, mat_neg, unimodular_inverse
 
 H1 = TernaryForm(31, 5, 11, 1, -14, 6)
 H3 = TernaryForm(11, 7, 20, 7, 2, 4)
+
+
+# The oracle: a direct backtracking search from g to h in g's basis.
+def _isometries(g: TernaryForm, h: TernaryForm, first_only: bool) -> list[Mat3]:
+    """All U with U' * Gram(g) * U == Gram(h) (or just one if first_only)."""
+    gram = g.gram()
+    s1 = vectors_with_value(g, h.a)
+    if not s1:
+        return []
+    s2 = vectors_with_value(g, h.b)
+    if not s2:
+        return []
+    s3 = vectors_with_value(g, h.c)
+    if not s3:
+        return []
+    found: list[Mat3] = []
+    for v1 in s1:
+        for v2 in s2:
+            if gram_dot(gram, v1, v2) != h.f:
+                continue
+            for v3 in s3:
+                if gram_dot(gram, v1, v3) != h.e:
+                    continue
+                if gram_dot(gram, v2, v3) != h.d:
+                    continue
+                u = from_columns(v1, v2, v3)
+                if det3(u) not in (1, -1):
+                    continue
+                found.append(u)
+                if first_only:
+                    return found
+    return found
 
 
 def _product(shears):
@@ -70,6 +105,28 @@ def test_automorphs_match_the_search_in_the_input_basis(g):
     # The search on the Minkowski form, conjugated back, against the direct
     # search in the basis the form was given in.
     assert automorphs(g).elements == tuple(sorted(_isometries(g, g, False)))
+
+
+# Pairs of forms: one class twice, or two classes of TG1(29), which has
+# three, so some pairs are different classes of one genus.
+GENUS_29 = [form for form, _ in enumerate_tg1(29).classes]
+form_pairs = st.one_of(
+    definite_forms.map(lambda f: (f, f)),
+    st.tuples(st.sampled_from(GENUS_29), st.sampled_from(GENUS_29)),
+)
+
+
+@given(form_pairs, unimodular, unimodular)
+@settings(max_examples=80, deadline=None)
+def test_equivalent_matches_the_search_in_the_input_basis(pair, u, v):
+    # g = f1 o U and h = f2 o V: equivalent answers None exactly when the
+    # direct search from g to h finds nothing, and its witness maps g to h.
+    g, h = apply_map(pair[0], u), apply_map(pair[1], v)
+    w = equivalent(g, h)
+    assert (w is None) == (_isometries(g, h, first_only=True) == [])
+    assert (w is None) == (pair[0] != pair[1])
+    if w is not None:
+        assert apply_map(g, w) == h
 
 
 def test_equivalent_with_witness():

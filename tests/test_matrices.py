@@ -2,16 +2,39 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ternaryforms.matrices import (
-    IDENTITY,
+    Mat3,
+    Vec3,
     adjugate,
     column_hnf,
     det3,
-    gram_dot,
     mat_mul,
-    shear,
     transpose,
     unimodular_inverse,
 )
+
+# Helpers the tests build unimodular words and oracles from; the package
+# itself does not use them.
+IDENTITY: Mat3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+def shear(i: int, j: int, t: int = 1) -> Mat3:
+    """Elementary unimodular matrix: right-multiplying adds t * column j to column i."""
+    rows = [list(r) for r in IDENTITY]
+    rows[j][i] = t
+    return tuple(tuple(r) for r in rows)
+
+
+def gram_dot(g: Mat3, v: Vec3, w: Vec3) -> int:
+    """v' * g * w; with g a Gram matrix, the cross coefficient of the columns v, w."""
+    (g11, g12, g13), (g21, g22, g23), (g31, g32, g33) = g
+    v1, v2, v3 = v
+    w1, w2, w3 = w
+    return (
+        v1 * (g11 * w1 + g12 * w2 + g13 * w3)
+        + v2 * (g21 * w1 + g22 * w2 + g23 * w3)
+        + v3 * (g31 * w1 + g32 * w2 + g33 * w3)
+    )
+
 
 ints = st.integers(-9, 9)
 mat = st.tuples(*(st.tuples(ints, ints, ints) for _ in range(3)))

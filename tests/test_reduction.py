@@ -6,9 +6,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ternaryforms.counting import half_points_up_to
-from ternaryforms.forms import FormError, TernaryForm, apply_map, discriminant, is_positive_definite
-from ternaryforms.matrices import det3, from_columns, mat_mul, shear
-from ternaryforms.reduction import _greedy, reduce_form
+from test_matrices import shear
+from ternaryforms.forms import FormError, TernaryForm, _minkowski, apply_map, discriminant, is_positive_definite
+from ternaryforms.matrices import det3, from_columns, mat_mul
+from ternaryforms.reduction import reduce_form
 
 H_FORMS = [
     TernaryForm(31, 5, 11, 1, -14, 6),
@@ -87,14 +88,15 @@ def _pair_primitive(v1, v2):
 
 
 def search_all_points(form):
-    """Oracle: the canonical form from every point up to the greedy c.
+    """Oracle: the canonical form from every point up to the c of a basis.
 
     The least value a, the least b of a primitive pair (v1, v2) with
     form(v1) = a, and the least c completing such a pair to a unimodular
     basis are found by grouping all points by value; the least key over
-    those bases is the canonical form.
+    those bases is the canonical form.  The largest diagonal entry of any
+    sorted basis bounds that c; the Minkowski basis bounds it most tightly.
     """
-    pre, _ = _greedy(form)
+    pre, _ = _minkowski(form)
     by_value = {}
     for x, y, z, v in half_points_up_to(pre, pre.c):
         by_value.setdefault(v, []).extend([(x, y, z), (-x, -y, -z)])

@@ -1,10 +1,13 @@
 from fractions import Fraction
 
+from test_genus import count_calls
 from ternaryforms.forms import TernaryForm
+from ternaryforms.genus import GenusCache, GenusSet
 from ternaryforms.verify import (
     IdentityReport,
     _check_weighted_identity,
     density_suites,
+    mass_suite,
     verify_theorem_1_1,
     verify_theorem_1_2,
     verify_theorem_1_3,
@@ -82,3 +85,28 @@ def test_watson_suite_small():
     result = watson_suite(primes=(3,), n_scaling=30)
     for name, failures in result.items():
         assert failures == [], name
+
+
+def test_mass_suite_reduces_each_class_once(monkeypatch):
+    cache = GenusCache(None)
+    classes = len(cache.tg1(29).classes) + len(cache.tg2(29).classes)
+    reductions = count_calls(monkeypatch, "reduction", "reduce_form")
+    equivalences = count_calls(monkeypatch, "isometry", "equivalent")
+    assert mass_suite(primes=(29,), cache=cache) == []
+    assert len(reductions) == classes
+    assert equivalences == []
+
+
+def test_mass_suite_names_equivalent_classes():
+    # Two bases of the class 2,11,11,7,1,-1 stored as if they were two
+    # classes: the mass is wrong, and TG2, built through Phi, holds the
+    # image class twice.
+    cache = GenusCache(None)
+    tg1 = cache.tg1(29)
+    twin = TernaryForm(2, 12, 11, 8, 1, 3)
+    cache.put(GenusSet("TG1", 29, tg1.classes + ((twin, 4),)))
+    assert mass_suite(primes=(29,), cache=cache) == [
+        "p=29: TG1 mass 5/6 != 7/12",
+        "p=29: TG1 classes 2,11,11,7,1,-1 and 2,12,11,8,1,3 are equivalent",
+        "p=29: TG2 classes 8,15,31,2,8,4 and 8,15,31,2,8,4 are equivalent",
+    ]

@@ -14,12 +14,11 @@ from ternaryforms.forms import (
 )
 from ternaryforms.genus import build_tg2, enumerate_tg1
 from ternaryforms.isometry import automorphs, equivalent
+from test_matrices import IDENTITY, shear
 from ternaryforms.matrices import (
-    IDENTITY,
     column_hnf,
     mat_mul,
     mat_scale_exact,
-    shear,
     unimodular_inverse,
 )
 from ternaryforms.reduction import reduce_form
