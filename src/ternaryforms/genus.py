@@ -1,13 +1,21 @@
 """Genus enumeration for discriminant p^2 and the Phi-built 16p^2 companion.
 
-TG1(p) is enumerated by scanning reduced sextuples (the mass identity
-(p-1)/48 certifies completeness, turning the heuristic scan bound into a
-verified one); |Aut| of each class is the number of bases its canonical
-reduction finds.  TG2(p) is constructed class by class through Phi, with the
-automorph-order match checked as required by the bijection.  GenusCache
-stores only the canonical forms of each genus; each stored row is checked
-and its |Aut| recomputed, and the mass checked, when a stored genus is first
-read.
+TG1(p) is found as the closure of one class under Kneser's ell-neighbour
+step (M. Kneser, Klassenzahlen definiter quadratischer Formen, Arch. Math. 8
+(1957); R. Schulze-Pillot, An algorithm for computing genera of ternary and
+quaternary quadratic forms, ISSAC 1991).  The seed is the first primitive
+form of the reduced-box scan `_scan_reduced_candidates`; ell = 3, or 5 when
+p = 3, so ell does not divide the discriminant, and each class has ell + 1
+isotropic lines mod ell, each giving one neighbour in the same genus.  The
+neighbour graph need not reach every class (a genus may hold several spinor
+genera), so it decides nothing: the closure stops once the classes found
+reach the closed-form mass (p-1)/48, and that mass is the certificate of
+completeness.  The full scan stays as the test oracle.  |Aut| of each class
+is the number of bases its canonical reduction finds.  TG2(p) is
+constructed class by class through Phi, with the automorph-order match
+checked as required by the bijection.  GenusCache stores only the canonical
+forms of each genus; each stored row is checked and its |Aut| recomputed,
+and the mass checked, when a stored genus is first read.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ from math import isqrt
 from .counting import rep_count
 from .forms import FormError, TernaryForm, discriminant, is_positive_definite, is_primitive
 from .local import is_prime
+from .matrices import column_hnf, mat_mul, mat_scale_exact, transpose
 from .reduction import _canonical_bases
 from .watson import phi
 
@@ -30,7 +39,7 @@ DEFAULT_PRIME_BOUND = 97
 
 
 class IncompletenessError(RuntimeError):
-    """Enumerated mass does not match the closed form: scan bound bug."""
+    """The neighbour closure of TG1 fell short of the closed-form mass."""
 
 
 @dataclass(frozen=True)
@@ -68,7 +77,8 @@ def _scan_reduced_candidates(disc: int):
     by (1, -1, -1), (-1, 1, -1) or (-1, -1, 1) inside that box, so one sign
     pattern has e, f >= 0.  Seeber's inequality abc <= 2 det(Gram/2) for
     reduced forms reads abc <= disc / 2 here (Gauss's 1831 review of Seeber;
-    Conway-Sloane, SPLAG ch. 15).  The mass certificate checks completeness.
+    Conway-Sloane, SPLAG ch. 15).  Lazy: `enumerate_tg1` pulls only its seed,
+    and the tests drain it as the oracle for the neighbour closure.
     """
     half = disc // 2
     for a in range(1, _icbrt(half) + 1):
@@ -86,27 +96,60 @@ def _scan_reduced_candidates(disc: int):
                         yield TernaryForm(a, b, c, d, e, f)
 
 
+def _neighbours(form: TernaryForm, ell: int):
+    """The ell-neighbours of form, one per isotropic line mod the odd prime ell.
+
+    ell must not divide the discriminant.  For a line v with Q(v) = 0 mod ell
+    (there are ell + 1), lift v to Q(v) = 0 mod ell^2; the neighbour is
+    {x : B(x, v) = 0 mod ell} + Z v/ell.  Scaled by ell it is spanned by
+    ell^2 e_i, ell times two kernel vectors of x -> B(x, v) mod ell, and v,
+    so with M the HNF of those its Gram matrix is M'GM / ell^2.
+    """
+    g = form.gram()
+    lines = [(1, y, z) for y in range(ell) for z in range(ell)] + [(0, 1, z) for z in range(ell)] + [(0, 0, 1)]
+    for v in lines:
+        q = form(*v)
+        if q % ell:
+            continue
+        h = [sum(x * y for x, y in zip(row, v)) % ell for row in g]  # B(e_k, v) mod ell
+        i = next(k for k in range(3) if h[k])
+        inv = pow(h[i], -1, ell)
+        # Q(v + ell*t*e_i) = Q(v) + ell*t*B(e_i, v) mod ell^2.
+        t = -(q // ell) * inv % ell
+        v = tuple(x + ell * t * (k == i) for k, x in enumerate(v))
+        cols = [tuple(ell * ell * (k == j) for k in range(3)) for j in range(3)]
+        cols += [tuple(ell * ((k == j) - h[j] * inv * (k == i)) for k in range(3)) for j in range(3) if j != i]
+        m = column_hnf(cols + [v])
+        yield TernaryForm.from_gram(mat_scale_exact(mat_mul(transpose(m), mat_mul(g, m)), 1, ell * ell))
+
+
 def enumerate_tg1(p: int) -> GenusSet:
     """All classes of positive primitive forms of discriminant p^2.
 
-    Completeness is certified against the closed-form mass (p-1)/48.
+    Canonicalises the scan's first primitive form, then the ell-neighbours
+    (ell = 3, or 5 when p = 3) of each new class in turn, until the classes
+    found reach the closed-form mass (p-1)/48, which certifies completeness.
+    A closure that runs out of neighbours short of it raises
+    IncompletenessError.
     """
     mass = mass_closed_form(p)
     if p > DEFAULT_PRIME_BOUND:
         raise FormError(f"p = {p} exceeds the configured bound {DEFAULT_PRIME_BOUND}")
-    disc = p * p
+    ell = 5 if p == 3 else 3
     seen: dict[TernaryForm, int] = {}
-    for cand in _scan_reduced_candidates(disc):
-        if not is_primitive(cand):
-            continue
-        canon, bases = _canonical_bases(cand)
-        seen.setdefault(canon, len(bases))  # |Aut(cand)| = |Aut(canon)|
-    result = GenusSet("TG1", p, tuple(sorted(seen.items())))
-    if result.mass != mass:
+    found = Fraction(0)
+    pending = [next(f for f in _scan_reduced_candidates(p * p) if is_primitive(f))]
+    while pending and found < mass:
+        canon, bases = _canonical_bases(pending.pop())
+        if canon not in seen:
+            seen[canon] = len(bases)  # |Aut(form)| = |Aut(canon)|
+            found += Fraction(1, len(bases))
+            pending += _neighbours(canon, ell)
+    if found != mass:
         raise IncompletenessError(
-            f"TG1({p}) mass {result.mass} != {mass}; enumeration bound bug"
+            f"TG1({p}) mass {found} != {mass}; the {ell}-neighbour closure fell short of the mass"
         )
-    return result
+    return GenusSet("TG1", p, tuple(sorted(seen.items())))
 
 
 def build_tg2(tg1: GenusSet) -> GenusSet:

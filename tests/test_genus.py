@@ -6,16 +6,19 @@ from math import isqrt
 
 import pytest
 
+from ternaryforms import genus as genus_module
 from ternaryforms.forms import FormError, TernaryForm, discriminant, is_primitive
 from ternaryforms.genus import (
     GenusCache,
+    IncompletenessError,
     build_tg2,
     enumerate_tg1,
     mass_closed_form,
     weighted_rep_sum,
 )
 from ternaryforms.isometry import automorphs, equivalent
-from ternaryforms.reduction import reduce_form
+from ternaryforms.local import is_prime
+from ternaryforms.reduction import _canonical_bases, reduce_form
 
 KNOWN_TG1 = {
     3: [((1, 1, 3, 0, 0, 1), 24)],
@@ -285,3 +288,55 @@ def full_box_tg1(p):
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
 def test_tg1_matches_the_full_box_scan(p):
     assert list(enumerate_tg1(p).classes) == full_box_tg1(p)
+
+
+def scanned_tg1(p):
+    """Oracle: canonicalise every primitive sextuple of the reduced-box scan."""
+    seen = {}
+    for form in genus_module._scan_reduced_candidates(p * p):
+        if is_primitive(form):
+            canon, bases = _canonical_bases(form)
+            seen.setdefault(canon, len(bases))
+    return sorted(seen.items())
+
+
+@pytest.mark.parametrize("p", [p for p in range(3, 98) if is_prime(p)])
+def test_neighbour_closure_matches_the_drained_scan(p):
+    assert list(enumerate_tg1(p).classes) == scanned_tg1(p)
+
+
+def test_enumeration_pulls_only_the_seed_and_reduces_per_neighbour(monkeypatch):
+    p = 61
+    scan = genus_module._scan_reduced_candidates
+    total = sum(1 for _ in scan(p * p))
+    seed_prefix = next(i for i, form in enumerate(scan(p * p), 1) if is_primitive(form))
+    pulled = []
+
+    def counting_scan(disc):
+        for form in scan(disc):
+            pulled.append(form)
+            yield form
+
+    monkeypatch.setattr(genus_module, "_scan_reduced_candidates", counting_scan)
+    calls = count_calls(monkeypatch, "reduction", "_canonical_bases")
+    classes = enumerate_tg1(p).classes
+    assert len(pulled) == seed_prefix < total
+    assert len(calls) <= 1 + (3 + 1) * len(classes)
+
+
+def test_the_mass_decides_completeness(monkeypatch):
+    monkeypatch.setattr(genus_module, "_neighbours", lambda form, ell: iter(()))
+    # TG1(11) has two classes, of masses 1/8 and 1/12; the seed alone is short.
+    with pytest.raises(IncompletenessError, match=r"TG1\(11\) mass 1/(8|12) != 5/24"):
+        enumerate_tg1(11)
+    # TG1(3) is one class of |Aut| 24: the seed alone reaches the mass 1/24.
+    assert [(f.coeffs, aut) for f, aut in enumerate_tg1(3).classes] == KNOWN_TG1[3]
+
+
+@pytest.mark.parametrize("p, ell", [(3, 5), (7, 3), (11, 3)])
+def test_neighbours_lie_in_the_genus(p, ell):
+    classes = dict(enumerate_tg1(p).classes)
+    for form in classes:
+        neighbours = list(genus_module._neighbours(form, ell))
+        assert len(neighbours) == ell + 1
+        assert {reduce_form(nb)[0] for nb in neighbours} <= set(classes)
