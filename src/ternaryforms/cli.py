@@ -13,11 +13,12 @@ import functools
 import json
 import os
 import sys
+from contextvars import copy_context
 from fractions import Fraction
 
 from .counting import rep_count, theta
-from .forms import FormError, TernaryForm, discriminant
-from .genus import GenusCache, GenusSet, mass_closed_form
+from .forms import WORK_LIMIT, FormError, TernaryForm, discriminant
+from .genus import GenusCache, mass_closed_form
 from .isometry import automorphs, equivalent
 from .local import ResourceLimitError, local_density
 from .reduction import reduce_form
@@ -71,15 +72,6 @@ def _emit(data: dict, fmt: str) -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
-def _genus_payload(genus: GenusSet) -> dict:
-    return {
-        "label": genus.label,
-        "p": genus.prime,
-        "classes": [{"form": f, "aut": aut} for f, aut in genus.classes],
-        "mass": genus.mass,
-    }
-
-
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The `tqf` parser, built on the first `main` call and reused by every
@@ -95,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=1,
         help="upper bound on worker threads (computation is sequential)",
     )
-    top.add_argument("--work-limit", type=int, default=None, help="abort bound for congruence counting")
+    top.add_argument("--work-limit", type=int, default=None, help="units of work any one step may do (default 10^9)")
     sub = top.add_subparsers(dest="command", required=True)
 
     def with_form(name, help_):
@@ -137,8 +129,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run(args) -> int:
+    if args.work_limit is not None and args.work_limit < 1:
+        raise _UsageError("--work-limit must be >= 1")
+    WORK_LIMIT.set(args.work_limit or WORK_LIMIT.get())
     fmt = args.format
-    cache = GenusCache(args.cache)
     cmd = args.command
     if cmd == "disc":
         form = TernaryForm.parse(args.form)
@@ -157,8 +151,6 @@ def _run(args) -> int:
         return EXIT_OK
     if cmd == "theta":
         form = TernaryForm.parse(args.form)
-        if args.bound < 0:
-            raise _UsageError("bound must be nonnegative")
         vec = theta(form, args.bound)
         _emit({"form": form, "bound": args.bound, "counts": list(vec.counts)}, fmt)
         return EXIT_OK
@@ -184,12 +176,14 @@ def _run(args) -> int:
             fmt,
         )
         return EXIT_OK
-    if cmd == "genus":
+    if cmd in ("genus", "mass"):
+        cache = GenusCache(args.cache)
         genus = cache.tg1(args.p) if args.label == "TG1" else cache.tg2(args.p)
-        _emit(_genus_payload(genus), fmt)
+    if cmd == "genus":
+        classes = [{"form": f, "aut": aut} for f, aut in genus.classes]
+        _emit({"label": genus.label, "p": genus.prime, "classes": classes, "mass": genus.mass}, fmt)
         return EXIT_OK
     if cmd == "mass":
-        genus = cache.tg1(args.p) if args.label == "TG1" else cache.tg2(args.p)
         _emit(
             {
                 "label": args.label,
@@ -211,18 +205,13 @@ def _run(args) -> int:
         return EXIT_OK
     if cmd == "lambda":
         form = TernaryForm.parse(args.form)
-        if args.m < 2:
-            raise _UsageError("m must be >= 2")
         _emit({"form": form, "m": args.m, "image": lambda_m(form, args.m)}, fmt)
         return EXIT_OK
     if cmd == "density":
         form = TernaryForm.parse(args.form)
         if args.n < 1:
             raise _UsageError("n must be >= 1")
-        kwargs = {}
-        if args.work_limit is not None:
-            kwargs["work_limit"] = args.work_limit
-        res = local_density(form, args.n, args.p, **kwargs)
+        res = local_density(form, args.n, args.p)
         _emit(
             {
                 "form": form,
@@ -249,11 +238,11 @@ def _run(args) -> int:
         elif args.target == "thm1.3":
             if args.p is None:
                 raise _UsageError("verify thm1.3 requires --p")
-            report = verify_theorem_1_3(args.p, n_max, cache).to_dict()
+            report = verify_theorem_1_3(args.p, n_max, GenusCache(args.cache)).to_dict()
         elif args.target == "density":
             report = verify_density_theorems()
         else:
-            report = verify_all(cache=cache)
+            report = verify_all(cache=GenusCache(args.cache))
         _emit(report, fmt)
         return EXIT_OK if report["pass"] else EXIT_FAIL
     raise _UsageError(f"unknown command {cmd}")
@@ -266,7 +255,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return _run(args)
+        return copy_context().run(_run, args)  # the work limit _run sets ends here
     except (_UsageError, FormError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -13,7 +13,9 @@ so they enumerate the Minkowski-reduced form (`forms._minkowski`), whose
 short diagonal keeps the row ranges tight however skewed the input basis
 is; `vectors_with_value` answers in the input coordinates and enumerates
 the input basis.  `s_batch` reads the sum of three squares on whole
-progressions from one two-squares table per process, grown in place.
+progressions from one two-squares table per process, grown in place.  Each
+charges its size to the work limit (`forms.charge`) before it starts: the
+rows, theta's points and counts, s_batch's table entries and slice reads.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from itertools import zip_longest
 from math import isqrt
 from typing import Iterator
 
-from .forms import FormError, TernaryForm, _minkowski, discriminant, is_positive_definite
+from .forms import FormError, TernaryForm, _minkowski, charge, discriminant, is_positive_definite
 
 THREE_SQUARES = TernaryForm(1, 1, 1, 0, 0, 0)
 
@@ -47,6 +49,12 @@ def _minkowski_form(form: TernaryForm) -> TernaryForm:
     return _minkowski(form)[0]
 
 
+def _row_bound(a: int, a2: int, disc: int, bound: int) -> int:
+    """An upper bound on the rows `_rows` visits: zmax + 1 values of z, each
+    with at most (2*sy + 2) // a2 + 1 values of y, where sy <= isqrt(4*a*bound*a2)."""
+    return (isqrt(a2 * bound // disc) + 1) * ((2 * isqrt(4 * a * bound * a2) + 2) // a2 + 1)
+
+
 def _rows(form: TernaryForm, bound: int) -> Iterator[tuple[int, int, int, int]]:
     """Yield (y, z, lin, dx) for the (y, z) rows of the half region.
 
@@ -61,6 +69,7 @@ def _rows(form: TernaryForm, bound: int) -> Iterator[tuple[int, int, int, int]]:
     a, b, c, d, e, f = form.coeffs
     disc = discriminant(form)
     a2 = 4 * a * b - f * f
+    charge(_row_bound(a, a2, disc, bound), "enumerating the rows up to %d", bound)
     p = 2 * a * d - e * f
     zmax = isqrt(a2 * bound // disc)
     for z in range(0, zmax + 1):
@@ -130,9 +139,14 @@ def theta(form: TernaryForm, bound: int) -> ThetaVector:
     """counts[n] = number of representations of n, for 0 <= n <= bound."""
     if bound < 0:
         raise FormError("theta bound must be nonnegative")
+    reduced = _minkowski_form(form)
+    a, b, f = reduced.a, reduced.b, reduced.f
+    # dx <= 4*a*bound, so a row holds at most (isqrt(4*a*bound) + 1) // a + 1 points.
+    points = _row_bound(a, 4 * a * b - f * f, discriminant(reduced), bound) * ((isqrt(4 * a * bound) + 1) // a + 1)
+    charge(points + bound + 1, "theta up to %d", bound)
     counts = [0] * (bound + 1)
     counts[0] = 1
-    for _, _, _, v in half_points_up_to(_minkowski_form(form), bound):
+    for _, _, _, v in half_points_up_to(reduced, bound):
         counts[v] += 2
     return ThetaVector(form, bound, tuple(counts))
 
@@ -190,6 +204,7 @@ def s_batch(step: int, n_max: int) -> list[int]:
     if step < 1 or n_max < 0:
         raise FormError("s_batch requires step >= 1 and n_max >= 0")
     top = step * n_max
+    charge(top + 1 + isqrt(top) * (n_max + 1), "s_batch up to %d", top)
     r2 = _two_squares_table(top)
     rows = [r2[top - z * z :: -step] for z in range(1, isqrt(top) + 1)]
     tails = [0, *reversed(list(map(sum, zip_longest(*rows, fillvalue=0))))]

@@ -5,11 +5,13 @@ The sextuple <a,b,c,d,e,f> is the central object; its Gram matrix is
 determinant.  All arithmetic is exact.  Minkowski reduction (`_minkowski`)
 lives here, below `counting` and `reduction`, which use it; it shears a
 mutable Gram matrix and basis in place, one integer row and column per
-shear, and builds a form only at the end.
+shear, and builds a form only at the end.  Every module imports this one, so
+the work limit is here: each step that can grow calls `charge` before it starts.
 """
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from dataclasses import dataclass
 from math import gcd
 
@@ -18,6 +20,19 @@ from .matrices import Mat3, det3, mat_mul, transpose
 
 class FormError(ValueError):
     """Raised when an operation's precondition on a form is violated."""
+
+
+class ResourceLimitError(RuntimeError):
+    """A step would cost more units of work than the work limit allows."""
+
+
+WORK_LIMIT: ContextVar[int] = ContextVar("WORK_LIMIT", default=10**9)  # units any one step may do
+
+
+def charge(units: int, what: str, *args) -> None:
+    """Refuse the step `what % args` (formatted only then) when it would cost more than WORK_LIMIT units."""
+    if units > WORK_LIMIT.get():
+        raise ResourceLimitError(f"{what % args} costs {units} units, above the work limit {WORK_LIMIT.get()}")
 
 
 @dataclass(frozen=True, order=True)

@@ -10,8 +10,9 @@ isotropic lines mod ell, each giving one neighbour in the same genus.  The
 neighbour graph need not reach every class (a genus may hold several spinor
 genera), so it decides nothing: the closure stops once the classes found
 reach the closed-form mass (p-1)/48, and that mass is the certificate of
-completeness.  The full scan stays as the test oracle.  |Aut| of each class
-is the number of bases its canonical reduction finds.  TG2(p) is
+completeness.  The full scan stays as the test oracle; the work limit,
+charged with the rows of its box, is the only bound on p.  |Aut| of each
+class is the number of bases its canonical reduction finds.  TG2(p) is
 constructed class by class through Phi, with the automorph-order match
 checked as required by the bijection.  GenusCache stores only the canonical
 forms of each genus; each stored row is checked and its |Aut| recomputed,
@@ -28,14 +29,11 @@ from fractions import Fraction
 from math import isqrt
 
 from .counting import rep_count
-from .forms import FormError, TernaryForm, discriminant, is_positive_definite, is_primitive
+from .forms import FormError, TernaryForm, charge, discriminant, is_positive_definite, is_primitive
 from .local import is_prime
 from .matrices import column_hnf, mat_mul, mat_scale_exact, transpose
 from .reduction import _canonical_bases
 from .watson import phi
-
-CACHE_ENV = "TERNARY_CACHE"
-DEFAULT_PRIME_BOUND = 97
 
 
 class IncompletenessError(RuntimeError):
@@ -78,9 +76,12 @@ def _scan_reduced_candidates(disc: int):
     pattern has e, f >= 0.  Seeber's inequality abc <= 2 det(Gram/2) for
     reduced forms reads abc <= disc / 2 here (Gauss's 1831 review of Seeber;
     Conway-Sloane, SPLAG ch. 15).  Lazy: `enumerate_tg1` pulls only its seed,
-    and the tests drain it as the oracle for the neighbour closure.
+    and the tests drain it as the oracle for the neighbour closure.  The
+    (a, b, f, e) rows of the whole box are charged before the first one.
     """
     half = disc // 2
+    rows = sum((a + 1) ** 2 * (isqrt(half // a) - a + 1) for a in range(1, _icbrt(half) + 1))
+    charge(rows, "the reduced-box scan of discriminant %d", disc)
     for a in range(1, _icbrt(half) + 1):
         for b in range(a, isqrt(half // a) + 1):
             for f in range(a + 1):
@@ -133,8 +134,6 @@ def enumerate_tg1(p: int) -> GenusSet:
     IncompletenessError.
     """
     mass = mass_closed_form(p)
-    if p > DEFAULT_PRIME_BOUND:
-        raise FormError(f"p = {p} exceeds the configured bound {DEFAULT_PRIME_BOUND}")
     ell = 5 if p == 3 else 3
     seen: dict[TernaryForm, int] = {}
     found = Fraction(0)
@@ -218,7 +217,8 @@ def _genus_from_rows(rows, label: str, p: int) -> GenusSet:
 
 
 class GenusCache:
-    """Persists the classes of each genus to a JSON file, written atomically.
+    """Persists the classes of each genus to a JSON file, written atomically,
+    or keeps them in memory only when no path is given.
 
     The file maps "TG1,p" and "TG2,p" to the coefficient rows of the classes;
     a file with any entry that is not a list is refused when it is opened, so
@@ -229,7 +229,7 @@ class GenusCache:
     """
 
     def __init__(self, path: str | None = None):
-        self.path = path or os.environ.get(CACHE_ENV)
+        self.path = path
         self._rows: dict[str, list] = {}
         self._genera: dict[str, GenusSet] = {}
         if self.path and os.path.exists(self.path):

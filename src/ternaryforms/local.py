@@ -6,8 +6,8 @@ Jordan recursion counts the solutions that are smooth mod p in closed form
 and recurses on the rest with one exponent less.  At p = 2 Hensel
 lifting on x mod 2 lifts smooth residues by a power of 4 and passes the
 singular ones down one exponent, level by level, counting identical
-subproblems once.  Densities are rationals count / p^(2t), certified by
-recomputing at t+1 and demanding equality.
+subproblems once.  Each count is charged to the work limit first.
+Densities are rationals count / p^(2t), checked equal at t and t+1.
 
 The closed-form densities (odd-prime two-case formula, the 2-adic table for
 sums of three squares, the difference kernel, the squarefree-part product)
@@ -21,13 +21,7 @@ from fractions import Fraction
 from itertools import product
 from math import gcd, prod
 
-from .forms import FormError, TernaryForm
-
-DEFAULT_WORK_LIMIT = 10**9
-
-
-class ResourceLimitError(RuntimeError):
-    """Requested congruence count exceeds the configured work limit."""
+from .forms import FormError, ResourceLimitError as ResourceLimitError, TernaryForm, charge
 
 
 class StabilizationError(RuntimeError):
@@ -168,7 +162,7 @@ def _count_odd(coeffs, n: int, p: int, t: int) -> int:
     return total + scale
 
 
-def _count_two(coeffs, n: int, t: int, work_limit: int) -> int:
+def _count_two(coeffs, n: int, t: int) -> int:
     """Hensel lifting on x mod 2 for F = Q + L.x + k ≡ 0 (mod 2^t), level by level.
 
     An all-even F is halved (8 lifts per solution).  Otherwise each x0 mod 2
@@ -177,17 +171,14 @@ def _count_two(coeffs, n: int, t: int, work_limit: int) -> int:
     + 2Q(y) modulo 2^(t-1).  Each level maps its distinct subproblems to the
     number of ways they are reached; the keys below the top level are reduced
     modulo the level's 2^t, so identical subproblems are counted once.  A
-    subproblem modulo 2^t costs 8*t units of work_limit: 8 residues on t-bit
-    integers.
+    subproblem modulo 2^t costs 8*t units of work: 8 residues on t-bit
+    integers, charged level by level against the work limit.
     """
     level = {(*coeffs, 0, 0, 0, -n): 1}
     total = work = 0
     while t and level:
         work += 8 * t * len(level)
-        if work > work_limit:
-            raise ResourceLimitError(
-                f"2-adic lifting modulo 2^{t} exceeds the work limit {work_limit}"
-            )
+        charge(work, "2-adic lifting modulo 2^%d", t)
         below: dict[tuple[int, ...], int] = {}
         mask = (1 << (t - 1)) - 1
         for F, ways in level.items():
@@ -211,25 +202,19 @@ def _count_two(coeffs, n: int, t: int, work_limit: int) -> int:
     return total + sum(level.values())
 
 
-def count_solutions_mod(
-    form: TernaryForm, n: int, p: int, t: int, work_limit: int = DEFAULT_WORK_LIMIT
-) -> int:
+def count_solutions_mod(form: TernaryForm, n: int, p: int, t: int) -> int:
     """#{(x,y,z) mod p^t : form(x,y,z) ≡ n (mod p^t)}, exactly.
 
-    Raises ResourceLimitError when the count would cost more than work_limit
-    units: t^2 * log2(p) at odd p, 8*t per subproblem modulo 2^t at p = 2.
+    Raises ResourceLimitError when the count would cost more than the work
+    limit: t^2 * log2(p) units at odd p, 8*t per subproblem modulo 2^t at p = 2.
     """
     if not is_prime(p):
         raise FormError(f"{p} is not a prime")
     if t < 1:
         raise ValueError("t must be >= 1")
     if p == 2:
-        return _count_two(form.coeffs, n, t, work_limit)
-    work = t * t * p.bit_length()  # _count_odd: t steps on integers of t*log2(p) bits
-    if work > work_limit:
-        raise ResourceLimitError(
-            f"counting modulo {p}^{t} costs {work} units, above the work limit {work_limit}"
-        )
+        return _count_two(form.coeffs, n, t)
+    charge(t * t * p.bit_length(), "counting modulo %d^%d", p, t)  # t steps on t*log2(p)-bit integers
     return _count_odd(form.coeffs, n, p, t)
 
 
@@ -246,9 +231,7 @@ def sufficient_exponent(n: int, p: int) -> int:
     return valuation(n, p)[0] + (5 if p == 2 else 3)
 
 
-def local_density(
-    form: TernaryForm, n: int, p: int, work_limit: int = DEFAULT_WORK_LIMIT
-) -> LocalDensity:
+def local_density(form: TernaryForm, n: int, p: int) -> LocalDensity:
     """d_{form,p}(n) = count / p^(2t) at a stabilized exponent t.
 
     t = v_p(n) + 3 for odd p, v_2(n) + 5 for p = 2; equality of the values
@@ -259,8 +242,8 @@ def local_density(
     if not is_prime(p):
         raise FormError(f"{p} is not a prime")
     t = sufficient_exponent(n, p)
-    val = Fraction(count_solutions_mod(form, n, p, t, work_limit), p ** (2 * t))
-    val2 = Fraction(count_solutions_mod(form, n, p, t + 1, work_limit), p ** (2 * (t + 1)))
+    val = Fraction(count_solutions_mod(form, n, p, t), p ** (2 * t))
+    val2 = Fraction(count_solutions_mod(form, n, p, t + 1), p ** (2 * (t + 1)))
     if val != val2:
         raise StabilizationError(
             f"density of {form} at p={p}, n={n} differs between t={t} and t={t + 1}"

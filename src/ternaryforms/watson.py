@@ -19,6 +19,7 @@ from .forms import (
     TernaryForm,
     apply_basis,
     apply_map,
+    charge,
     discriminant,
     is_positive_definite,
     is_primitive,
@@ -37,16 +38,12 @@ from .matrices import (
 )
 from .reduction import reduce_form
 
-# Largest residue box m^3 the m-divisibility scan may walk.
-_LATTICE_SCAN_LIMIT = 10**8
-
 
 def divisibility_lattice_basis(form: TernaryForm, m: int) -> Mat3:
     """Canonical (column-HNF) basis of {v : G v ≡ 0, form(v) ≡ 0 (mod m)}."""
     if m < 1:
         raise FormError("modulus must be >= 1")
-    if m**3 > _LATTICE_SCAN_LIMIT:
-        raise FormError(f"modulus {m} too large for the residue scan")
+    charge(m**3, "the residue scan modulo %d", m)
     (g00, g01, g02), (_, g11, g12), (_, _, g22) = form.gram()
     cols: list[Vec3] = [(m, 0, 0), (0, m, 0), (0, 0, m)]
     for x, y, z in product(range(m), repeat=3):

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -14,6 +16,7 @@ from ternaryforms.cli import (
     EXIT_USAGE,
     main,
 )
+from ternaryforms.forms import WORK_LIMIT
 
 
 def run(capsys, *args):
@@ -135,6 +138,70 @@ def test_density_resource_limit(capsys):
     assert "limit" in err
 
 
+def test_work_limit_holds_for_one_command_only(capsys):
+    args = ("density", "1,1,1,0,0,0", "1594323", "3")
+    code, _, err = run(capsys, "--work-limit", "500", *args)
+    assert (code, "above the work limit 500" in err) == (EXIT_RESOURCE, True)
+    assert WORK_LIMIT.get() == 10**9
+    code, data, err = run_json(capsys, *args)
+    assert (code, err, data["exponent_used"]) == (EXIT_OK, "", 16)
+
+
+@pytest.mark.parametrize("limit", ["0", "-5"])
+def test_work_limit_below_one_is_a_usage_error(capsys, limit):
+    code, out, err = run(capsys, "--work-limit", limit, "disc", "1,1,1,0,0,0")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "--work-limit must be >= 1" in err
+
+
+def _run_child(args, timeout=20):
+    """(exit code, seconds, peak RSS in MB, stderr) of `tqf args` in its own process."""
+    start = time.perf_counter()
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ternaryforms.cli", *args], stdout=subprocess.DEVNULL, stderr=subprocess.PIPE
+    )
+    while True:
+        pid, status, usage = os.wait4(proc.pid, os.WNOHANG)
+        if pid:
+            break
+        if time.perf_counter() - start > timeout:
+            proc.kill()
+            proc.wait()
+            raise AssertionError(f"tqf {' '.join(args)} still running after {timeout} s")
+        time.sleep(0.01)
+    seconds = time.perf_counter() - start
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    return os.waitstatus_to_exitcode(status), seconds, usage.ru_maxrss / 1024, err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("theta", "1,1,1,0,0,0", "300000000"),
+        ("count", "1,1,1,0,0,0", "1000000000000"),
+        ("verify", "thm1.3", "--p", "5", "--n-max", "10000000"),
+        ("lambda", "1,1,1,0,0,0", "1001"),
+        ("genus", "TG1", "1000003"),
+    ],
+    ids=" ".join,
+)
+def test_the_default_work_limit_bounds_every_step(args):
+    # Each of these once ran out of memory or ran on; now each is refused
+    # before the step that would grow starts.
+    code, seconds, rss_mb, err = _run_child(args)
+    assert code == EXIT_RESOURCE, err
+    assert "above the work limit 1000000000" in err
+    assert seconds < 2
+    assert rss_mb < 100
+
+
+@pytest.mark.parametrize("p", ["797", "937", "997"])
+def test_mass_answers_for_primes_below_1000(capsys, p):
+    code, data, _ = run_json(capsys, "mass", "TG1", p)
+    assert (code, data["match"]) == (EXIT_OK, True)
+
+
 def test_density_at_p_73(capsys):
     code, data, _ = run_json(capsys, "density", "1,1,73,0,0,0", "73", "73")
     assert code == EXIT_OK
@@ -245,6 +312,27 @@ def test_unreadable_cache_is_a_usage_error(capsys, tmp_path, kind):
     code, _, err = run(capsys, "--cache", str(path), "mass", "TG1", "5")
     assert code == EXIT_USAGE
     assert str(path) in err
+
+
+@pytest.mark.parametrize(
+    "args, expected",
+    [
+        (("disc", "1,1,1,0,0,0"), EXIT_OK),
+        (("reduce", "31,5,11,1,-14,6"), EXIT_OK),
+        (("verify", "thm1.1", "--n-max", "5"), EXIT_OK),
+        (("genus", "TG1", "5"), EXIT_USAGE),
+        (("mass", "TG2", "5"), EXIT_USAGE),
+        (("verify", "thm1.3", "--p", "5", "--n-max", "5"), EXIT_USAGE),
+        (("verify", "all"), EXIT_USAGE),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, tuple) else str(v),
+)
+def test_only_commands_that_read_a_genus_open_the_cache(capsys, tmp_path, args, expected):
+    path = tmp_path / "genus.json"
+    path.write_text('{"TG1,5": ')
+    code, _, err = run(capsys, "--cache", str(path), *args)
+    assert code == expected
+    assert (str(path) in err) == (expected == EXIT_USAGE)
 
 
 @pytest.mark.parametrize("how", ["wrong-class", "missing-coeffs"])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ternaryforms.forms import FormError, TernaryForm
+from ternaryforms.forms import WORK_LIMIT, FormError, TernaryForm
 from ternaryforms.genus import enumerate_tg1
 from ternaryforms.local import (
     ResourceLimitError,
@@ -107,14 +107,24 @@ def test_count_higher_exponent_spot():
     assert count_solutions_mod(g, 12, 2, 5) == brute_count(g, 12, 32)
 
 
+def limited(limit, fn, *args):
+    """fn(*args) with the work limit set to limit, restored afterwards."""
+    token = WORK_LIMIT.set(limit)
+    try:
+        return fn(*args)
+    finally:
+        WORK_LIMIT.reset(token)
+
+
 def test_work_limit():
     # Modulo 3^30 the count costs 30^2 * 2 units, modulo 2^30 8 * 30 per subproblem.
     three = TernaryForm(1, 1, 1, 0, 0, 0)
     with pytest.raises(ResourceLimitError):
-        count_solutions_mod(three, 1, 3, 30, work_limit=10**3)
-    assert count_solutions_mod(three, 1, 3, 30, work_limit=1800) == count_solutions_mod(three, 1, 3, 30)
+        limited(10**3, count_solutions_mod, three, 1, 3, 30)
+    assert limited(1800, count_solutions_mod, three, 1, 3, 30) == count_solutions_mod(three, 1, 3, 30)
     with pytest.raises(ResourceLimitError):
-        count_solutions_mod(three, 1, 2, 30, work_limit=200)
+        limited(200, count_solutions_mod, three, 1, 2, 30)
+    assert WORK_LIMIT.get() == 10**9
     with pytest.raises(ResourceLimitError):
         count_solutions_mod(three, 1, 2, 10**15)
 
@@ -129,7 +139,7 @@ def test_genus_classes_share_their_density_at_p_73():
 def test_two_adic_count_at_depth_1205():
     # One level per exponent, so no recursion limit applies.
     n = 2**1200
-    res = local_density(TernaryForm(1, 1, 1, 0, 0, 0), n, 2, work_limit=10**400)
+    res = limited(10**400, local_density, TernaryForm(1, 1, 1, 0, 0, 0), n, 2)
     assert res.exponent_used == 1205
     assert res.value == psi(n)
 
@@ -270,15 +280,15 @@ def test_count_matches_closed_forms_at_large_t():
     for v in range(6):
         for m in (1, 2, 3, 5, 6, 7, 10):
             n = 11**v * m
-            assert local_density(three, n, 11, work_limit=limit).value == density_formula_odd(n, 11), n
+            assert limited(limit, local_density, three, n, 11).value == density_formula_odd(n, 11), n
     for k in (1, 2, 3, 5, 6, 7, 11, 15):
         n = 2**20 * k
-        assert local_density(three, n, 2, work_limit=limit).value == psi(n), n
+        assert limited(limit, local_density, three, n, 2).value == psi(n), n
 
 
 def test_rank_one_count_is_bounded():
     start = time.perf_counter()
-    count = count_solutions_mod(X_SQUARED, 0, 2, 24, work_limit=10**12)
+    count = limited(10**12, count_solutions_mod, X_SQUARED, 0, 2, 24)
     assert time.perf_counter() - start < 1
     assert count == 2**12 * 2**48  # x ≡ 0 (mod 2^12), y and z free
 

@@ -246,7 +246,6 @@ def test_transport_rejects_a_wrong_image(monkeypatch):
     form = TernaryForm(3, 4, 4, 3, 2, -2)
     wrong = TernaryForm(1, 3, 11, 0, 0, 1)
     assert transport_automorph(form, 4, automorphs(form).elements)[0] != wrong
-    monkeypatch.delenv("TERNARY_CACHE", raising=False)
     monkeypatch.setattr(verify, "phi", lambda f: wrong if f == form else phi(f))
     report = verify.watson_suite(primes=(11,), n_scaling=4)
     assert report["phi-equals-lambda4"] == [f"p=11 {form}: lambda_4 differs from phi"]
@@ -299,7 +298,6 @@ def _count_suite_lambda_builds(monkeypatch):
         calls["equivalent"] += 1
         return search(*args)
 
-    monkeypatch.delenv("TERNARY_CACHE", raising=False)
     monkeypatch.setattr(watson, "_lambda_raw", counted_lambda)
     for module in (isometry, watson, verify):
         monkeypatch.setattr(module, "equivalent", counted_equivalent, raising=False)
