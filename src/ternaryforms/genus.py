@@ -77,11 +77,15 @@ def _scan_reduced_candidates(disc: int):
     reduced forms reads abc <= disc / 2 here (Gauss's 1831 review of Seeber;
     Conway-Sloane, SPLAG ch. 15).  Lazy: `enumerate_tg1` pulls only its seed,
     and the tests drain it as the oracle for the neighbour closure.  The
-    (a, b, f, e) rows of the whole box are charged before the first one.
+    (a, b, f, e) rows of the whole box are charged before the first one, a
+    running sum charged at each a, so a box far past the work limit is
+    refused at its first few a.
     """
     half = disc // 2
-    rows = sum((a + 1) ** 2 * (isqrt(half // a) - a + 1) for a in range(1, _icbrt(half) + 1))
-    charge(rows, "the reduced-box scan of discriminant %d", disc)
+    rows = 0
+    for a in range(1, _icbrt(half) + 1):
+        rows += (a + 1) ** 2 * (isqrt(half // a) - a + 1)
+        charge(rows, "the reduced-box scan of discriminant %d, up to a = %d,", disc, a)
     for a in range(1, _icbrt(half) + 1):
         for b in range(a, isqrt(half // a) + 1):
             for f in range(a + 1):

@@ -7,7 +7,11 @@ and recurses on the rest with one exponent less.  At p = 2 Hensel
 lifting on x mod 2 lifts smooth residues by a power of 4 and passes the
 singular ones down one exponent, level by level, counting identical
 subproblems once.  Each count is charged to the work limit first.
-Densities are rationals count / p^(2t), checked equal at t and t+1.
+
+Both counters give the counts modulo p^t and p^(t+1) from one pass: the
+recursion modulo p^(t+1) passes through the one modulo p^t a step before
+its end.  Densities are rationals count / p^(2t), and the counts from that
+one pass are checked to give the same value at t and t+1.
 
 The closed-form densities (odd-prime two-case formula, the 2-adic table for
 sums of three squares, the difference kernel, the squarefree-part product)
@@ -18,8 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import product
-from math import gcd, prod
+from math import gcd, isqrt, prod
 
 from .forms import FormError, ResourceLimitError as ResourceLimitError, TernaryForm, charge
 
@@ -44,13 +49,16 @@ def valuation(n: int, p: int) -> tuple[int, int]:
 
 
 def is_prime(p: int) -> bool:
+    """Trial division by 2 and the odd numbers up to sqrt(p), charged isqrt(p) units first."""
     if p < 2:
         return False
-    i = 2
-    while i * i <= p:
+    r = isqrt(p)
+    charge(r, "testing %d for primality", p)
+    if p % 2 == 0:
+        return p == 2
+    for i in range(3, r + 1, 2):
         if p % i == 0:
             return False
-        i += 1
     return True
 
 
@@ -136,70 +144,121 @@ def _nonzero_solutions(units: list[int], m: int, p: int) -> int:
     return total - (m % p == 0)
 
 
-def _count_odd(coeffs, n: int, p: int, t: int) -> int:
-    """Jordan recursion on the diagonal form <c_1, c_2, c_3> modulo p^t.
+def _counts_odd(coeffs, n: int, p: int, t: int) -> tuple[int, int]:
+    """(N_t(n), N_(t+1)(n)) by one Jordan recursion on the form diagonalised modulo p^(t+1).
 
+    The diagonal <c_1, c_2, c_3> modulo p^(t+1) is one modulo p^t as well.
     With I the indices of the unit c_i, every solution with x_I != 0 (mod p)
     is smooth and lifts p^(2(t-1)) ways, the other coordinates free mod p;
     the rest have x_I = p*y_I, which needs p | n and leaves the form with
     c_I multiplied and the other c_i divided by p, modulo p^(t-1):
 
         N_t(n) = p^(2(t-1)) p^(3-k) Z(n mod p) + [p | n] p^(3-k) N_(t-1)(n/p).
+
+    Each step of the recursion modulo p^(t+1) is the same step modulo p^t
+    with its smooth term multiplied by p^2, so N_t is read off the walk to
+    N_(t+1) one step before its end.  Charged (t+1)^2 * log2(p) units: t+1
+    steps on integers of (t+1)*log2(p) bits.
     """
-    diag = _diagonal_odd(coeffs, p, p**t)
-    n %= p**t
-    total, scale = 0, 1
-    while t:
+    charge((t + 1) ** 2 * p.bit_length(), "counting modulo %d^%d", p, t + 1)
+    diag = _diagonal_odd(coeffs, p, p ** (t + 1))
+    total, scale, low = 0, 1, None
+    for s in range(t + 1, 0, -1):  # the exponent left
+        if s == 1:  # the walk modulo p^t ends here
+            low = total // (p * p) + scale
         units = [c for c in diag if c % p]
         free = p ** (3 - len(units))
-        total += scale * p ** (2 * (t - 1)) * free * _nonzero_solutions(units, n, p)
+        total += scale * p ** (2 * (s - 1)) * free * _nonzero_solutions(units, n, p)
         if n % p:
-            return total
+            break
         scale *= free
         n //= p
-        t -= 1
         diag = [c * p if c % p else c // p for c in diag]
-    return total + scale
+    else:
+        total += scale
+    return (total // (p * p) if low is None else low), total
 
 
-def _count_two(coeffs, n: int, t: int) -> int:
-    """Hensel lifting on x mod 2 for F = Q + L.x + k ≡ 0 (mod 2^t), level by level.
+@cache
+def _parity_split(bits: int) -> tuple[int, tuple[tuple[int, int, int], ...]]:
+    """(smooth count, singular residues) among x mod 2 for an F whose ten
+    entries (a, b, c, d, e, f, l1, l2, l3, k) have the parities of bits 0..9."""
+    a, b, c, d, e, f, l1, l2, l3, k = [(bits >> i) & 1 for i in range(10)]
+    smooth, singular = 0, []
+    for x, y, z in product((0, 1), repeat=3):  # x*x = x on {0, 1}
+        if (a * x + b * y + c * z + d * y * z + e * z * x + f * x * y + l1 * x + l2 * y + l3 * z + k) % 2:
+            continue
+        if (f * y + e * z + l1) % 2 or (f * x + d * z + l2) % 2 or (e * x + d * y + l3) % 2:
+            smooth += 1
+        else:
+            singular.append((x, y, z))
+    return smooth, tuple(singular)
 
-    An all-even F is halved (8 lifts per solution).  Otherwise each x0 mod 2
-    with F(x0) even is either smooth (an odd entry of grad F(x0)), lifting
-    4^(t-1) ways, or passed down as F(x0 + 2y)/2 = F(x0)/2 + grad F(x0).y
-    + 2Q(y) modulo 2^(t-1).  Each level maps its distinct subproblems to the
-    number of ways they are reached; the keys below the top level are reduced
-    modulo the level's 2^t, so identical subproblems are counted once.  A
-    subproblem modulo 2^t costs 8*t units of work: 8 residues on t-bit
-    integers, charged level by level against the work limit.
+
+def _counts_two(coeffs, n: int, t: int) -> tuple[int, int]:
+    """(N_t(n), N_(t+1)(n)) by one walk of the Hensel tree modulo 2^(t+1).
+
+    F = Q + L.x + k ≡ 0 (mod 2^s), level by level.  An all-even F is halved
+    (8 lifts per solution).  Otherwise each x0 mod 2 with F(x0) even is
+    either smooth (an odd entry of grad F(x0)), lifting 4^(s-1) ways, or
+    passed down as F(x0 + 2y)/2 = F(x0)/2 + grad F(x0).y + 2Q(y) modulo
+    2^(s-1).  Each level maps its distinct subproblems to the number of ways
+    they are reached; the keys below the top level are reduced modulo the
+    level's 2^s, so identical subproblems are counted once.
+
+    Every branch reads only parities, and above the leaves the keys are
+    reduced modulo at least 2, so the tree modulo 2^t is this tree cut one
+    level early: a smooth residue adds 4^(s-2) ways to N_t, and the ways
+    still pending at the leaves (s = 1) count once each.  A subproblem
+    modulo 2^s costs 8*s units of work: 8 residues on s-bit integers,
+    charged level by level against the work limit.
     """
     level = {(*coeffs, 0, 0, 0, -n): 1}
-    total = work = 0
-    while t and level:
-        work += 8 * t * len(level)
-        charge(work, "2-adic lifting modulo 2^%d", t)
+    low = high = work = 0
+    for s in range(t + 1, 0, -1):  # the exponent left
+        if not level:
+            break
+        if s == 1:
+            low += sum(level.values())
+        work += 8 * s * len(level)
+        charge(work, "2-adic lifting modulo 2^%d", s)
         below: dict[tuple[int, ...], int] = {}
-        mask = (1 << (t - 1)) - 1
+        mask = (1 << (s - 1)) - 1
+        smooth = 0
         for F, ways in level.items():
             a, b, c, d, e, f, l1, l2, l3, k = F
-            if all(v % 2 == 0 for v in F):
-                child = tuple((v >> 1) & mask for v in F)
+            if not (a | b | c | d | e | f | l1 | l2 | l3 | k) & 1:
+                child = (a >> 1 & mask, b >> 1 & mask, c >> 1 & mask, d >> 1 & mask, e >> 1 & mask,
+                         f >> 1 & mask, l1 >> 1 & mask, l2 >> 1 & mask, l3 >> 1 & mask, k >> 1 & mask)
                 below[child] = below.get(child, 0) + 8 * ways
                 continue
-            for x, y, z in product((0, 1), repeat=3):  # x*x = x on {0, 1}
-                val = a * x + b * y + c * z + d * y * z + e * z * x + f * x * y + l1 * x + l2 * y + l3 * z + k
-                if val % 2:
-                    continue
-                grad = (2 * a * x + f * y + e * z + l1, f * x + 2 * b * y + d * z + l2, e * x + d * y + 2 * c * z + l3)
-                if any(g % 2 for g in grad):
-                    total += ways << (2 * (t - 1))
-                else:
-                    child = tuple(v & mask for v in (2 * a, 2 * b, 2 * c, 2 * d, 2 * e, 2 * f, *grad, val // 2))
-                    below[child] = below.get(child, 0) + ways
+            count, singular = _parity_split(
+                a & 1 | (b & 1) << 1 | (c & 1) << 2 | (d & 1) << 3 | (e & 1) << 4
+                | (f & 1) << 5 | (l1 & 1) << 6 | (l2 & 1) << 7 | (l3 & 1) << 8 | (k & 1) << 9
+            )
+            smooth += count * ways
+            if not singular:
+                continue
+            head = (2 * a & mask, 2 * b & mask, 2 * c & mask, 2 * d & mask, 2 * e & mask, 2 * f & mask)
+            for x, y, z in singular:
+                val = k + x * (a + l1) + y * (b + l2) + z * (c + l3) + y * z * d + z * x * e + x * y * f
+                child = head + (
+                    (l1 + 2 * a * x + f * y + e * z) & mask,
+                    (l2 + f * x + 2 * b * y + d * z) & mask,
+                    (l3 + e * x + d * y + 2 * c * z) & mask,
+                    val >> 1 & mask,
+                )
+                below[child] = below.get(child, 0) + ways
+        high += smooth << 2 * (s - 1)
+        if s > 1:
+            low += smooth << 2 * (s - 2)
         level = below
-        t -= 1
-    return total + sum(level.values())
+    return low, high + sum(level.values())
+
+
+def _counts(form: TernaryForm, n: int, p: int, t: int) -> tuple[int, int]:
+    """(count modulo p^t, count modulo p^(t+1)) for the prime p, from one pass."""
+    return _counts_two(form.coeffs, n, t) if p == 2 else _counts_odd(form.coeffs, n, p, t)
 
 
 def count_solutions_mod(form: TernaryForm, n: int, p: int, t: int) -> int:
@@ -212,10 +271,7 @@ def count_solutions_mod(form: TernaryForm, n: int, p: int, t: int) -> int:
         raise FormError(f"{p} is not a prime")
     if t < 1:
         raise ValueError("t must be >= 1")
-    if p == 2:
-        return _count_two(form.coeffs, n, t)
-    charge(t * t * p.bit_length(), "counting modulo %d^%d", p, t)  # t steps on t*log2(p)-bit integers
-    return _count_odd(form.coeffs, n, p, t)
+    return _counts(form, n, p, t - 1)[1]
 
 
 # -- densities ------------------------------------------------------------
@@ -234,17 +290,19 @@ def sufficient_exponent(n: int, p: int) -> int:
 def local_density(form: TernaryForm, n: int, p: int) -> LocalDensity:
     """d_{form,p}(n) = count / p^(2t) at a stabilized exponent t.
 
-    t = v_p(n) + 3 for odd p, v_2(n) + 5 for p = 2; equality of the values
-    at t and t+1 is verified and a mismatch is a hard error.
+    t = v_p(n) + 3 for odd p, v_2(n) + 5 for p = 2.  One pass of the counter
+    modulo p^(t+1) gives the counts N_t and N_(t+1); the values at t and t+1
+    are equal exactly when N_(t+1) = p^2 N_t, and a mismatch is a hard error.
+    The pass is charged as the count modulo p^(t+1).
     """
     if n < 1:
         raise ValueError("local density is defined for n >= 1")
     if not is_prime(p):
         raise FormError(f"{p} is not a prime")
     t = sufficient_exponent(n, p)
-    val = Fraction(count_solutions_mod(form, n, p, t), p ** (2 * t))
-    val2 = Fraction(count_solutions_mod(form, n, p, t + 1), p ** (2 * (t + 1)))
-    if val != val2:
+    low, high = _counts(form, n, p, t)
+    val = Fraction(low, p ** (2 * t))
+    if high != low * p * p:
         raise StabilizationError(
             f"density of {form} at p={p}, n={n} differs between t={t} and t={t + 1}"
         )
@@ -256,10 +314,10 @@ def density_formula_odd(n: int, p: int) -> Fraction:
     if n < 1:
         raise ValueError("n must be >= 1")
     v, m = valuation(n, p)
-    k = v // 2
-    if v % 2 == 0:
-        return Fraction(1, p) + 1 + Fraction(kronecker(-m, p) - 1, p ** (k + 1))
-    return (Fraction(1, p) + 1) * (1 - Fraction(1, p ** (k + 1)))
+    pk = p ** (v // 2)
+    if v % 2 == 0:  # 1 + 1/p + ((-m|p) - 1)/p^(k+1)
+        return Fraction(pk * (p + 1) + kronecker(-m, p) - 1, pk * p)
+    return Fraction((p + 1) * (pk * p - 1), pk * p * p)  # (1 + 1/p)(1 - 1/p^(k+1))
 
 
 def psi(n: int) -> Fraction:
@@ -279,11 +337,10 @@ def gamma_p(n: int, p: int) -> Fraction:
     if n < 1:
         raise ValueError("n must be >= 1")
     v, m = valuation(n, p)
-    k = v // 2
-    lead = Fraction(p - 1, p ** (1 + k))
-    if v % 2 == 0:
-        return lead * (1 - kronecker(-m, p))
-    return lead * (1 + Fraction(1, p))
+    pk = p ** (v // 2)
+    if v % 2 == 0:  # (p-1)/p^(k+1) * (1 - (-m|p))
+        return Fraction((p - 1) * (1 - kronecker(-m, p)), pk * p)
+    return Fraction(p * p - 1, pk * p * p)  # (p-1)/p^(k+1) * (1 + 1/p)
 
 
 def p_factor(n: int) -> Fraction:

@@ -104,18 +104,18 @@ def _yz_table(n: int) -> Fraction:
     a, k = valuation(n, 4)
     if k % 8 == 7:
         return Fraction(3, 2)
-    if k % 8 == 3:
-        return Fraction(3, 2) - Fraction(1, 2 ** (a + 1))
-    return Fraction(3, 2) - Fraction(3, 2 ** (a + 2))
+    if k % 8 == 3:  # 3/2 - 1/2^(a+1)
+        return Fraction(3 * 2**a - 1, 2 ** (a + 1))
+    return Fraction(3 * 2 ** (a + 1) - 3, 2 ** (a + 2))  # 3/2 - 3/2^(a+2)
 
 
 def _four_yz_table(n: int) -> Fraction:
     a, k = valuation(n, 4)
     if k % 8 == 7:
         return Fraction(3)
-    if k % 8 == 3:
-        return 3 - Fraction(1, 2 ** (a - 1)) if a >= 1 else Fraction(1)
-    return 3 - Fraction(3, 2**a)
+    if k % 8 == 3:  # 3 - 1/2^(a-1), and 1 at a = 0
+        return Fraction(3 * 2 ** (a - 1) - 1, 2 ** (a - 1)) if a >= 1 else Fraction(1)
+    return Fraction(3 * 2**a - 3, 2**a)  # 3 - 3/2^a
 
 
 def _least_nonresidue_neg(p: int) -> int:

@@ -196,6 +196,21 @@ def test_the_default_work_limit_bounds_every_step(args):
     assert rss_mb < 100
 
 
+def test_mass_at_a_huge_prime_is_refused_in_bounded_time():
+    # The reduced-box scan's row count stops at the first a past the limit
+    # instead of summing about (p^2/2)^(1/3) terms first.
+    code, seconds, _, err = _run_child(("mass", "TG1", "100000000000031"))
+    assert code == EXIT_RESOURCE, err
+    assert "above the work limit 1000000000" in err
+    assert seconds < 5
+
+
+def test_density_at_a_huge_prime_answers():
+    # Primality is tested once, by trial division charged isqrt(p) = 10^7 units.
+    code, _, _, err = _run_child(("density", "1,1,1,0,0,0", "1", "100000000000031"))
+    assert (code, err) == (EXIT_OK, "")
+
+
 @pytest.mark.parametrize("p", ["797", "937", "997"])
 def test_mass_answers_for_primes_below_1000(capsys, p):
     code, data, _ = run_json(capsys, "mass", "TG1", p)

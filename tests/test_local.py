@@ -1,4 +1,6 @@
+from collections import Counter
 from fractions import Fraction
+from math import isqrt
 
 import time
 
@@ -6,13 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ternaryforms import local
 from ternaryforms.forms import WORK_LIMIT, FormError, TernaryForm
 from ternaryforms.genus import enumerate_tg1
 from ternaryforms.local import (
     ResourceLimitError,
+    _counts,
     count_solutions_mod,
     density_formula_odd,
     gamma_p,
+    is_prime,
     kronecker,
     local_density,
     p_factor,
@@ -58,12 +63,20 @@ def test_kronecker_multiplicative_in_modulus(a, m, n):
 
 
 def brute_hist(form, q):
-    """hist[v] = #{(x, y, z) mod q : form(x, y, z) ≡ v (mod q)}, over all q^3 points."""
+    """hist[v] = #{(x, y, z) mod q : form(x, y, z) ≡ v (mod q)}, over all q^3 points.
+
+    The points with x and with -x take the same values ((y, z) -> (-y, -z)),
+    so x runs over 0..q//2 and each x other than 0 and q/2 counts twice.
+    """
+    a, b, c, d, e, f = form.coeffs
+    # form(x, y, z) = a x^2 + (b y^2 + c z^2 + d yz) + x (e z + f y)
+    yz = [((b * y * y + c * z * z + d * y * z) % q, (e * z + f * y) % q) for y in range(q) for z in range(q)]
     hist = [0] * q
-    for x in range(q):
-        for y in range(q):
-            for z in range(q):
-                hist[form(x, y, z) % q] += 1
+    for x in range(q // 2 + 1):
+        weight = 1 if x == 0 or 2 * x == q else 2
+        ax = a * x * x
+        for v, k in Counter([(ax + r + x * s) % q for r, s in yz]).items():
+            hist[v] += weight * k
     return hist
 
 
@@ -96,6 +109,77 @@ def test_count_matches_brute_force(form):
                 t,
                 n,
             )
+
+
+SPLITLESS_TG2 = ("3,7,7,6,2,-2", "3,15,15,14,2,-2", "7,8,15,8,2,4")
+# The highest t per prime with the count modulo p^(t+1) at most 16 at p = 2
+# and at most 125 at odd p.
+PAIR_TOPS = {2: 3, 3: 3, 5: 2, 7: 1}
+
+
+@pytest.mark.parametrize("form", BRUTE_FORMS + [TernaryForm.parse(s) for s in SPLITLESS_TG2], ids=str)
+def test_one_pass_counts_both_exponents(form):
+    for p, top in PAIR_TOPS.items():
+        hists = [brute_hist(form, p**s) for s in range(top + 2)]
+        for t in range(top + 1):
+            lo, hi = p**t, p ** (t + 1)
+            for n in range(-1, 2 * hi + 1):
+                assert _counts(form, n, p, t) == (hists[t][n % lo], hists[t + 1][n % hi]), (form, p, t, n)
+
+
+def test_a_density_walks_one_two_adic_tree(monkeypatch):
+    # The counts modulo 2^t and 2^(t+1) come from one walk of the (t+1)-tree,
+    # so the 2-adic charges run down from t+1 once.
+    levels = []
+    real = local.charge
+
+    def record(units, what, *args):
+        if what.startswith("2-adic"):
+            levels.append(args[0])
+        real(units, what, *args)
+
+    monkeypatch.setattr(local, "charge", record)
+    for form, n in ((TernaryForm.parse(SPLITLESS_TG2[0]), 32), (TernaryForm(1, 1, 1, 0, 0, 0), 12)):
+        levels.clear()
+        t = local_density(form, n, 2).exponent_used
+        assert levels and levels == list(range(t + 1, t + 1 - len(levels), -1)), (form, n, levels)
+
+
+def test_a_density_diagonalises_once(monkeypatch):
+    moduli = []
+    real = local._diagonal_odd
+
+    def record(coeffs, p, q):
+        moduli.append(q)
+        return real(coeffs, p, q)
+
+    monkeypatch.setattr(local, "_diagonal_odd", record)
+    for form, n, p in ((TernaryForm(1, 3, 9, 3, 0, 0), 45, 3), (TernaryForm(31, 5, 11, 1, -14, 6), 7, 7)):
+        moduli.clear()
+        t = local_density(form, n, p).exponent_used
+        assert moduli == [p ** (t + 1)], (form, n, p, moduli)
+
+
+@pytest.mark.parametrize(
+    "form,n,p,least",
+    # Taken at the commit before the one-pass counters: a density is charged
+    # as the count at t+1, as when it counted at t and t+1 in turn.
+    [("1,1,1,0,0,0", 1594323, 3, 578), ("3,7,7,6,2,-2", 32, 2, 3288), ("1,1,1,0,0,0", 2**40, 2, 21264)],
+)
+def test_least_admitted_work_limit(form, n, p, least):
+    f = TernaryForm.parse(form)
+    with pytest.raises(ResourceLimitError):
+        limited(least - 1, local_density, f, n, p)
+    assert limited(least, local_density, f, n, p) == local_density(f, n, p)
+
+
+def test_is_prime_is_charged_before_trial_division():
+    p = 10**12 + 39
+    with pytest.raises(ResourceLimitError):
+        limited(isqrt(p) - 1, is_prime, p)
+    assert limited(isqrt(p), is_prime, p)
+    assert [q for q in range(60) if is_prime(q)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+    assert not is_prime(10**12 + 41) and not is_prime(999983**2)
 
 
 def test_count_higher_exponent_spot():
@@ -176,6 +260,32 @@ def test_density_formula_odd_spot():
             if n % p == 0:
                 continue
             assert density_formula_odd(n, p) == 1 + Fraction(kronecker(-n, p), p)
+
+
+def density_formula_odd_oracle(n, p):
+    v, m = valuation(n, p)
+    k = v // 2
+    if v % 2 == 0:
+        return Fraction(1, p) + 1 + Fraction(kronecker(-m, p) - 1, p ** (k + 1))
+    return (Fraction(1, p) + 1) * (1 - Fraction(1, p ** (k + 1)))
+
+
+def gamma_p_oracle(n, p):
+    v, m = valuation(n, p)
+    k = v // 2
+    lead = Fraction(p - 1, p ** (1 + k))
+    if v % 2 == 0:
+        return lead * (1 - kronecker(-m, p))
+    return lead * (1 + Fraction(1, p))
+
+
+def test_closed_forms_match_their_fraction_expressions():
+    # Each closed form builds one Fraction from an integer numerator and
+    # denominator; the oracles are the formulas written as Fraction sums.
+    for p in (3, 5, 7, 11, 13):
+        for n in range(1, 3000):
+            assert density_formula_odd(n, p) == density_formula_odd_oracle(n, p), (n, p)
+            assert gamma_p(n, p) == gamma_p_oracle(n, p), (n, p)
 
 
 def test_gamma_p_consistency():
@@ -269,9 +379,10 @@ SHAPED_FORMS = [
 def test_count_matches_brute_force_property(p, t, data):
     form = data.draw(st.one_of(st.sampled_from(SHAPED_FORMS), p_heavy_forms(p)), label="form")
     q = p**t
-    hist = brute_hist(form, q)
+    hist, low = brute_hist(form, q), brute_hist(form, q // p)
     for n in range(2 * q + 1):
         assert count_solutions_mod(form, n, p, t) == hist[n % q], (form, n, p, t)
+        assert _counts(form, n, p, t - 1) == (low[n % (q // p)], hist[n % q]), (form, n, p, t)
 
 
 def test_count_matches_closed_forms_at_large_t():
@@ -293,7 +404,7 @@ def test_rank_one_count_is_bounded():
     assert count == 2**12 * 2**48  # x ≡ 0 (mod 2^12), y and z free
 
 
-@pytest.mark.parametrize("form", ["3,7,7,6,2,-2", "3,15,15,14,2,-2", "7,8,15,8,2,4"])
+@pytest.mark.parametrize("form", SPLITLESS_TG2)
 def test_two_adic_density_without_split(form):
     # Every variable has a cross term, so none splits off; the density of a
     # TG2 class at 2 is that of 4yz - x^2.

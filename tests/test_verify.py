@@ -3,9 +3,12 @@ from fractions import Fraction
 from test_genus import count_calls
 from ternaryforms.forms import TernaryForm
 from ternaryforms.genus import GenusCache, GenusSet
+from ternaryforms.local import valuation
 from ternaryforms.verify import (
     IdentityReport,
     _check_weighted_identity,
+    _four_yz_table,
+    _yz_table,
     density_suites,
     mass_suite,
     verify_theorem_1_1,
@@ -79,6 +82,30 @@ def test_density_suites_tiny():
     }
     for name, failures in suites.items():
         assert failures == [], name
+
+
+def _yz_table_oracle(n):
+    a, k = valuation(n, 4)
+    if k % 8 == 7:
+        return Fraction(3, 2)
+    if k % 8 == 3:
+        return Fraction(3, 2) - Fraction(1, 2 ** (a + 1))
+    return Fraction(3, 2) - Fraction(3, 2 ** (a + 2))
+
+
+def _four_yz_table_oracle(n):
+    a, k = valuation(n, 4)
+    if k % 8 == 7:
+        return Fraction(3)
+    if k % 8 == 3:
+        return 3 - Fraction(1, 2 ** (a - 1)) if a >= 1 else Fraction(1)
+    return 3 - Fraction(3, 2**a)
+
+
+def test_dyadic_tables_match_their_fraction_expressions():
+    for n in range(1, 3000):
+        assert _yz_table(n) == _yz_table_oracle(n), n
+        assert _four_yz_table(n) == _four_yz_table_oracle(n), n
 
 
 def test_watson_suite_small():
