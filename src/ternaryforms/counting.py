@@ -2,20 +2,25 @@
 
 The enumeration nests exact integer quadratic bounds obtained by projecting
 the form: with A2 = 4ab - f^2 and discriminant D, every point with value
-<= B satisfies z^2 <= A2*B/D, then y lies in an integer-root interval, then
-x.  Interval endpoints from isqrt are widened by one and candidates filtered
-by exact evaluation, so no point is ever missed.  A single value n needs no
-x loop: in each (y, z) row the points of value n are the integer roots of
-a quadratic in x, found by one isqrt and a perfect-square test, so
+<= B satisfies z^2 <= A2*B/D, then y lies in an integer-root interval
+(endpoints from isqrt widened by one), and the rows that reach B are kept
+by their exact x-discriminant dx.  In a row, form(x, y, z) <= B exactly
+when |2ax + lin| <= isqrt(dx), so `theta` counts each row over that exact
+interval in one tight loop, with no per-point test; `half_points_up_to`
+yields the same points one by one and stays as its oracle.  A single value
+n needs no x loop: in each (y, z) row the points of value n are the integer
+roots of a quadratic in x, found by one isqrt and a perfect-square test, so
 `rep_count` and `vectors_with_value` cost O(n) rows instead of the
-O(n^(3/2)) points up to n.  `theta` and `rep_count` count class invariants,
-so they enumerate the Minkowski-reduced form (`forms._minkowski`), whose
-short diagonal keeps the row ranges tight however skewed the input basis
-is; `vectors_with_value` answers in the input coordinates and enumerates
-the input basis.  `s_batch` reads the sum of three squares on whole
-progressions from one two-squares table per process, grown in place.  Each
-charges its size to the work limit (`forms.charge`) before it starts: the
-rows, theta's points and counts, s_batch's table entries and slice reads.
+O(n^(3/2)) points up to n; several values share one scan of the rows up to
+the largest (`_vectors_with_values`, which canonical reduction reads).
+`theta` and `rep_count` count class invariants, so they enumerate the
+Minkowski-reduced form (`forms._minkowski`), whose short diagonal keeps the
+row ranges tight however skewed the input basis is; `vectors_with_value`
+answers in the input coordinates and enumerates the input basis.  `s_batch`
+reads the sum of three squares on whole progressions from one two-squares
+table per process, grown in place.  Each charges its size to the work
+limit (`forms.charge`) before it starts: the rows, theta's points and
+counts, s_batch's table entries and slice reads.
 """
 
 from __future__ import annotations
@@ -92,6 +97,9 @@ def half_points_up_to(form: TernaryForm, bound: int) -> Iterator[tuple[int, int,
     """Yield (x, y, z, value) for nonzero points with value <= bound.
 
     One representative per +-pair: the last nonzero coordinate is positive.
+    Each row's x range is widened by one and filtered by exact evaluation;
+    `theta` counts the same points over the exact range, and this point by
+    point enumeration is its oracle.
     """
     a = form.a
     two_a, four_a = 2 * a, 4 * a
@@ -108,17 +116,53 @@ def half_points_up_to(form: TernaryForm, bound: int) -> Iterator[tuple[int, int,
                 yield (x, y, z, v)
 
 
-def _half_solutions(form: TernaryForm, n: int) -> Iterator[tuple[int, int, int]]:
-    """Yield (x, y, z) with form(x, y, z) == n >= 1, one per +-pair: the integer
-    roots x of each row's quadratic, found by one isqrt and a square test."""
+def _row_roots(v: int, y: int, z: int, lin: int, r: int, two_a: int) -> Iterator[tuple[int, int, int, int]]:
+    """(v, x, y, z) for the integer roots x = (-lin +- r) / 2a of a row, one per +-pair."""
+    for num in (-lin - r, -lin + r) if r else (-lin,):
+        if num % two_a == 0 and (z or y or num > 0):
+            yield v, num // two_a, y, z
+
+
+def _half_solutions(form: TernaryForm, values: tuple[int, ...]) -> Iterator[tuple[int, int, int, int]]:
+    """Yield (v, x, y, z) with form(x, y, z) == v for each v in `values`, one
+    per +-pair.  `values` holds distinct integers >= 1 in decreasing order.
+
+    One scan of the rows up to the first (largest) value: in a row, the
+    x-discriminant at v is dx - 4a(top - v), and the points of value v are
+    the integer roots of the row's quadratic, found by one isqrt and a
+    square test.  The discriminant falls with v, so a row stops at the first
+    value it cannot reach.
+    """
+    top = values[0]
     two_a = 2 * form.a
-    for y, z, lin, dx in _rows(form, n):
+    lower = [(v, 4 * form.a * (top - v)) for v in values[1:]]
+    # dx <= 4a*top in every row, so with one value no row reaches `lower`.
+    reach = lower[0][1] if lower else 4 * form.a * top + 1
+    for y, z, lin, dx in _rows(form, top):
         r = isqrt(dx)
-        if r * r != dx:
-            continue
-        for num in (-lin - r, -lin + r) if r else (-lin,):
-            if num % two_a == 0 and (z or y or num > 0):
-                yield num // two_a, y, z
+        if r * r == dx:
+            yield from _row_roots(top, y, z, lin, r, two_a)
+        if dx >= reach:
+            for v, shift in lower:
+                d = dx - shift
+                if d < 0:
+                    break
+                r = isqrt(d)
+                if r * r == d:
+                    yield from _row_roots(v, y, z, lin, r, two_a)
+
+
+def _vectors_with_values(form: TernaryForm, values) -> dict[int, list[tuple[int, int, int]]]:
+    """{v: all integer triples of value v, both signs, sorted} for the
+    positive values given, from one row scan (`_half_solutions`)."""
+    out: dict[int, list[tuple[int, int, int]]] = {v: [] for v in values}
+    for v, x, y, z in _half_solutions(form, tuple(sorted(out, reverse=True))):
+        vecs = out[v]
+        vecs.append((x, y, z))
+        vecs.append((-x, -y, -z))
+    for vecs in out.values():
+        vecs.sort()
+    return out
 
 
 def vectors_with_value(form: TernaryForm, n: int) -> list[tuple[int, int, int]]:
@@ -127,12 +171,7 @@ def vectors_with_value(form: TernaryForm, n: int) -> list[tuple[int, int, int]]:
         return []
     if n == 0:
         return [(0, 0, 0)]
-    out = []
-    for x, y, z in _half_solutions(form, n):
-        out.append((x, y, z))
-        out.append((-x, -y, -z))
-    out.sort()
-    return out
+    return _vectors_with_values(form, (n,))[n]
 
 
 def theta(form: TernaryForm, bound: int) -> ThetaVector:
@@ -146,8 +185,14 @@ def theta(form: TernaryForm, bound: int) -> ThetaVector:
     charge(points + bound + 1, "theta up to %d", bound)
     counts = [0] * (bound + 1)
     counts[0] = 1
-    for _, _, _, v in half_points_up_to(reduced, bound):
-        counts[v] += 2
+    two_a, four_a = 2 * a, 4 * a
+    for y, z, lin, dx in _rows(reduced, bound):
+        # The x of the row with value <= bound are exactly |2ax + lin| <= isqrt(dx).
+        sx = isqrt(dx)
+        xlo = 1 if z == 0 and y == 0 else _ceil_div(-lin - sx, two_a)
+        c0 = bound + (lin * lin - dx) // four_a  # form(0, y, z), exactly
+        for x in range(xlo, (sx - lin) // two_a + 1):
+            counts[(a * x + lin) * x + c0] += 2
     return ThetaVector(form, bound, tuple(counts))
 
 
@@ -156,7 +201,7 @@ def rep_count(form: TernaryForm, n: int) -> int:
         return 0
     if n == 0:
         return 1
-    return 2 * sum(1 for _ in _half_solutions(_minkowski_form(form), n))
+    return 2 * sum(1 for _ in _half_solutions(_minkowski_form(form), (n,)))
 
 
 # -- sum of three squares -------------------------------------------------
@@ -171,9 +216,14 @@ _R2 = array("H", [1])
 def _two_squares_table(limit: int) -> array:
     """The shared r2 table, grown to cover 0 <= k <= limit.
 
-    Only the unordered pairs 0 <= a <= b whose a^2 + b^2 is new to the table
-    are visited; each stands for 8 signed ordered pairs when 0 < a < b and for
-    4 when a = 0 < b or 0 < a = b.
+    An odd k = u^2 + v^2 has u and v of opposite parity, so k = 1 (mod 4) and
+    r2(k) = 0 when k = 3 (mod 4).  Only the unordered pairs 0 <= a < b of
+    opposite parity whose a^2 + b^2 is new to the table are visited; each
+    stands for 8 signed ordered pairs, or 4 when a = 0.  The map
+    (u, v) -> (u + v, u - v) is a bijection from the representations of k
+    onto those of 2k, so r2(2^j m) = r2(m) for odd m: the new even entries
+    are filled by one strided slice copy per power of two 2^j, from the odd
+    entries r2(k >> j).
     """
     r2 = _R2
     old = len(r2)
@@ -182,13 +232,19 @@ def _two_squares_table(limit: int) -> array:
         squares = [b * b for b in range(isqrt(limit) + 1)]
         for a in range(isqrt(limit // 2) + 1):
             aa = squares[a]
-            lo = max(a, isqrt(old - aa - 1) + 1 if old > aa else 0)
-            if a and lo == a:
-                r2[2 * aa] += 4
-                lo += 1
+            lo = a + 1 if old <= aa else max(a + 1, isqrt(old - aa - 1) + 1)
+            lo += (lo - a + 1) % 2  # b - a odd
             w = 8 if a else 4
-            for bb in squares[lo : isqrt(limit - aa) + 1]:
+            for bb in squares[lo : isqrt(limit - aa) + 1 : 2]:
                 r2[aa + bb] += w
+        j = 1
+        while 1 << j <= limit:
+            # k = 2^j * m with m odd, for the k >= old: the least is start.
+            period = 1 << (j + 1)
+            start = old + ((1 << j) - old) % period
+            if start <= limit:
+                r2[start : limit + 1 : period] = r2[start >> j : (limit >> j) + 1 : 2]
+            j += 1
     return r2
 
 

@@ -145,9 +145,10 @@ def _greedy(g: list[list[int]], u: list[list[int]]) -> None:
                 if t and 2 * t * gij + t * t * gjj < 0:
                     _shear(g, u, i, j, t)
                     improved = True
-    order = sorted(range(3), key=lambda k: g[k][k])
-    g[:] = [[g[r][c] for c in order] for r in order]
-    u[:] = [[row[c] for c in order] for row in u]
+    if not g[0][0] <= g[1][1] <= g[2][2]:
+        order = sorted(range(3), key=lambda k: g[k][k])
+        g[:] = [[g[r][c] for c in order] for r in order]
+        u[:] = [[row[c] for c in order] for row in u]
 
 
 def _minkowski(form: TernaryForm) -> tuple[TernaryForm, Mat3]:
@@ -164,4 +165,6 @@ def _minkowski(form: TernaryForm) -> tuple[TernaryForm, Mat3]:
                 _greedy(g, u)
                 break
         else:
-            return TernaryForm.from_gram(g), tuple(map(tuple, u))
+            # The shears keep g symmetric with an even diagonal.
+            reduced = TernaryForm(g[0][0] // 2, g[1][1] // 2, g[2][2] // 2, g[1][2], g[0][2], g[0][1])
+            return reduced, tuple(map(tuple, u))

@@ -33,7 +33,7 @@ from .forms import FormError, TernaryForm, charge, discriminant, is_positive_def
 from .local import is_prime
 from .matrices import column_hnf, mat_mul, mat_scale_exact, transpose
 from .reduction import _canonical_bases
-from .watson import phi
+from .watson import _phi_raw
 
 
 class IncompletenessError(RuntimeError):
@@ -101,22 +101,27 @@ def _scan_reduced_candidates(disc: int):
                         yield TernaryForm(a, b, c, d, e, f)
 
 
-def _neighbours(form: TernaryForm, ell: int):
+def _neighbours(form: TernaryForm, ell: int) -> list[TernaryForm]:
     """The ell-neighbours of form, one per isotropic line mod the odd prime ell.
 
-    ell must not divide the discriminant.  For a line v with Q(v) = 0 mod ell
-    (there are ell + 1), lift v to Q(v) = 0 mod ell^2; the neighbour is
-    {x : B(x, v) = 0 mod ell} + Z v/ell.  Scaled by ell it is spanned by
-    ell^2 e_i, ell times two kernel vectors of x -> B(x, v) mod ell, and v,
-    so with M the HNF of those its Gram matrix is M'GM / ell^2.
+    ell must not divide the discriminant; FormError otherwise.  For a line v
+    with Q(v) = 0 mod ell (there are ell + 1), lift v to Q(v) = 0 mod ell^2;
+    the neighbour is {x : B(x, v) = 0 mod ell} + Z v/ell.  Scaled by ell it
+    is spanned by ell^2 e_i, ell times two kernel vectors of x -> B(x, v)
+    mod ell, and v, so with M the HNF of those its Gram matrix is
+    M'GM / ell^2.
     """
+    if discriminant(form) % ell == 0:
+        raise FormError(f"{ell} divides the discriminant of {form}; its {ell}-neighbours are not defined")
     g = form.gram()
     lines = [(1, y, z) for y in range(ell) for z in range(ell)] + [(0, 1, z) for z in range(ell)] + [(0, 0, 1)]
+    out = []
     for v in lines:
         q = form(*v)
         if q % ell:
             continue
         h = [sum(x * y for x, y in zip(row, v)) % ell for row in g]  # B(e_k, v) mod ell
+        # G is invertible mod ell, so some B(e_i, v) is a unit.
         i = next(k for k in range(3) if h[k])
         inv = pow(h[i], -1, ell)
         # Q(v + ell*t*e_i) = Q(v) + ell*t*B(e_i, v) mod ell^2.
@@ -125,7 +130,8 @@ def _neighbours(form: TernaryForm, ell: int):
         cols = [tuple(ell * ell * (k == j) for k in range(3)) for j in range(3)]
         cols += [tuple(ell * ((k == j) - h[j] * inv * (k == i)) for k in range(3)) for j in range(3) if j != i]
         m = column_hnf(cols + [v])
-        yield TernaryForm.from_gram(mat_scale_exact(mat_mul(transpose(m), mat_mul(g, m)), 1, ell * ell))
+        out.append(TernaryForm.from_gram(mat_scale_exact(mat_mul(transpose(m), mat_mul(g, m)), 1, ell * ell)))
+    return out
 
 
 def enumerate_tg1(p: int) -> GenusSet:
@@ -156,18 +162,21 @@ def enumerate_tg1(p: int) -> GenusSet:
 
 
 def build_tg2(tg1: GenusSet) -> GenusSet:
-    """Image genus under Phi, with automorph orders checked to transfer."""
+    """Image genus under Phi, with automorph orders checked to transfer.
+
+    One canonical reduction of Phi's sublattice form (`watson._phi_raw`)
+    gives each image, Phi(form), and its |Aut|.
+    """
     if tg1.label != "TG1":
         raise FormError("build_tg2 expects a TG1 genus")
     classes = []
     for form, aut in tg1.classes:
-        image = phi(form)
-        image_aut = len(_canonical_bases(image)[1])
-        if image_aut != aut:
+        image, bases = _canonical_bases(_phi_raw(form))
+        if len(bases) != aut:
             raise FormError(
-                f"automorph order changed under Phi: {form} has {aut}, image {image} has {image_aut}"
+                f"automorph order changed under Phi: {form} has {aut}, image {image} has {len(bases)}"
             )
-        classes.append((image, image_aut))
+        classes.append((image, aut))
     result = GenusSet("TG2", tg1.prime, tuple(sorted(classes)))
     if result.mass != tg1.mass:
         raise FormError("TG2 mass differs from TG1 mass")

@@ -48,16 +48,46 @@ def valuation(n: int, p: int) -> tuple[int, int]:
     return v, n
 
 
+# The first 13 primes.  Miller-Rabin to all of them as bases is exact for
+# n < MR_BOUND (J. Sorenson and J. Webster, Strong pseudoprimes to twelve
+# prime bases, Math. Comp. 86 (2017); MR_BOUND is their psi_13).
+MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_BOUND = 3317044064679887385961981
+
+
 def is_prime(p: int) -> bool:
-    """Trial division by 2 and the odd numbers up to sqrt(p), charged isqrt(p) units first."""
+    """Exact primality.
+
+    Below MR_BOUND: deterministic Miller-Rabin to the bases MR_BASES,
+    charged len(MR_BASES) * log2(p) units first (one modular squaring per
+    bit and base).  From MR_BOUND on: trial division by 2 and the odd
+    numbers up to sqrt(p), charged isqrt(p) units first.
+    """
     if p < 2:
         return False
-    r = isqrt(p)
-    charge(r, "testing %d for primality", p)
-    if p % 2 == 0:
-        return p == 2
-    for i in range(3, r + 1, 2):
-        if p % i == 0:
+    if p >= MR_BOUND:
+        r = isqrt(p)
+        charge(r, "testing %d for primality", p)
+        if p % 2 == 0:
+            return False
+        for i in range(3, r + 1, 2):
+            if p % i == 0:
+                return False
+        return True
+    charge(len(MR_BASES) * p.bit_length(), "testing %d for primality", p)
+    for b in MR_BASES:
+        if p % b == 0:
+            return p == b
+    s, d = valuation(p - 1, 2)
+    for b in MR_BASES:
+        x = pow(b, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
     return True
 
@@ -107,10 +137,21 @@ def _diagonal_odd(coeffs, p: int, q: int) -> list[int]:
     diag = []
     while m:
         k = len(m)
-        i, j = min(
-            ((i, j) for i in range(k) for j in range(i, k)),
-            key=lambda ij: (gcd(m[ij[0]][ij[1]], q), ij[0] != ij[1]),
-        )
+        # The first entry, row by row from the diagonal, of least key
+        # 2 * gcd(A_rs, q) + (r != s); the key 2 (a unit on the diagonal) is
+        # the least there is.
+        i = j = 0
+        best = 2 * q + 2  # above every key
+        for r in range(k):
+            row = m[r]
+            for s in range(r, k):
+                key = gcd(row[s], q) * 2 + (r != s)
+                if key < best:
+                    i, j, best = r, s, key
+                    if key == 2:
+                        break
+            if best == 2:
+                break
         if i != j:
             m[i] = [x + y for x, y in zip(m[i], m[j])]
             for row in m:

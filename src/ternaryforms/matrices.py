@@ -72,41 +72,72 @@ def from_columns(c1: Vec3, c2: Vec3, c3: Vec3) -> Mat3:
     return tuple(zip(c1, c2, c3))
 
 
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with g = gcd(a, b) = s*a + t*b > 0, for a, b not both zero."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return (a, s0, t0) if a > 0 else (-a, -s0, -t0)
+
+
 def column_hnf(cols: list[Vec3]) -> Mat3:
     """Canonical basis of the lattice spanned by `cols` (full rank required).
 
-    Returns a lower-triangular 3x3 matrix with positive pivots and
-    off-pivot entries reduced modulo the pivot of their row, columns
-    spanning the same lattice as the input columns.
+    Returns the Hermite normal form: a lower-triangular 3x3 matrix with
+    positive pivots and each entry below a pivot reduced into [0, p) by the
+    pivot p of its row, whose columns span the same lattice as the input
+    columns; it is unique, so equal lattices give equal matrices.
+
+    The columns are inserted one at a time, in O(#columns).  Column r of the
+    pivot set has zeros above row r and a positive pivot in row r.  A new
+    column meets the pivot of its first nonzero row: when the pivot divides
+    that entry, a multiple of the pivot column clears it; otherwise the
+    unimodular pair (s, t; q/g, -p/g) from p*s + q*t = g replaces the two by
+    a pivot column of pivot g and a column that is zero in that row.  What
+    is left moves on to the next row, or becomes the pivot of a row that has
+    none.  Each changed pivot column is reduced by the pivots below it, so
+    its entries stay below the pivots.  Raises ValueError on rank < 3.
     """
-    # Work on a list of column vectors, eliminating row by row.
-    work = [list(c) for c in cols]
-    basis: list[list[int]] = []
-    for row in range(3):
-        # Combine columns until a single one has a nonzero entry in `row`.
-        pool = [c for c in work if any(c[row:])]
-        live = [c for c in pool if c[row] != 0]
-        rest = [c for c in pool if c[row] == 0]
-        while len(live) > 1:
-            live.sort(key=lambda c: abs(c[row]))
-            a, b = live[0], live[1]
-            q = b[row] // a[row]
-            for i in range(3):
-                b[i] -= q * a[i]
-            if b[row] == 0:
-                rest.append(b)
-                live.remove(b)
-        if not live:
-            raise ValueError("columns do not span a full-rank lattice")
-        piv = live[0]
-        if piv[row] < 0:
-            piv = [-x for x in piv]
-        basis.append(piv)
-        work = rest
-    # Reduce earlier columns against later pivots: basis[j] has pivot at row j.
-    for j in range(3):
-        for i in range(j + 1, 3):
-            q = basis[j][i] // basis[i][i]
-            for k in range(3):
-                basis[j][k] -= q * basis[i][k]
-    return from_columns(*(tuple(c) for c in basis))
+    piv: list[Vec3 | None] = [None, None, None]
+    for c in cols:
+        for r in range(3):
+            q = c[r]
+            if not q:
+                continue
+            p_col = piv[r]
+            if p_col is None:
+                piv[r] = c if q > 0 else (-c[0], -c[1], -c[2])
+                _reduce_below(piv, r)
+                break
+            p = p_col[r]
+            a0, a1, a2 = p_col
+            if q % p == 0:
+                k = q // p
+                c = (c[0] - k * a0, c[1] - k * a1, c[2] - k * a2)
+                continue
+            g, s, t = _xgcd(p, q)
+            u, w = q // g, p // g
+            b0, b1, b2 = c
+            piv[r] = (s * a0 + t * b0, s * a1 + t * b1, s * a2 + t * b2)
+            c = (u * a0 - w * b0, u * a1 - w * b1, u * a2 - w * b2)
+            _reduce_below(piv, r)
+    if None in piv:
+        raise ValueError("columns do not span a full-rank lattice")
+    _reduce_below(piv, 0)
+    _reduce_below(piv, 1)
+    return from_columns(*piv)
+
+
+def _reduce_below(piv: list, r: int) -> None:
+    """Reduce the entries of pivot column r below row r into [0, p) by the pivots p below it."""
+    col = piv[r]
+    for i in range(r + 1, 3):
+        below = piv[i]
+        if below is not None:
+            k = col[i] // below[i]
+            if k:
+                col = (col[0] - k * below[0], col[1] - k * below[1], col[2] - k * below[2])
+    piv[r] = col

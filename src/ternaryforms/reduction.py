@@ -11,7 +11,10 @@ reduction, and the diagonal of a Minkowski-reduced form is its successive
 minima (van der Waerden, Acta Math. 96 (1956); Schiemann, Math. Ann. 308
 (1997)).  The second stage searches the vectors of values a, b and c for
 the unique lexicographically least equivalent sextuple, ordered by
-(a, b, c, |d|, |e|, |f|, sign pattern of (d, e, f)).
+(a, b, c, |d|, |e|, |f|, sign pattern of (d, e, f)).  The vectors of all
+three values come from one scan of the rows up to c
+(`counting._vectors_with_values`), with one square test per value and row,
+each list sorted, so the search order does not depend on the scan.
 
 This search is the package's only short-vector backtrack.  It keeps every
 basis that reaches the least sextuple r: these are all the U with
@@ -23,7 +26,7 @@ canonical forms agree (`isometry.equivalent`).
 
 from __future__ import annotations
 
-from .counting import vectors_with_value
+from .counting import _vectors_with_values
 from .forms import FormError, TernaryForm, _minkowski, is_positive_definite
 from .matrices import Mat3, from_columns
 
@@ -39,7 +42,7 @@ def _canonical_bases(form: TernaryForm) -> tuple[TernaryForm, list[Mat3]]:
     pre, ((u11, u12, u13), (u21, u22, u23), (u31, u32, u33)) = _minkowski(form)
     (g11, g12, g13), (_, g22, g23), (_, _, g33) = pre.gram()
     # For each diagonal value, its vectors v in pre's basis with G*v and with
-    # v in the input basis.
+    # v in the input basis, all from one scan of the rows up to c.
     lifted = {
         value: [
             (
@@ -47,31 +50,38 @@ def _canonical_bases(form: TernaryForm) -> tuple[TernaryForm, list[Mat3]]:
                 (g11 * x + g12 * y + g13 * z, g12 * x + g22 * y + g23 * z, g13 * x + g23 * y + g33 * z),
                 (u11 * x + u12 * y + u13 * z, u21 * x + u22 * y + u23 * z, u31 * x + u32 * y + u33 * z),
             )
-            for x, y, z in vectors_with_value(pre, value)
+            for x, y, z in vecs
         ]
-        for value in {pre.a, pre.b, pre.c}
+        for value, vecs in _vectors_with_values(pre, {pre.a, pre.b, pre.c}).items()
     }
     firsts, seconds, thirds = lifted[pre.a], lifted[pre.b], lifted[pre.c]
+    # |d| = |B(v2, v3)| <= 2 sqrt(bc) <= b + c, and a triple with |d| above
+    # that of the best so far cannot reach it.
     best = None
+    bound = pre.b + pre.c
     bases: list[tuple] = []
     for (x1, y1, z1), (h1, h2, h3), w1 in firsts:
         for (x2, y2, z2), _, w2 in seconds:
-            f = x2 * h1 + y2 * h2 + z2 * h3
             # v1 x v2, so that det(v1, v2, v3) is its dot product with v3.
             c1, c2, c3 = y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2
+            if not (c1 or c2 or c3):  # v2 = +-v1: no v3 completes a basis
+                continue
+            f = x2 * h1 + y2 * h2 + z2 * h3
             for (x3, y3, z3), (k1, k2, k3), w3 in thirds:
-                if c1 * x3 + c2 * y3 + c3 * z3 not in (1, -1):
+                det = c1 * x3 + c2 * y3 + c3 * z3
+                if det != 1 and det != -1:
                     continue
                 d = x2 * k1 + y2 * k2 + z2 * k3
+                if d > bound or -d > bound:
+                    continue
                 e = x1 * k1 + y1 * k2 + z1 * k3
                 key = (abs(d), abs(e), abs(f), d < 0, e < 0, f < 0)
-                if best is None or key < best[0]:
-                    best, bases = (key, d, e, f), [(w1, w2, w3)]
-                elif key == best[0]:
+                if best is None or key < best:
+                    best, bound, bases, coeffs = key, key[0], [(w1, w2, w3)], (d, e, f)
+                elif key == best:
                     bases.append((w1, w2, w3))
     assert best is not None
-    _, d, e, f = best
-    return TernaryForm(pre.a, pre.b, pre.c, d, e, f), [from_columns(*b) for b in bases]
+    return TernaryForm(pre.a, pre.b, pre.c, *coeffs), [from_columns(*b) for b in bases]
 
 
 def reduce_form(form: TernaryForm) -> tuple[TernaryForm, Mat3]:

@@ -91,8 +91,8 @@ def lambda_m(form: TernaryForm, m: int) -> TernaryForm:
     return _canonical(raw)
 
 
-def phi(form: TernaryForm) -> TernaryForm:
-    """The form on {v : G v ≡ 0 (mod 2)}; canonically reduced when definite.
+def _phi_raw(form: TernaryForm) -> TernaryForm:
+    """The form on {v : G v ≡ 0 (mod 2)}, in its column-HNF basis, unreduced.
 
     At odd discriminant G mod 2 is alternating of rank 2, so its kernel is a
     line {0, r} and the sublattice is Z r + 2 Z^3, of index 4 whatever the
@@ -108,7 +108,12 @@ def phi(form: TernaryForm) -> TernaryForm:
     for v in product(range(2), repeat=3):
         if all(sum(g[i][k] * v[k] for k in range(3)) % 2 == 0 for i in range(3)):
             cols.append(v)
-    return _canonical(apply_basis(form, column_hnf(cols)))
+    return apply_basis(form, column_hnf(cols))
+
+
+def phi(form: TernaryForm) -> TernaryForm:
+    """The form on {v : G v ≡ 0 (mod 2)} (`_phi_raw`); canonically reduced when definite."""
+    return _canonical(_phi_raw(form))
 
 
 def phi_inverse(form: TernaryForm) -> TernaryForm:

@@ -206,9 +206,27 @@ def test_mass_at_a_huge_prime_is_refused_in_bounded_time():
 
 
 def test_density_at_a_huge_prime_answers():
-    # Primality is tested once, by trial division charged isqrt(p) = 10^7 units.
+    # Primality is tested once, by Miller-Rabin charged 13 * 47 bits units.
     code, _, _, err = _run_child(("density", "1,1,1,0,0,0", "1", "100000000000031"))
     assert (code, err) == (EXIT_OK, "")
+
+
+@pytest.mark.parametrize(
+    "p, code, expected",
+    # Refused by the isqrt(p) charge of trial division (about 1.5 * 10^9 units)
+    # before primality was tested by Miller-Rabin.
+    [
+        (str(2**61 - 1), EXIT_OK, f"{2**61 - 2}/{2**61 - 1}"),
+        (str(2**61 + 1), EXIT_USAGE, None),
+    ],
+)
+def test_density_past_the_trial_division_charge(capsys, p, code, expected):
+    got, data, err = run_json(capsys, "density", "1,1,1,0,0,0", "1", p)
+    assert got == code, err
+    if expected:
+        assert (data["density"], data["exponent_used"]) == (expected, 3)
+    else:
+        assert "not a prime" in err
 
 
 @pytest.mark.parametrize("p", ["797", "937", "997"])

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_isometry import skewed_forms
+from test_isometry import skewed_forms, unimodular
 from ternaryforms import counting
 from ternaryforms.counting import (
     _half_solutions,
+    _vectors_with_values,
     _rows,
     half_points_up_to,
     rep_count,
@@ -158,6 +159,21 @@ def test_two_squares_table_grown_in_steps_equals_the_sieve(limits):
     assert list(table) == two_squares_sieve(max(limits))
 
 
+@given(st.integers(0, 600), st.integers(0, 1), st.lists(st.integers(0, 2500), min_size=1, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_two_squares_table_grows_from_an_odd_or_even_length(first, parity, limits):
+    # The first growth leaves len(table) = first + 1 of the given parity, so
+    # the next one starts its odd and even entries at an old of either parity.
+    first += (first + 1 + parity) % 2
+    table = array("H", [1])
+    with patch.object(counting, "_R2", table):
+        counting._two_squares_table(first)
+        assert len(table) % 2 == parity
+        for limit in sorted(limits):
+            counting._two_squares_table(first + limit)
+    assert list(table) == two_squares_sieve(first + max(limits))
+
+
 def test_s_vanishes_on_forbidden_residues():
     for a in range(3):
         for k in range(6):
@@ -243,11 +259,19 @@ def test_single_value_counts_match_the_filtered_enumeration(entries, n):
 @given(skewed_forms, st.integers(1, 60))
 @settings(max_examples=60, deadline=None)
 def test_rep_count_matches_the_count_in_the_input_basis(g, n):
-    assert rep_count(g, n) == 2 * sum(1 for _ in _half_solutions(g, n))
+    assert rep_count(g, n) == 2 * sum(1 for _ in _half_solutions(g, (n,)))
 
 
-@given(skewed_forms, st.integers(0, 40))
-@settings(max_examples=40, deadline=None)
+# Elongated forms <a, a, c> in a skewed basis: few long rows.
+elongated_forms = st.builds(
+    lambda a, c, u: apply_map(TernaryForm(a, a, c, 0, 0, 0), u), st.integers(1, 3), st.integers(10, 10**4), unimodular
+)
+
+
+# theta counts each row over its exact x interval; the point by point
+# enumeration half_points_up_to stays as its oracle.
+@given(st.one_of(skewed_forms, elongated_forms), st.one_of(st.integers(0, 3), st.integers(4, 40)))
+@settings(max_examples=80, deadline=None)
 def test_theta_matches_the_histogram_in_the_input_basis(g, bound):
     counts = [1] + [0] * bound
     for _, _, _, v in half_points_up_to(g, bound):
@@ -255,6 +279,14 @@ def test_theta_matches_the_histogram_in_the_input_basis(g, bound):
     vec = theta(g, bound)
     assert vec.counts == tuple(counts)
     assert vec.form == g
+
+
+# The short vectors of several values come from one row scan; the per-value
+# vectors_with_value is its oracle.
+@given(skewed_forms, st.sets(st.integers(1, 30), min_size=1, max_size=3))
+@settings(max_examples=80, deadline=None)
+def test_one_scan_short_vectors_match_the_per_value_lists(g, values):
+    assert _vectors_with_values(g, values) == {v: vectors_with_value(g, v) for v in values}
 
 
 @pytest.mark.parametrize(

@@ -19,6 +19,7 @@ from ternaryforms.genus import (
 from ternaryforms.isometry import automorphs, equivalent
 from ternaryforms.local import is_prime
 from ternaryforms.reduction import _canonical_bases, reduce_form
+from ternaryforms.watson import phi
 
 KNOWN_TG1 = {
     3: [((1, 1, 3, 0, 0, 1), 24)],
@@ -71,6 +72,19 @@ def test_tg2_construction():
     assert sorted(a for _, a in tg2.classes) == sorted(a for _, a in tg1.classes)
     with pytest.raises(FormError):
         build_tg2(tg2)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61])
+def test_tg2_reads_image_and_aut_off_one_reduction(p, monkeypatch):
+    tg1 = enumerate_tg1(p)
+    calls = count_calls(monkeypatch, "reduction", "_canonical_bases")
+    tg2 = build_tg2(tg1)
+    assert len(calls) == len(tg1.classes)
+    monkeypatch.undo()
+    # Each image is phi of its class, with the |Aut| of the automorph group.
+    expected = sorted((phi(f), automorphs(phi(f)).order) for f, _ in tg1.classes)
+    assert list(tg2.classes) == expected
+    assert [aut for _, aut in tg2.classes] == [automorphs(f).order for f, _ in tg2.classes]
 
 
 def test_weighted_rep_sum_combination_is_integral():
@@ -323,6 +337,14 @@ def test_the_mass_decides_completeness(monkeypatch):
         enumerate_tg1(11)
     # TG1(3) is one class of |Aut| 24: the seed alone reaches the mass 1/24.
     assert [(f.coeffs, aut) for f, aut in enumerate_tg1(3).classes] == KNOWN_TG1[3]
+
+
+@pytest.mark.parametrize(
+    "form, ell", [(TernaryForm(1, 1, 9, 0, 0, 0), 3), (TernaryForm(1, 1, 3, 0, 0, 1), 3), (TernaryForm(1, 1, 25, 0, 0, 0), 5)]
+)
+def test_neighbours_refuse_a_prime_dividing_the_discriminant(form, ell):
+    with pytest.raises(FormError, match=f"{ell} divides the discriminant"):
+        genus_module._neighbours(form, ell)
 
 
 @pytest.mark.parametrize("p, ell", [(3, 5), (7, 3), (11, 3)])

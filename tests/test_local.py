@@ -174,12 +174,57 @@ def test_least_admitted_work_limit(form, n, p, least):
 
 
 def test_is_prime_is_charged_before_trial_division():
-    p = 10**12 + 39
+    # From local.MR_BOUND on, primality is trial division, charged isqrt(p)
+    # units before it starts: far past the default limit, so refused.
+    for p in (local.MR_BOUND, 2 * local.MR_BOUND, 3 * (local.MR_BOUND // 3 + 1)):
+        with pytest.raises(ResourceLimitError, match="testing %d for primality" % p):
+            is_prime(p)
+        with pytest.raises(ResourceLimitError):
+            limited(isqrt(p) - 1, is_prime, p)
+    # Even numbers and multiples of 3 stop at the first divisor once admitted.
+    assert not limited(isqrt(2 * local.MR_BOUND), is_prime, 2 * local.MR_BOUND)
+    assert not limited(isqrt(3 * (local.MR_BOUND // 3 + 1)), is_prime, 3 * (local.MR_BOUND // 3 + 1))
+
+
+def trial_division(n):
+    """Oracle: n >= 2 has no divisor 2 <= d <= sqrt(n)."""
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+def test_is_prime_matches_trial_division_below_1e5():
+    assert [n for n in range(10**5) if is_prime(n)] == [n for n in range(10**5) if trial_division(n)]
+
+
+@pytest.mark.parametrize(
+    "n, prime",
+    [
+        # Strong pseudoprimes to the first 4, 9 and 12 prime bases.
+        (3215031751, False),
+        (3825123056546413051, False),
+        (318665857834031151167461, False),
+        # Mersenne numbers: 2^61 - 1 is prime, 2^67 - 1 = 193707721 * 761838257287.
+        (2**61 - 1, True),
+        (2**67 - 1, False),
+        (10**16 + 61, True),
+        (10**12 + 39, True),
+        (10**12 + 41, False),
+        (999983**2, False),
+        (local.MR_BOUND - 1, False),
+    ],
+)
+def test_miller_rabin_is_exact_on_hard_cases(n, prime):
+    assert is_prime(n) is prime
+
+
+def test_miller_rabin_is_charged_by_bits_before_it_starts():
+    p = 10**16 + 61
+    units = len(local.MR_BASES) * p.bit_length()
     with pytest.raises(ResourceLimitError):
-        limited(isqrt(p) - 1, is_prime, p)
-    assert limited(isqrt(p), is_prime, p)
+        limited(units - 1, is_prime, p)
+    start = time.perf_counter()
+    assert limited(units, is_prime, p)
+    assert time.perf_counter() - start < 0.1
     assert [q for q in range(60) if is_prime(q)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
-    assert not is_prime(10**12 + 41) and not is_prime(999983**2)
 
 
 def test_count_higher_exponent_spot():

@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -99,6 +100,92 @@ def test_column_hnf_spans_input(cols):
     # index of the HNF lattice times any original full-rank sublattice index
     # agree, checked via idempotence
     assert column_hnf([tuple(h[i][j] for i in range(3)) for j in range(3)]) == h
+
+
+def sorting_column_hnf(cols):
+    """Oracle: the column HNF by repeated sorting, eliminating row by row.
+
+    In each row the columns with a nonzero entry there are sorted by its
+    size and the second reduced by the first until one is left; then the
+    earlier pivot columns are reduced by the later ones.
+    """
+    work = [list(c) for c in cols]
+    basis = []
+    for row in range(3):
+        pool = [c for c in work if any(c[row:])]
+        live = [c for c in pool if c[row] != 0]
+        rest = [c for c in pool if c[row] == 0]
+        while len(live) > 1:
+            live.sort(key=lambda c: abs(c[row]))
+            a, b = live[0], live[1]
+            q = b[row] // a[row]
+            for i in range(3):
+                b[i] -= q * a[i]
+            if b[row] == 0:
+                rest.append(b)
+                live.remove(b)
+        if not live:
+            raise ValueError("columns do not span a full-rank lattice")
+        piv = live[0]
+        if piv[row] < 0:
+            piv = [-x for x in piv]
+        basis.append(piv)
+        work = rest
+    for j in range(3):
+        for i in range(j + 1, 3):
+            q = basis[j][i] // basis[i][i]
+            for k in range(3):
+                basis[j][k] -= q * basis[i][k]
+    return tuple(zip(*(tuple(c) for c in basis)))
+
+
+big = st.integers(-(10**6), 10**6)
+residue = st.integers(0, 3)
+columns = st.one_of(
+    st.lists(st.tuples(big, big, big), min_size=1, max_size=60),
+    # The shape of a lambda_4 scan: 4 e_i and 32 residues mod 4.
+    st.lists(st.tuples(residue, residue, residue), min_size=32, max_size=32).map(
+        lambda rs: [(4, 0, 0), (0, 4, 0), (0, 0, 4)] + rs
+    ),
+)
+
+
+def with_redundant(cols, coeffs):
+    """cols followed by integer combinations of pairs of them."""
+    return cols + [
+        tuple(s * x + t * y for x, y in zip(cols[i % len(cols)], cols[j % len(cols)]))
+        for i, j, s, t in coeffs
+    ]
+
+
+redundant = st.lists(st.tuples(st.integers(0, 59), st.integers(0, 59), ints, ints), max_size=10)
+
+
+@given(columns, redundant)
+@settings(max_examples=200, deadline=None)
+def test_column_hnf_matches_the_sorting_elimination(cols, coeffs):
+    cols = with_redundant(cols, coeffs)
+    try:
+        expected = sorting_column_hnf(cols)
+    except ValueError:
+        with pytest.raises(ValueError, match="full-rank"):
+            column_hnf(cols)
+        return
+    assert column_hnf(cols) == expected
+
+
+@given(
+    st.lists(st.tuples(big, big, st.just(0)), min_size=1, max_size=40),
+    st.permutations(range(3)),
+    redundant,
+)
+@settings(max_examples=60, deadline=None)
+def test_column_hnf_refuses_rank_deficient_columns(cols, perm, coeffs):
+    cols = [tuple(c[k] for k in perm) for c in with_redundant(cols, coeffs)]
+    with pytest.raises(ValueError, match="full-rank"):
+        sorting_column_hnf(cols)
+    with pytest.raises(ValueError, match="full-rank"):
+        column_hnf(cols)
 
 
 @given(mat, st.integers(0, 2), st.integers(0, 2), ints)
