@@ -34,7 +34,6 @@ from .local import (
     gamma_p,
     kronecker,
     local_density,
-    p_factor,
     psi,
 )
 from .reduction import reduce_form
@@ -77,7 +76,6 @@ __all__ = [
     "lambda_m",
     "local_density",
     "mass_closed_form",
-    "p_factor",
     "phi",
     "phi_inverse",
     "psi",

@@ -3,20 +3,21 @@
 TG1(p) is found as the closure of one class under Kneser's ell-neighbour
 step (M. Kneser, Klassenzahlen definiter quadratischer Formen, Arch. Math. 8
 (1957); R. Schulze-Pillot, An algorithm for computing genera of ternary and
-quaternary quadratic forms, ISSAC 1991).  The seed is the first primitive
-form of the reduced-box scan `_scan_reduced_candidates`; ell = 3, or 5 when
+quaternary quadratic forms, ISSAC 1991).  The seed `_seed` solves the
+reduced box for b and d mod p instead of scanning it; ell = 3, or 5 when
 p = 3, so ell does not divide the discriminant, and each class has ell + 1
 isotropic lines mod ell, each giving one neighbour in the same genus.  The
 neighbour graph need not reach every class (a genus may hold several spinor
 genera), so it decides nothing: the closure stops once the classes found
 reach the closed-form mass (p-1)/48, and that mass is the certificate of
-completeness.  The full scan stays as the test oracle; the work limit,
-charged with the rows of its box, is the only bound on p.  |Aut| of each
-class is the number of bases its canonical reduction finds.  TG2(p) is
-constructed class by class through Phi, with the automorph-order match
-checked as required by the bijection.  GenusCache stores only the canonical
-forms of each genus; each stored row is checked and its |Aut| recomputed,
-and the mass checked, when a stored genus is first read.
+completeness.  The drained box scan stays in the tests as the oracle; the
+work limit, charged with the closure's size before the seed, is the only
+bound on p.  |Aut| of each class is the number of bases its canonical
+reduction finds.  TG2(p) is constructed class by class through Phi, with
+the automorph-order match checked as required by the bijection.
+GenusCache stores only the canonical forms of each genus; each stored row
+is checked and its |Aut| recomputed, and the mass checked, when a stored
+genus is first read.
 """
 
 from __future__ import annotations
@@ -57,48 +58,40 @@ def mass_closed_form(p: int) -> Fraction:
     return Fraction(p - 1, 48)
 
 
-def _icbrt(n: int) -> int:
-    r = round(n ** (1 / 3))
-    while r**3 > n:
-        r -= 1
-    while (r + 1) ** 3 <= n:
-        r += 1
-    return r
+def _seed(p: int) -> TernaryForm:
+    """A positive form of discriminant p^2, found by solving the reduced box mod p.
 
-
-def _scan_reduced_candidates(disc: int):
-    """Sextuples in the reduced box with the given discriminant.
-
-    Bounds: 0 < a <= b <= c, |d| <= b, 0 <= e <= a, 0 <= f <= a and
-    a*b*c <= disc // 2.  Every class has a Minkowski-reduced form, which has
-    |e|, |f| <= a; changing the sign of e_1, e_2 or e_3 multiplies (d, e, f)
-    by (1, -1, -1), (-1, 1, -1) or (-1, -1, 1) inside that box, so one sign
-    pattern has e, f >= 0.  Seeber's inequality abc <= 2 det(Gram/2) for
-    reduced forms reads abc <= disc / 2 here (Gauss's 1831 review of Seeber;
-    Conway-Sloane, SPLAG ch. 15).  Lazy: `enumerate_tg1` pulls only its seed,
-    and the tests drain it as the oracle for the neighbour closure.  The
-    (a, b, f, e) rows of the whole box are charged before the first one, a
-    running sum charged at each a, so a box far past the work limit is
-    refused at its first few a.
+    The box is Seeber's: 0 < a <= b, |d| <= b, 0 <= e, f <= a and abc <= p^2/2
+    hold for a reduced form of each class after sign changes of the basis
+    (Gauss's 1831 review of Seeber; Conway-Sloane, SPLAG ch. 15).  Every
+    positive form of discriminant p^2 has p-adic Jordan type <u> + p<v, w>:
+    the other type, <u, v> + p^2<w>, would be isotropic at p, at 2 (an even
+    unimodular plane, which represents every 2-adic unit, plus <2u>) and at
+    every other finite prime, so anisotropic only at infinity, which Hilbert
+    reciprocity forbids.  So p divides every 2x2 minor of the Gram matrix,
+    and as p does not divide a (a^3 <= p^2/2), b = f^2 (4a)^-1 and
+    d = e f (2a)^-1 mod p.  The walk takes b and d in those classes only and
+    accepts any integer c: a > 0, 4ab - f^2 > 0 and the discriminant make the
+    form positive definite.  The (a, f, b, e) rows are charged as a running
+    sum at each a.
     """
-    half = disc // 2
-    rows = 0
-    for a in range(1, _icbrt(half) + 1):
-        rows += (a + 1) ** 2 * (isqrt(half // a) - a + 1)
-        charge(rows, "the reduced-box scan of discriminant %d, up to a = %d,", disc, a)
-    for a in range(1, _icbrt(half) + 1):
-        for b in range(a, isqrt(half // a) + 1):
-            for f in range(a + 1):
+    disc, half = p * p, p * p // 2
+    rows, a = 0, 1
+    while a**3 <= half:
+        top = isqrt(half // a)
+        rows += (a + 1) ** 2 * ((top - a) // p + 1)
+        charge(rows, "the TG1 seed walk of discriminant %d, up to a = %d,", disc, a)
+        inv = pow(4 * a, -1, p)
+        for f in range(a + 1):
+            for b in range(a + (f * f * inv - a) % p, top + 1, p):
                 denom = 4 * a * b - f * f
                 for e in range(a + 1):
-                    for d in range(-b, b + 1):
+                    for d in range(-b + (2 * e * f * inv + b) % p, b + 1, p):
                         num = disc - d * e * f + a * d * d + b * e * e
-                        if num % denom:
-                            continue
-                        c = num // denom
-                        if c < b or a * b * c > half:
-                            continue
-                        yield TernaryForm(a, b, c, d, e, f)
+                        if num % denom == 0:
+                            return TernaryForm(a, b, num // denom, d, e, f)
+        a += 1
+    raise IncompletenessError(f"the reduced box of discriminant {disc} holds no form")
 
 
 def _neighbours(form: TernaryForm, ell: int) -> list[TernaryForm]:
@@ -137,17 +130,21 @@ def _neighbours(form: TernaryForm, ell: int) -> list[TernaryForm]:
 def enumerate_tg1(p: int) -> GenusSet:
     """All classes of positive primitive forms of discriminant p^2.
 
-    Canonicalises the scan's first primitive form, then the ell-neighbours
-    (ell = 3, or 5 when p = 3) of each new class in turn, until the classes
-    found reach the closed-form mass (p-1)/48, which certifies completeness.
-    A closure that runs out of neighbours short of it raises
-    IncompletenessError.
+    Canonicalises the seed, then the ell-neighbours (ell = 3, or 5 when
+    p = 3) of each new class in turn, until the classes found reach the
+    closed-form mass (p-1)/48, which certifies completeness.  A closure that
+    runs out of neighbours short of it raises IncompletenessError.  Every
+    form of discriminant p^2 is primitive, as disc(kQ) = k^3 disc(Q).  The
+    closure is charged 1000 (ell + 1)(p - 1) units before the seed: |Aut| <= 48
+    bounds the class number by p - 1, and one neighbour reduction costs
+    about as much time as 1300 theta units.
     """
     mass = mass_closed_form(p)
     ell = 5 if p == 3 else 3
+    charge(1000 * (ell + 1) * (p - 1), "the %d-neighbour closure of TG1(%d)", ell, p)
     seen: dict[TernaryForm, int] = {}
     found = Fraction(0)
-    pending = [next(f for f in _scan_reduced_candidates(p * p) if is_primitive(f))]
+    pending = [_seed(p)]
     while pending and found < mass:
         canon, bases = _canonical_bases(pending.pop())
         if canon not in seen:

@@ -382,25 +382,3 @@ def gamma_p(n: int, p: int) -> Fraction:
     if v % 2 == 0:  # (p-1)/p^(k+1) * (1 - (-m|p))
         return Fraction((p - 1) * (1 - kronecker(-m, p)), pk * p)
     return Fraction(p * p - 1, pk * p * p)  # (p-1)/p^(k+1) * (1 + 1/p)
-
-
-def p_factor(n: int) -> Fraction:
-    """Product over odd primes p with p^2 | n of the squarefull correction."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    result = Fraction(1)
-    # Factor by trial division; desk-scale n only.  The factor left over
-    # after the loop is a prime to the first power, so it contributes 1.
-    p = 3
-    _, rest = valuation(n, 2)
-    while p * p <= rest:
-        if rest % p == 0:
-            v, rest = valuation(rest, p)
-            b = v // 2
-            if b >= 1:
-                mm = n // p ** (2 * b)
-                term = sum(Fraction(1, p**i) for i in range(b))
-                term += 1 / (p**b * (1 - Fraction(kronecker(-mm, p), p)))
-                result *= term
-        p += 2
-    return result

@@ -197,8 +197,8 @@ def test_the_default_work_limit_bounds_every_step(args):
 
 
 def test_mass_at_a_huge_prime_is_refused_in_bounded_time():
-    # The reduced-box scan's row count stops at the first a past the limit
-    # instead of summing about (p^2/2)^(1/3) terms first.
+    # The neighbour closure is charged 1000 (ell + 1)(p - 1) units before its
+    # seed is sought, so it is refused without any walk of the reduced box.
     code, seconds, _, err = _run_child(("mass", "TG1", "100000000000031"))
     assert code == EXIT_RESOURCE, err
     assert "above the work limit 1000000000" in err
@@ -229,8 +229,8 @@ def test_density_past_the_trial_division_charge(capsys, p, code, expected):
         assert "not a prime" in err
 
 
-@pytest.mark.parametrize("p", ["797", "937", "997"])
-def test_mass_answers_for_primes_below_1000(capsys, p):
+@pytest.mark.parametrize("p", ["797", "937", "997", "1009", "10007"])
+def test_mass_answers_for_primes_up_to_10007(capsys, p):
     code, data, _ = run_json(capsys, "mass", "TG1", p)
     assert (code, data["match"]) == (EXIT_OK, True)
 

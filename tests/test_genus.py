@@ -7,7 +7,7 @@ from math import isqrt
 import pytest
 
 from ternaryforms import genus as genus_module
-from ternaryforms.forms import FormError, TernaryForm, discriminant, is_primitive
+from ternaryforms.forms import FormError, TernaryForm, discriminant, is_positive_definite, is_primitive
 from ternaryforms.genus import (
     GenusCache,
     IncompletenessError,
@@ -296,13 +296,53 @@ def test_tg1_matches_the_full_box_scan(p):
     assert list(enumerate_tg1(p).classes) == full_box_tg1(p)
 
 
+def _icbrt(n: int) -> int:
+    r = round(n ** (1 / 3))
+    while r**3 > n:
+        r -= 1
+    while (r + 1) ** 3 <= n:
+        r += 1
+    return r
+
+
+def _scan_reduced_candidates(disc: int):
+    """Sextuples in the reduced box with the given discriminant.
+
+    Bounds: 0 < a <= b <= c, |d| <= b, 0 <= e <= a, 0 <= f <= a and
+    a*b*c <= disc // 2.  Every class has a Minkowski-reduced form, which has
+    |e|, |f| <= a; changing the sign of e_1, e_2 or e_3 multiplies (d, e, f)
+    by (1, -1, -1), (-1, 1, -1) or (-1, -1, 1) inside that box, so one sign
+    pattern has e, f >= 0.  Seeber's inequality abc <= 2 det(Gram/2) for
+    reduced forms reads abc <= disc / 2 here (Gauss's 1831 review of Seeber;
+    Conway-Sloane, SPLAG ch. 15).
+    """
+    half = disc // 2
+    for a in range(1, _icbrt(half) + 1):
+        for b in range(a, isqrt(half // a) + 1):
+            for f in range(a + 1):
+                denom = 4 * a * b - f * f
+                for e in range(a + 1):
+                    for d in range(-b, b + 1):
+                        num = disc - d * e * f + a * d * d + b * e * e
+                        if num % denom:
+                            continue
+                        c = num // denom
+                        if c < b or a * b * c > half:
+                            continue
+                        yield TernaryForm(a, b, c, d, e, f)
+
+
 def scanned_tg1(p):
-    """Oracle: canonicalise every primitive sextuple of the reduced-box scan."""
+    """Oracle: canonicalise every sextuple of the reduced-box scan.
+
+    Each one is primitive and has p | 4ab - f^2, the lemma `_seed` solves by.
+    """
     seen = {}
-    for form in genus_module._scan_reduced_candidates(p * p):
-        if is_primitive(form):
-            canon, bases = _canonical_bases(form)
-            seen.setdefault(canon, len(bases))
+    for form in _scan_reduced_candidates(p * p):
+        assert is_primitive(form), form
+        assert (4 * form.a * form.b - form.f**2) % p == 0, form
+        canon, bases = _canonical_bases(form)
+        seen.setdefault(canon, len(bases))
     return sorted(seen.items())
 
 
@@ -312,22 +352,25 @@ def test_neighbour_closure_matches_the_drained_scan(p):
 
 
 def test_enumeration_pulls_only_the_seed_and_reduces_per_neighbour(monkeypatch):
-    p = 61
-    scan = genus_module._scan_reduced_candidates
-    total = sum(1 for _ in scan(p * p))
-    seed_prefix = next(i for i, form in enumerate(scan(p * p), 1) if is_primitive(form))
-    pulled = []
-
-    def counting_scan(disc):
-        for form in scan(disc):
-            pulled.append(form)
-            yield form
-
-    monkeypatch.setattr(genus_module, "_scan_reduced_candidates", counting_scan)
+    seeds = count_calls(monkeypatch, "genus", "_seed")
     calls = count_calls(monkeypatch, "reduction", "_canonical_bases")
-    classes = enumerate_tg1(p).classes
-    assert len(pulled) == seed_prefix < total
+    classes = enumerate_tg1(61).classes
+    assert seeds == [(61,)]
     assert len(calls) <= 1 + (3 + 1) * len(classes)
+
+
+@pytest.mark.parametrize(
+    "primes",
+    [[p for p in range(3, 2 * 10**4) if is_prime(p)], [10**9 + 7, 2**61 - 1, 10**18 + 9]],
+    ids=["odd primes below 2e4", "large primes"],
+)
+def test_seed_is_a_positive_form_of_discriminant_p2_in_the_box(primes):
+    for p in primes:
+        form = genus_module._seed(p)
+        a, b, c, d, e, f = form.coeffs
+        assert is_positive_definite(form) and discriminant(form) == p * p, (p, form)
+        assert 0 <= e <= a <= b and 0 <= f <= a and abs(d) <= b, (p, form)
+        assert 2 * a**3 <= p * p and 2 * a * b * b <= p * p, (p, form)
 
 
 def test_the_mass_decides_completeness(monkeypatch):

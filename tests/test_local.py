@@ -20,7 +20,6 @@ from ternaryforms.local import (
     is_prime,
     kronecker,
     local_density,
-    p_factor,
     psi,
     valuation,
 )
@@ -339,15 +338,6 @@ def test_gamma_p_consistency():
             assert gamma_p(n, p) == p * (
                 density_formula_odd(p * p * n, p) - density_formula_odd(n, p)
             )
-
-
-def test_p_factor_values():
-    for n in (1, 2, 3, 5, 6, 7, 10, 30, 4, 8, 12):
-        assert p_factor(n) == 1, n  # no odd square factor
-    assert p_factor(9) == Fraction(5, 4)
-    assert p_factor(25) == Fraction(5, 4)
-    assert p_factor(45) == Fraction(3, 2)
-    assert p_factor(9 * 25) == Fraction(5, 4) * Fraction(5, 4)
 
 
 def brute_sqrt_count(c, t):
