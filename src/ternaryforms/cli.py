@@ -1,9 +1,12 @@
 """Command line front end.
 
+Each subcommand is declared once, by `_command` on the function that builds
+its report, and each `verify` target once, as a row of `VERIFY_TARGETS`.
+
 Exit codes: 0 success (and identity checks passing), 1 identity failure,
-2 usage error (including a bad form, a non-prime p and an unreadable or
-corrupt genus cache), 3 resource limit exceeded, 4 internal error (any other
-exception, reported in one line on stderr).
+2 usage error (including a bad form, a non-prime p and an unreadable,
+unwritable or corrupt genus cache), 3 resource limit exceeded, 4 internal
+error (any other exception, reported in one line on stderr).
 """
 
 from __future__ import annotations
@@ -72,6 +75,143 @@ def _emit(data: dict, fmt: str) -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
+COMMANDS: dict[str, tuple] = {}
+FORM = ("form", {"help": "sextuple a,b,c,d,e,f"})
+INT = {"type": int}
+LABEL = ("label", {"choices": ("TG1", "TG2")})
+
+
+def _command(name, help_, *arguments):
+    """Declare `tqf name`: its help, its (name, `add_argument` keywords) pairs
+    and, as the decorated function of the parsed arguments, its report."""
+
+    def declare(report):
+        COMMANDS[name] = (help_, arguments, report)
+        return report
+
+    return declare
+
+
+@_command("disc", "discriminant of a form", FORM)
+def _disc(args):
+    form = TernaryForm.parse(args.form)
+    return {"form": form, "disc": discriminant(form)}
+
+
+@_command("reduce", "canonical reduced representative and witness", FORM)
+def _reduce(args):
+    form = TernaryForm.parse(args.form)
+    canon, witness = reduce_form(form)
+    return {"form": form, "reduced": canon, "witness": witness}
+
+
+@_command("count", "representation count R(n)", FORM, ("n", INT))
+def _count(args):
+    form = TernaryForm.parse(args.form)
+    if args.n < 0:
+        raise _UsageError("n must be nonnegative")
+    return {"form": form, "n": args.n, "count": rep_count(form, args.n)}
+
+
+@_command("theta", "representation counts R(0..bound)", FORM, ("bound", INT))
+def _theta(args):
+    form = TernaryForm.parse(args.form)
+    return {"form": form, "bound": args.bound, "counts": list(theta(form, args.bound).counts)}
+
+
+@_command("auts", "automorph group", FORM)
+def _auts(args):
+    form = TernaryForm.parse(args.form)
+    group = automorphs(form)
+    return {"form": form, "order": group.order, "elements": [list(map(list, u)) for u in group.elements]}
+
+
+@_command("equiv", "equivalence test with witness", ("form1", {}), ("form2", {}))
+def _equiv(args):
+    f1 = TernaryForm.parse(args.form1)
+    f2 = TernaryForm.parse(args.form2)
+    witness = equivalent(f1, f2)
+    return {"form1": f1, "form2": f2, "equivalent": witness is not None, "witness": witness}
+
+
+def _genus_set(args):
+    cache = GenusCache(args.cache)
+    return cache.tg1(args.p) if args.label == "TG1" else cache.tg2(args.p)
+
+
+@_command("genus", "enumerate TG1 or TG2 for an odd prime", LABEL, ("p", INT))
+def _genus(args):
+    genus = _genus_set(args)
+    classes = [{"form": f, "aut": aut} for f, aut in genus.classes]
+    return {"label": genus.label, "p": genus.prime, "classes": classes, "mass": genus.mass}
+
+
+@_command("mass", "genus mass, enumerated and closed form", LABEL, ("p", INT))
+def _mass(args):
+    mass, closed = _genus_set(args).mass, mass_closed_form(args.p)
+    return {"label": args.label, "p": args.p, "mass": mass, "closed_form": closed, "match": mass == closed}
+
+
+@_command("phi", "image under the doubling map Phi", FORM)
+def _phi(args):
+    form = TernaryForm.parse(args.form)
+    return {"form": form, "image": phi(form)}
+
+
+@_command("phi-inv", "preimage under Phi", FORM)
+def _phi_inv(args):
+    form = TernaryForm.parse(args.form)
+    return {"form": form, "preimage": phi_inverse(form)}
+
+
+@_command("lambda", "Watson lambda_m transform", FORM, ("m", INT))
+def _lambda(args):
+    form = TernaryForm.parse(args.form)
+    return {"form": form, "m": args.m, "image": lambda_m(form, args.m)}
+
+
+@_command("density", "p-adic local density at n", FORM, ("n", INT), ("p", INT))
+def _density(args):
+    form = TernaryForm.parse(args.form)
+    if args.n < 1:
+        raise _UsageError("n must be >= 1")
+    res = local_density(form, args.n, args.p)
+    return {"form": form, "n": args.n, "p": args.p, "density": res.value, "exponent_used": res.exponent_used}
+
+
+# target: (takes and so requires --p, default --n-max or None if it refuses
+# --n-max, report of the parsed arguments and n_max)
+VERIFY_TARGETS = {
+    "thm1.1": (False, 1000, lambda args, n_max: verify_theorem_1_1(n_max).to_dict()),
+    "thm1.2": (False, 1000, lambda args, n_max: verify_theorem_1_2(n_max).to_dict()),
+    "thm1.3": (True, 200, lambda args, n_max: verify_theorem_1_3(args.p, n_max, GenusCache(args.cache)).to_dict()),
+    "density": (False, None, lambda args, n_max: verify_density_theorems()),
+    "all": (False, None, lambda args, n_max: verify_all(cache=GenusCache(args.cache))),
+}
+
+
+@_command(
+    "verify",
+    "exact verification of the excess identities",
+    ("target", {"choices": VERIFY_TARGETS}),
+    ("--p", {"type": int, "help": "prime for thm1.3"}),
+    ("--n-max", INT),
+)
+def _verify(args):
+    takes_p, n_max, report = VERIFY_TARGETS[args.target]
+    if args.p is not None and not takes_p:
+        raise _UsageError(f"--p applies only to verify thm1.3, not {args.target}")
+    if args.n_max is not None:
+        if n_max is None:
+            raise _UsageError(f"--n-max applies only to verify thm1.x, not {args.target}")
+        if args.n_max < 1:
+            raise _UsageError("--n-max must be >= 1")
+        n_max = args.n_max
+    if takes_p and args.p is None:
+        raise _UsageError(f"verify {args.target} requires --p")
+    return report(args, n_max)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The `tqf` parser, built on the first `main` call and reused by every
@@ -89,42 +229,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     top.add_argument("--work-limit", type=int, default=None, help="units of work any one step may do (default 10^9)")
     sub = top.add_subparsers(dest="command", required=True)
-
-    def with_form(name, help_):
+    for name, (help_, arguments, report) in COMMANDS.items():
         p = sub.add_parser(name, help=help_)
-        p.add_argument("form", help="sextuple a,b,c,d,e,f")
-        return p
-
-    with_form("disc", "discriminant of a form")
-    with_form("reduce", "canonical reduced representative and witness")
-    p = with_form("count", "representation count R(n)")
-    p.add_argument("n", type=int)
-    p = with_form("theta", "representation counts R(0..bound)")
-    p.add_argument("bound", type=int)
-    with_form("auts", "automorph group")
-    p = sub.add_parser("equiv", help="equivalence test with witness")
-    p.add_argument("form1")
-    p.add_argument("form2")
-    p = sub.add_parser("genus", help="enumerate TG1 or TG2 for an odd prime")
-    p.add_argument("label", choices=("TG1", "TG2"))
-    p.add_argument("p", type=int)
-    p = sub.add_parser("mass", help="genus mass, enumerated and closed form")
-    p.add_argument("label", choices=("TG1", "TG2"))
-    p.add_argument("p", type=int)
-    with_form("phi", "image under the doubling map Phi")
-    with_form("phi-inv", "preimage under Phi")
-    p = with_form("lambda", "Watson lambda_m transform")
-    p.add_argument("m", type=int)
-    p = with_form("density", "p-adic local density at n")
-    p.add_argument("n", type=int)
-    p.add_argument("p", type=int)
-    p = sub.add_parser("verify", help="exact verification of the excess identities")
-    p.add_argument(
-        "target",
-        choices=("thm1.1", "thm1.2", "thm1.3", "density", "all"),
-    )
-    p.add_argument("--p", type=int, default=None, help="prime for thm1.3")
-    p.add_argument("--n-max", type=int, default=None)
+        for arg, kwargs in arguments:
+            p.add_argument(arg, **kwargs)
+        p.set_defaults(report=report)
     return top
 
 
@@ -132,120 +241,9 @@ def _run(args) -> int:
     if args.work_limit is not None and args.work_limit < 1:
         raise _UsageError("--work-limit must be >= 1")
     WORK_LIMIT.set(args.work_limit or WORK_LIMIT.get())
-    fmt = args.format
-    cmd = args.command
-    if cmd == "disc":
-        form = TernaryForm.parse(args.form)
-        _emit({"form": form, "disc": discriminant(form)}, fmt)
-        return EXIT_OK
-    if cmd == "reduce":
-        form = TernaryForm.parse(args.form)
-        canon, witness = reduce_form(form)
-        _emit({"form": form, "reduced": canon, "witness": witness}, fmt)
-        return EXIT_OK
-    if cmd == "count":
-        form = TernaryForm.parse(args.form)
-        if args.n < 0:
-            raise _UsageError("n must be nonnegative")
-        _emit({"form": form, "n": args.n, "count": rep_count(form, args.n)}, fmt)
-        return EXIT_OK
-    if cmd == "theta":
-        form = TernaryForm.parse(args.form)
-        vec = theta(form, args.bound)
-        _emit({"form": form, "bound": args.bound, "counts": list(vec.counts)}, fmt)
-        return EXIT_OK
-    if cmd == "auts":
-        form = TernaryForm.parse(args.form)
-        group = automorphs(form)
-        _emit(
-            {"form": form, "order": group.order, "elements": [list(map(list, u)) for u in group.elements]},
-            fmt,
-        )
-        return EXIT_OK
-    if cmd == "equiv":
-        f1 = TernaryForm.parse(args.form1)
-        f2 = TernaryForm.parse(args.form2)
-        witness = equivalent(f1, f2)
-        _emit(
-            {
-                "form1": f1,
-                "form2": f2,
-                "equivalent": witness is not None,
-                "witness": witness,
-            },
-            fmt,
-        )
-        return EXIT_OK
-    if cmd in ("genus", "mass"):
-        cache = GenusCache(args.cache)
-        genus = cache.tg1(args.p) if args.label == "TG1" else cache.tg2(args.p)
-    if cmd == "genus":
-        classes = [{"form": f, "aut": aut} for f, aut in genus.classes]
-        _emit({"label": genus.label, "p": genus.prime, "classes": classes, "mass": genus.mass}, fmt)
-        return EXIT_OK
-    if cmd == "mass":
-        _emit(
-            {
-                "label": args.label,
-                "p": args.p,
-                "mass": genus.mass,
-                "closed_form": mass_closed_form(args.p),
-                "match": genus.mass == mass_closed_form(args.p),
-            },
-            fmt,
-        )
-        return EXIT_OK
-    if cmd == "phi":
-        form = TernaryForm.parse(args.form)
-        _emit({"form": form, "image": phi(form)}, fmt)
-        return EXIT_OK
-    if cmd == "phi-inv":
-        form = TernaryForm.parse(args.form)
-        _emit({"form": form, "preimage": phi_inverse(form)}, fmt)
-        return EXIT_OK
-    if cmd == "lambda":
-        form = TernaryForm.parse(args.form)
-        _emit({"form": form, "m": args.m, "image": lambda_m(form, args.m)}, fmt)
-        return EXIT_OK
-    if cmd == "density":
-        form = TernaryForm.parse(args.form)
-        if args.n < 1:
-            raise _UsageError("n must be >= 1")
-        res = local_density(form, args.n, args.p)
-        _emit(
-            {
-                "form": form,
-                "n": args.n,
-                "p": args.p,
-                "density": res.value,
-                "exponent_used": res.exponent_used,
-            },
-            fmt,
-        )
-        return EXIT_OK
-    if cmd == "verify":
-        if args.p is not None and args.target != "thm1.3":
-            raise _UsageError(f"--p applies only to verify thm1.3, not {args.target}")
-        if args.n_max is not None and not args.target.startswith("thm"):
-            raise _UsageError(f"--n-max applies only to verify thm1.x, not {args.target}")
-        n_max = args.n_max if args.n_max is not None else 200 if args.target == "thm1.3" else 1000
-        if n_max < 1:
-            raise _UsageError("--n-max must be >= 1")
-        if args.target == "thm1.1":
-            report = verify_theorem_1_1(n_max).to_dict()
-        elif args.target == "thm1.2":
-            report = verify_theorem_1_2(n_max).to_dict()
-        elif args.target == "thm1.3":
-            if args.p is None:
-                raise _UsageError("verify thm1.3 requires --p")
-            report = verify_theorem_1_3(args.p, n_max, GenusCache(args.cache)).to_dict()
-        elif args.target == "density":
-            report = verify_density_theorems()
-        else:
-            report = verify_all(cache=GenusCache(args.cache))
-        _emit(report, fmt)
-        return EXIT_OK if report["pass"] else EXIT_FAIL
-    raise _UsageError(f"unknown command {cmd}")
+    report = args.report(args)
+    _emit(report, args.format)
+    return EXIT_OK if report.get("pass", True) else EXIT_FAIL
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -269,15 +269,17 @@ class GenusCache:
         self._rows[key] = [list(form.coeffs) for form, _ in genus.classes]
         if self.path:
             d = os.path.dirname(os.path.abspath(self.path))
-            fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
+            tmp = None
             try:
+                fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
                 with os.fdopen(fd, "w") as fh:
                     fh.write(json.dumps(self._rows, separators=(",", ":")))
                 os.replace(tmp, self.path)
-            except BaseException:
-                if os.path.exists(tmp):
+            except OSError as exc:
+                raise FormError(f"cannot write genus cache {self.path}: {exc}") from None
+            finally:
+                if tmp is not None and os.path.exists(tmp):
                     os.unlink(tmp)
-                raise
 
     def tg1(self, p: int) -> GenusSet:
         cached = self.get("TG1", p)

@@ -210,8 +210,8 @@ def density_suites(
     return failures
 
 
-def verify_density_theorems(**kwargs) -> dict:
-    suites = density_suites(**kwargs)
+def verify_density_theorems() -> dict:
+    suites = density_suites()
     return {
         "identity": "density-suites",
         "suites": {k: {"pass": not v, "failures": v} for k, v in suites.items()},
@@ -221,8 +221,12 @@ def verify_density_theorems(**kwargs) -> dict:
 
 # -- Watson property suite ------------------------------------------------
 
+# The primes whose genera the mass and Watson suites of `verify_all` check.
+SUITE_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 73)
+
+
 def watson_suite(
-    primes=(3, 5, 7, 11, 13), n_scaling: int = 300, cache: GenusCache | None = None
+    primes=SUITE_PRIMES, n_scaling: int = 300, cache: GenusCache | None = None
 ) -> dict[str, list[str]]:
     cache = cache or GenusCache()
     fails_invol: list[str] = []
@@ -258,7 +262,7 @@ def watson_suite(
     }
 
 
-def mass_suite(primes=(3, 5, 7, 11, 13, 17, 19, 23, 73), cache: GenusCache | None = None) -> list[str]:
+def mass_suite(primes=SUITE_PRIMES, cache: GenusCache | None = None) -> list[str]:
     cache = cache or GenusCache()
     fails = []
     for p in primes:
@@ -277,27 +281,27 @@ def mass_suite(primes=(3, 5, 7, 11, 13, 17, 19, 23, 73), cache: GenusCache | Non
     return fails
 
 
-def verify_all(
-    n_identities: int = 1000,
-    n_thm13: int = 500,
-    n_thm13_big: int = 200,
-    thm13_primes=(3, 5, 7, 11, 13),
-    big_prime: int | None = 73,
-    cache: GenusCache | None = None,
-) -> dict:
+# The n_max of each identity `verify_all` checks, and its primes for Theorem 1.3.
+N_IDENTITIES = 1000
+N_THM13 = 500
+N_THM13_BIG = 200
+THM13_PRIMES = (3, 5, 7, 11, 13)
+BIG_PRIME = 73
+
+
+def verify_all(cache: GenusCache | None = None) -> dict:
     """The full headless acceptance sweep; deterministic and exact."""
     cache = cache or GenusCache()
     reports = [
-        verify_theorem_1_1(n_identities).to_dict(),
-        verify_theorem_1_2(n_identities).to_dict(),
+        verify_theorem_1_1(N_IDENTITIES).to_dict(),
+        verify_theorem_1_2(N_IDENTITIES).to_dict(),
     ]
-    for p in thm13_primes:
-        reports.append(verify_theorem_1_3(p, n_thm13, cache).to_dict())
-    if big_prime is not None:
-        reports.append(verify_theorem_1_3(big_prime, n_thm13_big, cache).to_dict())
+    for p in THM13_PRIMES:
+        reports.append(verify_theorem_1_3(p, N_THM13, cache).to_dict())
+    reports.append(verify_theorem_1_3(BIG_PRIME, N_THM13_BIG, cache).to_dict())
     mass_failures = mass_suite(cache=cache)
     density = verify_density_theorems()
-    watson = watson_suite(primes=(3, 5, 7, 11, 13, 17, 19, 23, 73), cache=cache)
+    watson = watson_suite(cache=cache)
     result = {
         "identities": reports,
         "mass": {"pass": not mass_failures, "failures": mass_failures},

@@ -1,8 +1,10 @@
+import argparse
 import json
 import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +19,7 @@ from ternaryforms.cli import (
     main,
 )
 from ternaryforms.forms import WORK_LIMIT
+from ternaryforms.verify import IdentityReport
 
 
 def run(capsys, *args):
@@ -299,6 +302,16 @@ def test_verify_refuses_a_flag_its_target_does_not_take(capsys, args):
     assert f"error: {flag} applies only to" in err
 
 
+@pytest.mark.parametrize(
+    "args, n_max",
+    [(("thm1.1",), 1000), (("thm1.2",), 1000), (("thm1.3", "--p", "5"), 200)],
+    ids=lambda v: " ".join(v) if isinstance(v, tuple) else str(v),
+)
+def test_verify_default_n_max(capsys, args, n_max):
+    code, data, _ = run_json(capsys, "verify", *args)
+    assert (code, data["n_max"], data["pass"]) == (EXIT_OK, n_max, True)
+
+
 def test_verify_requires_p(capsys):
     code, _, err = run(capsys, "verify", "thm1.3")
     assert code == EXIT_USAGE
@@ -345,6 +358,15 @@ def test_unreadable_cache_is_a_usage_error(capsys, tmp_path, kind):
     code, _, err = run(capsys, "--cache", str(path), "mass", "TG1", "5")
     assert code == EXIT_USAGE
     assert str(path) in err
+
+
+def test_unwritable_cache_is_a_usage_error(capsys, tmp_path):
+    # A missing directory: permission bits would not stop a run as root.
+    path = tmp_path / "no-such-dir" / "genus.json"
+    code, out, err = run(capsys, "--cache", str(path), "mass", "TG1", "11")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert f"cannot write genus cache {path}: " in err
 
 
 @pytest.mark.parametrize(
@@ -489,6 +511,15 @@ def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
     assert err.splitlines() == ["internal error: RuntimeError: simulated fault"]
 
 
+def test_disproved_identity_exits_one(capsys, monkeypatch):
+    def disproved(n_max):
+        return IdentityReport("thm1.1", 3, n_max, [{"n": 1, "lhs": 0, "rhs": 1}])
+
+    monkeypatch.setattr(cli, "verify_theorem_1_1", disproved)
+    code, data, err = run_json(capsys, "verify", "thm1.1", "--n-max", "5")
+    assert (code, data["n_max"], data["pass"], err) == (EXIT_FAIL, 5, False, "")
+
+
 def test_closed_stdout_pipe_ends_quietly():
     proc = subprocess.Popen(
         [sys.executable, "-m", "ternaryforms.cli", "theta", "1,1,1,0,0,0", "3000"],
@@ -501,3 +532,27 @@ def test_closed_stdout_pipe_ends_quietly():
     assert proc.wait(timeout=120) == EXIT_OK
     assert "Traceback" not in err
     assert "BrokenPipeError" not in err
+
+
+def _readme_cli_lines():
+    """The argv of each `tqf` line of the README's CLI block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```\n", 2)[1]
+    lines = block.splitlines()
+    assert lines and all(line.startswith("tqf ") for line in lines)
+    return [line.split()[1:] for line in lines]
+
+
+@pytest.mark.parametrize("argv", _readme_cli_lines(), ids=" ".join)
+def test_readme_cli_line_succeeds(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)  # `--cache genus.json` writes where it runs
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (EXIT_OK, "")
+    assert json.loads(out)
+
+
+def test_readme_cli_block_shows_every_command():
+    parser = cli._build_parser()
+    shown = {parser.parse_args(argv).command for argv in _readme_cli_lines()}
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert shown == set(sub.choices)
