@@ -15,7 +15,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from math import gcd
 
-from .matrices import Mat3, det3, mat_mul, transpose
+from .matrices import Mat3, det3, mat_mul, mat_scale_exact, transpose
 
 
 class FormError(ValueError):
@@ -114,9 +114,17 @@ def apply_map(form: TernaryForm, u: Mat3) -> TernaryForm:
     return apply_basis(form, u)
 
 
-def apply_basis(form: TernaryForm, u: Mat3) -> TernaryForm:
-    """Form with Gram U' G U for an arbitrary integer matrix U."""
+def apply_basis(form: TernaryForm, u: Mat3, den: int = 1) -> TernaryForm:
+    """Form with Gram U' G U / den for an arbitrary integer matrix U.
+
+    Raises FormError when that Gram matrix is not integral with even diagonal.
+    """
     g = mat_mul(transpose(u), mat_mul(form.gram(), u))
+    if den != 1:
+        try:
+            g = mat_scale_exact(g, 1, den)
+        except ValueError:
+            raise FormError(f"the Gram matrix of {form} in basis {u}, divided by {den}, is not integral") from None
     return TernaryForm.from_gram(g)
 
 

@@ -15,9 +15,9 @@ work limit, charged with the closure's size before the seed, is the only
 bound on p.  |Aut| of each class is the number of bases its canonical
 reduction finds.  TG2(p) is constructed class by class through Phi, with
 the automorph-order match checked as required by the bijection.
-GenusCache stores only the canonical forms of each genus; each stored row
-is checked and its |Aut| recomputed, and the mass checked, when a stored
-genus is first read.
+GenusCache stores only the canonical forms of TG1; when a genus is first
+read from them, TG1 from the rows or TG2 from their Phi images, each row is
+checked and the |Aut| of its class recomputed, and the mass checked.
 """
 
 from __future__ import annotations
@@ -30,9 +30,9 @@ from fractions import Fraction
 from math import isqrt
 
 from .counting import rep_count
-from .forms import FormError, TernaryForm, charge, discriminant, is_positive_definite, is_primitive
+from .forms import FormError, TernaryForm, apply_basis, charge, discriminant, is_positive_definite
 from .local import is_prime
-from .matrices import column_hnf, mat_mul, mat_scale_exact, transpose
+from .matrices import column_hnf
 from .reduction import _canonical_bases
 from .watson import _phi_raw
 
@@ -123,7 +123,7 @@ def _neighbours(form: TernaryForm, ell: int) -> list[TernaryForm]:
         cols = [tuple(ell * ell * (k == j) for k in range(3)) for j in range(3)]
         cols += [tuple(ell * ((k == j) - h[j] * inv * (k == i)) for k in range(3)) for j in range(3) if j != i]
         m = column_hnf(cols + [v])
-        out.append(TernaryForm.from_gram(mat_scale_exact(mat_mul(transpose(m), mat_mul(g, m)), 1, ell * ell)))
+        out.append(apply_basis(form, m, ell * ell))
     return out
 
 
@@ -191,51 +191,54 @@ def weighted_rep_sum(genus: GenusSet, n: int) -> Fraction:
 # -- JSON cache -----------------------------------------------------------
 
 def _genus_from_rows(rows, label: str, p: int) -> GenusSet:
-    """The genus stored under (label, p) as coefficient rows.
+    """TG1(p) or TG2(p) from the coefficient rows of the "TG1,p" entry.
 
-    Every row must be a primitive positive definite form of discriminant p^2
-    (TG1) or 16p^2 (TG2), be its own canonical form, and appear once; one
-    canonical reduction per row gives its canonical form and |Aut|.  The mass
-    must be the closed-form (p-1)/48 of both genera.  For TG1 these checks
-    are complete: distinct classes of discriminant p^2 whose masses sum to
-    the mass of all of TG1 are all of TG1.  A TG2 row of another genus of
-    discriminant 16p^2 is caught only when it changes the mass.
+    Every row must be a positive definite form of discriminant p^2, so
+    primitive (disc(kQ) = k^3 disc(Q)).  For TG1 each row must be its own
+    canonical form; for TG2 it is not reduced at all, and one canonical
+    reduction of its Phi sublattice form (`watson._phi_raw`) gives the image
+    class and its |Aut|.  Rows of one class (equal images, as Phi is a
+    bijection on classes) are refused, and the mass must be the closed-form
+    (p-1)/48.  These checks are complete: distinct classes of discriminant
+    p^2 whose masses sum to the mass of all of TG1 are all of TG1, and their
+    images are all of TG2.
     """
-    key = f"{label},{p}"
+    key = f"TG1,{p}"
     if not all(
         isinstance(row, list) and len(row) == 6 and all(type(v) is int for v in row) for row in rows
     ):
         raise FormError(f"genus cache entry {key} is not a list of six-integer rows; cache corrupt")
-    disc = (1 if label == "TG1" else 16) * p * p
     classes: dict[TernaryForm, int] = {}
+    rows_of: dict[TernaryForm, TernaryForm] = {}
     for row in rows:
         form = TernaryForm(*row)
-        if not is_positive_definite(form) or discriminant(form) != disc:
-            raise FormError(f"genus cache entry {key} holds {form}, not positive definite of discriminant {disc}; cache corrupt")
-        if not is_primitive(form):
-            raise FormError(f"genus cache entry {key} holds {form}, which is not primitive; cache corrupt")
-        canon, bases = _canonical_bases(form)
-        if canon != form:
+        if not is_positive_definite(form) or discriminant(form) != p * p:
+            raise FormError(f"genus cache entry {key} holds {form}, not positive definite of discriminant {p * p}; cache corrupt")
+        canon, bases = _canonical_bases(form if label == "TG1" else _phi_raw(form))
+        if label == "TG1" and canon != form:
             raise FormError(f"genus cache entry {key} holds {form}, not its canonical form {canon}; cache corrupt")
-        if form in classes:
-            raise FormError(f"genus cache entry {key} holds {form} twice; cache corrupt")
-        classes[form] = len(bases)
-    genus = GenusSet(label, p, tuple(classes.items()))
+        if canon in classes:
+            first = rows_of[canon]
+            twice = f"{form} twice" if first == form else f"{first} and {form}, of one class"
+            raise FormError(f"genus cache entry {key} holds {twice}; cache corrupt")
+        classes[canon], rows_of[canon] = len(bases), form
+    genus = GenusSet(label, p, tuple(sorted(classes.items())))
     if genus.mass != mass_closed_form(p):
         raise FormError(f"genus cache entry {key} has mass {genus.mass}, not {mass_closed_form(p)}; cache corrupt")
     return genus
 
 
 class GenusCache:
-    """Persists the classes of each genus to a JSON file, written atomically,
-    or keeps them in memory only when no path is given.
+    """Persists the classes of TG1 to a JSON file, written atomically, or
+    keeps them in memory only when no path is given; TG2 is derived.
 
-    The file maps "TG1,p" and "TG2,p" to the coefficient rows of the classes;
-    a file with any entry that is not a list is refused when it is opened, so
-    `put` never writes rows beside an entry of another layout.  A genus read
-    from the file is checked and its |Aut| recomputed once per instance (one
-    canonical reduction per row), which keeps every genus it has checked or
-    built.
+    The file maps "TG1,p" to the coefficient rows of the classes; other
+    entries are not read, and a file with any entry that is not a list is
+    refused when it is opened, so `put` never writes rows beside an entry of
+    another layout.  A genus is read from the rows once per instance and
+    checked (one canonical reduction per row): TG1 from the rows, TG2 from
+    their Phi images.  When TG1 is in memory, TG2 is `build_tg2` of it.  The
+    instance keeps every genus it has checked or built.
     """
 
     def __init__(self, path: str | None = None):
@@ -255,17 +258,23 @@ class GenusCache:
                     raise FormError(f"genus cache {self.path}: entry {key} is not a list of rows; cache corrupt")
 
     def get(self, label: str, p: int) -> GenusSet | None:
-        key = f"{label},{p}"
-        if key not in self._genera and key in self._rows:
-            try:
-                self._genera[key] = _genus_from_rows(self._rows[key], label, p)
-            except FormError as exc:
-                raise FormError(f"genus cache {self.path}: {exc}") from None
+        key, tg1 = f"{label},{p}", f"TG1,{p}"
+        if key not in self._genera:
+            if label == "TG2" and tg1 in self._genera:
+                self._genera[key] = build_tg2(self._genera[tg1])
+            elif tg1 in self._rows:
+                try:
+                    self._genera[key] = _genus_from_rows(self._rows[tg1], label, p)
+                except FormError as exc:
+                    raise FormError(f"genus cache {self.path}: {exc}") from None
         return self._genera.get(key)
 
     def put(self, genus: GenusSet) -> None:
+        """Keep genus; a TG1 genus is also stored as rows, and written to the file."""
         key = f"{genus.label},{genus.prime}"
         self._genera[key] = genus
+        if genus.label != "TG1":
+            return
         self._rows[key] = [list(form.coeffs) for form, _ in genus.classes]
         if self.path:
             d = os.path.dirname(os.path.abspath(self.path))
@@ -291,6 +300,6 @@ class GenusCache:
     def tg2(self, p: int) -> GenusSet:
         cached = self.get("TG2", p)
         if cached is None:
-            cached = build_tg2(self.tg1(p))
-            self.put(cached)
+            self.tg1(p)  # kept in memory, so `get` builds TG2 from it
+            cached = self.get("TG2", p)
         return cached

@@ -3,10 +3,11 @@
 Lambda_m restricts a form to the sublattice where it is m-divisible
 (G*v ≡ 0 and f(v) ≡ 0 mod m), rescales by 1/m, and rereads the result as an
 integral form.  Phi restricts a form of odd discriminant to the index-4
-sublattice {v : G*v ≡ 0 mod 2}, with no rescaling; in a basis where a and d
-are odd and e and f even this is the coefficient map
-<a,b,c,d,e,f> -> <a,4b,4c,4d,2e,2f>.  On forms of odd discriminant lambda_4
-inverts Phi on classes, so Phi^-1 is lambda_4 with Phi as its exact check.
+sublattice {v : G*v ≡ 0 mod 2} = Z r + 2 Z^3, r = (d, e, f) mod 2, with no
+rescaling; in a basis where a and d are odd and e and f even this is the
+coefficient map <a,b,c,d,e,f> -> <a,4b,4c,4d,2e,2f>.  On forms of odd
+discriminant lambda_4 inverts Phi on classes, so Phi^-1 is lambda_4 with Phi
+as its exact check.
 """
 
 from __future__ import annotations
@@ -31,9 +32,7 @@ from .matrices import (
     column_hnf,
     det3,
     mat_mul,
-    mat_neg,
     mat_scale_exact,
-    transpose,
     unimodular_inverse,
 )
 from .reduction import reduce_form
@@ -56,26 +55,10 @@ def divisibility_lattice_basis(form: TernaryForm, m: int) -> Mat3:
     return column_hnf(cols)
 
 
-def _lambda_raw(form: TernaryForm, m: int) -> tuple[TernaryForm, Mat3, Mat3]:
-    """(raw transformed form, basis M, cofactor N with M*N = N*M = m*I)."""
+def _lambda_raw(form: TernaryForm, m: int) -> tuple[TernaryForm, Mat3]:
+    """(raw transformed form, its basis M): the form on M's lattice, rescaled by 1/m."""
     mbasis = divisibility_lattice_basis(form, m)
-    gram2 = mat_mul(transpose(mbasis), mat_mul(form.gram(), mbasis))
-    try:
-        scaled = mat_scale_exact(gram2, 1, m)
-    except ValueError:
-        raise FormError(
-            f"scaled Gram of {form} under lambda_{m} is not integral"
-        ) from None
-    raw = TernaryForm.from_gram(scaled)
-    det = det3(mbasis)
-    adj = adjugate(mbasis)
-    try:
-        n = mat_scale_exact(adj if det > 0 else mat_neg(adj), m, abs(det))
-    except ValueError:
-        raise FormError(
-            f"cofactor matrix of lambda_{m} basis is not integral for {form}"
-        ) from None
-    return raw, mbasis, n
+    return apply_basis(form, mbasis, m), mbasis
 
 
 def _canonical(form: TernaryForm) -> TernaryForm:
@@ -87,28 +70,24 @@ def lambda_m(form: TernaryForm, m: int) -> TernaryForm:
     """Watson's m-mapping; canonically reduced when the input is definite."""
     if m < 2:
         raise FormError("modulus must be >= 2")
-    raw, _, _ = _lambda_raw(form, m)
-    return _canonical(raw)
+    return _canonical(_lambda_raw(form, m)[0])
 
 
 def _phi_raw(form: TernaryForm) -> TernaryForm:
     """The form on {v : G v ≡ 0 (mod 2)}, in its column-HNF basis, unreduced.
 
-    At odd discriminant G mod 2 is alternating of rank 2, so its kernel is a
-    line {0, r} and the sublattice is Z r + 2 Z^3, of index 4 whatever the
-    basis.  When a and d are odd and e and f even, r = e_1 and the basis
-    (e_1, 2e_2, 2e_3) gives <a,4b,4c,4d,2e,2f>.
+    G mod 2 is the alternating matrix of (d, e, f) mod 2, whose kernel holds
+    r = (d, e, f) mod 2.  At odd discriminant (≡ def + ad + be + cf mod 2) r
+    is not 0 and G mod 2 has rank 2, so the sublattice is Z r + 2 Z^3, of
+    index 4 whatever the basis.  When a and d are odd and e and f even,
+    r = e_1 and the basis (e_1, 2e_2, 2e_3) gives <a,4b,4c,4d,2e,2f>.
     """
     if discriminant(form) % 2 == 0:
         raise FormError("phi requires odd discriminant")
     if not is_primitive(form):
         raise FormError("phi requires a primitive form")
-    g = form.gram()
-    cols: list[Vec3] = [(2, 0, 0), (0, 2, 0), (0, 0, 2)]
-    for v in product(range(2), repeat=3):
-        if all(sum(g[i][k] * v[k] for k in range(3)) % 2 == 0 for i in range(3)):
-            cols.append(v)
-    return apply_basis(form, column_hnf(cols))
+    r = (form.d % 2, form.e % 2, form.f % 2)
+    return apply_basis(form, column_hnf([(2, 0, 0), (0, 2, 0), (0, 0, 2), r]))
 
 
 def phi(form: TernaryForm) -> TernaryForm:
@@ -135,14 +114,16 @@ def transport_automorph(
 ) -> tuple[TernaryForm, tuple[Mat3, ...]]:
     """(lambda_m(preimage), the automorphs rs of the preimage mapped into it).
 
-    Each r goes to s = (1/m) * N * r * M on the raw transformed form, then
-    into the coordinates of the canonical image by the witness w of
-    reduce_form(raw): w^-1 * s * w.  The lattice and w are built once for
-    the whole sequence, and the images come back in the order of rs.  Raises
-    when some s is not integral or not an automorph (which would contradict
-    the transport construction).
+    Each r goes to s = M^-1 * r * M = adj(M) * r * M / det(M) on the raw
+    transformed form (det(M) > 0, as M is a column HNF), then into the
+    coordinates of the canonical image by the witness w of reduce_form(raw):
+    w^-1 * s * w.  The lattice and w are built once for the whole sequence,
+    and the images come back in the order of rs.  Raises when some s is not
+    integral or not an automorph (which would contradict the transport
+    construction).
     """
-    raw, mbasis, n = _lambda_raw(preimage, m)
+    raw, mbasis = _lambda_raw(preimage, m)
+    adj, det = adjugate(mbasis), det3(mbasis)
     image, w = reduce_form(raw)
     w_inv = unimodular_inverse(w)
     out = []
@@ -150,7 +131,7 @@ def transport_automorph(
         if apply_map(preimage, r) != preimage:
             raise FormError("r is not an automorph of the preimage")
         try:
-            s_raw = mat_scale_exact(mat_mul(n, mat_mul(r, mbasis)), 1, m)
+            s_raw = mat_scale_exact(mat_mul(adj, mat_mul(r, mbasis)), 1, det)
         except ValueError:
             raise FormError("transported automorph is not integral") from None
         if apply_map(raw, s_raw) != raw:

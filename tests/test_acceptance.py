@@ -188,3 +188,16 @@ def test_verify_all_stdout_is_byte_identical(full_run):
     """The `verify all` report is byte-for-byte the recorded one."""
     digest = hashlib.sha256(full_run[3].encode()).hexdigest()
     assert digest == VERIFY_ALL_STDOUT_SHA256
+
+
+def test_verify_all_stdout_is_byte_identical_on_a_warm_cache(full_run):
+    """A second `verify all` reads every genus from the cache file the first
+    one wrote, and prints the same recorded report."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "ternaryforms.cli", "--cache", full_run[2], "verify", "all"],
+        capture_output=True,
+        text=True,
+        timeout=1800,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == VERIFY_ALL_STDOUT_SHA256

@@ -19,7 +19,8 @@ from ternaryforms.genus import (
 from ternaryforms.isometry import automorphs, equivalent
 from ternaryforms.local import is_prime
 from ternaryforms.reduction import _canonical_bases, reduce_form
-from ternaryforms.watson import phi
+from ternaryforms.verify import verify_theorem_1_3
+from ternaryforms.watson import _phi_raw, phi
 
 KNOWN_TG1 = {
     3: [((1, 1, 3, 0, 0, 1), 24)],
@@ -115,9 +116,7 @@ def test_cache_round_trip(tmp_path):
 def test_cache_stores_only_the_rows(tmp_path):
     path = tmp_path / "genus.json"
     GenusCache(str(path)).tg2(11)
-    assert path.read_text() == (
-        '{"TG1,11":[[1,3,11,0,0,1],[3,4,4,3,2,-2]],"TG2,11":[[3,15,15,14,2,-2],[4,11,12,0,4,0]]}'
-    )
+    assert path.read_text() == '{"TG1,11":[[1,3,11,0,0,1],[3,4,4,3,2,-2]]}'
 
 
 def test_cache_reads_the_indented_layout(tmp_path):
@@ -234,15 +233,56 @@ def test_cache_rejects_an_injected_tg1_class(tmp_path, how):
         GenusCache(str(path)).tg1(29)
 
 
-def test_cache_rejects_a_non_primitive_tg2_row(tmp_path):
-    # 2 * <1,2,31,-2,-1,0> has discriminant 8 * 242 = 16 * 11^2.
+def test_cache_ignores_a_tg2_entry(tmp_path):
+    # 1,2,242,0,0,0 has discriminant 16 * 11^2 and |Aut| 8, like the class
+    # 4,11,12,0,4,0 it replaces, but lies outside TG2(11).  TG2 is derived
+    # from the TG1 rows, so a "TG2,p" entry is never read.
     path = tmp_path / "genus.json"
-    GenusCache(str(path)).tg2(11)
+    GenusCache(str(path)).tg1(11)
     data = json.loads(path.read_text())
-    data["TG2,11"][0] = [2, 4, 62, -4, -2, 0]
+    data["TG2,11"] = [[3, 15, 15, 14, 2, -2], [1, 2, 242, 0, 0, 0]]
     path.write_text(json.dumps(data))
-    with pytest.raises(FormError, match="holds 2,4,62,-4,-2,0, which is not primitive; cache corrupt"):
+    cache = GenusCache(str(path))
+    assert [(f.coeffs, aut) for f, aut in cache.tg2(11).classes] == [((3, 15, 15, 14, 2, -2), 12), ((4, 11, 12, 0, 4, 0), 8)]
+    assert verify_theorem_1_3(11, 50, cache).passed
+
+
+# Each damage to the TG1(11) rows, and the message that refuses TG2(11).
+DAMAGED_TG1_11 = {
+    "dropped-class": (lambda rows: rows[:1], "has mass 1/8, not 5/24"),
+    "one-class-twice": (
+        lambda rows: [rows[0], [1, 3, 12, 1, 2, 1]],  # rows[0] in the basis (e_1, e_2, e_1 + e_3)
+        "holds 1,3,11,0,0,1 and 1,3,12,1,2,1, of one class",
+    ),
+    "wrong-discriminant": (
+        lambda rows: [rows[0], [3, 4, 5, 3, 2, -2]],
+        "holds 3,4,5,3,2,-2, not positive definite of discriminant 121",
+    ),
+}
+
+
+@pytest.mark.parametrize("how", sorted(DAMAGED_TG1_11))
+def test_damaged_tg1_rows_refuse_tg2(tmp_path, how):
+    damage, message = DAMAGED_TG1_11[how]
+    path = tmp_path / "genus.json"
+    GenusCache(str(path)).tg1(11)
+    data = json.loads(path.read_text())
+    data["TG1,11"] = damage(data["TG1,11"])
+    path.write_text(json.dumps(data))
+    with pytest.raises(FormError) as info:
         GenusCache(str(path)).tg2(11)
+    assert str(info.value) == f"genus cache {path}: genus cache entry TG1,11 {message}; cache corrupt"
+
+
+@pytest.mark.parametrize("p", [11, 29, 73])
+def test_warm_tg2_reduces_one_phi_image_per_class(tmp_path, monkeypatch, p):
+    path = tmp_path / "genus.json"
+    rows = GenusCache(str(path)).tg1(p).classes
+    calls = count_calls(monkeypatch, "reduction", "_canonical_bases")
+    tg2 = GenusCache(str(path)).tg2(p)
+    assert len(calls) == len(tg2.classes) == len(rows)
+    assert sorted(form for form, in calls) == sorted(_phi_raw(form) for form, _ in rows)
+    assert not {form for form, in calls} & {form for form, _ in rows}
 
 
 @pytest.mark.parametrize("how", ["wrong-class", "missing-coeffs", "dropped-class"])

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -8,6 +10,7 @@ from ternaryforms.forms import (
     FormError,
     TernaryForm,
     discriminant,
+    apply_basis,
     apply_map,
     is_positive_definite,
     is_primitive,
@@ -16,7 +19,9 @@ from ternaryforms.genus import build_tg2, enumerate_tg1
 from ternaryforms.isometry import automorphs, equivalent
 from test_matrices import IDENTITY, shear
 from ternaryforms.matrices import (
+    adjugate,
     column_hnf,
+    det3,
     mat_mul,
     mat_scale_exact,
     unimodular_inverse,
@@ -24,6 +29,7 @@ from ternaryforms.matrices import (
 from ternaryforms.reduction import reduce_form
 from ternaryforms.watson import (
     _lambda_raw,
+    _phi_raw,
     divisibility_lattice_basis,
     lambda_m,
     phi,
@@ -198,6 +204,28 @@ def test_lambda_lattice_matches_the_generator_sum_scan(a0, b0, c0, d, e, f, m):
     assert divisibility_lattice_basis(form, m) == expected
 
 
+def _phi_scan_basis(form):
+    """Oracle: the column HNF of {v : G v ≡ 0 (mod 2)}, by a scan of the eight
+    residues mod 2."""
+    g = form.gram()
+    cols = [(2, 0, 0), (0, 2, 0), (0, 0, 2)]
+    for v in product(range(2), repeat=3):
+        if all(sum(g[i][k] * v[k] for k in range(3)) % 2 == 0 for i in range(3)):
+            cols.append(v)
+    return column_hnf(cols)
+
+
+@given(*[st.integers(-20, 20)] * 6)
+@settings(max_examples=300, deadline=None)
+def test_phi_lattice_is_spanned_by_the_kernel_vector(a, b, c, d, e, f):
+    # Definite and indefinite forms alike: only the Gram matrix mod 2 counts.
+    form = TernaryForm(a, b, c, d, e, f)
+    assume(discriminant(form) % 2 and is_primitive(form))
+    basis = _phi_scan_basis(form)
+    assert _phi_raw(form) == apply_basis(form, basis)
+    assert column_hnf([(2, 0, 0), (0, 2, 0), (0, 0, 2), (d % 2, e % 2, f % 2)]) == basis
+
+
 def test_lambda_rejects_bad_modulus():
     with pytest.raises(FormError):
         lambda_m(TernaryForm(1, 1, 1, 0, 0, 0), 1)
@@ -252,9 +280,11 @@ def test_transport_rejects_a_wrong_image(monkeypatch):
 
 
 def _transport_one_by_one(preimage, image, m, r):
-    """The per-automorph construction: s = N r M / m on the raw form, conjugated
-    by a witness from the backtracking equivalence search."""
-    raw, mbasis, n = _lambda_raw(preimage, m)
+    """The per-automorph construction: s = N r M / m on the raw form, with the
+    cofactor N = m adj(M) / det(M), conjugated by a witness from the
+    backtracking equivalence search."""
+    raw, mbasis = _lambda_raw(preimage, m)
+    n = mat_scale_exact(adjugate(mbasis), m, det3(mbasis))
     s_raw = mat_scale_exact(mat_mul(n, mat_mul(r, mbasis)), 1, m)
     assert apply_map(raw, s_raw) == raw
     if raw == image:
