@@ -18,16 +18,18 @@ Minkowski-reduced form (`forms._minkowski`), whose short diagonal keeps the
 row ranges tight however skewed the input basis is; `vectors_with_value`
 answers in the input coordinates and enumerates the input basis.  `s_batch`
 reads the sum of three squares on whole progressions from one two-squares
-table per process, grown in place.  Each charges its size to the work
+table per process, grown in place, and adds the table's strided slices as
+whole integers whose 16-bit lanes are the entries, a few C calls per slice
+rather than one addition per entry.  Each charges its size to the work
 limit (`forms.charge`) before it starts: the rows, theta's points and
 counts, s_batch's table entries and slice reads.
 """
 
 from __future__ import annotations
 
+import sys
 from array import array
 from dataclasses import dataclass
-from itertools import zip_longest
 from math import isqrt
 from typing import Iterator
 
@@ -212,6 +214,10 @@ def rep_count(form: TernaryForm, n: int) -> int:
 # array raises OverflowError rather than wrap.
 _R2 = array("H", [1])
 
+# Arrays hold their entries in the host's byte order; the lanes of s_batch
+# are little-endian on every host.
+_BIG_ENDIAN = sys.byteorder == "big"
+
 
 def _two_squares_table(limit: int) -> array:
     """The shared r2 table, grown to cover 0 <= k <= limit.
@@ -248,6 +254,23 @@ def _two_squares_table(limit: int) -> array:
     return r2
 
 
+def _lanes(row: array) -> int:
+    """The integer whose 16-bit lanes, least significant first, are the
+    entries of row (a slice copy, byteswapped in place on big-endian hosts)."""
+    if _BIG_ENDIAN:
+        row.byteswap()
+    return int.from_bytes(row.tobytes(), "little")
+
+
+def _widen(lanes: int, count: int) -> int:
+    """The integer whose 64-bit lanes hold the first `count` 16-bit lanes of lanes."""
+    narrow = lanes.to_bytes(2 * count, "little")
+    wide = bytearray(8 * count)
+    wide[0::8] = narrow[0::2]
+    wide[1::8] = narrow[1::2]
+    return int.from_bytes(wide, "little")
+
+
 def s_batch(step: int, n_max: int) -> list[int]:
     """[s(step*n) for 0 <= n <= n_max], read from the shared two-squares table.
 
@@ -255,16 +278,33 @@ def s_batch(step: int, n_max: int) -> list[int]:
     step*n - z^2 form a progression of difference step, so each z reads one
     strided slice of the table: r2(step*n - z^2) for n = n_max, n_max - 1, ...
     down to the least n with step*n >= z^2.  The slices all start at n_max,
-    so the sums over z are taken position by position; no z reaches n = 0.
+    and no z reaches n = 0.  Each slice is read as one integer whose 16-bit
+    lanes are its entries (`_lanes`), so adding integers adds the slices
+    position by position.  r2(k) <= 4 d(k) <= 8 sqrt(k), so `per` slices add
+    up to at most 65535 in every lane and no lane carries into the next.
+    Each such partial sum is widened into 64-bit lanes (`_widen`), where the
+    sum over every z cannot carry, and the lanes are read back as one array.
     """
     if step < 1 or n_max < 0:
         raise FormError("s_batch requires step >= 1 and n_max >= 0")
     top = step * n_max
     charge(top + 1 + isqrt(top) * (n_max + 1), "s_batch up to %d", top)
     r2 = _two_squares_table(top)
-    rows = [r2[top - z * z :: -step] for z in range(1, isqrt(top) + 1)]
-    tails = [0, *reversed(list(map(sum, zip_longest(*rows, fillvalue=0))))]
-    return [r + 2 * t for r, t in zip(r2[: top + 1 : step], tails)]
+    size, zs = n_max + 1, isqrt(top)
+    per = max(1, 65535 // (8 * zs + 8))
+    tails = 0
+    for first in range(1, zs + 1, per):
+        part = 0
+        for z in range(first, min(first + per, zs + 1)):
+            part += _lanes(r2[top - z * z :: -step])
+        tails += _widen(part, size)
+    total = _widen(_lanes(r2[top::-step]), size) + 2 * tails
+    out = array("Q")
+    out.frombytes(total.to_bytes(8 * size, "little"))
+    if _BIG_ENDIAN:
+        out.byteswap()
+    out.reverse()
+    return out.tolist()
 
 
 def s(n: int) -> int:

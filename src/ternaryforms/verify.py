@@ -237,7 +237,7 @@ def watson_suite(
         tg1 = cache.tg1(p)
         for form, aut in tg1.classes:
             image = phi(form)
-            lam, transported = transport_automorph(form, 4, automorphs(form).elements)
+            lam, transported, aut_img = transport_automorph(form, 4, automorphs(form).elements)
             if lam != image:
                 fails_phi_lambda.append(f"p={p} {form}: lambda_4 differs from phi")
             if lambda_m(image, 4) != form:
@@ -247,7 +247,6 @@ def watson_suite(
             for n in range(1, n_scaling + 1):
                 if counts[n] != image_counts[4 * n]:
                     fails_scaling.append(f"p={p} {form} n={n}: R(n) != R_phi(4n)")
-            aut_img = automorphs(lam)
             transported = set(transported)
             if transported != set(aut_img.elements):
                 fails_transport.append(

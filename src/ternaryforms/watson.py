@@ -2,17 +2,21 @@
 
 Lambda_m restricts a form to the sublattice where it is m-divisible
 (G*v ≡ 0 and f(v) ≡ 0 mod m), rescales by 1/m, and rereads the result as an
-integral form.  Phi restricts a form of odd discriminant to the index-4
-sublattice {v : G*v ≡ 0 mod 2} = Z r + 2 Z^3, r = (d, e, f) mod 2, with no
-rescaling; in a basis where a and d are odd and e and f even this is the
-coefficient map <a,b,c,d,e,f> -> <a,4b,4c,4d,2e,2f>.  On forms of odd
-discriminant lambda_4 inverts Phi on classes, so Phi^-1 is lambda_4 with Phi
-as its exact check.
+integral form.  The vectors with G*v ≡ 0 (mod m) are m times the dual of
+G Z^3 + m Z^3, and f mod m is a homomorphism onto {0, m/2} on them, so the
+sublattice comes from Hermite normal forms with no scan of residues.
+`transport_automorph` moves automorphs of a form onto its lambda_m image
+and returns, beside them, the image's automorph group read off the same
+reduction that found the image.  Phi restricts a form of odd discriminant
+to the index-4 sublattice {v : G*v ≡ 0 mod 2} = Z r + 2 Z^3,
+r = (d, e, f) mod 2, with no rescaling; in a basis where a and d are odd
+and e and f even this is the coefficient map
+<a,b,c,d,e,f> -> <a,4b,4c,4d,2e,2f>.  On forms of odd discriminant lambda_4
+inverts Phi on classes, so Phi^-1 is lambda_4 with Phi as its exact check.
 """
 
 from __future__ import annotations
 
-from itertools import product
 from typing import Sequence
 
 from .forms import (
@@ -20,7 +24,6 @@ from .forms import (
     TernaryForm,
     apply_basis,
     apply_map,
-    charge,
     discriminant,
     is_positive_definite,
     is_primitive,
@@ -35,23 +38,32 @@ from .matrices import (
     mat_scale_exact,
     unimodular_inverse,
 )
-from .reduction import reduce_form
+from .isometry import AutomorphGroup
+from .reduction import _canonical_bases, reduce_form
 
 
 def divisibility_lattice_basis(form: TernaryForm, m: int) -> Mat3:
-    """Canonical (column-HNF) basis of {v : G v ≡ 0, form(v) ≡ 0 (mod m)}."""
+    """Canonical (column-HNF) basis of {v : G v ≡ 0, form(v) ≡ 0 (mod m)}.
+
+    K = {v : G v ≡ 0 (mod m)} is m Λ*, the dual of Λ = G Z^3 + m Z^3 scaled
+    by m: v·λ ≡ 0 (mod m) for the columns λ of the symmetric G exactly when
+    G v ≡ 0, and always for λ = m e_i.  With B the column HNF of Λ, the rows
+    of m adj(B) / det(B) span K.  For v, w in K, form(v + w) = form(v) +
+    form(w) + v'Gw with v'Gw ≡ 0, and 2 form(v) = v'Gv ≡ 0 (mod m), so form
+    mod m is additive on K with values in {0, m/2}.  Its kernel is K when it
+    vanishes on the basis; otherwise, with k0 a basis vector where it does
+    not, the kernel is spanned by each k_j, plus k0 where form(k_j) ≢ 0 (so
+    2 k0 among them).  The work is two Hermite normal forms and an adjugate,
+    polynomial in log m.
+    """
     if m < 1:
         raise FormError("modulus must be >= 1")
-    charge(m**3, "the residue scan modulo %d", m)
-    (g00, g01, g02), (_, g11, g12), (_, _, g22) = form.gram()
-    cols: list[Vec3] = [(m, 0, 0), (0, m, 0), (0, 0, m)]
-    for x, y, z in product(range(m), repeat=3):
-        u0 = g00 * x + g01 * y + g02 * z
-        u1 = g01 * x + g11 * y + g12 * z
-        u2 = g02 * x + g12 * y + g22 * z
-        # v' G v = 2 form(v), so form(v) = (x u0 + y u1 + z u2) / 2.
-        if u0 % m == 0 and u1 % m == 0 and u2 % m == 0 and (x * u0 + y * u1 + z * u2) // 2 % m == 0:
-            cols.append((x, y, z))
+    lam = column_hnf([*form.gram(), (m, 0, 0), (0, m, 0), (0, 0, m)])
+    cols: list[Vec3] = list(mat_scale_exact(adjugate(lam), m, det3(lam)))
+    odd = [k for k in cols if form(*k) % m]
+    if odd:
+        k0 = odd[0]  # k0 itself becomes 2 k0
+        cols = [tuple(x + y for x, y in zip(k, k0)) if form(*k) % m else k for k in cols]
     return column_hnf(cols)
 
 
@@ -111,21 +123,24 @@ def phi_inverse(form: TernaryForm) -> TernaryForm:
 
 def transport_automorph(
     preimage: TernaryForm, m: int, rs: Sequence[Mat3]
-) -> tuple[TernaryForm, tuple[Mat3, ...]]:
-    """(lambda_m(preimage), the automorphs rs of the preimage mapped into it).
+) -> tuple[TernaryForm, tuple[Mat3, ...], AutomorphGroup]:
+    """(lambda_m(preimage), the automorphs rs of the preimage mapped into it,
+    the automorph group of lambda_m(preimage)).
 
     Each r goes to s = M^-1 * r * M = adj(M) * r * M / det(M) on the raw
     transformed form (det(M) > 0, as M is a column HNF), then into the
     coordinates of the canonical image by the witness w of reduce_form(raw):
     w^-1 * s * w.  The lattice and w are built once for the whole sequence,
-    and the images come back in the order of rs.  Raises when some s is not
-    integral or not an automorph (which would contradict the transport
-    construction).
+    and the images come back in the order of rs.  The canonical search of raw
+    that finds w = B_1 finds every basis B_i taking raw to the image, so the
+    w^-1 * B_i are the automorphs of the image: the group comes from that
+    search, not from the transport.  Raises when some s is not integral or
+    not an automorph (which would contradict the transport construction).
     """
     raw, mbasis = _lambda_raw(preimage, m)
     adj, det = adjugate(mbasis), det3(mbasis)
-    image, w = reduce_form(raw)
-    w_inv = unimodular_inverse(w)
+    image, bases = _canonical_bases(raw)
+    w, w_inv = bases[0], unimodular_inverse(bases[0])
     out = []
     for r in rs:
         if apply_map(preimage, r) != preimage:
@@ -137,4 +152,5 @@ def transport_automorph(
         if apply_map(raw, s_raw) != raw:
             raise FormError("transported matrix is not an automorph of the image")
         out.append(mat_mul(w_inv, mat_mul(s_raw, w)))
-    return image, tuple(out)
+    group = AutomorphGroup(image, tuple(sorted(mat_mul(w_inv, u) for u in bases)))
+    return image, tuple(out), group

@@ -184,7 +184,6 @@ def _run_child(args, timeout=20):
         ("theta", "1,1,1,0,0,0", "300000000"),
         ("count", "1,1,1,0,0,0", "1000000000000"),
         ("verify", "thm1.3", "--p", "5", "--n-max", "10000000"),
-        ("lambda", "1,1,1,0,0,0", "1001"),
         ("genus", "TG1", "1000003"),
     ],
     ids=" ".join,
@@ -197,6 +196,14 @@ def test_the_default_work_limit_bounds_every_step(args):
     assert "above the work limit 1000000000" in err
     assert seconds < 2
     assert rss_mb < 100
+
+
+def test_lambda_past_the_residue_scan_answers():
+    # The lambda-lattice is m times a dual lattice, found by Hermite normal
+    # forms in O(log m) size; the m^3 residue scan that was refused here is gone.
+    code, seconds, _, err = _run_child(("lambda", "1,1,1,0,0,0", "1001"))
+    assert (code, err) == (EXIT_OK, "")
+    assert seconds < 1
 
 
 def test_mass_at_a_huge_prime_is_refused_in_bounded_time():

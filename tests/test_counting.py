@@ -1,9 +1,10 @@
 from array import array
+from itertools import zip_longest
 from math import isqrt
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from test_isometry import skewed_forms, unimodular
@@ -125,6 +126,56 @@ def test_s_batch_consistent():
 @settings(max_examples=60, deadline=None)
 def test_s_batch_reads_progressions_like_the_row_count(step, n_max):
     assert s_batch(step, n_max) == [s(step * n) for n in range(n_max + 1)]
+
+
+def _zip_longest_s_batch(step, n_max):
+    """Oracle: s_batch's position-by-position sums of the strided slices of
+    the r2 table (the shared one, or a patched one), one boxed addition per
+    entry."""
+    top = step * n_max
+    r2 = counting._two_squares_table(top)
+    rows = [r2[top - z * z :: -step] for z in range(1, isqrt(top) + 1)]
+    tails = [0, *reversed(list(map(sum, zip_longest(*rows, fillvalue=0))))]
+    return [r + 2 * t for r, t in zip(r2[: top + 1 : step], tails)]
+
+
+@given(st.integers(1, 400), st.integers(0, 300))
+@example(1, 0)
+@example(10**6, 0)
+@example(4, 1)
+@example(9, 1000)
+@settings(max_examples=80, deadline=None)
+def test_s_batch_lanes_match_the_zip_longest_sums(step, n_max):
+    assert s_batch(step, n_max) == _zip_longest_s_batch(step, n_max)
+
+
+def test_s_batch_widens_each_slice_alone_near_two_to_the_sixteen():
+    # isqrt(top) = 4096 makes per = 1: no two slices share a 16-bit lane, and
+    # the sums of these entries near 2^16 need the 64-bit lanes.
+    step, n_max = 4096 * 4096, 1
+    assert 65535 // (8 * isqrt(step * n_max) + 8) == 1
+    table = array("H", [65535]) * (step * n_max + 1)
+    for z in range(isqrt(step * n_max) + 1):
+        table[step * n_max - z * z] -= z % 13
+    with patch.object(counting, "_R2", table):
+        got = s_batch(step, n_max)
+        assert got == _zip_longest_s_batch(step, n_max)
+    assert got[1] > 2**28
+
+
+@pytest.mark.parametrize("step, n_max", [(1, 20000), (9, 3000), (121, 200)])
+def test_s_batch_lanes_do_not_carry_at_the_bound(step, n_max):
+    # Every entry at the largest value the lanes allow, 8 isqrt(top) + 8: per
+    # slices fill a 16-bit lane to per * bound <= 65535, and one more would
+    # carry.  There are more slices than per, so the first group is full.
+    top = step * n_max
+    bound = 8 * isqrt(top) + 8
+    per = 65535 // bound
+    assert 1 < per < isqrt(top) and (per + 1) * bound > 65535
+    table = array("H", [bound]) * (top + 1)
+    with patch.object(counting, "_R2", table):
+        got = s_batch(step, n_max)
+        assert got == _zip_longest_s_batch(step, n_max)
 
 
 def test_two_squares_table_grows_in_place():

@@ -15,7 +15,7 @@ from ternaryforms.forms import (
     is_positive_definite,
     is_primitive,
 )
-from ternaryforms.genus import build_tg2, enumerate_tg1
+from ternaryforms.genus import GenusCache, build_tg2, enumerate_tg1
 from ternaryforms.isometry import automorphs, equivalent
 from test_matrices import IDENTITY, shear
 from ternaryforms.matrices import (
@@ -204,6 +204,31 @@ def test_lambda_lattice_matches_the_generator_sum_scan(a0, b0, c0, d, e, f, m):
     assert divisibility_lattice_basis(form, m) == expected
 
 
+@given(*[st.integers(-12, 12)] * 6, st.integers(1, 12))
+@settings(max_examples=300, deadline=None)
+def test_lambda_lattice_is_the_kernel_of_the_form_on_the_scaled_dual(a, b, c, d, e, f, m):
+    # Definite, indefinite and degenerate forms alike (the zero form included):
+    # the lattice comes from the Gram matrix mod m, not from positivity.
+    form = TernaryForm(a, b, c, d, e, f)
+    expected = column_hnf([(m, 0, 0), (0, m, 0), (0, 0, m)] + _generator_sum_residues(form, m))
+    assert divisibility_lattice_basis(form, m) == expected
+
+
+@pytest.mark.parametrize(
+    "form, m",
+    [
+        (TernaryForm(0, 0, 0, 0, 0, 0), 7),  # G = 0: every v, and form(v) = 0
+        (TernaryForm(1, 0, 0, 0, 0, 0), 6),  # degenerate: only x is constrained
+        (TernaryForm(1, 1, -1, 0, 0, 0), 2),  # indefinite: form mod 2 is odd on K = Z^3
+        (TernaryForm(1, 1, 1, 0, 0, 0), 4),  # form(2 e_i) = 4: K = 2 Z^3 is kept whole
+    ],
+    ids=str,
+)
+def test_lambda_lattice_on_edge_forms(form, m):
+    expected = column_hnf([(m, 0, 0), (0, m, 0), (0, 0, m)] + _generator_sum_residues(form, m))
+    assert divisibility_lattice_basis(form, m) == expected
+
+
 def _phi_scan_basis(form):
     """Oracle: the column HNF of {v : G v ≡ 0 (mod 2)}, by a scan of the eight
     residues mod 2."""
@@ -247,8 +272,9 @@ def test_transport_automorph_bijection():
     image = phi(form)
     pre = automorphs(form)
     img = automorphs(image)
-    lam, transported = transport_automorph(form, 4, pre.elements)
+    lam, transported, group = transport_automorph(form, 4, pre.elements)
     assert lam == image == lambda_m(form, 4)
+    assert group == img
     assert len(transported) == pre.order
     assert set(transported) == set(img.elements)
 
@@ -266,6 +292,35 @@ def test_transport_respects_composition():
     for r1 in elems:
         for r2 in elems:
             assert tmap[mat_mul(r1, r2)] == mat_mul(tmap[r1], tmap[r2])
+
+
+@pytest.mark.parametrize("p", [q for q in range(3, 74) if all(q % k for k in range(2, q))])
+def test_transport_group_is_the_automorph_group_of_the_image(p):
+    # The group read off the reduction of the raw lambda_4 form equals the
+    # group found by a reduction of the image itself.
+    for form, _ in enumerate_tg1(p).classes:
+        image, _, group = transport_automorph(form, 4, ())
+        assert group == automorphs(image)
+        assert all(apply_map(image, u) == image for u in group.elements)
+
+
+def test_watson_suite_searches_each_class_for_its_automorphs_once(monkeypatch):
+    # The image's group comes with the transport, so only the preimage's
+    # group is searched for.
+    cache = GenusCache()
+    classes = len(cache.tg1(11).classes)
+    calls = []
+    search = isometry.automorphs
+
+    def counted(form):
+        calls.append(form)
+        return search(form)
+
+    for module in (isometry, verify, watson):
+        monkeypatch.setattr(module, "automorphs", counted, raising=False)
+    report = verify.watson_suite(primes=(11,), n_scaling=4, cache=cache)
+    assert not any(report.values())
+    assert len(calls) == classes
 
 
 def test_transport_rejects_a_wrong_image(monkeypatch):
@@ -303,7 +358,7 @@ def test_transport_matches_the_per_automorph_construction(p):
         image = phi(form)
         elems = automorphs(form).elements
         old = [_transport_one_by_one(form, image, 4, r) for r in elems]
-        lam, new = transport_automorph(form, 4, elems)
+        lam, new, _ = transport_automorph(form, 4, elems)
         assert lam == image
         raw = _lambda_raw(form, 4)[0]
         w_old = IDENTITY if raw == image else equivalent(raw, image)
