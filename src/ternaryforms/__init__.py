@@ -6,7 +6,7 @@ and 16p^2, Watson's lambda transformations, and exact verification of the
 three-squares excess identities.
 """
 
-from .counting import ThetaVector, rep_count, s, s_batch, theta, vectors_with_value
+from .counting import rep_count, s, s_batch, theta, vectors_with_value
 from .forms import (
     FormError,
     TernaryForm,
@@ -22,7 +22,6 @@ from .genus import (
     build_tg2,
     enumerate_tg1,
     mass_closed_form,
-    weighted_rep_sum,
 )
 from .isometry import AutomorphGroup, automorphs, equivalent
 from .local import (
@@ -60,7 +59,6 @@ __all__ = [
     "ResourceLimitError",
     "StabilizationError",
     "TernaryForm",
-    "ThetaVector",
     "apply_map",
     "automorphs",
     "build_tg2",
@@ -91,5 +89,4 @@ __all__ = [
     "verify_theorem_1_1",
     "verify_theorem_1_2",
     "verify_theorem_1_3",
-    "weighted_rep_sum",
 ]

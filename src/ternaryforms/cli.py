@@ -116,14 +116,14 @@ def _count(args):
 @_command("theta", "representation counts R(0..bound)", FORM, ("bound", INT))
 def _theta(args):
     form = TernaryForm.parse(args.form)
-    return {"form": form, "bound": args.bound, "counts": list(theta(form, args.bound).counts)}
+    return {"form": form, "bound": args.bound, "counts": theta(form, args.bound)}
 
 
 @_command("auts", "automorph group", FORM)
 def _auts(args):
     form = TernaryForm.parse(args.form)
     group = automorphs(form)
-    return {"form": form, "order": group.order, "elements": [list(map(list, u)) for u in group.elements]}
+    return {"form": form, "order": group.order, "elements": group.elements}
 
 
 @_command("equiv", "equivalence test with witness", ("form1", {}), ("form2", {}))
@@ -200,10 +200,12 @@ VERIFY_TARGETS = {
 def _verify(args):
     takes_p, n_max, report = VERIFY_TARGETS[args.target]
     if args.p is not None and not takes_p:
-        raise _UsageError(f"--p applies only to verify thm1.3, not {args.target}")
+        takers = ", ".join(t for t, row in VERIFY_TARGETS.items() if row[0])
+        raise _UsageError(f"--p applies only to verify {takers}, not {args.target}")
     if args.n_max is not None:
         if n_max is None:
-            raise _UsageError(f"--n-max applies only to verify thm1.x, not {args.target}")
+            takers = ", ".join(t for t, row in VERIFY_TARGETS.items() if row[1] is not None)
+            raise _UsageError(f"--n-max applies only to verify {takers}, not {args.target}")
         if args.n_max < 1:
             raise _UsageError("--n-max must be >= 1")
         n_max = args.n_max

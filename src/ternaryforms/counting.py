@@ -29,20 +29,12 @@ from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import dataclass
 from math import isqrt
 from typing import Iterator
 
 from .forms import FormError, TernaryForm, _minkowski, charge, discriminant, is_positive_definite
 
 THREE_SQUARES = TernaryForm(1, 1, 1, 0, 0, 0)
-
-
-@dataclass(frozen=True)
-class ThetaVector:
-    form: TernaryForm
-    bound: int
-    counts: tuple[int, ...]
 
 
 def _ceil_div(p: int, q: int) -> int:
@@ -176,8 +168,8 @@ def vectors_with_value(form: TernaryForm, n: int) -> list[tuple[int, int, int]]:
     return _vectors_with_values(form, (n,))[n]
 
 
-def theta(form: TernaryForm, bound: int) -> ThetaVector:
-    """counts[n] = number of representations of n, for 0 <= n <= bound."""
+def theta(form: TernaryForm, bound: int) -> tuple[int, ...]:
+    """(R(0), ..., R(bound)): the number of representations of each n <= bound."""
     if bound < 0:
         raise FormError("theta bound must be nonnegative")
     reduced = _minkowski_form(form)
@@ -195,7 +187,7 @@ def theta(form: TernaryForm, bound: int) -> ThetaVector:
         c0 = bound + (lin * lin - dx) // four_a  # form(0, y, z), exactly
         for x in range(xlo, (sx - lin) // two_a + 1):
             counts[(a * x + lin) * x + c0] += 2
-    return ThetaVector(form, bound, tuple(counts))
+    return tuple(counts)
 
 
 def rep_count(form: TernaryForm, n: int) -> int:

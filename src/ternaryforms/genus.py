@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .counting import rep_count
 from .forms import FormError, TernaryForm, apply_basis, charge, discriminant, is_positive_definite
 from .local import is_prime
 from .matrices import column_hnf
@@ -178,14 +177,6 @@ def build_tg2(tg1: GenusSet) -> GenusSet:
     if result.mass != tg1.mass:
         raise FormError("TG2 mass differs from TG1 mass")
     return result
-
-
-def weighted_rep_sum(genus: GenusSet, n: int) -> Fraction:
-    """Sum over classes of R(n)/|Aut|."""
-    return sum(
-        (Fraction(rep_count(form, n), aut) for form, aut in genus.classes),
-        Fraction(0),
-    )
 
 
 # -- JSON cache -----------------------------------------------------------

@@ -18,7 +18,6 @@ from .reduction import _canonical_bases, reduce_form
 
 @dataclass(frozen=True)
 class AutomorphGroup:
-    form: TernaryForm
     elements: tuple[Mat3, ...]
 
     @property
@@ -44,4 +43,4 @@ def automorphs(form: TernaryForm) -> AutomorphGroup:
     _, bases = _canonical_bases(form)
     # form o u == r == form o bases[0] exactly when u * bases[0]^-1 fixes form.
     w_inv = unimodular_inverse(bases[0])
-    return AutomorphGroup(form, tuple(sorted(mat_mul(u, w_inv) for u in bases)))
+    return AutomorphGroup(tuple(sorted(mat_mul(u, w_inv) for u in bases)))

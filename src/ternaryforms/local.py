@@ -320,7 +320,6 @@ def count_solutions_mod(form: TernaryForm, n: int, p: int, t: int) -> int:
 @dataclass(frozen=True)
 class LocalDensity:
     value: Fraction
-    prime: int
     exponent_used: int
 
 
@@ -347,7 +346,7 @@ def local_density(form: TernaryForm, n: int, p: int) -> LocalDensity:
         raise StabilizationError(
             f"density of {form} at p={p}, n={n} differs between t={t} and t={t + 1}"
         )
-    return LocalDensity(val, p, t)
+    return LocalDensity(val, t)
 
 
 def density_formula_odd(n: int, p: int) -> Fraction:

@@ -6,11 +6,11 @@ full list of counterexamples rather than stopping at the first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from math import lcm
 
-from .counting import s_batch, theta
+from .counting import THREE_SQUARES, s_batch, theta
 from .forms import TernaryForm
 from .genus import GenusCache, mass_closed_form
 from .isometry import automorphs
@@ -47,13 +47,7 @@ class IdentityReport:
         return not self.failures
 
     def to_dict(self) -> dict:
-        return {
-            "identity": self.identity,
-            "p": self.p,
-            "n_max": self.n_max,
-            "failures": self.failures,
-            "pass": self.passed,
-        }
+        return {**asdict(self), "pass": self.passed}
 
 
 def _check_weighted_identity(identity: str, p: int, n_max: int, weights_forms) -> IdentityReport:
@@ -67,7 +61,7 @@ def _check_weighted_identity(identity: str, p: int, n_max: int, weights_forms) -
     s_n = s_batch(1, n_max)
     s_p2n = s_batch(p * p, n_max)
     den = lcm(*(w.denominator for w, _ in weights_forms))
-    thetas = [(w.numerator * (den // w.denominator), theta(f, n_max).counts) for w, f in weights_forms]
+    thetas = [(w.numerator * (den // w.denominator), theta(f, n_max)) for w, f in weights_forms]
     for n in range(1, n_max + 1):
         lhs = s_p2n[n] - p * s_n[n]
         num = sum(w * counts[n] for w, counts in thetas)
@@ -133,13 +127,12 @@ def density_suites(
     n_scale: int = 50,
 ) -> dict[str, list[str]]:
     """Run every closed-form-vs-counting density check; values are failure lists."""
-    three = TernaryForm(1, 1, 1, 0, 0, 0)
     failures: dict[str, list[str]] = {}
 
     fails = []
     for p in (3, 5, 7, 11):
         for n in range(1, n_odd + 1):
-            direct = local_density(three, n, p).value
+            direct = local_density(THREE_SQUARES, n, p).value
             closed = density_formula_odd(n, p)
             if direct != closed:
                 fails.append(f"p={p} n={n}: counted {direct}, closed form {closed}")
@@ -147,7 +140,7 @@ def density_suites(
 
     fails = []
     for n in range(1, n_dyadic + 1):
-        direct = local_density(three, n, 2).value
+        direct = local_density(THREE_SQUARES, n, 2).value
         if direct != psi(n):
             fails.append(f"n={n}: counted {direct}, psi {psi(n)}")
     failures["dyadic-three-squares"] = fails
@@ -242,8 +235,8 @@ def watson_suite(
                 fails_phi_lambda.append(f"p={p} {form}: lambda_4 differs from phi")
             if lambda_m(image, 4) != form:
                 fails_invol.append(f"p={p} {form}: lambda_4^2 is not the identity")
-            counts = theta(form, n_scaling).counts
-            image_counts = theta(image, 4 * n_scaling).counts
+            counts = theta(form, n_scaling)
+            image_counts = theta(image, 4 * n_scaling)
             for n in range(1, n_scaling + 1):
                 if counts[n] != image_counts[4 * n]:
                     fails_scaling.append(f"p={p} {form} n={n}: R(n) != R_phi(4n)")
@@ -280,12 +273,10 @@ def mass_suite(primes=SUITE_PRIMES, cache: GenusCache | None = None) -> list[str
     return fails
 
 
-# The n_max of each identity `verify_all` checks, and its primes for Theorem 1.3.
+# The n_max of Theorems 1.1 and 1.2 in `verify_all`, and its (p, n_max) runs
+# of Theorem 1.3.
 N_IDENTITIES = 1000
-N_THM13 = 500
-N_THM13_BIG = 200
-THM13_PRIMES = (3, 5, 7, 11, 13)
-BIG_PRIME = 73
+THM13_RUNS = ((3, 500), (5, 500), (7, 500), (11, 500), (13, 500), (73, 200))
 
 
 def verify_all(cache: GenusCache | None = None) -> dict:
@@ -294,10 +285,8 @@ def verify_all(cache: GenusCache | None = None) -> dict:
     reports = [
         verify_theorem_1_1(N_IDENTITIES).to_dict(),
         verify_theorem_1_2(N_IDENTITIES).to_dict(),
+        *(verify_theorem_1_3(p, n_max, cache).to_dict() for p, n_max in THM13_RUNS),
     ]
-    for p in THM13_PRIMES:
-        reports.append(verify_theorem_1_3(p, N_THM13, cache).to_dict())
-    reports.append(verify_theorem_1_3(BIG_PRIME, N_THM13_BIG, cache).to_dict())
     mass_failures = mass_suite(cache=cache)
     density = verify_density_theorems()
     watson = watson_suite(cache=cache)

@@ -152,5 +152,5 @@ def transport_automorph(
         if apply_map(raw, s_raw) != raw:
             raise FormError("transported matrix is not an automorph of the image")
         out.append(mat_mul(w_inv, mat_mul(s_raw, w)))
-    group = AutomorphGroup(image, tuple(sorted(mat_mul(w_inv, u) for u in bases)))
+    group = AutomorphGroup(tuple(sorted(mat_mul(w_inv, u) for u in bases)))
     return image, tuple(out), group

@@ -157,6 +157,20 @@ def test_work_limit_below_one_is_a_usage_error(capsys, limit):
     assert "--work-limit must be >= 1" in err
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("count", "1,1,1,0,0,0", "-1"), "n must be nonnegative"),
+        (("density", "1,1,1,0,0,0", "0", "3"), "n must be >= 1"),
+        (("theta", "1,1,1,0,0,0", "-1"), "theta bound must be nonnegative"),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, tuple) else None,
+)
+def test_argument_out_of_range_is_a_usage_error(capsys, args, message):
+    code, out, err = run(capsys, *args)
+    assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
+
+
 def _run_child(args, timeout=20):
     """(exit code, seconds, peak RSS in MB, stderr) of `tqf args` in its own process."""
     start = time.perf_counter()
@@ -319,6 +333,19 @@ def test_verify_default_n_max(capsys, args, n_max):
     assert (code, data["n_max"], data["pass"]) == (EXIT_OK, n_max, True)
 
 
+def test_verify_n_max_refusal_names_the_targets_that_take_it(capsys):
+    code, out, err = run(capsys, "verify", "density", "--n-max", "5")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: --n-max applies only to verify thm1.1, thm1.2, thm1.3, not density\n"
+
+
+def test_verify_p_refusal_names_every_target_that_takes_it(capsys, monkeypatch):
+    monkeypatch.setitem(cli.VERIFY_TARGETS, "thm9.9", (True, 10, lambda args, n_max: {}))
+    code, out, err = run(capsys, "verify", "all", "--p", "7")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: --p applies only to verify thm1.3, thm9.9, not all\n"
+
+
 def test_verify_requires_p(capsys):
     code, _, err = run(capsys, "verify", "thm1.3")
     assert code == EXIT_USAGE
@@ -346,6 +373,11 @@ def test_tsv_format(capsys):
     assert code == EXIT_OK
     lines = dict(line.split("\t") for line in out.strip().splitlines())
     assert lines["disc"] == "4"
+
+
+def test_tsv_format_joins_a_list_with_semicolons(capsys):
+    code, out, _ = run(capsys, "--format", "tsv", "theta", "1,1,1,0,0,0", "3")
+    assert (code, out) == (EXIT_OK, "form\t1,1,1,0,0,0\nbound\t3\ncounts\t1;6;12;8\n")
 
 
 def test_threads_flag_accepted(capsys):

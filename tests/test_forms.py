@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ternaryforms
 from ternaryforms.forms import (
     FormError,
     TernaryForm,
@@ -152,3 +153,11 @@ def test_shape2_rejects_values_one_or_two_mod_4(form):
     assert discriminant(form) // 16 % 2 == 1
     with pytest.raises(FormError, match="not Φ"):
         phi_inverse(form)
+
+
+def test_every_export_resolves_once():
+    # A name deleted from the package must leave `__all__` too.
+    exports = ternaryforms.__all__
+    assert len(exports) == len(set(exports))
+    for name in exports:
+        assert hasattr(ternaryforms, name), name

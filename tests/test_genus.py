@@ -14,7 +14,6 @@ from ternaryforms.genus import (
     build_tg2,
     enumerate_tg1,
     mass_closed_form,
-    weighted_rep_sum,
 )
 from ternaryforms.isometry import automorphs, equivalent
 from ternaryforms.local import is_prime
@@ -86,14 +85,6 @@ def test_tg2_reads_image_and_aut_off_one_reduction(p, monkeypatch):
     expected = sorted((phi(f), automorphs(phi(f)).order) for f, _ in tg1.classes)
     assert list(tg2.classes) == expected
     assert [aut for _, aut in tg2.classes] == [automorphs(f).order for f, _ in tg2.classes]
-
-
-def test_weighted_rep_sum_combination_is_integral():
-    tg1 = enumerate_tg1(11)
-    tg2 = build_tg2(tg1)
-    for n in range(1, 40):
-        val = 48 * weighted_rep_sum(tg1, n) - 96 * weighted_rep_sum(tg2, n)
-        assert val.denominator == 1
 
 
 def test_cache_round_trip(tmp_path):

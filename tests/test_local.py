@@ -55,6 +55,15 @@ def test_kronecker_special_cases():
     assert kronecker(5, 0) == 0
 
 
+# (a|-n) = (a|n) * (-1 if a < 0 else 1), worked by hand.
+@pytest.mark.parametrize(
+    "a, n, expected",
+    [(-1, -1, -1), (-5, -3, -1), (3, -8, -1), (-3, -8, 1), (-2, -7, 1), (-4, -3, 1), (5, -1, 1)],
+)
+def test_kronecker_at_negative_n(a, n, expected):
+    assert kronecker(a, n) == expected
+
+
 @given(st.integers(-50, 50), st.integers(1, 40), st.integers(1, 40))
 @settings(max_examples=300, deadline=None)
 def test_kronecker_multiplicative_in_modulus(a, m, n):
