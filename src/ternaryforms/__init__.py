@@ -23,7 +23,7 @@ from .genus import (
     enumerate_tg1,
     mass_closed_form,
 )
-from .isometry import AutomorphGroup, automorphs, equivalent
+from .isometry import automorphs, equivalent
 from .local import (
     LocalDensity,
     ResourceLimitError,
@@ -49,7 +49,6 @@ from .watson import lambda_m, phi, phi_inverse, transport_automorph
 __version__ = "0.1.0"
 
 __all__ = [
-    "AutomorphGroup",
     "FormError",
     "GenusCache",
     "GenusSet",

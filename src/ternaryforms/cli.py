@@ -123,7 +123,7 @@ def _theta(args):
 def _auts(args):
     form = TernaryForm.parse(args.form)
     group = automorphs(form)
-    return {"form": form, "order": group.order, "elements": group.elements}
+    return {"form": form, "order": len(group), "elements": group}
 
 
 @_command("equiv", "equivalence test with witness", ("form1", {}), ("form2", {}))
@@ -190,22 +190,25 @@ VERIFY_TARGETS = {
 }
 
 
+def _takers(column: int) -> str:
+    """The targets whose row takes the flag of column 0 (--p) or 1 (--n-max), comma separated."""
+    return ", ".join(t for t, row in VERIFY_TARGETS.items() if row[column] not in (False, None))
+
+
 @_command(
     "verify",
     "exact verification of the excess identities",
     ("target", {"choices": VERIFY_TARGETS}),
-    ("--p", {"type": int, "help": "prime for thm1.3"}),
-    ("--n-max", INT),
+    ("--p", {"type": int, "help": f"odd prime, for verify {_takers(0)}"}),
+    ("--n-max", {"type": int, "help": f"largest n checked, for verify {_takers(1)}"}),
 )
 def _verify(args):
     takes_p, n_max, report = VERIFY_TARGETS[args.target]
     if args.p is not None and not takes_p:
-        takers = ", ".join(t for t, row in VERIFY_TARGETS.items() if row[0])
-        raise _UsageError(f"--p applies only to verify {takers}, not {args.target}")
+        raise _UsageError(f"--p applies only to verify {_takers(0)}, not {args.target}")
     if args.n_max is not None:
         if n_max is None:
-            takers = ", ".join(t for t, row in VERIFY_TARGETS.items() if row[1] is not None)
-            raise _UsageError(f"--n-max applies only to verify {takers}, not {args.target}")
+            raise _UsageError(f"--n-max applies only to verify {_takers(1)}, not {args.target}")
         if args.n_max < 1:
             raise _UsageError("--n-max must be >= 1")
         n_max = args.n_max

@@ -16,7 +16,9 @@ the largest (`_vectors_with_values`, which canonical reduction reads).
 `theta` and `rep_count` count class invariants, so they enumerate the
 Minkowski-reduced form (`forms._minkowski`), whose short diagonal keeps the
 row ranges tight however skewed the input basis is; `vectors_with_value`
-answers in the input coordinates and enumerates the input basis.  `s_batch`
+answers in the input coordinates and enumerates the input basis.  `_rows`
+does not test definiteness: each entry point does, once, before any
+shortcut for n <= 0.  `s_batch`
 reads the sum of three squares on whole progressions from one two-squares
 table per process, grown in place, and adds the table's strided slices as
 whole integers whose 16-bit lanes are the entries, a few C calls per slice
@@ -32,20 +34,13 @@ from array import array
 from math import isqrt
 from typing import Iterator
 
-from .forms import FormError, TernaryForm, _minkowski, charge, discriminant, is_positive_definite
+from .forms import FormError, TernaryForm, _minkowski, _require_definite, charge, discriminant
 
 THREE_SQUARES = TernaryForm(1, 1, 1, 0, 0, 0)
 
 
 def _ceil_div(p: int, q: int) -> int:
     return -((-p) // q)
-
-
-def _minkowski_form(form: TernaryForm) -> TernaryForm:
-    """The Minkowski-reduced form of a positive definite form's class."""
-    if not is_positive_definite(form):
-        raise FormError("enumeration requires a positive definite form")
-    return _minkowski(form)[0]
 
 
 def _row_bound(a: int, a2: int, disc: int, bound: int) -> int:
@@ -59,10 +54,9 @@ def _rows(form: TernaryForm, bound: int) -> Iterator[tuple[int, int, int, int]]:
 
     In a row form(x, y, z) = a*x^2 + lin*x + c0, and dx = lin^2 - 4a(c0 - bound)
     >= 0 is its x-discriminant at the value bound: (2ax + lin)^2 <= dx exactly
-    when form(x, y, z) <= bound.  Rows with z = 0 have y >= 0.
+    when form(x, y, z) <= bound.  Rows with z = 0 have y >= 0.  Callers
+    check that the form is positive definite.
     """
-    if not is_positive_definite(form):
-        raise FormError("enumeration requires a positive definite form")
     if bound < 0:
         return
     a, b, c, d, e, f = form.coeffs
@@ -72,10 +66,8 @@ def _rows(form: TernaryForm, bound: int) -> Iterator[tuple[int, int, int, int]]:
     p = 2 * a * d - e * f
     zmax = isqrt(a2 * bound // disc)
     for z in range(0, zmax + 1):
-        dy = 4 * a * bound * a2 - 4 * a * disc * z * z
-        if dy < 0:
-            continue
-        sy = isqrt(dy)
+        # z <= zmax gives disc * z^2 <= a2 * bound, so the root's argument is >= 0.
+        sy = isqrt(4 * a * bound * a2 - 4 * a * disc * z * z)
         ylo = _ceil_div(-p * z - sy - 1, a2)
         yhi = (-p * z + sy + 1) // a2
         if z == 0:
@@ -95,6 +87,7 @@ def half_points_up_to(form: TernaryForm, bound: int) -> Iterator[tuple[int, int,
     `theta` counts the same points over the exact range, and this point by
     point enumeration is its oracle.
     """
+    _require_definite(form)
     a = form.a
     two_a, four_a = 2 * a, 4 * a
     for y, z, lin, dx in _rows(form, bound):
@@ -161,6 +154,7 @@ def _vectors_with_values(form: TernaryForm, values) -> dict[int, list[tuple[int,
 
 def vectors_with_value(form: TernaryForm, n: int) -> list[tuple[int, int, int]]:
     """All integer triples v with form(v) == n, both signs, sorted."""
+    _require_definite(form)
     if n < 0:
         return []
     if n == 0:
@@ -172,7 +166,7 @@ def theta(form: TernaryForm, bound: int) -> tuple[int, ...]:
     """(R(0), ..., R(bound)): the number of representations of each n <= bound."""
     if bound < 0:
         raise FormError("theta bound must be nonnegative")
-    reduced = _minkowski_form(form)
+    reduced = _minkowski(form)[0]
     a, b, f = reduced.a, reduced.b, reduced.f
     # dx <= 4*a*bound, so a row holds at most (isqrt(4*a*bound) + 1) // a + 1 points.
     points = _row_bound(a, 4 * a * b - f * f, discriminant(reduced), bound) * ((isqrt(4 * a * bound) + 1) // a + 1)
@@ -191,11 +185,12 @@ def theta(form: TernaryForm, bound: int) -> tuple[int, ...]:
 
 
 def rep_count(form: TernaryForm, n: int) -> int:
+    reduced = _minkowski(form)[0]
     if n < 0:
         return 0
     if n == 0:
         return 1
-    return 2 * sum(1 for _ in _half_solutions(_minkowski_form(form), (n,)))
+    return 2 * sum(1 for _ in _half_solutions(reduced, (n,)))
 
 
 # -- sum of three squares -------------------------------------------------

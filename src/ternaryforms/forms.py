@@ -5,8 +5,10 @@ The sextuple <a,b,c,d,e,f> is the central object; its Gram matrix is
 determinant.  All arithmetic is exact.  Minkowski reduction (`_minkowski`)
 lives here, below `counting` and `reduction`, which use it; it shears a
 mutable Gram matrix and basis in place, one integer row and column per
-shear, and builds a form only at the end.  Every module imports this one, so
-the work limit is here: each step that can grow calls `charge` before it starts.
+shear, and builds a form only at the end.  It is the one definiteness gate
+(`_require_definite`) of every class-level enumeration and reduction.  Every
+module imports this one, so the work limit is here: each step that can grow
+calls `charge` before it starts.
 """
 
 from __future__ import annotations
@@ -159,8 +161,15 @@ def _greedy(g: list[list[int]], u: list[list[int]]) -> None:
         u[:] = [[row[c] for c in order] for row in u]
 
 
+def _require_definite(form: TernaryForm) -> None:
+    """Refuse a form that is not positive definite: its enumerations are infinite."""
+    if not is_positive_definite(form):
+        raise FormError(f"{form} is not positive definite; enumeration requires a positive definite form")
+
+
 def _minkowski(form: TernaryForm) -> tuple[TernaryForm, Mat3]:
-    """A Minkowski-reduced form equivalent to form, with witness."""
+    """A Minkowski-reduced form equivalent to form, with witness; refuses an indefinite form."""
+    _require_definite(form)
     g = [list(row) for row in form.gram()]
     u = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     _greedy(g, u)

@@ -2,27 +2,17 @@
 
 Both read canonical reduction (`reduction`), which finds every basis U
 taking a form to its canonical form r.  Two such U differ by an automorph,
-so the automorph group is the set of them times the inverse of the first.
-Two forms g and h are equivalent exactly when their canonical forms agree,
-and then U_g * U_h^-1 takes g to h, in the coordinates g was given in.
+so the automorph group, a sorted tuple of matrices, is the set of them
+times the inverse of the first.  Two forms g and h are equivalent exactly
+when their canonical forms agree, and then U_g * U_h^-1 takes g to h, in
+the coordinates g was given in.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .forms import FormError, TernaryForm, discriminant, is_positive_definite
 from .matrices import Mat3, mat_mul, unimodular_inverse
 from .reduction import _canonical_bases, reduce_form
-
-
-@dataclass(frozen=True)
-class AutomorphGroup:
-    elements: tuple[Mat3, ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
 
 
 def equivalent(g: TernaryForm, h: TernaryForm) -> Mat3 | None:
@@ -36,11 +26,9 @@ def equivalent(g: TernaryForm, h: TernaryForm) -> Mat3 | None:
     return mat_mul(u_g, unimodular_inverse(u_h)) if canon_g == canon_h else None
 
 
-def automorphs(form: TernaryForm) -> AutomorphGroup:
-    """The full integral orthogonal group of the form (contains ±identity)."""
-    if not is_positive_definite(form):
-        raise FormError("automorph enumeration requires a positive definite form")
+def automorphs(form: TernaryForm) -> tuple[Mat3, ...]:
+    """The full integral orthogonal group of the form (contains ±identity), sorted."""
     _, bases = _canonical_bases(form)
     # form o u == r == form o bases[0] exactly when u * bases[0]^-1 fixes form.
     w_inv = unimodular_inverse(bases[0])
-    return AutomorphGroup(tuple(sorted(mat_mul(u, w_inv) for u in bases)))
+    return tuple(sorted(mat_mul(u, w_inv) for u in bases))

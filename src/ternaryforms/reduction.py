@@ -27,7 +27,7 @@ canonical forms agree (`isometry.equivalent`).
 from __future__ import annotations
 
 from .counting import _vectors_with_values
-from .forms import FormError, TernaryForm, _minkowski, is_positive_definite
+from .forms import TernaryForm, _minkowski
 from .matrices import Mat3, from_columns
 
 
@@ -35,10 +35,8 @@ def _canonical_bases(form: TernaryForm) -> tuple[TernaryForm, list[Mat3]]:
     """(r, bases): the canonical form and every U with apply_map(form, U) == r.
 
     The bases come in search order; the first is `reduce_form`'s witness and
-    their number is |Aut(form)|.
+    their number is |Aut(form)|.  `_minkowski` refuses an indefinite form.
     """
-    if not is_positive_definite(form):
-        raise FormError("reduction requires a positive definite form")
     pre, ((u11, u12, u13), (u21, u22, u23), (u31, u32, u33)) = _minkowski(form)
     (g11, g12, g13), (_, g22, g23), (_, _, g33) = pre.gram()
     # For each diagonal value, its vectors v in pre's basis with G*v and with

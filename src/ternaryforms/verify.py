@@ -230,7 +230,7 @@ def watson_suite(
         tg1 = cache.tg1(p)
         for form, aut in tg1.classes:
             image = phi(form)
-            lam, transported, aut_img = transport_automorph(form, 4, automorphs(form).elements)
+            lam, transported, aut_img = transport_automorph(form, 4, automorphs(form))
             if lam != image:
                 fails_phi_lambda.append(f"p={p} {form}: lambda_4 differs from phi")
             if lambda_m(image, 4) != form:
@@ -241,10 +241,10 @@ def watson_suite(
                 if counts[n] != image_counts[4 * n]:
                     fails_scaling.append(f"p={p} {form} n={n}: R(n) != R_phi(4n)")
             transported = set(transported)
-            if transported != set(aut_img.elements):
+            if transported != set(aut_img):
                 fails_transport.append(
                     f"p={p} {form}: transport is not a bijection "
-                    f"({len(transported)} images vs |Aut| {aut_img.order})"
+                    f"({len(transported)} images vs |Aut| {len(aut_img)})"
                 )
     return {
         "lambda4-involution": fails_invol,

@@ -38,7 +38,6 @@ from .matrices import (
     mat_scale_exact,
     unimodular_inverse,
 )
-from .isometry import AutomorphGroup
 from .reduction import _canonical_bases, reduce_form
 
 
@@ -123,9 +122,9 @@ def phi_inverse(form: TernaryForm) -> TernaryForm:
 
 def transport_automorph(
     preimage: TernaryForm, m: int, rs: Sequence[Mat3]
-) -> tuple[TernaryForm, tuple[Mat3, ...], AutomorphGroup]:
+) -> tuple[TernaryForm, tuple[Mat3, ...], tuple[Mat3, ...]]:
     """(lambda_m(preimage), the automorphs rs of the preimage mapped into it,
-    the automorph group of lambda_m(preimage)).
+    the automorph group of lambda_m(preimage), sorted).
 
     Each r goes to s = M^-1 * r * M = adj(M) * r * M / det(M) on the raw
     transformed form (det(M) > 0, as M is a column HNF), then into the
@@ -152,5 +151,4 @@ def transport_automorph(
         if apply_map(raw, s_raw) != raw:
             raise FormError("transported matrix is not an automorph of the image")
         out.append(mat_mul(w_inv, mat_mul(s_raw, w)))
-    group = AutomorphGroup(tuple(sorted(mat_mul(w_inv, u) for u in bases)))
-    return image, tuple(out), group
+    return image, tuple(out), tuple(sorted(mat_mul(w_inv, u) for u in bases))

@@ -163,6 +163,12 @@ def test_work_limit_below_one_is_a_usage_error(capsys, limit):
         (("count", "1,1,1,0,0,0", "-1"), "n must be nonnegative"),
         (("density", "1,1,1,0,0,0", "0", "3"), "n must be >= 1"),
         (("theta", "1,1,1,0,0,0", "-1"), "theta bound must be nonnegative"),
+        (
+            ("count", "1,-1,0,0,0,0", "0"),
+            "1,-1,0,0,0,0 is not positive definite; enumeration requires a positive definite form",
+        ),
+        (("auts", "0,0,1,0,0,0"), "0,0,1,0,0,0 is not positive definite; enumeration requires a positive definite form"),
+        (("reduce", "0,0,0,0,0,0"), "0,0,0,0,0,0 is not positive definite; enumeration requires a positive definite form"),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, tuple) else None,
 )
@@ -344,6 +350,15 @@ def test_verify_p_refusal_names_every_target_that_takes_it(capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "all", "--p", "7")
     assert (code, out) == (EXIT_USAGE, "")
     assert err == "error: --p applies only to verify thm1.3, thm9.9, not all\n"
+
+
+def test_verify_help_names_the_targets_that_take_each_flag(capsys):
+    code, out, _ = run(capsys, "verify", "--help")
+    takers = [", ".join(t for t, row in cli.VERIFY_TARGETS.items() if row[k] not in (False, None)) for k in (0, 1)]
+    help_text = " ".join(out.split())
+    assert code == EXIT_OK
+    assert f"--p P odd prime, for verify {takers[0]}" in help_text
+    assert f"--n-max N_MAX largest n checked, for verify {takers[1]}" in help_text
 
 
 def test_verify_requires_p(capsys):

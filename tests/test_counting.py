@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from test_genus import count_calls
 from test_isometry import skewed_forms, unimodular
 from ternaryforms import counting
 from ternaryforms.counting import (
@@ -21,7 +22,9 @@ from ternaryforms.counting import (
     vectors_with_value,
 )
 from ternaryforms.forms import FormError, TernaryForm, _minkowski, apply_map, discriminant
+from ternaryforms.isometry import automorphs
 from ternaryforms.matrices import adjugate
+from ternaryforms.reduction import reduce_form
 
 H1 = TernaryForm(31, 5, 11, 1, -14, 6)
 
@@ -362,4 +365,26 @@ def test_rep_count_and_theta_refuse_indefinite_forms():
     for call in (lambda: rep_count(form, 1), lambda: theta(form, 3)):
         with pytest.raises(FormError, match="enumeration requires a positive definite form"):
             call()
-    assert rep_count(form, 0) == 1
+    # The form vanishes at (0, 0, z) for every z, so R(0) is infinite.
+    for call in (rep_count, vectors_with_value):
+        for n in (0, -1):
+            with pytest.raises(FormError, match="enumeration requires a positive definite form"):
+                call(form, n)
+
+
+ENTRY_POINTS = {
+    "theta": lambda f: theta(f, 10),
+    "rep_count n=0": lambda f: rep_count(f, 0),
+    "rep_count n=10": lambda f: rep_count(f, 10),
+    "vectors_with_value": lambda f: vectors_with_value(f, 10),
+    "half_points_up_to": lambda f: list(half_points_up_to(f, 10)),
+    "reduce_form": reduce_form,
+    "automorphs": automorphs,
+}
+
+
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+def test_each_entry_point_tests_definiteness_once(monkeypatch, name):
+    calls = count_calls(monkeypatch, "forms", "is_positive_definite")
+    ENTRY_POINTS[name](H1)
+    assert calls == [(H1,)]

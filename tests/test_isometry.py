@@ -80,12 +80,12 @@ skewed_forms = st.builds(apply_map, definite_forms, unimodular)
     ids=str,
 )
 def test_automorph_orders(form, order):
-    assert automorphs(form).order == order
+    assert len(automorphs(form)) == order
 
 
 def test_automorphs_form_a_group():
     group = automorphs(TernaryForm(1, 1, 3, 0, 0, 1))
-    elems = set(group.elements)
+    elems = set(group)
     assert IDENTITY in elems
     assert mat_neg(IDENTITY) in elems
     for g in elems:
@@ -95,7 +95,7 @@ def test_automorphs_form_a_group():
 
 
 def test_automorphs_fix_the_form():
-    for g in automorphs(H3).elements:
+    for g in automorphs(H3):
         assert apply_map(H3, g) == H3
 
 
@@ -104,7 +104,7 @@ def test_automorphs_fix_the_form():
 def test_automorphs_match_the_search_in_the_input_basis(g):
     # The search on the Minkowski form, conjugated back, against the direct
     # search in the basis the form was given in.
-    assert automorphs(g).elements == tuple(sorted(_isometries(g, g, False)))
+    assert automorphs(g) == tuple(sorted(_isometries(g, g, False)))
 
 
 # Pairs of forms: one class twice, or two classes of TG1(29), which has
@@ -151,7 +151,7 @@ def test_different_discriminant_short_circuit():
 
 def test_equivalence_preserves_automorph_order():
     u = ((1, 0, 3), (0, 1, 1), (0, 0, 1))
-    assert automorphs(apply_map(H3, u)).order == automorphs(H3).order
+    assert len(automorphs(apply_map(H3, u))) == len(automorphs(H3))
 
 
 def test_rejects_indefinite():

@@ -272,11 +272,11 @@ def test_transport_automorph_bijection():
     image = phi(form)
     pre = automorphs(form)
     img = automorphs(image)
-    lam, transported, group = transport_automorph(form, 4, pre.elements)
+    lam, transported, group = transport_automorph(form, 4, pre)
     assert lam == image == lambda_m(form, 4)
     assert group == img
-    assert len(transported) == pre.order
-    assert set(transported) == set(img.elements)
+    assert len(transported) == len(pre)
+    assert set(transported) == set(img)
 
 
 def test_transport_rejects_non_automorph():
@@ -287,7 +287,7 @@ def test_transport_rejects_non_automorph():
 
 def test_transport_respects_composition():
     form = TernaryForm(2, 2, 2, 1, 1, -1)
-    elems = automorphs(form).elements
+    elems = automorphs(form)
     tmap = dict(zip(elems, transport_automorph(form, 4, elems)[1]))
     for r1 in elems:
         for r2 in elems:
@@ -301,7 +301,7 @@ def test_transport_group_is_the_automorph_group_of_the_image(p):
     for form, _ in enumerate_tg1(p).classes:
         image, _, group = transport_automorph(form, 4, ())
         assert group == automorphs(image)
-        assert all(apply_map(image, u) == image for u in group.elements)
+        assert all(apply_map(image, u) == image for u in group)
 
 
 def test_watson_suite_searches_each_class_for_its_automorphs_once(monkeypatch):
@@ -328,7 +328,7 @@ def test_transport_rejects_a_wrong_image(monkeypatch):
     # with phi, so a wrong image is reported by name, not transported into.
     form = TernaryForm(3, 4, 4, 3, 2, -2)
     wrong = TernaryForm(1, 3, 11, 0, 0, 1)
-    assert transport_automorph(form, 4, automorphs(form).elements)[0] != wrong
+    assert transport_automorph(form, 4, automorphs(form))[0] != wrong
     monkeypatch.setattr(verify, "phi", lambda f: wrong if f == form else phi(f))
     report = verify.watson_suite(primes=(11,), n_scaling=4)
     assert report["phi-equals-lambda4"] == [f"p=11 {form}: lambda_4 differs from phi"]
@@ -356,7 +356,7 @@ def test_transport_matches_the_per_automorph_construction(p):
     # central (p = 5, 11, 17, 23) the two differ element by element.
     for form, _ in enumerate_tg1(p).classes:
         image = phi(form)
-        elems = automorphs(form).elements
+        elems = automorphs(form)
         old = [_transport_one_by_one(form, image, 4, r) for r in elems]
         lam, new, _ = transport_automorph(form, 4, elems)
         assert lam == image
@@ -366,7 +366,7 @@ def test_transport_matches_the_per_automorph_construction(p):
         assert apply_map(image, t) == image
         t_inv = unimodular_inverse(t)
         assert list(new) == [mat_mul(t_inv, mat_mul(o, t)) for o in old]
-        assert set(new) == set(old) == set(automorphs(image).elements)
+        assert set(new) == set(old) == set(automorphs(image))
 
 
 def _count_suite_lambda_builds(monkeypatch):
