@@ -13,11 +13,11 @@ reach the closed-form mass (p-1)/48, and that mass is the certificate of
 completeness.  The drained box scan stays in the tests as the oracle; the
 work limit, charged with the closure's size before the seed, is the only
 bound on p.  |Aut| of each class is the number of bases its canonical
-reduction finds.  TG2(p) is constructed class by class through Phi, with
-the automorph-order match checked as required by the bijection.
-GenusCache stores only the canonical forms of TG1; when a genus is first
-read from them, TG1 from the rows or TG2 from their Phi images, each row is
-checked and the |Aut| of its class recomputed, and the mass checked.
+reduction finds.  TG2(p) is the set of Phi images of TG1's classes.
+`_checked_classes` is the one path from the forms of TG1's classes to a
+checked genus, TG1 from the forms or TG2 from their Phi images; `build_tg2`
+calls it, and so does GenusCache, which stores only the canonical forms of
+TG1, when a genus is first read from them.
 """
 
 from __future__ import annotations
@@ -157,67 +157,52 @@ def enumerate_tg1(p: int) -> GenusSet:
     return GenusSet("TG1", p, tuple(sorted(seen.items())))
 
 
-def build_tg2(tg1: GenusSet) -> GenusSet:
-    """Image genus under Phi, with automorph orders checked to transfer.
+def _checked_classes(label: str, p: int, forms: list[TernaryForm]) -> dict[TernaryForm, int]:
+    """{canonical class: |Aut|} of TG1(p), or of TG2(p) through Phi, from
+    forms of TG1's classes, in the order of forms.
 
-    One canonical reduction of Phi's sublattice form (`watson._phi_raw`)
-    gives each image, Phi(form), and its |Aut|.
+    Every form must be positive definite of discriminant p^2, so primitive
+    (disc(kQ) = k^3 disc(Q)).  For TG1 each form must be its own canonical
+    form; for TG2 it is not reduced at all, and one canonical reduction of
+    its Phi sublattice form (`watson._phi_raw`) gives the image class and
+    its |Aut|.  Forms of one class (equal images, as Phi is a bijection on
+    classes) are refused, and the mass must be the closed-form (p-1)/48.
+    These checks are complete: distinct classes of discriminant p^2 whose
+    masses sum to the mass of all of TG1 are all of TG1, and their images
+    are all of TG2.  Each refusal names "TG1,p", the forms' genus.
     """
+    key = f"TG1,{p}"
+    classes: dict[TernaryForm, int] = {}
+    form_of: dict[TernaryForm, TernaryForm] = {}
+    for form in forms:
+        if not is_positive_definite(form) or discriminant(form) != p * p:
+            raise FormError(f"{key} holds {form}, not positive definite of discriminant {p * p}")
+        canon, bases = _canonical_bases(form if label == "TG1" else _phi_raw(form))
+        if label == "TG1" and canon != form:
+            raise FormError(f"{key} holds {form}, not its canonical form {canon}")
+        if canon in classes:
+            first = form_of[canon]
+            twice = f"{form} twice" if first == form else f"{first} and {form}, of one class"
+            raise FormError(f"{key} holds {twice}")
+        classes[canon], form_of[canon] = len(bases), form
+    mass = sum((Fraction(1, aut) for aut in classes.values()), Fraction(0))
+    if mass != mass_closed_form(p):
+        raise FormError(f"{key} has mass {mass}, not {mass_closed_form(p)}")
+    return classes
+
+
+def build_tg2(tg1: GenusSet) -> GenusSet:
+    """Image genus under Phi (`_checked_classes`), with each class's |Aut| checked to transfer."""
     if tg1.label != "TG1":
         raise FormError("build_tg2 expects a TG1 genus")
-    classes = []
-    for form, aut in tg1.classes:
-        image, bases = _canonical_bases(_phi_raw(form))
-        if len(bases) != aut:
-            raise FormError(
-                f"automorph order changed under Phi: {form} has {aut}, image {image} has {len(bases)}"
-            )
-        classes.append((image, aut))
-    result = GenusSet("TG2", tg1.prime, tuple(sorted(classes)))
-    if result.mass != tg1.mass:
-        raise FormError("TG2 mass differs from TG1 mass")
-    return result
+    classes = _checked_classes("TG2", tg1.prime, [form for form, _ in tg1.classes])
+    for (form, aut), (image, image_aut) in zip(tg1.classes, classes.items()):
+        if image_aut != aut:
+            raise FormError(f"automorph order changed under Phi: {form} has {aut}, image {image} has {image_aut}")
+    return GenusSet("TG2", tg1.prime, tuple(sorted(classes.items())))
 
 
 # -- JSON cache -----------------------------------------------------------
-
-def _genus_from_rows(rows, label: str, p: int) -> GenusSet:
-    """TG1(p) or TG2(p) from the coefficient rows of the "TG1,p" entry.
-
-    Every row must be a positive definite form of discriminant p^2, so
-    primitive (disc(kQ) = k^3 disc(Q)).  For TG1 each row must be its own
-    canonical form; for TG2 it is not reduced at all, and one canonical
-    reduction of its Phi sublattice form (`watson._phi_raw`) gives the image
-    class and its |Aut|.  Rows of one class (equal images, as Phi is a
-    bijection on classes) are refused, and the mass must be the closed-form
-    (p-1)/48.  These checks are complete: distinct classes of discriminant
-    p^2 whose masses sum to the mass of all of TG1 are all of TG1, and their
-    images are all of TG2.
-    """
-    key = f"TG1,{p}"
-    if not all(
-        isinstance(row, list) and len(row) == 6 and all(type(v) is int for v in row) for row in rows
-    ):
-        raise FormError(f"genus cache entry {key} is not a list of six-integer rows; cache corrupt")
-    classes: dict[TernaryForm, int] = {}
-    rows_of: dict[TernaryForm, TernaryForm] = {}
-    for row in rows:
-        form = TernaryForm(*row)
-        if not is_positive_definite(form) or discriminant(form) != p * p:
-            raise FormError(f"genus cache entry {key} holds {form}, not positive definite of discriminant {p * p}; cache corrupt")
-        canon, bases = _canonical_bases(form if label == "TG1" else _phi_raw(form))
-        if label == "TG1" and canon != form:
-            raise FormError(f"genus cache entry {key} holds {form}, not its canonical form {canon}; cache corrupt")
-        if canon in classes:
-            first = rows_of[canon]
-            twice = f"{form} twice" if first == form else f"{first} and {form}, of one class"
-            raise FormError(f"genus cache entry {key} holds {twice}; cache corrupt")
-        classes[canon], rows_of[canon] = len(bases), form
-    genus = GenusSet(label, p, tuple(sorted(classes.items())))
-    if genus.mass != mass_closed_form(p):
-        raise FormError(f"genus cache entry {key} has mass {genus.mass}, not {mass_closed_form(p)}; cache corrupt")
-    return genus
-
 
 class GenusCache:
     """Persists the classes of TG1 to a JSON file, written atomically, or
@@ -226,10 +211,11 @@ class GenusCache:
     The file maps "TG1,p" to the coefficient rows of the classes; other
     entries are not read, and a file with any entry that is not a list is
     refused when it is opened, so `put` never writes rows beside an entry of
-    another layout.  A genus is read from the rows once per instance and
-    checked (one canonical reduction per row): TG1 from the rows, TG2 from
-    their Phi images.  When TG1 is in memory, TG2 is `build_tg2` of it.  The
-    instance keeps every genus it has checked or built.
+    another layout.  `put` of TG1 also stores its rows, and TG2 is always
+    read from TG1's rows, never from a TG1 in memory.  A genus is read from
+    the rows once per instance and checked by `_checked_classes`, with one
+    canonical reduction per row: TG1 from the rows, TG2 from their Phi
+    images.  The instance keeps every genus it has checked or been given.
     """
 
     def __init__(self, path: str | None = None):
@@ -249,15 +235,16 @@ class GenusCache:
                     raise FormError(f"genus cache {self.path}: entry {key} is not a list of rows; cache corrupt")
 
     def get(self, label: str, p: int) -> GenusSet | None:
-        key, tg1 = f"{label},{p}", f"TG1,{p}"
-        if key not in self._genera:
-            if label == "TG2" and tg1 in self._genera:
-                self._genera[key] = build_tg2(self._genera[tg1])
-            elif tg1 in self._rows:
-                try:
-                    self._genera[key] = _genus_from_rows(self._rows[tg1], label, p)
-                except FormError as exc:
-                    raise FormError(f"genus cache {self.path}: {exc}") from None
+        key, rows = f"{label},{p}", self._rows.get(f"TG1,{p}")
+        if key not in self._genera and rows is not None:
+            try:
+                if not all(isinstance(r, list) and len(r) == 6 and all(type(v) is int for v in r) for r in rows):
+                    raise FormError(f"TG1,{p} is not a list of six-integer rows")
+                classes = _checked_classes(label, p, [TernaryForm(*row) for row in rows])
+            except FormError as exc:
+                where = f"genus cache {self.path}: " if self.path else ""
+                raise FormError(f"{where}genus cache entry {exc}; cache corrupt") from None
+            self._genera[key] = GenusSet(label, p, tuple(sorted(classes.items())))
         return self._genera.get(key)
 
     def put(self, genus: GenusSet) -> None:
@@ -291,6 +278,6 @@ class GenusCache:
     def tg2(self, p: int) -> GenusSet:
         cached = self.get("TG2", p)
         if cached is None:
-            self.tg1(p)  # kept in memory, so `get` builds TG2 from it
+            self.tg1(p)  # stores TG1's rows, which `get` reads TG2 from
             cached = self.get("TG2", p)
         return cached

@@ -10,15 +10,15 @@ the coordinates g was given in.
 
 from __future__ import annotations
 
-from .forms import FormError, TernaryForm, discriminant, is_positive_definite
+from .forms import TernaryForm, _require_definite, discriminant
 from .matrices import Mat3, mat_mul, unimodular_inverse
 from .reduction import _canonical_bases, reduce_form
 
 
 def equivalent(g: TernaryForm, h: TernaryForm) -> Mat3 | None:
     """A witness U with apply_map(g, U) == h, or None when inequivalent."""
-    if not (is_positive_definite(g) and is_positive_definite(h)):
-        raise FormError("equivalence testing requires positive definite forms")
+    _require_definite(g)
+    _require_definite(h)
     if discriminant(g) != discriminant(h):
         return None
     canon_g, u_g = reduce_form(g)

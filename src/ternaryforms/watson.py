@@ -22,6 +22,7 @@ from typing import Sequence
 from .forms import (
     FormError,
     TernaryForm,
+    _require_definite,
     apply_basis,
     apply_map,
     discriminant,
@@ -112,8 +113,7 @@ def phi_inverse(form: TernaryForm) -> TernaryForm:
     lambda_4 inverts Phi on classes; the result is returned only when Phi maps
     it back onto the class of the input, so a wrong preimage cannot escape.
     """
-    if not is_positive_definite(form):
-        raise FormError("phi_inverse requires a positive definite form")
+    _require_definite(form)
     pre = lambda_m(form, 4)
     if discriminant(pre) % 2 == 0 or not is_primitive(pre) or phi(pre) != reduce_form(form)[0]:
         raise FormError(f"{form} is not Φ of a primitive form of odd discriminant")

@@ -169,6 +169,11 @@ def test_work_limit_below_one_is_a_usage_error(capsys, limit):
         ),
         (("auts", "0,0,1,0,0,0"), "0,0,1,0,0,0 is not positive definite; enumeration requires a positive definite form"),
         (("reduce", "0,0,0,0,0,0"), "0,0,0,0,0,0 is not positive definite; enumeration requires a positive definite form"),
+        (
+            ("equiv", "1,-1,0,0,0,0", "1,1,1,0,0,0"),
+            "1,-1,0,0,0,0 is not positive definite; enumeration requires a positive definite form",
+        ),
+        (("phi-inv", "1,-1,0,0,0,0"), "1,-1,0,0,0,0 is not positive definite; enumeration requires a positive definite form"),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, tuple) else None,
 )

@@ -10,6 +10,7 @@ from ternaryforms import genus as genus_module
 from ternaryforms.forms import FormError, TernaryForm, discriminant, is_positive_definite, is_primitive
 from ternaryforms.genus import (
     GenusCache,
+    GenusSet,
     IncompletenessError,
     build_tg2,
     enumerate_tg1,
@@ -263,6 +264,21 @@ def test_damaged_tg1_rows_refuse_tg2(tmp_path, how):
     with pytest.raises(FormError) as info:
         GenusCache(str(path)).tg2(11)
     assert str(info.value) == f"genus cache {path}: genus cache entry TG1,11 {message}; cache corrupt"
+
+
+def test_tg2_refuses_a_class_held_twice():
+    # 2,12,11,8,1,3 is an unreduced form of the TG1(29) class 2,11,11,7,1,-1:
+    # its Phi image is that class's image, so TG2 would hold it twice.
+    tg1 = enumerate_tg1(29)
+    twin = GenusSet("TG1", 29, tg1.classes + ((TernaryForm(2, 12, 11, 8, 1, 3), 4),))
+    message = "TG1,29 holds 2,11,11,7,1,-1 and 2,12,11,8,1,3, of one class"
+    with pytest.raises(FormError, match=f"^{message}$"):
+        build_tg2(twin)
+    cache = GenusCache(None)
+    cache.put(twin)
+    with pytest.raises(FormError) as info:
+        cache.tg2(29)
+    assert str(info.value) == f"genus cache entry {message}; cache corrupt"
 
 
 @pytest.mark.parametrize("p", [11, 29, 73])

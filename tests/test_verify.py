@@ -126,12 +126,14 @@ def test_mass_suite_reduces_each_class_once(monkeypatch):
 
 def test_mass_suite_names_equivalent_classes():
     # Two bases of the class 2,11,11,7,1,-1 stored as if they were two
-    # classes: the mass is wrong, and TG2, built through Phi, holds the
-    # image class twice.
+    # classes, and its image stored twice in TG2: the mass is wrong and each
+    # genus holds one class twice.  Reading TG2 from such TG1 rows is refused
+    # (tests/test_genus.py), so the TG2 is put by hand.
     cache = GenusCache(None)
-    tg1 = cache.tg1(29)
+    tg1, tg2 = cache.tg1(29), cache.tg2(29)
     twin = TernaryForm(2, 12, 11, 8, 1, 3)
     cache.put(GenusSet("TG1", 29, tg1.classes + ((twin, 4),)))
+    cache.put(GenusSet("TG2", 29, tg2.classes + ((TernaryForm(8, 15, 31, 2, 8, 4), 4),)))
     assert mass_suite(primes=(29,), cache=cache) == [
         "p=29: TG1 mass 5/6 != 7/12",
         "p=29: TG1 classes 2,11,11,7,1,-1 and 2,12,11,8,1,3 are equivalent",
