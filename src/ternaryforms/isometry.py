@@ -17,9 +17,9 @@ from .reduction import _canonical_bases, reduce_form
 
 def equivalent(g: TernaryForm, h: TernaryForm) -> Mat3 | None:
     """A witness U with apply_map(g, U) == h, or None when inequivalent."""
-    _require_definite(g)
-    _require_definite(h)
     if discriminant(g) != discriminant(h):
+        _require_definite(g)
+        _require_definite(h)
         return None
     canon_g, u_g = reduce_form(g)
     canon_h, u_h = reduce_form(h)

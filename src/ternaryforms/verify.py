@@ -93,6 +93,16 @@ def verify_theorem_1_3(p: int, n_max: int, cache: GenusCache | None = None) -> I
 YZ_MINUS_XX = TernaryForm(-1, 0, 0, 1, 0, 0)
 FOUR_YZ_MINUS_XX = TernaryForm(-1, 0, 0, 4, 0, 0)
 
+# The suites of `density_suites`, in report order.
+_DENSITY_SUITES = (
+    "odd-prime-closed-form",
+    "dyadic-three-squares",
+    "split-anisotropic-odd",
+    "prime-square-scaling",
+    "dyadic-difference-forms",
+    "difference-kernel",
+)
+
 
 def _yz_table(n: int) -> Fraction:
     a, k = valuation(n, 4)
@@ -112,11 +122,57 @@ def _four_yz_table(n: int) -> Fraction:
     return Fraction(3 * 2**a - 3, 2**a)  # 3 - 3/2^a
 
 
-def _least_nonresidue_neg(p: int) -> int:
+def _split_anisotropic_form(p: int) -> TernaryForm:
+    """<u, p, pu> with -u the least quadratic nonresidue mod p."""
     u = 1
     while kronecker(-u, p) != -1:
         u += 1
-    return u
+    return TernaryForm(u, p, p * u, 0, 0, 0)
+
+
+def _density_checks(n_odd: int, n_dyadic: int, n_split: int, n_gamma: int, n_scale: int):
+    """(suite, case, counted, expected) for every density check, each suite's in order.
+
+    The split and scaling suites share one count of <u, p, pu> at each
+    (p, n) that one of them reads.
+    """
+    for p in (3, 5, 7, 11):
+        for n in range(1, n_odd + 1):
+            counted = local_density(THREE_SQUARES, n, p).value
+            yield "odd-prime-closed-form", f"p={p} n={n}", counted, density_formula_odd(n, p)
+    for n in range(1, n_dyadic + 1):
+        yield "dyadic-three-squares", f"n={n}", local_density(THREE_SQUARES, n, 2).value, psi(n)
+    for p in (3, 5, 7):
+        form = _split_anisotropic_form(p)
+        for n in range(1, max(n_split, n_scale) + 1):
+            scaled = n <= n_scale and n % (p * p) != 0
+            if n > n_split and not scaled:
+                continue
+            base = local_density(form, n, p).value
+            if n <= n_split:
+                yield "split-anisotropic-odd", f"p={p} n={n}", base, Fraction(p, p - 1) * gamma_p(n, p)
+            if scaled:
+                for k in (1, 2) if p < 7 else (1,):
+                    counted = local_density(form, n * p ** (2 * k), p).value
+                    yield "prime-square-scaling", f"p={p} n={n} k={k}", counted, base / p**k
+    for n in range(1, n_dyadic + 1):
+        d1 = local_density(YZ_MINUS_XX, n, 2).value
+        d2 = local_density(FOUR_YZ_MINUS_XX, n, 2).value
+        rows = [
+            ("yz-xx table", d1, _yz_table(n)),
+            ("4yz-xx table", d2, _four_yz_table(n)),
+            ("three-squares recurrence", 2 * d1 - d2, psi(n)),
+            ("doubling recurrence", 2 * d1, local_density(FOUR_YZ_MINUS_XX, 4 * n, 2).value),
+            ("constant combination", 4 * d1 - d2, 3),
+        ]
+        if n % 4:
+            rows.append(("initial values", d2, 3 if n % 8 == 7 else 1 if n % 8 == 3 else 0))
+        for name, counted, expected in rows:
+            yield "dyadic-difference-forms", f"{name} n={n}", counted, expected
+    for p in (3, 5, 7, 11):
+        for n in range(1, n_gamma + 1):
+            kernel = p * (density_formula_odd(p * p * n, p) - density_formula_odd(n, p))
+            yield "difference-kernel", f"p={p} n={n}", gamma_p(n, p), kernel
 
 
 def density_suites(
@@ -126,90 +182,22 @@ def density_suites(
     n_gamma: int = 200,
     n_scale: int = 50,
 ) -> dict[str, list[str]]:
-    """Run every closed-form-vs-counting density check; values are failure lists."""
-    failures: dict[str, list[str]] = {}
-
-    fails = []
-    for p in (3, 5, 7, 11):
-        for n in range(1, n_odd + 1):
-            direct = local_density(THREE_SQUARES, n, p).value
-            closed = density_formula_odd(n, p)
-            if direct != closed:
-                fails.append(f"p={p} n={n}: counted {direct}, closed form {closed}")
-    failures["odd-prime-closed-form"] = fails
-
-    fails = []
-    for n in range(1, n_dyadic + 1):
-        direct = local_density(THREE_SQUARES, n, 2).value
-        if direct != psi(n):
-            fails.append(f"n={n}: counted {direct}, psi {psi(n)}")
-    failures["dyadic-three-squares"] = fails
-
-    fails = []
-    for p in (3, 5, 7):
-        u = _least_nonresidue_neg(p)
-        form = TernaryForm(u, p, p * u, 0, 0, 0)
-        for n in range(1, n_split + 1):
-            direct = local_density(form, n, p).value
-            expected = Fraction(p, p - 1) * gamma_p(n, p)
-            if direct != expected:
-                fails.append(f"p={p} n={n}: counted {direct}, expected {expected}")
-    failures["split-anisotropic-odd"] = fails
-
-    fails = []
-    for p in (3, 5, 7):
-        u = _least_nonresidue_neg(p)
-        form = TernaryForm(u, p, p * u, 0, 0, 0)
-        for n in range(1, n_scale + 1):
-            if n % (p * p) == 0:
-                continue
-            base = local_density(form, n, p).value
-            for k in (1, 2) if p < 7 else (1,):
-                scaled = local_density(form, n * p ** (2 * k), p).value
-                if scaled != base / p**k:
-                    fails.append(f"p={p} n={n} k={k}: {scaled} != {base}/{p}^{k}")
-    failures["prime-square-scaling"] = fails
-
-    fails = []
-    for n in range(1, n_dyadic + 1):
-        d1 = local_density(YZ_MINUS_XX, n, 2).value
-        d2 = local_density(FOUR_YZ_MINUS_XX, n, 2).value
-        if d1 != _yz_table(n):
-            fails.append(f"yz-xx table n={n}: counted {d1}, table {_yz_table(n)}")
-        if d2 != _four_yz_table(n):
-            fails.append(f"4yz-xx table n={n}: counted {d2}, table {_four_yz_table(n)}")
-        if psi(n) != 2 * d1 - d2:
-            fails.append(f"three-squares recurrence n={n}")
-        if 2 * d1 != local_density(FOUR_YZ_MINUS_XX, 4 * n, 2).value:
-            fails.append(f"doubling recurrence n={n}")
-        if 4 * d1 - d2 != 3:
-            fails.append(f"constant combination n={n}")
-        expected_init = (
-            Fraction(3) if n % 8 == 7 else Fraction(1) if n % 8 == 3 else Fraction(0)
-        )
-        if n % 4 != 0 and d2 != expected_init:
-            fails.append(f"initial values n={n}: {d2} != {expected_init}")
-    failures["dyadic-difference-forms"] = fails
-
-    fails = []
-    for p in (3, 5, 7, 11):
-        for n in range(1, n_gamma + 1):
-            lhs = gamma_p(n, p)
-            rhs = p * (density_formula_odd(p * p * n, p) - density_formula_odd(n, p))
-            if lhs != rhs:
-                fails.append(f"p={p} n={n}: {lhs} != {rhs}")
-    failures["difference-kernel"] = fails
-
+    """Run every closed-form-vs-counting density check; values are failure
+    lists of "<case>: <counted> != <expected>"."""
+    failures: dict[str, list[str]] = {suite: [] for suite in _DENSITY_SUITES}
+    for suite, case, counted, expected in _density_checks(n_odd, n_dyadic, n_split, n_gamma, n_scale):
+        if counted != expected:
+            failures[suite].append(f"{case}: {counted} != {expected}")
     return failures
 
 
+def _verdict(failures: list) -> dict:
+    return {"pass": not failures, "failures": failures}
+
+
 def verify_density_theorems() -> dict:
-    suites = density_suites()
-    return {
-        "identity": "density-suites",
-        "suites": {k: {"pass": not v, "failures": v} for k, v in suites.items()},
-        "pass": all(not v for v in suites.values()),
-    }
+    suites = {k: _verdict(v) for k, v in density_suites().items()}
+    return {"identity": "density-suites", "suites": suites, "pass": all(v["pass"] for v in suites.values())}
 
 
 # -- Watson property suite ------------------------------------------------
@@ -222,36 +210,29 @@ def watson_suite(
     primes=SUITE_PRIMES, n_scaling: int = 300, cache: GenusCache | None = None
 ) -> dict[str, list[str]]:
     cache = cache or GenusCache()
-    fails_invol: list[str] = []
-    fails_phi_lambda: list[str] = []
-    fails_scaling: list[str] = []
-    fails_transport: list[str] = []
+    failures: dict[str, list[str]] = {
+        k: [] for k in ("lambda4-involution", "phi-equals-lambda4", "rep-scaling", "automorph-transport")
+    }
     for p in primes:
-        tg1 = cache.tg1(p)
-        for form, aut in tg1.classes:
+        for form, _ in cache.tg1(p).classes:
             image = phi(form)
             lam, transported, aut_img = transport_automorph(form, 4, automorphs(form))
             if lam != image:
-                fails_phi_lambda.append(f"p={p} {form}: lambda_4 differs from phi")
+                failures["phi-equals-lambda4"].append(f"p={p} {form}: lambda_4 differs from phi")
             if lambda_m(image, 4) != form:
-                fails_invol.append(f"p={p} {form}: lambda_4^2 is not the identity")
+                failures["lambda4-involution"].append(f"p={p} {form}: lambda_4^2 is not the identity")
             counts = theta(form, n_scaling)
             image_counts = theta(image, 4 * n_scaling)
             for n in range(1, n_scaling + 1):
                 if counts[n] != image_counts[4 * n]:
-                    fails_scaling.append(f"p={p} {form} n={n}: R(n) != R_phi(4n)")
+                    failures["rep-scaling"].append(f"p={p} {form} n={n}: R(n) != R_phi(4n)")
             transported = set(transported)
             if transported != set(aut_img):
-                fails_transport.append(
+                failures["automorph-transport"].append(
                     f"p={p} {form}: transport is not a bijection "
                     f"({len(transported)} images vs |Aut| {len(aut_img)})"
                 )
-    return {
-        "lambda4-involution": fails_invol,
-        "phi-equals-lambda4": fails_phi_lambda,
-        "rep-scaling": fails_scaling,
-        "automorph-transport": fails_transport,
-    }
+    return failures
 
 
 def mass_suite(primes=SUITE_PRIMES, cache: GenusCache | None = None) -> list[str]:
@@ -287,19 +268,12 @@ def verify_all(cache: GenusCache | None = None) -> dict:
         verify_theorem_1_2(N_IDENTITIES).to_dict(),
         *(verify_theorem_1_3(p, n_max, cache).to_dict() for p, n_max in THM13_RUNS),
     ]
-    mass_failures = mass_suite(cache=cache)
-    density = verify_density_theorems()
-    watson = watson_suite(cache=cache)
     result = {
         "identities": reports,
-        "mass": {"pass": not mass_failures, "failures": mass_failures},
-        "density": density,
-        "watson": {k: {"pass": not v, "failures": v} for k, v in watson.items()},
+        "mass": _verdict(mass_suite(cache=cache)),
+        "density": verify_density_theorems(),
+        "watson": {k: _verdict(v) for k, v in watson_suite(cache=cache).items()},
     }
-    result["pass"] = (
-        all(r["pass"] for r in reports)
-        and not mass_failures
-        and density["pass"]
-        and all(not v for v in watson.values())
-    )
+    verdicts = (*reports, result["mass"], result["density"], *result["watson"].values())
+    result["pass"] = all(v["pass"] for v in verdicts)
     return result

@@ -22,11 +22,9 @@ from typing import Sequence
 from .forms import (
     FormError,
     TernaryForm,
-    _require_definite,
     apply_basis,
     apply_map,
     discriminant,
-    is_positive_definite,
     is_primitive,
 )
 from .matrices import (
@@ -74,8 +72,15 @@ def _lambda_raw(form: TernaryForm, m: int) -> tuple[TernaryForm, Mat3]:
 
 
 def _canonical(form: TernaryForm) -> TernaryForm:
-    """The reduced class representative when the form is definite, else the form."""
-    return reduce_form(form)[0] if is_positive_definite(form) else form
+    """The reduced class representative when the form is definite, else the form.
+
+    Reduction tests definiteness once; its refusal of an indefinite form is
+    the only FormError it raises (a work limit is a ResourceLimitError).
+    """
+    try:
+        return reduce_form(form)[0]
+    except FormError:
+        return form
 
 
 def lambda_m(form: TernaryForm, m: int) -> TernaryForm:
@@ -113,9 +118,9 @@ def phi_inverse(form: TernaryForm) -> TernaryForm:
     lambda_4 inverts Phi on classes; the result is returned only when Phi maps
     it back onto the class of the input, so a wrong preimage cannot escape.
     """
-    _require_definite(form)
+    target = reduce_form(form)[0]  # refuses an indefinite form
     pre = lambda_m(form, 4)
-    if discriminant(pre) % 2 == 0 or not is_primitive(pre) or phi(pre) != reduce_form(form)[0]:
+    if discriminant(pre) % 2 == 0 or not is_primitive(pre) or phi(pre) != target:
         raise FormError(f"{form} is not Φ of a primitive form of odd discriminant")
     return pre
 

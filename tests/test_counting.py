@@ -22,9 +22,10 @@ from ternaryforms.counting import (
     vectors_with_value,
 )
 from ternaryforms.forms import FormError, TernaryForm, _minkowski, apply_map, discriminant
-from ternaryforms.isometry import automorphs
+from ternaryforms.isometry import automorphs, equivalent
 from ternaryforms.matrices import adjugate
 from ternaryforms.reduction import reduce_form
+from ternaryforms.watson import _lambda_raw, _phi_raw, lambda_m, phi, phi_inverse
 
 H1 = TernaryForm(31, 5, 11, 1, -14, 6)
 
@@ -372,19 +373,30 @@ def test_rep_count_and_theta_refuse_indefinite_forms():
                 call(form, n)
 
 
+G11 = TernaryForm(3, 4, 4, 3, 2, -2)  # a TG1(11) class
+G11_IMAGE = phi(G11)
+
+# Each entry point, its input, and the forms it tests for definiteness: every
+# form it enumerates or reduces, once.
 ENTRY_POINTS = {
-    "theta": lambda f: theta(f, 10),
-    "rep_count n=0": lambda f: rep_count(f, 0),
-    "rep_count n=10": lambda f: rep_count(f, 10),
-    "vectors_with_value": lambda f: vectors_with_value(f, 10),
-    "half_points_up_to": lambda f: list(half_points_up_to(f, 10)),
-    "reduce_form": reduce_form,
-    "automorphs": automorphs,
+    "theta": (lambda f: theta(f, 10), H1, [H1]),
+    "rep_count n=0": (lambda f: rep_count(f, 0), H1, [H1]),
+    "rep_count n=10": (lambda f: rep_count(f, 10), H1, [H1]),
+    "vectors_with_value": (lambda f: vectors_with_value(f, 10), H1, [H1]),
+    "half_points_up_to": (lambda f: list(half_points_up_to(f, 10)), H1, [H1]),
+    "reduce_form": (reduce_form, H1, [H1]),
+    "automorphs": (automorphs, H1, [H1]),
+    "lambda_m": (lambda f: lambda_m(f, 4), G11, [_lambda_raw(G11, 4)[0]]),
+    "phi": (phi, G11, [_phi_raw(G11)]),
+    "equivalent": (lambda f: equivalent(f, f), G11, [G11, G11]),
+    # The input, its lambda_4 preimage (G11) and that preimage's Phi image.
+    "phi_inverse": (phi_inverse, G11_IMAGE, [G11_IMAGE, _lambda_raw(G11_IMAGE, 4)[0], _phi_raw(G11)]),
 }
 
 
 @pytest.mark.parametrize("name", ENTRY_POINTS)
 def test_each_entry_point_tests_definiteness_once(monkeypatch, name):
+    call, form, tested = ENTRY_POINTS[name]
     calls = count_calls(monkeypatch, "forms", "is_positive_definite")
-    ENTRY_POINTS[name](H1)
-    assert calls == [(H1,)]
+    call(form)
+    assert calls == [(f,) for f in tested]

@@ -157,5 +157,9 @@ def test_equivalence_preserves_automorph_order():
 def test_rejects_indefinite():
     with pytest.raises(FormError):
         automorphs(TernaryForm(-1, 0, 0, 1, 0, 0))
-    with pytest.raises(FormError):
-        equivalent(TernaryForm(-1, 0, 0, 1, 0, 0), TernaryForm(1, 1, 1, 0, 0, 0))
+    # Either form, whether or not the discriminants already differ.
+    three_squares = TernaryForm(1, 1, 1, 0, 0, 0)
+    for indefinite in (TernaryForm(-1, 0, 0, 1, 0, 0), TernaryForm(-1, 0, 0, 2, 0, 0)):
+        for pair in ((indefinite, three_squares), (three_squares, indefinite)):
+            with pytest.raises(FormError, match="not positive definite"):
+                equivalent(*pair)

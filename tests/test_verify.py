@@ -1,10 +1,15 @@
+from dataclasses import replace
 from fractions import Fraction
 
+import pytest
+
 from test_genus import count_calls
+from ternaryforms import verify
 from ternaryforms.forms import TernaryForm
 from ternaryforms.genus import GenusCache, GenusSet
-from ternaryforms.local import valuation
+from ternaryforms.local import LocalDensity, valuation
 from ternaryforms.verify import (
+    FOUR_YZ_MINUS_XX,
     IdentityReport,
     _check_weighted_identity,
     _four_yz_table,
@@ -82,6 +87,72 @@ def test_density_suites_tiny():
     }
     for name, failures in suites.items():
         assert failures == [], name
+
+
+SUITES_OFF = dict(n_odd=0, n_dyadic=0, n_split=0, n_gamma=0, n_scale=0)
+SMALL_SUITES = dict(n_odd=6, n_dyadic=16, n_split=10, n_gamma=6, n_scale=8)
+SPLIT_3 = TernaryForm(1, 3, 3, 0, 0, 0)  # <u, p, pu> at p = 3, where -1 is a nonresidue
+
+
+def _one_more_at(f, at):
+    """f, with its value at the arguments `at` raised by one (a density's value for local_density)."""
+
+    def perturbed(*args):
+        value = f(*args)
+        if args != at:
+            return value
+        return replace(value, value=value.value + 1) if isinstance(value, LocalDensity) else value + 1
+
+    return perturbed
+
+
+# (name in verify, the arguments it is perturbed at, {suite: case labels that fail})
+PERTURBATIONS = [
+    ("density_formula_odd", (5, 3), {"odd-prime-closed-form": ["p=3 n=5"], "difference-kernel": ["p=3 n=5"]}),
+    ("psi", (5,), {"dyadic-three-squares": ["n=5"], "dyadic-difference-forms": ["three-squares recurrence n=5"]}),
+    ("gamma_p", (5, 3), {"split-anisotropic-odd": ["p=3 n=5"], "difference-kernel": ["p=3 n=5"]}),
+    ("_yz_table", (5,), {"dyadic-difference-forms": ["yz-xx table n=5"]}),
+    ("_four_yz_table", (5,), {"dyadic-difference-forms": ["4yz-xx table n=5"]}),
+    # The base density is the expected side of the scaling checks.
+    (
+        "local_density",
+        (SPLIT_3, 5, 3),
+        {"split-anisotropic-odd": ["p=3 n=5"], "prime-square-scaling": ["p=3 n=5 k=1", "p=3 n=5 k=2"]},
+    ),
+    ("local_density", (SPLIT_3, 45, 3), {"prime-square-scaling": ["p=3 n=5 k=1"]}),
+    ("local_density", (FOUR_YZ_MINUS_XX, 20, 2), {"dyadic-difference-forms": ["doubling recurrence n=5"]}),
+]
+
+
+@pytest.mark.parametrize("name, at, fired", PERTURBATIONS)
+def test_every_density_suite_reports_a_wrong_value(monkeypatch, name, at, fired):
+    monkeypatch.setattr(verify, name, _one_more_at(getattr(verify, name), at))
+    suites = density_suites(**SMALL_SUITES)
+    assert {suite: [line.split(":")[0] for line in lines] for suite, lines in suites.items() if lines} == fired
+
+
+def test_density_failure_lines_read_case_counted_expected(monkeypatch):
+    monkeypatch.setattr(verify, "_yz_table", _one_more_at(verify._yz_table, (5,)))
+    counted = verify.local_density(verify.YZ_MINUS_XX, 5, 2).value
+    suites = density_suites(**{**SUITES_OFF, "n_dyadic": 6})
+    assert suites["dyadic-difference-forms"] == [f"yz-xx table n=5: {counted} != {_yz_table(5) + 1}"]
+
+
+@pytest.mark.parametrize(
+    "sizes, calls",
+    [
+        # The split suite's count at each n <= 20 is the scaling suite's base.
+        (dict(n_split=20, n_scale=20), 156),
+        (dict(n_split=20), 60),
+        # No base count at n = 9, 18, where p^2 | n and no check reads it.
+        (dict(n_scale=20), 154),
+    ],
+)
+def test_split_and_scaling_suites_count_each_base_density_once(monkeypatch, sizes, calls):
+    densities = count_calls(monkeypatch, "local", "local_density")
+    suites = density_suites(**{**SUITES_OFF, **sizes})
+    assert not any(suites.values())
+    assert len(densities) == calls
 
 
 def _yz_table_oracle(n):

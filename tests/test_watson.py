@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ternaryforms import isometry, verify, watson
-from ternaryforms.counting import rep_count
+from ternaryforms.counting import rep_count, theta
 from ternaryforms.forms import (
     FormError,
     TernaryForm,
@@ -332,6 +332,39 @@ def test_transport_rejects_a_wrong_image(monkeypatch):
     monkeypatch.setattr(verify, "phi", lambda f: wrong if f == form else phi(f))
     report = verify.watson_suite(primes=(11,), n_scaling=4)
     assert report["phi-equals-lambda4"] == [f"p=11 {form}: lambda_4 differs from phi"]
+
+
+G11 = TernaryForm(3, 4, 4, 3, 2, -2)  # a TG1(11) class with |Aut| = 12
+
+
+def _wrong_lambda(f, m):
+    return TernaryForm(1, 3, 11, 0, 0, 1) if f == phi(G11) else lambda_m(f, m)
+
+
+def _wrong_theta(f, bound):
+    counts = theta(f, bound)
+    return (counts[0], counts[1] + 2, *counts[2:]) if f == G11 else counts
+
+
+def _wrong_transport(f, m, rs):
+    image, transported, group = transport_automorph(f, m, rs)
+    return (image, transported[:1] * len(transported), group) if f == G11 else (image, transported, group)
+
+
+@pytest.mark.parametrize(
+    "name, wrong, key",
+    [
+        ("lambda_m", _wrong_lambda, "lambda4-involution"),
+        ("theta", _wrong_theta, "rep-scaling"),
+        ("transport_automorph", _wrong_transport, "automorph-transport"),
+    ],
+)
+def test_each_watson_property_reports_its_own_fault(monkeypatch, name, wrong, key):
+    monkeypatch.setattr(verify, name, wrong)
+    report = verify.watson_suite(primes=(11,), n_scaling=4)
+    assert list(report) == ["lambda4-involution", "phi-equals-lambda4", "rep-scaling", "automorph-transport"]
+    assert [k for k, lines in report.items() if lines] == [key]
+    assert len(report[key]) == 1 and report[key][0].startswith(f"p=11 {G11}")
 
 
 def _transport_one_by_one(preimage, image, m, r):
