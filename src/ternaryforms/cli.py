@@ -64,9 +64,9 @@ def _emit(data: dict, fmt: str) -> None:
             print(json.dumps(data, indent=1))
         else:
             for key, value in data.items():
-                if isinstance(value, list):
-                    value = ";".join(str(v) for v in value)
-                print(f"{key}\t{value}")
+                fields = value if isinstance(value, list) else [value]
+                compact = (json.dumps(v, separators=(",", ":")) if isinstance(v, (dict, list)) else str(v) for v in fields)
+                print(f"{key}\t" + ";".join(compact))
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader stopped early (`tqf ... | head`).  Point stdout at

@@ -6,6 +6,7 @@ full list of counterexamples rather than stopping at the first.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -93,15 +94,15 @@ def verify_theorem_1_3(p: int, n_max: int, cache: GenusCache | None = None) -> I
 YZ_MINUS_XX = TernaryForm(-1, 0, 0, 1, 0, 0)
 FOUR_YZ_MINUS_XX = TernaryForm(-1, 0, 0, 4, 0, 0)
 
-# The suites of `density_suites`, in report order.
-_DENSITY_SUITES = (
-    "odd-prime-closed-form",
-    "dyadic-three-squares",
-    "split-anisotropic-odd",
-    "prime-square-scaling",
-    "dyadic-difference-forms",
-    "difference-kernel",
-)
+# The suites of `density_suites`, in report order, each with its case label.
+_DENSITY_SUITES = {
+    "odd-prime-closed-form": "p={} n={}",
+    "dyadic-three-squares": "n={}",
+    "split-anisotropic-odd": "p={} n={}",
+    "prime-square-scaling": "p={} n={} k={}",
+    "dyadic-difference-forms": "{} n={}",
+    "difference-kernel": "p={} n={}",
+}
 
 
 def _yz_table(n: int) -> Fraction:
@@ -131,48 +132,44 @@ def _split_anisotropic_form(p: int) -> TernaryForm:
 
 
 def _density_checks(n_odd: int, n_dyadic: int, n_split: int, n_gamma: int, n_scale: int):
-    """(suite, case, counted, expected) for every density check, each suite's in order.
+    """(suite, case arguments, counted, expected) for every density check, each suite's in order.
 
-    The split and scaling suites share one count of <u, p, pu> at each
-    (p, n) that one of them reads.
+    Every density is read through one memo that ends with the generator, so
+    each (form, n, p) is counted once per call.
     """
+    density = functools.cache(lambda form, n, p: local_density(form, n, p).value)
     for p in (3, 5, 7, 11):
         for n in range(1, n_odd + 1):
-            counted = local_density(THREE_SQUARES, n, p).value
-            yield "odd-prime-closed-form", f"p={p} n={n}", counted, density_formula_odd(n, p)
+            yield "odd-prime-closed-form", (p, n), density(THREE_SQUARES, n, p), density_formula_odd(n, p)
     for n in range(1, n_dyadic + 1):
-        yield "dyadic-three-squares", f"n={n}", local_density(THREE_SQUARES, n, 2).value, psi(n)
+        yield "dyadic-three-squares", (n,), density(THREE_SQUARES, n, 2), psi(n)
     for p in (3, 5, 7):
         form = _split_anisotropic_form(p)
-        for n in range(1, max(n_split, n_scale) + 1):
-            scaled = n <= n_scale and n % (p * p) != 0
-            if n > n_split and not scaled:
-                continue
-            base = local_density(form, n, p).value
-            if n <= n_split:
-                yield "split-anisotropic-odd", f"p={p} n={n}", base, Fraction(p, p - 1) * gamma_p(n, p)
-            if scaled:
+        for n in range(1, n_split + 1):
+            yield "split-anisotropic-odd", (p, n), density(form, n, p), Fraction(p, p - 1) * gamma_p(n, p)
+        for n in range(1, n_scale + 1):
+            if n % (p * p):
                 for k in (1, 2) if p < 7 else (1,):
-                    counted = local_density(form, n * p ** (2 * k), p).value
-                    yield "prime-square-scaling", f"p={p} n={n} k={k}", counted, base / p**k
+                    counted = density(form, n * p ** (2 * k), p)
+                    yield "prime-square-scaling", (p, n, k), counted, density(form, n, p) / p**k
     for n in range(1, n_dyadic + 1):
-        d1 = local_density(YZ_MINUS_XX, n, 2).value
-        d2 = local_density(FOUR_YZ_MINUS_XX, n, 2).value
+        d1 = density(YZ_MINUS_XX, n, 2)
+        d2 = density(FOUR_YZ_MINUS_XX, n, 2)
         rows = [
             ("yz-xx table", d1, _yz_table(n)),
             ("4yz-xx table", d2, _four_yz_table(n)),
             ("three-squares recurrence", 2 * d1 - d2, psi(n)),
-            ("doubling recurrence", 2 * d1, local_density(FOUR_YZ_MINUS_XX, 4 * n, 2).value),
+            ("doubling recurrence", 2 * d1, density(FOUR_YZ_MINUS_XX, 4 * n, 2)),
             ("constant combination", 4 * d1 - d2, 3),
         ]
         if n % 4:
             rows.append(("initial values", d2, 3 if n % 8 == 7 else 1 if n % 8 == 3 else 0))
         for name, counted, expected in rows:
-            yield "dyadic-difference-forms", f"{name} n={n}", counted, expected
+            yield "dyadic-difference-forms", (name, n), counted, expected
     for p in (3, 5, 7, 11):
         for n in range(1, n_gamma + 1):
             kernel = p * (density_formula_odd(p * p * n, p) - density_formula_odd(n, p))
-            yield "difference-kernel", f"p={p} n={n}", gamma_p(n, p), kernel
+            yield "difference-kernel", (p, n), gamma_p(n, p), kernel
 
 
 def density_suites(
@@ -187,7 +184,7 @@ def density_suites(
     failures: dict[str, list[str]] = {suite: [] for suite in _DENSITY_SUITES}
     for suite, case, counted, expected in _density_checks(n_odd, n_dyadic, n_split, n_gamma, n_scale):
         if counted != expected:
-            failures[suite].append(f"{case}: {counted} != {expected}")
+            failures[suite].append(f"{_DENSITY_SUITES[suite].format(*case)}: {counted} != {expected}")
     return failures
 
 

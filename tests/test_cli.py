@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from test_genus import INJECTED_TG1_29, _corrupt_tg1_11, inject_tg1_29
+from test_local import break_stabilization
 from ternaryforms import cli
 from ternaryforms.cli import (
     EXIT_FAIL,
@@ -18,7 +19,7 @@ from ternaryforms.cli import (
     EXIT_USAGE,
     main,
 )
-from ternaryforms.forms import WORK_LIMIT
+from ternaryforms.forms import WORK_LIMIT, TernaryForm
 from ternaryforms.verify import IdentityReport
 
 
@@ -400,6 +401,18 @@ def test_tsv_format_joins_a_list_with_semicolons(capsys):
     assert (code, out) == (EXIT_OK, "form\t1,1,1,0,0,0\nbound\t3\ncounts\t1;6;12;8\n")
 
 
+@pytest.mark.parametrize(
+    "argv, key", [(("genus", "TG1", "11"), "classes"), (("auts", "11,7,20,7,2,4"), "elements")]
+)
+def test_tsv_format_writes_nested_values_as_json(capsys, argv, key):
+    code, out, _ = run(capsys, "--format", "tsv", *argv)
+    lines = dict(line.split("\t") for line in out.strip().splitlines())
+    _, data, _ = run_json(capsys, *argv)
+    assert code == EXIT_OK
+    assert [json.loads(field) for field in lines[key].split(";")] == data[key]
+    assert " " not in lines[key]  # compact JSON
+
+
 def test_threads_flag_accepted(capsys):
     code1, out1, _ = run(capsys, "--threads", "1", "count", "2,2,2,1,1,-1", "25")
     code4, out4, _ = run(capsys, "--threads", "4", "count", "2,2,2,1,1,-1", "25")
@@ -568,6 +581,17 @@ def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
     assert code == EXIT_INTERNAL
     assert out == ""
     assert err.splitlines() == ["internal error: RuntimeError: simulated fault"]
+
+
+@pytest.mark.parametrize("argv", [("density", "1,1,1,0,0,0", "5", "3"), ("verify", "density")])
+def test_a_density_that_does_not_stabilize_is_an_internal_error(capsys, monkeypatch, argv):
+    # verify density reads this density in its odd-prime suite; a crash must not exit 1.
+    break_stabilization(monkeypatch, TernaryForm(1, 1, 1, 0, 0, 0), 5, 3)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_INTERNAL, "")
+    assert err.splitlines() == [
+        "internal error: StabilizationError: density of 1,1,1,0,0,0 at p=3, n=5 differs between t=3 and t=4"
+    ]
 
 
 def test_disproved_identity_exits_one(capsys, monkeypatch):

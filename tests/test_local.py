@@ -13,6 +13,7 @@ from ternaryforms.forms import WORK_LIMIT, FormError, TernaryForm
 from ternaryforms.genus import enumerate_tg1
 from ternaryforms.local import (
     ResourceLimitError,
+    StabilizationError,
     _counts,
     count_solutions_mod,
     density_formula_odd,
@@ -287,6 +288,26 @@ def test_local_density_stabilizes():
     assert res.value == Fraction(3, 2)
     assert local_density(three, 3, 2).value == Fraction(1)
     assert local_density(three, 7, 2).value == Fraction(0)
+
+
+def break_stabilization(monkeypatch, form, n, p):
+    """Make `local._counts` at (form, n, p) return a count modulo p^(t+1) that is not p^2 times the one modulo p^t."""
+    counts = local._counts
+
+    def unstable(f, m, q, t):
+        low, high = counts(f, m, q, t)
+        return (low, high + 1) if (f, m, q) == (form, n, p) else (low, high)
+
+    monkeypatch.setattr(local, "_counts", unstable)
+
+
+def test_counts_that_do_not_stabilize_raise(monkeypatch):
+    three = TernaryForm(1, 1, 1, 0, 0, 0)
+    break_stabilization(monkeypatch, three, 5, 3)
+    message = "density of 1,1,1,0,0,0 at p=3, n=5 differs between t=3 and t=4"
+    with pytest.raises(StabilizationError, match=f"^{message}$"):
+        local_density(three, 5, 3)
+    assert local_density(three, 5, 5).value == density_formula_odd(5, 5)
 
 
 def test_local_density_rejects_nonpositive():

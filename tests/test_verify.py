@@ -141,18 +141,23 @@ def test_density_failure_lines_read_case_counted_expected(monkeypatch):
 @pytest.mark.parametrize(
     "sizes, calls",
     [
-        # The split suite's count at each n <= 20 is the scaling suite's base.
-        (dict(n_split=20, n_scale=20), 156),
-        (dict(n_split=20), 60),
+        # The split suite's counts at n <= 20 are the scaling suite's bases,
+        # and its counts at n = 9, 18 are the scaled counts at p = 3, n = 1, 2.
+        ({**SUITES_OFF, "n_split": 20, "n_scale": 20}, 154),
+        ({**SUITES_OFF, "n_split": 20}, 60),
         # No base count at n = 9, 18, where p^2 | n and no check reads it.
-        (dict(n_scale=20), 154),
+        ({**SUITES_OFF, "n_scale": 20}, 154),
+        # The doubling recurrence's count at 4n <= 128 is the 4yz-xx count at 4n.
+        ({**SUITES_OFF, "n_dyadic": 128}, 480),
+        # The sizes `verify all` runs.
+        ({}, 2420),
     ],
 )
-def test_split_and_scaling_suites_count_each_base_density_once(monkeypatch, sizes, calls):
+def test_density_suites_count_each_density_once(monkeypatch, sizes, calls):
     densities = count_calls(monkeypatch, "local", "local_density")
-    suites = density_suites(**{**SUITES_OFF, **sizes})
+    suites = density_suites(**sizes)
     assert not any(suites.values())
-    assert len(densities) == calls
+    assert len(densities) == len(set(densities)) == calls
 
 
 def _yz_table_oracle(n):
