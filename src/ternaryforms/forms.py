@@ -2,13 +2,17 @@
 
 The sextuple <a,b,c,d,e,f> is the central object; its Gram matrix is
 [[2a, f, e], [f, 2b, d], [e, d, 2c]] and the discriminant is half the Gram
-determinant.  All arithmetic is exact.  Minkowski reduction (`_minkowski`)
-lives here, below `counting` and `reduction`, which use it; it shears a
-mutable Gram matrix and basis in place, one integer row and column per
-shear, and builds a form only at the end.  It is the one definiteness gate
-(`_require_definite`) of every class-level enumeration and reduction.  Every
-module imports this one, so the work limit is here: each step that can grow
-calls `charge` before it starts.
+determinant.  All arithmetic is exact.  A change of basis (`apply_basis`)
+computes the six coefficients of U'GU from the form's six coefficients and
+the columns of U, with no matrix built.  Minkowski reduction (`_minkowski`)
+lives here, below `counting` and `reduction`, which use it; a form that
+already passes its stopping tests returns at once with the identity
+witness, and any other is sheared as a mutable Gram matrix and basis in
+place, one integer row and column per shear, and built as a form only at
+the end.  It is the one definiteness gate (`_require_definite`) of every
+class-level enumeration and reduction.  Every module imports this one, so
+the work limit is here: each step that can grow calls `charge` before it
+starts.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from math import gcd
 
-from .matrices import Mat3, det3, mat_mul, mat_scale_exact, transpose
+from .matrices import Mat3, det3
 
 
 class FormError(ValueError):
@@ -119,15 +123,27 @@ def apply_map(form: TernaryForm, u: Mat3) -> TernaryForm:
 def apply_basis(form: TernaryForm, u: Mat3, den: int = 1) -> TernaryForm:
     """Form with Gram U' G U / den for an arbitrary integer matrix U.
 
-    Raises FormError when that Gram matrix is not integral with even diagonal.
+    The six coefficients are the dot products of the columns u_i of U with
+    the columns G u_j, with no matrix built.  Raises FormError when that Gram
+    matrix is not integral with even diagonal.
     """
-    g = mat_mul(transpose(u), mat_mul(form.gram(), u))
+    a, b, c, d, e, f = form.coeffs
+    a, b, c = 2 * a, 2 * b, 2 * c  # the Gram diagonal
+    (x1, x2, x3), (y1, y2, y3), (z1, z2, z3) = u  # column j of U is (xj, yj, zj)
+    # G times column j of U is (pj, qj, rj).
+    p1, q1, r1 = a * x1 + f * y1 + e * z1, f * x1 + b * y1 + d * z1, e * x1 + d * y1 + c * z1
+    p2, q2, r2 = a * x2 + f * y2 + e * z2, f * x2 + b * y2 + d * z2, e * x2 + d * y2 + c * z2
+    p3, q3, r3 = a * x3 + f * y3 + e * z3, f * x3 + b * y3 + d * z3, e * x3 + d * y3 + c * z3
+    a, b, c = x1 * p1 + y1 * q1 + z1 * r1, x2 * p2 + y2 * q2 + z2 * r2, x3 * p3 + y3 * q3 + z3 * r3
+    d, e, f = x2 * p3 + y2 * q3 + z2 * r3, x1 * p3 + y1 * q3 + z1 * r3, x1 * p2 + y1 * q2 + z1 * r2
     if den != 1:
-        try:
-            g = mat_scale_exact(g, 1, den)
-        except ValueError:
-            raise FormError(f"the Gram matrix of {form} in basis {u}, divided by {den}, is not integral") from None
-    return TernaryForm.from_gram(g)
+        if a % den or b % den or c % den or d % den or e % den or f % den:
+            raise FormError(f"the Gram matrix of {form} in basis {u}, divided by {den}, is not integral")
+        a, b, c, d, e, f = a // den, b // den, c // den, d // den, e // den, f // den
+        # u_j' G u_j = 2 Q(u_j) is even; only the division can make it odd.
+        if a % 2 or b % 2 or c % 2:
+            raise FormError("Gram matrix must have even diagonal")
+    return TernaryForm(a // 2, b // 2, c // 2, d, e, f)
 
 
 def _shear(g: list[list[int]], u: list[list[int]], i: int, j: int, t: int) -> None:
@@ -170,6 +186,20 @@ def _require_definite(form: TernaryForm) -> None:
 def _minkowski(form: TernaryForm) -> tuple[TernaryForm, Mat3]:
     """A Minkowski-reduced form equivalent to form, with witness; refuses an indefinite form."""
     _require_definite(form)
+    a, b, c, d, e, f = form.coeffs
+    # The loop's stopping tests: the greedy step shears nothing and keeps the
+    # order, and no e_3 -> e_3 + s1*e_1 + s2*e_2 lowers c.
+    if (
+        a <= b <= c
+        and -a <= f <= a
+        and -a <= e <= a
+        and -b <= d <= b
+        and a + b >= -f - e - d
+        and a + b >= f - e + d
+        and a + b >= f + e - d
+        and a + b >= -f + e + d
+    ):
+        return form, ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     g = [list(row) for row in form.gram()]
     u = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     _greedy(g, u)

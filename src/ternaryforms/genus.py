@@ -6,7 +6,8 @@ step (M. Kneser, Klassenzahlen definiter quadratischer Formen, Arch. Math. 8
 quaternary quadratic forms, ISSAC 1991).  The seed `_seed` solves the
 reduced box for b and d mod p instead of scanning it; ell = 3, or 5 when
 p = 3, so ell does not divide the discriminant, and each class has ell + 1
-isotropic lines mod ell, each giving one neighbour in the same genus.  The
+isotropic lines mod ell, each giving one neighbour in the same genus; a
+neighbour is built only when the closure draws it to be reduced.  The
 neighbour graph need not reach every class (a genus may hold several spinor
 genera), so it decides nothing: the closure stops once the classes found
 reach the closed-form mass (p-1)/48, and that mass is the certificate of
@@ -28,6 +29,7 @@ import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
+from typing import Iterator
 
 from .forms import FormError, TernaryForm, apply_basis, charge, discriminant, is_positive_definite
 from .local import is_prime
@@ -93,63 +95,71 @@ def _seed(p: int) -> TernaryForm:
     raise IncompletenessError(f"the reduced box of discriminant {disc} holds no form")
 
 
-def _neighbours(form: TernaryForm, ell: int) -> list[TernaryForm]:
+def _neighbours(form: TernaryForm, ell: int) -> Iterator[TernaryForm]:
     """The ell-neighbours of form, one per isotropic line mod the odd prime ell.
 
-    ell must not divide the discriminant; FormError otherwise.  For a line v
-    with Q(v) = 0 mod ell (there are ell + 1), lift v to Q(v) = 0 mod ell^2;
-    the neighbour is {x : B(x, v) = 0 mod ell} + Z v/ell.  Scaled by ell it
-    is spanned by ell^2 e_i, ell times two kernel vectors of x -> B(x, v)
-    mod ell, and v, so with M the HNF of those its Gram matrix is
-    M'GM / ell^2.
+    ell must not divide the discriminant; FormError otherwise, at the call.
+    The neighbours are then built one at a time as they are drawn, the last
+    line first.  For a line v with Q(v) = 0 mod ell (there are ell + 1),
+    lift v to Q(v) = 0 mod ell^2; the neighbour is
+    {x : B(x, v) = 0 mod ell} + Z v/ell.  Scaled by ell it is spanned by
+    ell^2 e_i, ell times two kernel vectors of x -> B(x, v) mod ell, and v,
+    so with M the HNF of those its Gram matrix is M'GM / ell^2.
     """
     if discriminant(form) % ell == 0:
         raise FormError(f"{ell} divides the discriminant of {form}; its {ell}-neighbours are not defined")
-    g = form.gram()
-    lines = [(1, y, z) for y in range(ell) for z in range(ell)] + [(0, 1, z) for z in range(ell)] + [(0, 0, 1)]
-    out = []
-    for v in lines:
-        q = form(*v)
-        if q % ell:
-            continue
-        h = [sum(x * y for x, y in zip(row, v)) % ell for row in g]  # B(e_k, v) mod ell
-        # G is invertible mod ell, so some B(e_i, v) is a unit.
-        i = next(k for k in range(3) if h[k])
-        inv = pow(h[i], -1, ell)
-        # Q(v + ell*t*e_i) = Q(v) + ell*t*B(e_i, v) mod ell^2.
-        t = -(q // ell) * inv % ell
-        v = tuple(x + ell * t * (k == i) for k, x in enumerate(v))
-        cols = [tuple(ell * ell * (k == j) for k in range(3)) for j in range(3)]
-        cols += [tuple(ell * ((k == j) - h[j] * inv * (k == i)) for k in range(3)) for j in range(3) if j != i]
-        m = column_hnf(cols + [v])
-        out.append(apply_basis(form, m, ell * ell))
-    return out
+
+    def build() -> Iterator[TernaryForm]:
+        g = form.gram()
+        lines = [(1, y, z) for y in range(ell) for z in range(ell)] + [(0, 1, z) for z in range(ell)] + [(0, 0, 1)]
+        for v in reversed(lines):
+            q = form(*v)
+            if q % ell:
+                continue
+            h = [sum(x * y for x, y in zip(row, v)) % ell for row in g]  # B(e_k, v) mod ell
+            # G is invertible mod ell, so some B(e_i, v) is a unit.
+            i = next(k for k in range(3) if h[k])
+            inv = pow(h[i], -1, ell)
+            # Q(v + ell*t*e_i) = Q(v) + ell*t*B(e_i, v) mod ell^2.
+            t = -(q // ell) * inv % ell
+            v = tuple(x + ell * t * (k == i) for k, x in enumerate(v))
+            cols = [tuple(ell * ell * (k == j) for k in range(3)) for j in range(3)]
+            cols += [tuple(ell * ((k == j) - h[j] * inv * (k == i)) for k in range(3)) for j in range(3) if j != i]
+            yield apply_basis(form, column_hnf(cols + [v]), ell * ell)
+
+    return build()
 
 
 def enumerate_tg1(p: int) -> GenusSet:
     """All classes of positive primitive forms of discriminant p^2.
 
     Canonicalises the seed, then the ell-neighbours (ell = 3, or 5 when
-    p = 3) of each new class in turn, until the classes found reach the
-    closed-form mass (p-1)/48, which certifies completeness.  A closure that
-    runs out of neighbours short of it raises IncompletenessError.  Every
-    form of discriminant p^2 is primitive, as disc(kQ) = k^3 disc(Q).  The
-    closure is charged 1000 (ell + 1)(p - 1) units before the seed: |Aut| <= 48
-    bounds the class number by p - 1, and one neighbour reduction costs
-    about as much time as 1300 theta units.
+    p = 3) of each new class in turn, depth first, until the classes found
+    reach the closed-form mass (p-1)/48, which certifies completeness.  The
+    closure keeps a stack of neighbour iterators, so a neighbour is built
+    only when it is reduced.  A closure that runs out of neighbours short of
+    the mass raises IncompletenessError.  Every form of discriminant p^2 is
+    primitive, as disc(kQ) = k^3 disc(Q).  The closure is charged
+    1000 (ell + 1)(p - 1) units before the seed: |Aut| <= 48 bounds the
+    class number by p - 1, and one neighbour reduction costs about as much
+    time as 1300 theta units.
     """
     mass = mass_closed_form(p)
     ell = 5 if p == 3 else 3
     charge(1000 * (ell + 1) * (p - 1), "the %d-neighbour closure of TG1(%d)", ell, p)
     seen: dict[TernaryForm, int] = {}
     found = Fraction(0)
-    pending = [_seed(p)]
-    while pending and found < mass:
-        canon, bases = _canonical_bases(pending.pop())
-        if canon not in seen:
-            seen[canon] = len(bases)  # |Aut(form)| = |Aut(canon)|
-            found += Fraction(1, len(bases))
-            pending += _neighbours(canon, ell)
+    stack = [iter([_seed(p)])]
+    while stack and found < mass:
+        for form in stack[-1]:
+            canon, bases = _canonical_bases(form)
+            if canon not in seen:
+                seen[canon] = len(bases)  # |Aut(form)| = |Aut(canon)|
+                found += Fraction(1, len(bases))
+                stack.append(_neighbours(canon, ell))
+                break
+        else:
+            stack.pop()
     if found != mass:
         raise IncompletenessError(
             f"TG1({p}) mass {found} != {mass}; the {ell}-neighbour closure fell short of the mass"

@@ -19,10 +19,6 @@ def mat_mul(a: Mat3, b: Mat3) -> Mat3:
     )
 
 
-def transpose(a: Mat3) -> Mat3:
-    return tuple(tuple(a[j][i] for j in range(3)) for i in range(3))
-
-
 def det3(a: Mat3) -> int:
     (a11, a12, a13), (a21, a22, a23), (a31, a32, a33) = a
     return (

@@ -5,8 +5,9 @@ reduction: a greedy descent (integer shears e_i -> e_i + t*e_j, strictly
 decreasing the Gram diagonal, then sorting it) makes |f| <= a, |e| <= a,
 |d| <= b, and replacing e_3 by e_3 + s1*e_1 + s2*e_2 (s1, s2 = +-1) while
 that lowers c, that is while a + b + s1*s2*f + s1*e + s2*d < 0, followed by
-the greedy step again, leaves c <= form(v) for every v with v_3 = +-1.  In
-three variables the test vectors with entries 0, +-1 suffice for Minkowski
+the greedy step again, leaves c <= form(v) for every v with v_3 = +-1; a
+form that already passes these tests is returned as it is.  In three
+variables the test vectors with entries 0, +-1 suffice for Minkowski
 reduction, and the diagonal of a Minkowski-reduced form is its successive
 minima (van der Waerden, Acta Math. 96 (1956); Schiemann, Math. Ann. 308
 (1997)).  The second stage searches the vectors of values a, b and c for

@@ -6,13 +6,15 @@ import ternaryforms
 from ternaryforms.forms import (
     FormError,
     TernaryForm,
+    apply_basis,
     apply_map,
     content,
     discriminant,
     is_positive_definite,
     is_primitive,
 )
-from test_matrices import IDENTITY
+from ternaryforms.matrices import Mat3, mat_mul, mat_scale_exact
+from test_matrices import IDENTITY, big_mat, gram_dot, mat, vec
 from ternaryforms.reduction import reduce_form
 from ternaryforms.watson import phi, phi_inverse
 
@@ -84,6 +86,80 @@ def test_apply_map_rejects_non_unimodular():
 
 def test_apply_map_identity():
     assert apply_map(H1, IDENTITY) == H1
+
+
+def transpose(a: Mat3) -> Mat3:
+    return tuple(tuple(a[j][i] for j in range(3)) for i in range(3))
+
+
+def apply_basis_by_products(form: TernaryForm, u: Mat3, den: int = 1) -> TernaryForm:
+    """Oracle for `apply_basis`: the Gram matrix U' G U / den as matrix
+    products, scaled exactly, read back by `from_gram`."""
+    g = mat_mul(transpose(u), mat_mul(form.gram(), u))
+    if den != 1:
+        try:
+            g = mat_scale_exact(g, 1, den)
+        except ValueError:
+            raise FormError(f"the Gram matrix of {form} in basis {u}, divided by {den}, is not integral") from None
+    return TernaryForm.from_gram(g)
+
+
+def outcome(change_of_basis, form, u, den):
+    """The form a change of basis returns, or the message of its FormError."""
+    try:
+        return change_of_basis(form, u, den)
+    except FormError as exc:
+        return str(exc)
+
+
+@given(mat)
+@settings(max_examples=200, deadline=None)
+def test_transpose_involution(m):
+    assert transpose(transpose(m)) == m
+
+
+@given(big_mat, vec, vec)
+@settings(max_examples=200, deadline=None)
+def test_gram_dot_is_the_matrix_product(g, v, w):
+    # v' g w as a 1x1 product of padded 3x3 matrices: v' in the first row,
+    # w in the first column.
+    row = (v, (0, 0, 0), (0, 0, 0))
+    col = transpose((w, (0, 0, 0), (0, 0, 0)))
+    assert gram_dot(g, v, w) == mat_mul(mat_mul(row, g), col)[0][0]
+
+
+def with_dependent_third_column(m: Mat3, s: int, t: int) -> Mat3:
+    """m with its third column replaced by s times the first plus t times the second."""
+    return tuple((x, y, s * x + t * y) for x, y, _ in m)
+
+
+any_forms = st.builds(TernaryForm, *[st.integers(-30, 30)] * 6)
+# Integer matrices, singular ones included.
+any_bases = st.one_of(
+    mat,
+    st.builds(with_dependent_third_column, mat, st.integers(-2, 2), st.integers(-2, 2)),
+    st.just(((0, 0, 0),) * 3),
+)
+
+
+@given(any_forms, any_bases, st.sampled_from([1, 2, 3, 4, 9]))
+@settings(max_examples=500, deadline=None)
+def test_apply_basis_matches_the_matrix_products(form, u, den):
+    assert outcome(apply_basis, form, u, den) == outcome(apply_basis_by_products, form, u, den)
+
+
+@pytest.mark.parametrize(
+    "form, u, den, expected",
+    [
+        (H1, IDENTITY, 3, f"the Gram matrix of {H1} in basis {IDENTITY}, divided by 3, is not integral"),
+        (TernaryForm(1, 1, 1, 0, 0, 0), IDENTITY, 2, "Gram matrix must have even diagonal"),
+        (TernaryForm(2, 2, 2, 0, 0, 0), IDENTITY, 2, TernaryForm(1, 1, 1, 0, 0, 0)),
+        (TernaryForm(1, 1, 1, 0, 0, 0), ((3, 0, 0), (0, 3, 0), (0, 0, 0)), 9, TernaryForm(1, 1, 0, 0, 0, 0)),
+    ],
+    ids=["not integral", "odd diagonal", "halved", "singular"],
+)
+def test_apply_basis_refuses_as_the_matrix_products_do(form, u, den, expected):
+    assert outcome(apply_basis, form, u, den) == outcome(apply_basis_by_products, form, u, den) == expected
 
 
 small = st.integers(-3, 3)

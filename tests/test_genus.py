@@ -406,6 +406,30 @@ def test_enumeration_pulls_only_the_seed_and_reduces_per_neighbour(monkeypatch):
     assert len(calls) <= 1 + (3 + 1) * len(classes)
 
 
+def test_the_closure_builds_only_the_neighbours_it_reduces(monkeypatch):
+    builds = count_calls(monkeypatch, "genus", "apply_basis")
+    calls = count_calls(monkeypatch, "reduction", "_canonical_bases")
+    enumerate_tg1(61)
+    # The forms reduced, in order: lazy building must not change the
+    # depth-first sequence, last line first.
+    assert [form.coeffs for form, in calls] == [
+        (2, 23, 23, -15, 1, 1),
+        (200, 207, 23, 45, 71, 397),
+        (35, 90, 2, 7, 6, 102),
+        (29, 55, 162, 187, 120, 67),
+        (18, 18, 21, 29, 32, 25),
+        (98, 116, 189, 295, 264, 207),
+    ]
+    assert len(builds) == 5
+    for p in range(3, 62, 2):
+        if is_prime(p):
+            builds.clear()
+            calls.clear()
+            enumerate_tg1(p)
+            # Every form reduced but the seed is a neighbour built for it.
+            assert len(builds) == len(calls) - 1, p
+
+
 @pytest.mark.parametrize(
     "primes",
     [[p for p in range(3, 2 * 10**4) if is_prime(p)], [10**9 + 7, 2**61 - 1, 10**18 + 9]],

@@ -9,7 +9,6 @@ from ternaryforms.matrices import (
     column_hnf,
     det3,
     mat_mul,
-    transpose,
     unimodular_inverse,
 )
 
@@ -55,12 +54,6 @@ def test_adjugate_identity(m):
 @settings(max_examples=200, deadline=None)
 def test_det_multiplicative(m1, m2):
     assert det3(mat_mul(m1, m2)) == det3(m1) * det3(m2)
-
-
-@given(mat)
-@settings(max_examples=200, deadline=None)
-def test_transpose_involution(m):
-    assert transpose(transpose(m)) == m
 
 
 def test_unimodular_inverse():
@@ -213,13 +206,3 @@ def test_mat_mul_is_the_sum_of_products(m1, m2):
     assert mat_mul(m1, m2) == tuple(
         tuple(sum(m1[i][k] * m2[k][j] for k in range(3)) for j in range(3)) for i in range(3)
     )
-
-
-@given(big_mat, vec, vec)
-@settings(max_examples=200, deadline=None)
-def test_gram_dot_is_the_matrix_product(g, v, w):
-    # v' g w as a 1x1 product of padded 3x3 matrices: v' in the first row,
-    # w in the first column.
-    row = (v, (0, 0, 0), (0, 0, 0))
-    col = transpose((w, (0, 0, 0), (0, 0, 0)))
-    assert gram_dot(g, v, w) == mat_mul(mat_mul(row, g), col)[0][0]

@@ -6,8 +6,21 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ternaryforms.counting import half_points_up_to
-from test_matrices import shear
-from ternaryforms.forms import FormError, TernaryForm, _minkowski, apply_map, discriminant, is_positive_definite
+from test_isometry import definite_forms, skewed_forms
+from test_matrices import IDENTITY, shear
+from ternaryforms.forms import (
+    FormError,
+    TernaryForm,
+    _greedy,
+    _minkowski,
+    _require_definite,
+    _shear,
+    apply_map,
+    discriminant,
+    is_positive_definite,
+)
+from ternaryforms.genus import build_tg2, enumerate_tg1
+from ternaryforms.local import is_prime
 from ternaryforms.matrices import det3, from_columns, mat_mul
 from ternaryforms.reduction import reduce_form
 
@@ -79,6 +92,51 @@ def test_random_positive_forms_reduce_consistently(a, b, c, d, e, f):
     assert apply_map(form, u) == canon
     shear = ((1, 1, -1), (0, 1, 2), (0, 0, 1))
     assert reduce_form(apply_map(form, shear))[0] == canon
+
+
+def minkowski_by_shears(form):
+    """Oracle for `_minkowski`: its loop without the reduced-input return,
+    so every form goes through the greedy step and the sign tests."""
+    _require_definite(form)
+    g = [list(row) for row in form.gram()]
+    u = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    _greedy(g, u)
+    while True:
+        for s1, s2 in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+            if g[0][0] + g[1][1] + 2 * (s1 * s2 * g[0][1] + s1 * g[0][2] + s2 * g[1][2]) < 0:
+                _shear(g, u, 2, 0, s1)
+                _shear(g, u, 2, 1, s2)
+                _greedy(g, u)
+                break
+        else:
+            reduced = TernaryForm(g[0][0] // 2, g[1][1] // 2, g[2][2] // 2, g[1][2], g[0][2], g[0][1])
+            return reduced, tuple(map(tuple, u))
+
+
+# Definite forms as drawn (mostly not reduced), skewed in their class, and
+# already reduced: the last take `_minkowski`'s early return.
+minkowski_inputs = st.one_of(
+    definite_forms, skewed_forms, skewed_forms.map(lambda form: minkowski_by_shears(form)[0])
+)
+
+
+@given(minkowski_inputs)
+@settings(max_examples=300, deadline=None)
+def test_minkowski_matches_the_shearing_loop(form):
+    assert _minkowski(form) == minkowski_by_shears(form)
+
+
+@pytest.mark.parametrize("form", [TernaryForm(0, 0, 0, 0, 0, 0), TernaryForm(0, 1, 1, 0, 0, 0)], ids=str)
+def test_minkowski_refuses_a_semidefinite_form_that_passes_the_stopping_tests(form):
+    with pytest.raises(FormError, match="not positive definite"):
+        _minkowski(form)
+
+
+@pytest.mark.parametrize("p", [p for p in range(3, 74, 2) if is_prime(p)])
+def test_genus_classes_are_their_own_minkowski_forms(p):
+    tg1 = enumerate_tg1(p)
+    for form, _ in tg1.classes + build_tg2(tg1).classes:
+        assert _minkowski(form) == (form, IDENTITY)
 
 
 def _pair_primitive(v1, v2):
