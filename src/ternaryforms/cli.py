@@ -5,8 +5,9 @@ its report, and each `verify` target once, as a row of `VERIFY_TARGETS`.
 
 Exit codes: 0 success (and identity checks passing), 1 identity failure,
 2 usage error (including a bad form, a non-prime p and an unreadable,
-unwritable or corrupt genus cache), 3 resource limit exceeded, 4 internal
-error (any other exception, reported in one line on stderr).
+unwritable or corrupt genus cache), 3 resource limit exceeded (a step
+refused by the work limit, or a MemoryError), 4 internal error (any other
+exception, reported in one line on stderr).
 """
 
 from __future__ import annotations
@@ -264,6 +265,15 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except MemoryError:
+        # A work limit raised with --work-limit can admit a step whose
+        # memory the host lacks; that is a resource limit, not a crash.
+        print(
+            "error: MemoryError: the host has too little memory for this step; "
+            "a lower --work-limit refuses it before it starts",
+            file=sys.stderr,
+        )
         return EXIT_RESOURCE
     except Exception as exc:
         # A crash must not read as a disproved identity (exit 1).

@@ -7,31 +7,47 @@ the form: with A2 = 4ab - f^2 and discriminant D, every point with value
 by their exact x-discriminant dx.  In a row, form(x, y, z) <= B exactly
 when |2ax + lin| <= isqrt(dx), so `theta` counts each row over that exact
 interval in one tight loop, with no per-point test; `half_points_up_to`
-yields the same points one by one and stays as its oracle.  A single value
-n needs no x loop: in each (y, z) row the points of value n are the integer
-roots of a quadratic in x, found by one isqrt and a perfect-square test, so
-`rep_count` and `vectors_with_value` cost O(n) rows instead of the
-O(n^(3/2)) points up to n; several values share one scan of the rows up to
-the largest (`_vectors_with_values`, which canonical reduction reads).
-`theta` and `rep_count` count class invariants, so they enumerate the
-Minkowski-reduced form (`forms._minkowski`), whose short diagonal keeps the
-row ranges tight however skewed the input basis is; `vectors_with_value`
-answers in the input coordinates and enumerates the input basis.  `_rows`
-does not test definiteness: each entry point does, once, before any
-shortcut for n <= 0.  `s_batch`
+yields the same points one by one and stays as its oracle.
+
+`theta` also shares whole layers.  With Q2 = ax^2 + fxy + by^2 and
+mu = (2be - fd, 2ad - fe) / A2, the form is Q2(w + z*mu) + (D/A2)*z^2 for
+w = (x, y).  z*mu is integral exactly when m | z, m = A2 / gcd(A2, 2be - fd,
+2ad - fe), and Q2(w) = Q2(-w); so when z = +-z0 (mod m), layer z holds the
+values of layer z0 shifted by (z^2 - z0^2)*D/A2, an integer.  The layers
+0 <= z <= zmax are grouped by z mod m up to sign; a group is enumerated
+once, at its least z, and its histogram added at each member's shift by one
+`map(add)` over list slices, when that costs less than enumerating the
+other members (`_layer_plan`).  Layer 0 is its half region (y > 0, or y = 0
+< x) twice plus the origin, and a layer z > 0 counts twice, for +-z.  For
+x^2+xy+y^2+3z^2 (m = 1) up to 1000 that is the 1,821 points of the half
+of layer 0 and 18 shifts, instead of 44,289 points.
+
+A single value n needs no x loop: in each (y, z) row the points of value n
+are the integer roots of a quadratic in x, found by one isqrt and a
+perfect-square test, so `rep_count` and `vectors_with_value` cost O(n) rows
+instead of the O(n^(3/2)) points up to n; several values share one scan of
+the rows up to the largest (`_vectors_with_values`, which canonical
+reduction reads).  `theta` and `rep_count` count class invariants, so they
+enumerate the Minkowski-reduced form (`forms._minkowski`), whose short
+diagonal keeps the row ranges tight however skewed the input basis is;
+`vectors_with_value` answers in the input coordinates and enumerates the
+input basis.  `_rows` does not test definiteness: each entry point does,
+once, before any shortcut for n <= 0.  `s_batch`
 reads the sum of three squares on whole progressions from one two-squares
 table per process, grown in place, and adds the table's strided slices as
 whole integers whose 16-bit lanes are the entries, a few C calls per slice
 rather than one addition per entry.  Each charges its size to the work
 limit (`forms.charge`) before it starts: the rows, theta's points and
-counts, s_batch's table entries and slice reads.
+counts, s_batch's table entries and slice reads.  theta charges the points
+of every layer, shared or not, so its refusals do not depend on the groups.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
-from math import isqrt
+from math import gcd, isqrt
+from operator import add
 from typing import Iterator
 
 from .forms import FormError, TernaryForm, _minkowski, _require_definite, charge, discriminant
@@ -49,13 +65,15 @@ def _row_bound(a: int, a2: int, disc: int, bound: int) -> int:
     return (isqrt(a2 * bound // disc) + 1) * ((2 * isqrt(4 * a * bound * a2) + 2) // a2 + 1)
 
 
-def _rows(form: TernaryForm, bound: int) -> Iterator[tuple[int, int, int, int]]:
-    """Yield (y, z, lin, dx) for the (y, z) rows of the half region.
+def _rows(form: TernaryForm, bound: int, layers=None) -> Iterator[tuple[int, int, int, int]]:
+    """Yield (y, z, lin, dx) for the (y, z) rows of the half region, layer by
+    layer for the z in `layers` (default every layer, 0 <= z <= zmax).
 
     In a row form(x, y, z) = a*x^2 + lin*x + c0, and dx = lin^2 - 4a(c0 - bound)
     >= 0 is its x-discriminant at the value bound: (2ax + lin)^2 <= dx exactly
     when form(x, y, z) <= bound.  Rows with z = 0 have y >= 0.  Callers
-    check that the form is positive definite.
+    check that the form is positive definite, and that each layer given is
+    at most zmax = isqrt(a2*bound // disc).
     """
     if bound < 0:
         return
@@ -64,8 +82,7 @@ def _rows(form: TernaryForm, bound: int) -> Iterator[tuple[int, int, int, int]]:
     a2 = 4 * a * b - f * f
     charge(_row_bound(a, a2, disc, bound), "enumerating the rows up to %d", bound)
     p = 2 * a * d - e * f
-    zmax = isqrt(a2 * bound // disc)
-    for z in range(0, zmax + 1):
+    for z in range(isqrt(a2 * bound // disc) + 1) if layers is None else layers:
         # z <= zmax gives disc * z^2 <= a2 * bound, so the root's argument is >= 0.
         sy = isqrt(4 * a * bound * a2 - 4 * a * disc * z * z)
         ylo = _ceil_div(-p * z - sy - 1, a2)
@@ -162,25 +179,93 @@ def vectors_with_value(form: TernaryForm, n: int) -> list[tuple[int, int, int]]:
     return _vectors_with_values(form, (n,))[n]
 
 
+def _add_rows(hist: list[int], a: int, top: int, rows) -> None:
+    """Add 2 to hist[v - low] for each point of value v <= bound in the rows
+    (y, z, lin, dx) that `_rows` yields up to bound, with top = bound - low.
+    The x of a row with value <= bound are exactly |2ax + lin| <= isqrt(dx)."""
+    two_a, four_a = 2 * a, 4 * a
+    for y, z, lin, dx in rows:
+        sx = isqrt(dx)
+        xlo = 1 if z == 0 and y == 0 else _ceil_div(-lin - sx, two_a)
+        c0 = top + (lin * lin - dx) // four_a  # form(0, y, z) - low, exactly
+        for x in range(xlo, (sx - lin) // two_a + 1):
+            hist[(a * x + lin) * x + c0] += 2
+
+
+# A point of `_add_rows` costs about three entries of a slice addition, and a
+# whole layer with a window of W values holds about 2*pi*W/sqrt(a2) points.
+# So a group is added at its shifts when 2*pi*3*W_others/sqrt(a2) > W_all,
+# squared: _SHARE * W_others^2 > a2 * W_all^2, with _SHARE = (6*pi)^2.  This
+# never holds when a2 >= _SHARE.
+_SHARE = 355
+
+
+def _layer_plan(a2: int, disc: int, bound: int, m: int) -> tuple[list[int], list[list[int]]]:
+    """(singles, groups) for the layers 0 <= z <= isqrt(a2*bound // disc).
+
+    Layers z = +-z0 (mod m) form a group, least z first.  A group is kept
+    when adding its first layer at every member's shift costs less than
+    enumerating the others (`_SHARE`); the layers of every other group are
+    singles, in increasing order.
+    """
+    layers = range(isqrt(a2 * bound // disc) + 1)
+    if a2 >= _SHARE:
+        return list(layers), []
+    classes: dict[int, list[int]] = {}
+    for z in layers:
+        classes.setdefault(min(z % m, -z % m), []).append(z)
+    singles, groups = [], []
+    for zs in classes.values():
+        # Layer z's values are >= disc*z^2/a2, so its window has
+        # bound + 1 - ceil(disc*z^2/a2) entries.
+        others = sum(bound + 1 - _ceil_div(disc * z * z, a2) for z in zs[1:])
+        whole = others + bound + 1 - _ceil_div(disc * zs[0] * zs[0], a2)
+        if _SHARE * others * others > a2 * whole * whole:
+            groups.append(zs)
+        else:
+            singles += zs
+    return sorted(singles), groups
+
+
 def theta(form: TernaryForm, bound: int) -> tuple[int, ...]:
-    """(R(0), ..., R(bound)): the number of representations of each n <= bound."""
+    """(R(0), ..., R(bound)): the number of representations of each n <= bound.
+
+    Layers z = +-z0 (mod m) hold the values of layer z0 shifted by
+    (z^2 - z0^2)*disc/a2 (module docstring).  A group of such layers is
+    enumerated once, at its least z, and added at each member's shift when
+    that costs less than enumerating the other members (`_layer_plan`);
+    every other layer is enumerated row by row.
+    """
     if bound < 0:
         raise FormError("theta bound must be nonnegative")
     reduced = _minkowski(form)[0]
-    a, b, f = reduced.a, reduced.b, reduced.f
+    a, b, c, d, e, f = reduced.coeffs
+    a2, disc = 4 * a * b - f * f, discriminant(reduced)
     # dx <= 4*a*bound, so a row holds at most (isqrt(4*a*bound) + 1) // a + 1 points.
-    points = _row_bound(a, 4 * a * b - f * f, discriminant(reduced), bound) * ((isqrt(4 * a * bound) + 1) // a + 1)
+    points = _row_bound(a, a2, disc, bound) * ((isqrt(4 * a * bound) + 1) // a + 1)
     charge(points + bound + 1, "theta up to %d", bound)
     counts = [0] * (bound + 1)
     counts[0] = 1
-    two_a, four_a = 2 * a, 4 * a
-    for y, z, lin, dx in _rows(reduced, bound):
-        # The x of the row with value <= bound are exactly |2ax + lin| <= isqrt(dx).
-        sx = isqrt(dx)
-        xlo = 1 if z == 0 and y == 0 else _ceil_div(-lin - sx, two_a)
-        c0 = bound + (lin * lin - dx) // four_a  # form(0, y, z), exactly
-        for x in range(xlo, (sx - lin) // two_a + 1):
-            counts[(a * x + lin) * x + c0] += 2
+    singles, groups = _layer_plan(a2, disc, bound, a2 // gcd(a2, 2 * b * e - f * d, 2 * a * d - f * e))
+    for z0, *zs in groups:
+        # A member z's values start at ceil(disc*z^2/a2), where those of the
+        # base layer z0, shifted, start.
+        lows = [_ceil_div(disc * z * z, a2) for z in zs]
+        if z0 == 0:
+            # The first group: counts holds only the origin so far.  Layer 0
+            # is its half twice plus the origin; each z = jm > 0 adds it twice
+            # more, for +-z.
+            _add_rows(counts, a, bound, _rows(reduced, bound, (0,)))
+            layer = list(map(add, counts, counts))
+        else:
+            # The whole layer z0, twice for +-z0, from its least value on.
+            low = _ceil_div(disc * z0 * z0, a2)
+            layer = [0] * (bound + 1 - low)
+            _add_rows(layer, a, bound - low, _rows(reduced, bound, (z0,)))
+            lows.append(low)
+        for low in lows:
+            counts[low:] = map(add, counts[low:], layer[: bound + 1 - low])
+    _add_rows(counts, a, bound, _rows(reduced, bound, singles))
     return tuple(counts)
 
 

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -183,11 +184,19 @@ def test_argument_out_of_range_is_a_usage_error(capsys, args, message):
     assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
 
 
-def _run_child(args, timeout=20):
-    """(exit code, seconds, peak RSS in MB, stderr) of `tqf args` in its own process."""
+def _run_child(args, timeout=20, memory=None):
+    """(exit code, seconds, peak RSS in MB, stderr) of `tqf args` in its own
+    process, its address space capped at `memory` bytes when given."""
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (memory, memory))
+
     start = time.perf_counter()
     proc = subprocess.Popen(
-        [sys.executable, "-m", "ternaryforms.cli", *args], stdout=subprocess.DEVNULL, stderr=subprocess.PIPE
+        [sys.executable, "-m", "ternaryforms.cli", *args],
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        preexec_fn=cap if memory else None,
     )
     while True:
         pid, status, usage = os.wait4(proc.pid, os.WNOHANG)
@@ -581,6 +590,31 @@ def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
     assert code == EXIT_INTERNAL
     assert out == ""
     assert err.splitlines() == ["internal error: RuntimeError: simulated fault"]
+
+
+def test_running_out_of_memory_is_a_resource_limit(capsys, monkeypatch):
+    # A raised --work-limit can admit a step whose memory the host lacks.
+    def exhausted(form, bound):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "theta", exhausted)
+    code, out, err = run(capsys, "--work-limit", "100000000000", "theta", "1,1,1,0,0,0", "10")
+    assert (code, out) == (EXIT_RESOURCE, "")
+    assert err.splitlines() == [
+        "error: MemoryError: the host has too little memory for this step; "
+        "a lower --work-limit refuses it before it starts"
+    ]
+
+
+def test_a_table_larger_than_memory_exits_three():
+    # The counted left side of thm1.3 at p = 401 reads an r2 table of 52 GB,
+    # which a work limit of 10^11 admits; the child's address space is capped
+    # at 1 GiB, so the table's allocation fails at once.
+    args = ("--work-limit", "100000000000", "verify", "thm1.3", "--p", "401", "--n-max", "161202")
+    code, seconds, _, err = _run_child(args, memory=1 << 30)
+    assert code == EXIT_RESOURCE, err
+    assert err.startswith("error: MemoryError: ")
+    assert seconds < 10
 
 
 @pytest.mark.parametrize("argv", [("density", "1,1,1,0,0,0", "5", "3"), ("verify", "density")])

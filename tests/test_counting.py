@@ -1,6 +1,6 @@
 from array import array
 from itertools import zip_longest
-from math import isqrt
+from math import gcd, isqrt
 from unittest.mock import patch
 
 import pytest
@@ -8,10 +8,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from test_genus import count_calls
-from test_isometry import skewed_forms, unimodular
+from test_isometry import definite_forms, skewed_forms, unimodular
+from test_local import limited
 from ternaryforms import counting
 from ternaryforms.counting import (
     _half_solutions,
+    _layer_plan,
     _vectors_with_values,
     _rows,
     half_points_up_to,
@@ -21,7 +23,7 @@ from ternaryforms.counting import (
     theta,
     vectors_with_value,
 )
-from ternaryforms.forms import FormError, TernaryForm, _minkowski, apply_map, discriminant
+from ternaryforms.forms import FormError, ResourceLimitError, TernaryForm, _minkowski, apply_map, discriminant
 from ternaryforms.isometry import automorphs, equivalent
 from ternaryforms.matrices import adjugate
 from ternaryforms.reduction import reduce_form
@@ -323,15 +325,115 @@ elongated_forms = st.builds(
 )
 
 
-# theta counts each row over its exact x interval; the point by point
-# enumeration half_points_up_to stays as its oracle.
-@given(st.one_of(skewed_forms, elongated_forms), st.one_of(st.integers(0, 3), st.integers(4, 40)))
+# Minkowski-reduced forms <a, b, c, 0, 0, f>: m = 1, so every layer is in the
+# group of z = 0.
+split_forms = st.builds(
+    lambda a, db, dc, f: TernaryForm(a, a + db, a + db + dc, 0, 0, max(-a, min(f, a))),
+    st.integers(1, 4), st.integers(0, 3), st.integers(0, 6), st.integers(-4, 4),
+)
+
+
+def layer_modulus(form):
+    """(m, a2, disc) of the Minkowski form that theta enumerates: layers
+    z = +-z0 (mod m) are shifted copies of layer z0."""
+    reduced = _minkowski(form)[0]
+    a, b, c, d, e, f = reduced.coeffs
+    a2 = 4 * a * b - f * f
+    return a2 // gcd(a2, 2 * b * e - f * d, 2 * a * d - f * e), a2, discriminant(reduced)
+
+
+# One form for each way theta plans its layers, at a bound where groups
+# share layers: (form, the plan at bound 300).
+PLANS = {
+    "m = 1, one group": (TernaryForm(1, 1, 3, 0, 0, 1), ([], [list(range(11))])),
+    "m = 3, groups of 0 and of +-1": (
+        TernaryForm(2, 2, 2, -1, 1, 1),
+        ([], [[0, 3, 6, 9, 12], [1, 2, 4, 5, 7, 8, 10, 11, 13]]),
+    ),
+    "m = 162, above the 6 layers": (TernaryForm(9, 10, 10, 7, -4, -6), (list(range(6)), [])),
+    "m = 2, a2 = 212: no group pays": (TernaryForm(3, 18, 18, 17, 2, -2), (list(range(5)), [])),
+    "m = 1, a2 = 396 >= _SHARE": (TernaryForm(10, 10, 40, 0, 0, 2), (list(range(3)), [])),
+}
+
+
+@pytest.mark.parametrize("name", PLANS)
+def test_the_layer_plan_groups_layers_congruent_up_to_sign(name):
+    form, plan = PLANS[name]
+    m, a2, disc = layer_modulus(form)
+    singles, groups = _layer_plan(a2, disc, 300, m)
+    assert (singles, groups) == plan
+    # Every layer once; a group is the layers congruent to its first up to sign.
+    zmax = isqrt(a2 * 300 // disc)
+    assert sorted(singles + [z for zs in groups for z in zs]) == list(range(zmax + 1))
+    for z0, *zs in groups:
+        assert [z0, *zs] == [z for z in range(zmax + 1) if (z - z0) % m == 0 or (z + z0) % m == 0]
+
+
+# theta counts each row over its exact x interval and adds shared layers at
+# their shifts; the point by point enumeration half_points_up_to stays as its
+# oracle.  Bounds up to 300 let groups share layers.
+@given(
+    st.one_of(skewed_forms, elongated_forms, split_forms),
+    st.one_of(st.integers(0, 3), st.integers(4, 40), st.integers(200, 300)),
+)
+@example(PLANS["m = 1, one group"][0], 300)
+@example(PLANS["m = 3, groups of 0 and of +-1"][0], 300)
+@example(PLANS["m = 162, above the 6 layers"][0], 300)
+@example(PLANS["m = 2, a2 = 212: no group pays"][0], 300)
+@example(PLANS["m = 1, a2 = 396 >= _SHARE"][0], 300)
 @settings(max_examples=80, deadline=None)
 def test_theta_matches_the_histogram_in_the_input_basis(g, bound):
     counts = [1] + [0] * bound
     for _, _, _, v in half_points_up_to(g, bound):
         counts[v] += 2
     assert theta(g, bound) == tuple(counts)
+
+
+# With a2*mu = (2be - fd, 2ad - fe), form(x, y, z) = Q2(w + z*mu) + (disc/a2)*z^2
+# for w = (x, y), and z*mu is integral exactly when m | z.
+@given(definite_forms, st.integers(0, 6), st.integers(0, 2), st.sampled_from((1, -1)))
+@settings(max_examples=150, deadline=None)
+def test_layers_congruent_up_to_sign_mod_m_are_shifted_copies(g, z0, j, sign):
+    a, b, c, d, e, f = g.coeffs
+    a2, disc = 4 * a * b - f * f, discriminant(g)
+    u, v = 2 * b * e - f * d, 2 * a * d - f * e
+    m = a2 // gcd(a2, u, v)
+    z = sign * z0 + j * m
+    shift, rem = divmod((z * z - z0 * z0) * disc, a2)
+    assert rem == 0
+    # z = z0 (mod m): w -> w + (z0 - z)*mu.  z = -z0 (mod m): w -> -w - (z0 + z)*mu.
+    # Each is a bijection of Z^2 that takes layer z0 onto layer z.
+    t = z0 - z if sign == 1 else z0 + z
+    assert (t * u) % a2 == 0 and (t * v) % a2 == 0
+    tx, ty = t * u // a2, t * v // a2
+    for x in range(-4, 5):
+        for y in range(-4, 5):
+            image = (x + tx, y + ty) if sign == 1 else (-x - tx, -y - ty)
+            assert g(*image, z) == g(x, y, z0) + shift
+
+
+@pytest.mark.parametrize(
+    "form, bound, least",
+    # Taken at the commit before layers were shared: theta charges the points
+    # of every layer, so the least admitted work limit is unchanged.
+    [
+        (TernaryForm(1, 1, 1, 0, 0, 0), 1000, 134121),
+        (TernaryForm(1, 1, 3, 0, 0, 1), 1000, 92391),
+        (TernaryForm(2, 2, 2, -1, 1, 1), 1000, 55051),
+        (H1, 300, 1005),
+        (TernaryForm(15, 26, 10, 23, -16, -31), 2000, 16401),
+    ],
+    ids=str,
+)
+def test_theta_is_admitted_at_the_same_work_limit(form, bound, least):
+    with pytest.raises(ResourceLimitError, match=f"theta up to {bound} costs {least} units"):
+        limited(least - 1, theta, form, bound)
+    assert limited(least, theta, form, bound) == theta(form, bound)
+
+
+def test_theta_refuses_three_squares_to_3e8_at_the_same_charge():
+    with pytest.raises(ResourceLimitError, match="theta up to 300000000 costs 20787280702727 units"):
+        theta(TernaryForm(1, 1, 1, 0, 0, 0), 300000000)
 
 
 # The short vectors of several values come from one row scan; the per-value
