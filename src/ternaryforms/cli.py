@@ -2,6 +2,9 @@
 
 Each subcommand is declared once, by `_command` on the function that builds
 its report, and each `verify` target once, as a row of `VERIFY_TARGETS`.
+A report is written in one pass over it (`_json`), byte-identical to
+json.dumps(report, indent=1) with each Fraction and TernaryForm given as
+its string; `--format tsv` writes one line per field.
 
 Exit codes: 0 success (and identity checks passing), 1 identity failure,
 2 usage error (including a bad form, a non-prime p and an unreadable,
@@ -19,6 +22,7 @@ import os
 import sys
 from contextvars import copy_context
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .counting import rep_count, theta
 from .forms import WORK_LIMIT, FormError, TernaryForm, discriminant
@@ -46,28 +50,63 @@ class _UsageError(Exception):
     pass
 
 
-def _jsonable(obj):
-    if isinstance(obj, Fraction):
-        return f"{obj.numerator}/{obj.denominator}"
-    if isinstance(obj, TernaryForm):
-        return str(obj)
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
+# A Fraction is written as the string "num/den" (a whole number keeps its
+# "/1") and a TernaryForm as the string of its sextuple.
+_TEXT = {Fraction: lambda q: f"{q.numerator}/{q.denominator}", TernaryForm: str}
+
+# The other scalars, as json.dumps writes them.
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _text(obj) -> str:
+    """The string of a Fraction or TernaryForm (json's `default` hook)."""
+    if type(obj) not in _TEXT:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    return _TEXT[type(obj)](obj)
+
+
+def _json(obj, pad: str) -> str:
+    """json.dumps(obj, indent=1) for obj nested where a new line starts with
+    pad, in one pass; a tuple is written as a list and a dict's keys are str."""
+    scalar = _SCALARS.get(type(obj))
+    if scalar is not None:
+        return scalar(obj)
+    inner = pad + " "
+    if type(obj) is dict:
+        items = [f"{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in obj.items()]
+        opening, closing = "{", "}"
+    elif type(obj) in (list, tuple):
+        items = [_json(v, inner) for v in obj]
+        opening, closing = "[", "]"
+    else:
+        return encode_basestring_ascii(_text(obj))
+    if not items:
+        return opening + closing
+    return opening + inner + ("," + inner).join(items) + pad + closing
+
+
+def _tsv_field(value) -> str:
+    """A nested value as compact JSON, any other as its string."""
+    if type(value) in (dict, list, tuple):
+        return json.dumps(value, separators=(",", ":"), default=_text)
+    return _TEXT.get(type(value), str)(value)
 
 
 def _emit(data: dict, fmt: str) -> None:
-    data = _jsonable(data)
+    """Write the report as JSON, exactly json.dumps(report, indent=1) with a
+    Fraction or TernaryForm as its string, or as TSV lines."""
     try:
         if fmt == "json":
-            print(json.dumps(data, indent=1))
+            print(_json(data, "\n"))
         else:
             for key, value in data.items():
-                fields = value if isinstance(value, list) else [value]
-                compact = (json.dumps(v, separators=(",", ":")) if isinstance(v, (dict, list)) else str(v) for v in fields)
-                print(f"{key}\t" + ";".join(compact))
+                fields = value if type(value) in (list, tuple) else [value]
+                print(f"{key}\t" + ";".join(map(_tsv_field, fields)))
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader stopped early (`tqf ... | head`).  Point stdout at

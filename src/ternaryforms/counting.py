@@ -38,8 +38,10 @@ table per process, grown in place, and adds the table's strided slices as
 whole integers whose 16-bit lanes are the entries, a few C calls per slice
 rather than one addition per entry.  Each charges its size to the work
 limit (`forms.charge`) before it starts: the rows, theta's points and
-counts, s_batch's table entries and slice reads.  theta charges the points
-of every layer, shared or not, so its refusals do not depend on the groups.
+counts, and s_batch's table entries and slice reads at 2 units each, their
+bytes, so the limit also bounds the table's memory.  theta charges the
+points of every layer, shared or not, so its refusals do not depend on the
+groups.
 """
 
 from __future__ import annotations
@@ -360,7 +362,8 @@ def s_batch(step: int, n_max: int) -> list[int]:
     if step < 1 or n_max < 0:
         raise FormError("s_batch requires step >= 1 and n_max >= 0")
     top = step * n_max
-    charge(top + 1 + isqrt(top) * (n_max + 1), "s_batch up to %d", top)
+    # Two units per entry of the table and of its slices: the bytes they take.
+    charge(2 * (top + 1 + isqrt(top) * (n_max + 1)), "s_batch up to %d", top)
     r2 = _two_squares_table(top)
     size, zs = n_max + 1, isqrt(top)
     per = max(1, 65535 // (8 * zs + 8))

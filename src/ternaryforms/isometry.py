@@ -5,14 +5,16 @@ taking a form to its canonical form r.  Two such U differ by an automorph,
 so the automorph group, a sorted tuple of matrices, is the set of them
 times the inverse of the first.  Two forms g and h are equivalent exactly
 when their canonical forms agree, and then U_g * U_h^-1 takes g to h, in
-the coordinates g was given in.
+the coordinates g was given in.  The canonical form keeps the diagonal of
+the Minkowski form, the successive minima, so forms whose Minkowski
+diagonals differ are inequivalent with no search.
 """
 
 from __future__ import annotations
 
-from .forms import TernaryForm, _require_definite, discriminant
+from .forms import TernaryForm, _minkowski, _require_definite, discriminant
 from .matrices import Mat3, mat_mul, unimodular_inverse
-from .reduction import _canonical_bases, reduce_form
+from .reduction import _canonical_bases, _search
 
 
 def equivalent(g: TernaryForm, h: TernaryForm) -> Mat3 | None:
@@ -21,9 +23,11 @@ def equivalent(g: TernaryForm, h: TernaryForm) -> Mat3 | None:
         _require_definite(g)
         _require_definite(h)
         return None
-    canon_g, u_g = reduce_form(g)
-    canon_h, u_h = reduce_form(h)
-    return mat_mul(u_g, unimodular_inverse(u_h)) if canon_g == canon_h else None
+    (pre_g, u_g), (pre_h, u_h) = _minkowski(g), _minkowski(h)
+    if (pre_g.a, pre_g.b, pre_g.c) != (pre_h.a, pre_h.b, pre_h.c):
+        return None
+    (canon_g, bases_g), (canon_h, bases_h) = _search(pre_g, u_g), _search(pre_h, u_h)
+    return mat_mul(bases_g[0], unimodular_inverse(bases_h[0])) if canon_g == canon_h else None
 
 
 def automorphs(form: TernaryForm) -> tuple[Mat3, ...]:

@@ -12,10 +12,12 @@ Vec3 = tuple[int, int, int]
 
 
 def mat_mul(a: Mat3, b: Mat3) -> Mat3:
+    (a11, a12, a13), (a21, a22, a23), (a31, a32, a33) = a
     (b11, b12, b13), (b21, b22, b23), (b31, b32, b33) = b
-    return tuple(
-        (x * b11 + y * b21 + z * b31, x * b12 + y * b22 + z * b32, x * b13 + y * b23 + z * b33)
-        for x, y, z in a
+    return (
+        (a11 * b11 + a12 * b21 + a13 * b31, a11 * b12 + a12 * b22 + a13 * b32, a11 * b13 + a12 * b23 + a13 * b33),
+        (a21 * b11 + a22 * b21 + a23 * b31, a21 * b12 + a22 * b22 + a23 * b32, a21 * b13 + a22 * b23 + a23 * b33),
+        (a31 * b11 + a32 * b21 + a33 * b31, a31 * b12 + a32 * b22 + a33 * b32, a31 * b13 + a32 * b23 + a33 * b33),
     )
 
 
@@ -39,7 +41,8 @@ def adjugate(a: Mat3) -> Mat3:
 
 
 def mat_neg(a: Mat3) -> Mat3:
-    return tuple(tuple(-x for x in row) for row in a)
+    (a11, a12, a13), (a21, a22, a23), (a31, a32, a33) = a
+    return ((-a11, -a12, -a13), (-a21, -a22, -a23), (-a31, -a32, -a33))
 
 
 def mat_scale_exact(a: Mat3, num: int, den: int) -> Mat3:

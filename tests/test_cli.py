@@ -1,13 +1,18 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import resource
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from test_genus import INJECTED_TG1_29, _corrupt_tg1_11, inject_tg1_29
 from test_local import break_stabilization
@@ -607,13 +612,16 @@ def test_running_out_of_memory_is_a_resource_limit(capsys, monkeypatch):
 
 
 def test_a_table_larger_than_memory_exits_three():
-    # The counted left side of thm1.3 at p = 401 reads an r2 table of 52 GB,
-    # which a work limit of 10^11 admits; the child's address space is capped
-    # at 1 GiB, so the table's allocation fails at once.
+    # The counted left side of thm1.3 at p = 401 reads an r2 table of 52 GB.
+    # Charged at 2 units per entry, its bytes, a work limit of 10^11 refuses
+    # it before it starts.  The child's address space is capped at 1 GiB all
+    # the same, so an admitted table's allocation would fail at once.
     args = ("--work-limit", "100000000000", "verify", "thm1.3", "--p", "401", "--n-max", "161202")
     code, seconds, _, err = _run_child(args, memory=1 << 30)
     assert code == EXIT_RESOURCE, err
-    assert err.startswith("error: MemoryError: ")
+    assert err == (
+        "error: s_batch up to 25921442802 costs 103750574012 units, above the work limit 100000000000\n"
+    )
     assert seconds < 10
 
 
@@ -673,3 +681,68 @@ def test_readme_cli_block_shows_every_command():
     shown = {parser.parse_args(argv).command for argv in _readme_cli_lines()}
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     assert shown == set(sub.choices)
+
+
+# -- the one-pass writer ----------------------------------------------------
+
+
+def _jsonable_oracle(obj):
+    """Oracle: the report as json.dumps takes it, tuples as lists and a
+    Fraction or TernaryForm as its string, built before any output."""
+    if isinstance(obj, Fraction):
+        return f"{obj.numerator}/{obj.denominator}"
+    if isinstance(obj, TernaryForm):
+        return str(obj)
+    if isinstance(obj, dict):
+        return {k: _jsonable_oracle(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable_oracle(v) for v in obj]
+    return obj
+
+
+def _emit_oracle(data: dict, fmt: str) -> str:
+    """Oracle: the output, from the converted report through json.dumps."""
+    data = _jsonable_oracle(data)
+    if fmt == "json":
+        return json.dumps(data, indent=1) + "\n"
+    lines = []
+    for key, value in data.items():
+        fields = value if isinstance(value, list) else [value]
+        compact = (json.dumps(v, separators=(",", ":")) if isinstance(v, (dict, list)) else str(v) for v in fields)
+        lines.append(f"{key}\t" + ";".join(compact) + "\n")
+    return "".join(lines)
+
+
+leaves = st.one_of(
+    st.integers(),
+    st.booleans(),
+    st.none(),
+    st.text(),
+    st.sampled_from(['"', "\\", "é☃", "a\tb\nc", "\x00\x1f\x7f"]),
+    st.fractions(),
+    st.integers().map(Fraction),  # a whole number keeps its /1
+    st.builds(TernaryForm, *[st.integers(-50, 50)] * 6),
+)
+nested = st.recursive(
+    leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=4), children, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+@given(st.dictionaries(st.text(max_size=6), nested, max_size=5), st.sampled_from(["json", "tsv"]))
+@settings(max_examples=200, deadline=None)
+def test_emit_writes_what_json_dumps_writes_of_the_converted_report(report, fmt):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit(report, fmt)
+    assert out.getvalue() == _emit_oracle(report, fmt)
+
+
+def test_emit_refuses_a_value_json_cannot_write():
+    with pytest.raises(TypeError, match="Object of type set is not JSON serializable"):
+        cli._json({"x": [{1}]}, "\n")

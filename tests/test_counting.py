@@ -199,6 +199,17 @@ def test_two_squares_table_grows_in_place():
     assert list(table) == two_squares_sieve(1000)
 
 
+def test_s_batch_charges_the_bytes_of_its_table():
+    # s_batch(1, 1000) reads 1001 table entries and 31 slices of 1001
+    # entries: 32032 entries, 64064 bytes.  A limit between the two refuses
+    # it, so a table is never admitted for less than its memory.
+    entries = 1001 + isqrt(1000) * 1001
+    for limit in (entries, 2 * entries - 1):
+        with pytest.raises(ResourceLimitError, match=f"s_batch up to 1000 costs {2 * entries} units"):
+            limited(limit, s_batch, 1, 1000)
+    assert limited(2 * entries, s_batch, 1, 1000) == [s(n) for n in range(1001)]
+
+
 def test_s_batch_rejects_bad_arguments():
     with pytest.raises(FormError):
         s_batch(0, 5)

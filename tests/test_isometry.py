@@ -2,11 +2,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_genus import count_calls
 from test_matrices import IDENTITY, gram_dot, shear
 from ternaryforms.counting import vectors_with_value
-from ternaryforms.forms import FormError, TernaryForm, apply_map, is_positive_definite
+from ternaryforms.forms import FormError, TernaryForm, _minkowski, apply_map, discriminant, is_positive_definite
 from ternaryforms.genus import enumerate_tg1
 from ternaryforms.isometry import automorphs, equivalent
+from ternaryforms.reduction import reduce_form
 from ternaryforms.matrices import Mat3, det3, from_columns, mat_mul, mat_neg, unimodular_inverse
 
 H1 = TernaryForm(31, 5, 11, 1, -14, 6)
@@ -127,6 +129,58 @@ def test_equivalent_matches_the_search_in_the_input_basis(pair, u, v):
     assert (w is None) == (pair[0] != pair[1])
     if w is not None:
         assert apply_map(g, w) == h
+
+
+# Inequivalent classes of one discriminant whose Minkowski diagonals agree,
+# so that only the search tells them apart.
+TIED_DIAGONALS = [
+    (TernaryForm(1, 1, 2, 0, 0, 1), TernaryForm(1, 1, 2, 1, 1, 0)),  # disc 6
+    (TernaryForm(1, 2, 2, 0, 1, 1), TernaryForm(1, 2, 2, 2, 0, 0)),  # disc 12
+    (TernaryForm(1, 2, 3, 1, 0, 1), TernaryForm(1, 2, 3, 2, 0, 0)),  # disc 20
+    (TernaryForm(1, 2, 3, 0, 0, 1), TernaryForm(1, 2, 3, 1, 1, 0)),  # disc 21
+    (TernaryForm(1, 3, 4, 1, 1, -1), TernaryForm(1, 3, 4, 3, 0, 0)),  # disc 39
+]
+
+
+@pytest.mark.parametrize("pair", TIED_DIAGONALS, ids=lambda pair: " ".join(map(str, pair)))
+def test_tied_diagonals_are_inequivalent_classes(pair):
+    g, h = pair
+    assert discriminant(g) == discriminant(h)
+    assert _minkowski(g)[0].coeffs[:3] == _minkowski(h)[0].coeffs[:3]
+    assert reduce_form(g)[0] == g and reduce_form(h)[0] == h
+    assert equivalent(g, h) is None
+
+
+@given(
+    st.one_of(
+        form_pairs,
+        st.sampled_from(TIED_DIAGONALS + [pair[::-1] for pair in TIED_DIAGONALS]),
+        st.tuples(definite_forms, definite_forms),
+    ),
+    unimodular,
+    unimodular,
+)
+@settings(max_examples=150, deadline=None)
+def test_equivalent_matches_the_canonical_forms(pair, u, v):
+    # Oracle: g and h are equivalent exactly when reduce_form gives both one
+    # canonical form; equivalent reads the Minkowski diagonals first.
+    g, h = apply_map(pair[0], u), apply_map(pair[1], v)
+    w = equivalent(g, h)
+    assert (w is None) == (reduce_form(g)[0] != reduce_form(h)[0])
+    if w is not None:
+        assert apply_map(g, w) == h
+
+
+def test_equivalent_searches_no_form_whose_diagonal_differs(monkeypatch):
+    # 1,3,11,0,0,1 and 3,4,4,3,2,-2 are classes of discriminant 121 with the
+    # diagonals (1, 3, 11) and (3, 4, 4).
+    searches = count_calls(monkeypatch, "reduction", "_search")
+    f1, f2 = TernaryForm(1, 3, 11, 0, 0, 1), TernaryForm(3, 4, 4, 3, 2, -2)
+    assert equivalent(apply_map(f1, ((1, 2, 0), (0, 1, -1), (0, 0, 1))), f2) is None
+    assert searches == []
+    g, h = TIED_DIAGONALS[0]
+    assert equivalent(g, h) is None
+    assert searches == [(g, IDENTITY), (h, IDENTITY)]
 
 
 def test_equivalent_with_witness():
