@@ -4,10 +4,15 @@ The enumeration nests exact integer quadratic bounds obtained by projecting
 the form: with A2 = 4ab - f^2 and discriminant D, every point with value
 <= B satisfies z^2 <= A2*B/D, then y lies in an integer-root interval
 (endpoints from isqrt widened by one), and the rows that reach B are kept
-by their exact x-discriminant dx.  In a row, form(x, y, z) <= B exactly
-when |2ax + lin| <= isqrt(dx), so `theta` counts each row over that exact
-interval in one tight loop, with no per-point test; `half_points_up_to`
-yields the same points one by one and stays as its oracle.
+by their exact x-discriminant dx.  `_layers` computes this geometry once
+per layer z: the y range, with the widened ends dropped where dx < 0, and
+dx and its first difference at the first row.  Along a layer dx is a
+quadratic in y with second difference -2*A2, so each walker runs its own
+loop over y and moves to the next row with two additions.  In a row,
+form(x, y, z) <= B exactly when |2ax + lin| <= isqrt(dx), so `theta`
+counts each row over that exact interval in one tight loop, with no
+per-point test; `half_points_up_to` yields the same points one by one from
+rows evaluated directly from the form and stays as its oracle.
 
 `theta` also shares whole layers.  With Q2 = ax^2 + fxy + by^2 and
 mu = (2be - fd, 2ad - fe) / A2, the form is Q2(w + z*mu) + (D/A2)*z^2 for
@@ -24,14 +29,16 @@ of layer 0 and 18 shifts, instead of 44,289 points.
 
 A single value n needs no x loop: in each (y, z) row the points of value n
 are the integer roots of a quadratic in x, found by one isqrt and a
-perfect-square test, so `rep_count` and `vectors_with_value` cost O(n) rows
-instead of the O(n^(3/2)) points up to n; several values share one scan of
-the rows up to the largest (`_vectors_with_values`, which canonical
-reduction reads).  `theta` and `rep_count` count class invariants, so they
-enumerate the Minkowski-reduced form (`forms._minkowski`), whose short
+perfect-square test on dx, so `rep_count` and `vectors_with_value` cost
+O(n) rows instead of the O(n^(3/2)) points up to n, each row a square test
+and two additions in `_half_solutions`' loop over a layer.  Several values
+share one scan of the rows up to the largest (`_vectors_with_values`,
+which canonical reduction reads); a lower value is tested only in the rows
+whose dx reaches it.  `theta` and `rep_count` count class invariants, so
+they enumerate the Minkowski-reduced form (`forms._minkowski`), whose short
 diagonal keeps the row ranges tight however skewed the input basis is;
 `vectors_with_value` answers in the input coordinates and enumerates the
-input basis.  `_rows` does not test definiteness: each entry point does,
+input basis.  `_layers` does not test definiteness: each entry point does,
 once, before any shortcut for n <= 0.  `s_batch`
 reads the sum of three squares on whole progressions from one two-squares
 table per process, grown in place, and adds the table's strided slices as
@@ -62,18 +69,27 @@ def _ceil_div(p: int, q: int) -> int:
 
 
 def _row_bound(a: int, a2: int, disc: int, bound: int) -> int:
-    """An upper bound on the rows `_rows` visits: zmax + 1 values of z, each
+    """An upper bound on the rows `_layers` spans: zmax + 1 values of z, each
     with at most (2*sy + 2) // a2 + 1 values of y, where sy <= isqrt(4*a*bound*a2)."""
     return (isqrt(a2 * bound // disc) + 1) * ((2 * isqrt(4 * a * bound * a2) + 2) // a2 + 1)
 
 
-def _rows(form: TernaryForm, bound: int, layers=None) -> Iterator[tuple[int, int, int, int]]:
-    """Yield (y, z, lin, dx) for the (y, z) rows of the half region, layer by
-    layer for the z in `layers` (default every layer, 0 <= z <= zmax).
+def _layers(form: TernaryForm, bound: int, layers=None) -> Iterator[tuple[int, int, int, int, int]]:
+    """Yield (z, ylo, yhi, dx, delta) for the layers z in `layers` (default
+    every layer, 0 <= z <= zmax) of the half region up to the value bound.
 
-    In a row form(x, y, z) = a*x^2 + lin*x + c0, and dx = lin^2 - 4a(c0 - bound)
-    >= 0 is its x-discriminant at the value bound: (2ax + lin)^2 <= dx exactly
-    when form(x, y, z) <= bound.  Rows with z = 0 have y >= 0.  Callers
+    The layer's rows are ylo <= y <= yhi, with y >= 0 when z = 0.  In a row
+    form(x, y, z) = a*x^2 + lin*x + c0 with lin = f*y + e*z, and
+    dx = lin^2 - 4a(c0 - bound) is its x-discriminant: (2ax + lin)^2 <= dx
+    exactly when form(x, y, z) <= bound.  Along the layer
+    dx = -a2*y^2 + beta*y + gamma with beta = -2(2ad - ef)z and
+    gamma = (e^2 - 4ac)z^2 + 4a*bound, so a walker starts from dx at ylo and
+    delta = dx(ylo + 1) - dx(ylo), adds delta to dx and -2*a2 to delta per
+    row, two additions.  The y bounds are isqrt roots widened by one, which
+    admit at most one row with dx < 0 at each end; those rows are dropped
+    here, so every row from ylo to yhi has dx >= 0.
+
+    The rows are charged (`_row_bound`) before the first layer.  Callers
     check that the form is positive definite, and that each layer given is
     at most zmax = isqrt(a2*bound // disc).
     """
@@ -83,43 +99,49 @@ def _rows(form: TernaryForm, bound: int, layers=None) -> Iterator[tuple[int, int
     disc = discriminant(form)
     a2 = 4 * a * b - f * f
     charge(_row_bound(a, a2, disc, bound), "enumerating the rows up to %d", bound)
-    p = 2 * a * d - e * f
+    p, g, t = 2 * a * d - e * f, e * e - 4 * a * c, 4 * a * bound
+    s, q = a2 * t, 4 * a * disc
     for z in range(isqrt(a2 * bound // disc) + 1) if layers is None else layers:
         # z <= zmax gives disc * z^2 <= a2 * bound, so the root's argument is >= 0.
-        sy = isqrt(4 * a * bound * a2 - 4 * a * disc * z * z)
-        ylo = _ceil_div(-p * z - sy - 1, a2)
-        yhi = (-p * z + sy + 1) // a2
-        if z == 0:
-            ylo = max(ylo, 0)
-        for y in range(ylo, yhi + 1):
-            lin = f * y + e * z
-            dx = lin * lin - 4 * a * (b * y * y + c * z * z + d * y * z - bound)
-            if dx >= 0:
-                yield y, z, lin, dx
+        pz, zz = p * z, z * z
+        sy = isqrt(s - q * zz)
+        beta, gamma = -2 * pz, g * zz + t
+        ylo = -((pz + sy + 1) // a2) if z else 0
+        yhi = (sy + 1 - pz) // a2
+        dx = (beta - a2 * ylo) * ylo + gamma
+        delta = beta - a2 * (2 * ylo + 1)
+        if dx < 0:
+            ylo, dx, delta = ylo + 1, dx + delta, delta - 2 * a2
+        if (beta - a2 * yhi) * yhi + gamma < 0:
+            yhi -= 1
+        yield z, ylo, yhi, dx, delta
 
 
 def half_points_up_to(form: TernaryForm, bound: int) -> Iterator[tuple[int, int, int, int]]:
     """Yield (x, y, z, value) for nonzero points with value <= bound.
 
     One representative per +-pair: the last nonzero coordinate is positive.
-    Each row's x range is widened by one and filtered by exact evaluation;
-    `theta` counts the same points over the exact range, and this point by
-    point enumeration is its oracle.
+    The rows are those of `_layers`, each evaluated from the form rather
+    than by differences.  Each row's x range is widened by one and filtered
+    by exact evaluation; `theta` and `_half_solutions` walk the same rows
+    by differences, and this point by point enumeration is their oracle.
     """
     _require_definite(form)
-    a = form.a
-    two_a, four_a = 2 * a, 4 * a
-    for y, z, lin, dx in _rows(form, bound):
-        sx = isqrt(dx)
-        xlo = _ceil_div(-lin - sx - 1, two_a)
-        xhi = (-lin + sx + 1) // two_a
-        if z == 0 and y == 0:
-            xlo = max(xlo, 1)
-        c0 = bound + (lin * lin - dx) // four_a  # form(0, y, z), exactly
-        for x in range(xlo, xhi + 1):
-            v = (a * x + lin) * x + c0
-            if v <= bound:
-                yield (x, y, z, v)
+    a, b, c, d, e, f = form.coeffs
+    two_a = 2 * a
+    for z, ylo, yhi, _, _ in _layers(form, bound):
+        for y in range(ylo, yhi + 1):
+            lin = f * y + e * z
+            c0 = b * y * y + c * z * z + d * y * z  # form(0, y, z)
+            sx = isqrt(lin * lin - 4 * a * (c0 - bound))
+            xlo = _ceil_div(-lin - sx - 1, two_a)
+            xhi = (-lin + sx + 1) // two_a
+            if z == 0 and y == 0:
+                xlo = max(xlo, 1)
+            for x in range(xlo, xhi + 1):
+                v = (a * x + lin) * x + c0
+                if v <= bound:
+                    yield (x, y, z, v)
 
 
 def _row_roots(v: int, y: int, z: int, lin: int, r: int, two_a: int) -> Iterator[tuple[int, int, int, int]]:
@@ -133,29 +155,37 @@ def _half_solutions(form: TernaryForm, values: tuple[int, ...]) -> Iterator[tupl
     """Yield (v, x, y, z) with form(x, y, z) == v for each v in `values`, one
     per +-pair.  `values` holds distinct integers >= 1 in decreasing order.
 
-    One scan of the rows up to the first (largest) value: in a row, the
-    x-discriminant at v is dx - 4a(top - v), and the points of value v are
-    the integer roots of the row's quadratic, found by one isqrt and a
-    square test.  The discriminant falls with v, so a row stops at the first
-    value it cannot reach.
+    One scan of the rows up to the first (largest) value, top: each layer
+    of `_layers` is walked in one loop over y that carries the row's
+    x-discriminant dx at top by its differences, two additions per row.
+    The points of value v in a row are the integer roots of its quadratic,
+    whose discriminant is dx - 4a(top - v): one isqrt and a square test.
+    top has its own test in every row.  The lower values are tested only in
+    rows whose dx reaches the largest of them, dx >= 4a(top - v); the
+    discriminant falls with v, so a row stops at the first value it cannot
+    reach.  The rows are charged once, before the first (`_layers`).
     """
     top = values[0]
-    two_a = 2 * form.a
-    lower = [(v, 4 * form.a * (top - v)) for v in values[1:]]
+    a, b, _, _, e, f = form.coeffs
+    two_a, dd = 2 * a, 2 * (4 * a * b - f * f)  # dx's second difference along y is -dd
+    lower = [(v, 4 * a * (top - v)) for v in values[1:]]
     # dx <= 4a*top in every row, so with one value no row reaches `lower`.
-    reach = lower[0][1] if lower else 4 * form.a * top + 1
-    for y, z, lin, dx in _rows(form, top):
-        r = isqrt(dx)
-        if r * r == dx:
-            yield from _row_roots(top, y, z, lin, r, two_a)
-        if dx >= reach:
-            for v, shift in lower:
-                d = dx - shift
-                if d < 0:
-                    break
-                r = isqrt(d)
-                if r * r == d:
-                    yield from _row_roots(v, y, z, lin, r, two_a)
+    reach = lower[0][1] if lower else 4 * a * top + 1
+    for z, ylo, yhi, dx, delta in _layers(form, top):
+        for y in range(ylo, yhi + 1):
+            r = isqrt(dx)
+            if r * r == dx:
+                yield from _row_roots(top, y, z, f * y + e * z, r, two_a)
+            if dx >= reach:
+                for v, shift in lower:
+                    d = dx - shift
+                    if d < 0:
+                        break
+                    r = isqrt(d)
+                    if r * r == d:
+                        yield from _row_roots(v, y, z, f * y + e * z, r, two_a)
+            dx += delta
+            delta -= dd
 
 
 def _vectors_with_values(form: TernaryForm, values) -> dict[int, list[tuple[int, int, int]]]:
@@ -181,17 +211,25 @@ def vectors_with_value(form: TernaryForm, n: int) -> list[tuple[int, int, int]]:
     return _vectors_with_values(form, (n,))[n]
 
 
-def _add_rows(hist: list[int], a: int, top: int, rows) -> None:
-    """Add 2 to hist[v - low] for each point of value v <= bound in the rows
-    (y, z, lin, dx) that `_rows` yields up to bound, with top = bound - low.
-    The x of a row with value <= bound are exactly |2ax + lin| <= isqrt(dx)."""
-    two_a, four_a = 2 * a, 4 * a
-    for y, z, lin, dx in rows:
-        sx = isqrt(dx)
-        xlo = 1 if z == 0 and y == 0 else _ceil_div(-lin - sx, two_a)
-        c0 = top + (lin * lin - dx) // four_a  # form(0, y, z) - low, exactly
-        for x in range(xlo, (sx - lin) // two_a + 1):
-            hist[(a * x + lin) * x + c0] += 2
+def _add_rows(hist: list[int], form: TernaryForm, bound: int, top: int, layers) -> None:
+    """Add 2 to hist[v - low] for each point of value v <= bound in the half
+    region of the given layers, with top = bound - low.  Each layer of
+    `_layers` is walked in one loop over y that carries lin and dx by their
+    differences; the x of a row with value <= bound are exactly
+    |2ax + lin| <= isqrt(dx)."""
+    a, b, _, _, e, f = form.coeffs
+    two_a, four_a, dd = 2 * a, 4 * a, 2 * (4 * a * b - f * f)  # dx's second difference along y is -dd
+    for z, ylo, yhi, dx, delta in _layers(form, bound, layers):
+        lin = f * ylo + e * z
+        for y in range(ylo, yhi + 1):
+            sx = isqrt(dx)
+            xlo = 1 if z == 0 and y == 0 else -((lin + sx) // two_a)
+            c0 = top + (lin * lin - dx) // four_a  # form(0, y, z) - low, exactly
+            for x in range(xlo, (sx - lin) // two_a + 1):
+                hist[(a * x + lin) * x + c0] += 2
+            lin += f
+            dx += delta
+            delta -= dd
 
 
 # A point of `_add_rows` costs about three entries of a slice addition, and a
@@ -257,17 +295,17 @@ def theta(form: TernaryForm, bound: int) -> tuple[int, ...]:
             # The first group: counts holds only the origin so far.  Layer 0
             # is its half twice plus the origin; each z = jm > 0 adds it twice
             # more, for +-z.
-            _add_rows(counts, a, bound, _rows(reduced, bound, (0,)))
+            _add_rows(counts, reduced, bound, bound, (0,))
             layer = list(map(add, counts, counts))
         else:
             # The whole layer z0, twice for +-z0, from its least value on.
             low = _ceil_div(disc * z0 * z0, a2)
             layer = [0] * (bound + 1 - low)
-            _add_rows(layer, a, bound - low, _rows(reduced, bound, (z0,)))
+            _add_rows(layer, reduced, bound, bound - low, (z0,))
             lows.append(low)
         for low in lows:
             counts[low:] = map(add, counts[low:], layer[: bound + 1 - low])
-    _add_rows(counts, a, bound, _rows(reduced, bound, singles))
+    _add_rows(counts, reduced, bound, bound, singles)
     return tuple(counts)
 
 

@@ -12,10 +12,10 @@ from test_isometry import definite_forms, skewed_forms, unimodular
 from test_local import limited
 from ternaryforms import counting
 from ternaryforms.counting import (
+    THREE_SQUARES,
     _half_solutions,
     _layer_plan,
     _vectors_with_values,
-    _rows,
     half_points_up_to,
     rep_count,
     s,
@@ -455,6 +455,56 @@ def test_one_scan_short_vectors_match_the_per_value_lists(g, values):
     assert _vectors_with_values(g, values) == {v: vectors_with_value(g, v) for v in values}
 
 
+# The row walk carries dx by its differences from the ends `_layers` leaves;
+# the rows of half_points_up_to are evaluated from the form, so the points
+# it enumerates, filtered by value, are its oracle.
+@given(
+    st.one_of(skewed_forms, skewed_forms.map(lambda g: _minkowski(g)[0])),
+    st.sets(st.integers(1, 120), min_size=1, max_size=3),
+)
+@example(TernaryForm(1, 1, 1, 0, 0, 1), {7, 3, 1})  # a2 = 3
+@example(TernaryForm(5, 11, 26, 7, -3, 1), {26, 11, 5})  # the value a: the row z = y = 0
+@example(H1, {50, 31, 5})  # not reduced
+@example(TernaryForm(1, 1, 1000, 0, 0, 0), {1001, 999, 1})  # long rows; 999 has no representation
+@settings(max_examples=120, deadline=None)
+def test_half_solutions_match_the_filtered_enumeration(g, values):
+    values = tuple(sorted(values, reverse=True))
+    expected = sorted((v, x, y, z) for x, y, z, v in half_points_up_to(g, values[0]) if v in values)
+    assert sorted(_half_solutions(g, values)) == expected
+
+
+SHORT_VECTOR_SEARCHES = {
+    "rep_count": lambda f: rep_count(f, 1000),
+    "vectors_with_value": lambda f: vectors_with_value(f, 1000),
+    "reduce_form": reduce_form,
+}
+SKEWED = TernaryForm(15, 26, 10, 23, -16, -31)
+
+
+@pytest.mark.parametrize(
+    "name, form, least",
+    # Taken at the commit before the rows were walked by differences: the
+    # rows are charged as before, so the least admitted work limit holds.
+    [
+        ("rep_count", THREE_SQUARES, 2048),
+        ("rep_count", H1, 140),
+        ("rep_count", SKEWED, 242),
+        ("vectors_with_value", THREE_SQUARES, 2048),
+        ("vectors_with_value", H1, 330),
+        ("vectors_with_value", SKEWED, 315),
+        ("reduce_form", THREE_SQUARES, 6),
+        ("reduce_form", H1, 8),
+        ("reduce_form", SKEWED, 6),
+    ],
+    ids=str,
+)
+def test_short_vector_searches_are_admitted_at_the_same_work_limit(name, form, least):
+    call = SHORT_VECTOR_SEARCHES[name]
+    with pytest.raises(ResourceLimitError, match=f"costs {least} units"):
+        limited(least - 1, call, form)
+    assert limited(least, call, form) == call(form)
+
+
 @pytest.mark.parametrize(
     "form", [H1, apply_map(TernaryForm(1, 1, 1, 0, 0, 0), ((2, 5, 1), (1, 3, 1), (1, 2, 1)))], ids=str
 )
@@ -463,15 +513,14 @@ def test_rep_count_walks_the_rows_of_the_minkowski_form(form):
     assert pre != form
     walked = []
 
-    def recording_rows(f, bound):
-        for row in _rows(f, bound):
-            walked.append((f, bound, row))
-            yield row
+    def recording_half_solutions(f, values):
+        walked.append((f, values))
+        return _half_solutions(f, values)
 
-    with patch.object(counting, "_rows", recording_rows):
+    with patch.object(counting, "_half_solutions", recording_half_solutions):
         count = rep_count(form, 50)
     assert count == rep_count(pre, 50)
-    assert walked == [(pre, 50, row) for row in _rows(pre, 50)]
+    assert walked == [(pre, (50,))]
 
 
 def test_rep_count_and_theta_refuse_indefinite_forms():
