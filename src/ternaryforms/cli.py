@@ -1,7 +1,12 @@
 """Command line front end.
 
 Each subcommand is declared once, by `_command` on the function that builds
-its report, and each `verify` target once, as a row of `VERIFY_TARGETS`.
+its report, each `verify` target once, as a row of `VERIFY_TARGETS`, and
+each top-level option once, as a row of `OPTIONS`. An argv of the plain
+shape (options spelled in full, each with its value, then a command and
+exactly its positionals) is parsed from those tables in one pass
+(`_table_args`); argparse parses everything else, so help, every usage
+message, abbreviations and `--opt=value` spellings are argparse's own.
 A report is written in one pass over it (`_json`), byte-identical to
 json.dumps(report, indent=1) with each Fraction and TernaryForm given as
 its string; `--format tsv` writes one line per field.
@@ -114,6 +119,25 @@ def _emit(data: dict, fmt: str) -> None:
         # exit code still reports the computation.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
+
+# Each top-level option: its flag and its `add_argument` keywords, dest and
+# default among them.
+OPTIONS = {
+    "--format": {"dest": "format", "choices": ("json", "tsv"), "default": "json"},
+    "--cache": {"dest": "cache", "default": None, "help": "path to the genus cache JSON file"},
+    "--threads": {
+        "dest": "threads",
+        "type": int,
+        "default": 1,
+        "help": "upper bound on worker threads (computation is sequential)",
+    },
+    "--work-limit": {
+        "dest": "work_limit",
+        "type": int,
+        "default": None,
+        "help": "units of work any one step may do (default 10^9)",
+    },
+}
 
 COMMANDS: dict[str, tuple] = {}
 FORM = ("form", {"help": "sextuple a,b,c,d,e,f"})
@@ -259,20 +283,16 @@ def _verify(args):
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The `tqf` parser, built on the first `main` call and reused by every
-    later one in the process; `parse_args` returns a fresh Namespace each time."""
+    """The `tqf` parser, from `OPTIONS` and `COMMANDS`, for the argv that
+    `_table_args` does not take: help, usage errors and spellings such as
+    `--cach` or `--format=tsv`. It is built on the first such call and reused
+    by every later one in the process; `parse_args` returns a fresh Namespace
+    each time."""
     top = argparse.ArgumentParser(
         prog="tqf", description="Exact arithmetic for positive ternary quadratic forms."
     )
-    top.add_argument("--format", choices=("json", "tsv"), default="json")
-    top.add_argument("--cache", help="path to the genus cache JSON file")
-    top.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="upper bound on worker threads (computation is sequential)",
-    )
-    top.add_argument("--work-limit", type=int, default=None, help="units of work any one step may do (default 10^9)")
+    for flag, kwargs in OPTIONS.items():
+        top.add_argument(flag, **kwargs)
     sub = top.add_subparsers(dest="command", required=True)
     for name, (help_, arguments, report) in COMMANDS.items():
         p = sub.add_parser(name, help=help_)
@@ -280,6 +300,48 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument(arg, **kwargs)
         p.set_defaults(report=report)
     return top
+
+
+def _table_value(token, kwargs):
+    """token as argparse reads the value of the argument declared by kwargs;
+    ValueError where argparse might read it otherwise (a token that is not a
+    str or starts with "-") or would refuse it."""
+    if not isinstance(token, str) or token.startswith("-"):
+        raise ValueError(token)
+    value = kwargs["type"](token) if "type" in kwargs else token
+    if "choices" in kwargs and value not in kwargs["choices"]:
+        raise ValueError(token)
+    return value
+
+
+def _table_args(argv: list) -> argparse.Namespace | None:
+    """The Namespace `_build_parser().parse_args(argv)` returns, read from
+    `OPTIONS` and `COMMANDS` in one pass, or None unless argv has the plain
+    shape: top-level options spelled in full, each followed by its value, then
+    a command without options and exactly its positionals, where no value
+    starts with "-" and every value converts and is among its choices."""
+    values = {kwargs["dest"]: kwargs["default"] for kwargs in OPTIONS.values()}
+    try:
+        i = 0
+        while argv[i] in OPTIONS:
+            kwargs = OPTIONS[argv[i]]
+            values[kwargs["dest"]] = _table_value(argv[i + 1], kwargs)
+            i += 2
+        values["command"] = argv[i]
+        _, arguments, values["report"] = COMMANDS[argv[i]]
+        if len(argv) - i - 1 != len(arguments):
+            return None
+        for (dest, kwargs), token in zip(arguments, argv[i + 1 :]):
+            if dest.startswith("-"):
+                return None
+            values[dest] = _table_value(token, kwargs)
+    except (IndexError, KeyError, TypeError, ValueError):
+        # argv ends early, names no command, holds an unhashable token, or
+        # has a value argparse might read otherwise or would refuse.
+        return None
+    args = argparse.Namespace()
+    vars(args).update(values)  # a quarter of the cost of Namespace(**values)
+    return args
 
 
 def _run(args) -> int:
@@ -292,11 +354,13 @@ def _run(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _table_args(argv)
+    if args is None:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return copy_context().run(_run, args)  # the work limit _run sets ends here
     except (_UsageError, FormError) as exc:

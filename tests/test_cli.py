@@ -579,11 +579,111 @@ def test_parser_is_built_once_and_carries_nothing_between_calls(capsys, tmp_path
         code, out, _ = run(capsys, *args)
         assert code == expected, args
         outs.append(out)
+    # Only the argv `_table_args` refuses reach the parser: `count` without
+    # its n, `--help`, the three `verify` calls and `frobnicate`.
     info = cli._build_parser.cache_info()
-    assert (info.misses, info.hits) == (1, len(calls) - 1)
+    assert (info.misses, info.hits) == (1, 5)
     assert outs[2] == f"form\t{one}\ndisc\t4\n"
     assert json.loads(outs[3]) == json.loads(outs[-1]) == {"form": one, "disc": 4}
     assert json.loads(outs[5])["pass"] is True
+
+
+# -- the table parser --------------------------------------------------------
+
+_FORMS = ["1,1,1,0,0,0", "31,5,11,1,-14,6", "-1,1,1,0,0,0", "-31,5,11,1,-14,6", "1, 1,1,0,0,0"]
+_INTS = ["-5", "0", "7", "500", "1_0", " 7", "\u0663", "9" * 5000, "1.5"]
+_STRINGS = ["TG1", "TG2", "TG3", "json", "tsv", "xml", "c.json", "disc", "all", ""]
+_VALUES = _FORMS + _INTS + _STRINGS
+_SPELLINGS = ["--format=tsv", "--cache=c.json", "--threads=2", "--work-limit=500", "--form", "--cach", "--th", "--w"]
+_SPELLINGS += ["--p", "--n-max"]
+_TOKENS = _VALUES + [*cli.OPTIONS, *_SPELLINGS, *cli.COMMANDS, "frobnicate", "-h", "--help", "--", "-"]
+
+
+def _value_of(kwargs):
+    """Values for an argument declared by kwargs: mostly of its kind (a
+    choice or not, an int, a form), some of any kind."""
+    if "choices" in kwargs:
+        own = [*kwargs["choices"], "TG3", "xml"]
+    else:
+        own = _INTS if "type" in kwargs else _FORMS + ["c.json", ""]
+    return st.sampled_from(own * 6 + _VALUES)
+
+
+@st.composite
+def _nearly_plain(draw):
+    """Options, each spelled in full or not and followed by a value, then a
+    command and as many values as it takes positionals, or one more or less."""
+    argv = []
+    for _ in range(draw(st.integers(0, 3))):
+        flag = draw(st.sampled_from([*cli.OPTIONS] * 4 + _SPELLINGS))
+        argv += [flag, draw(_value_of(cli.OPTIONS.get(flag, {})))]
+    command = draw(st.sampled_from([*cli.COMMANDS, "frobnicate"]))
+    arguments = list(cli.COMMANDS.get(command, (None, [("form", {})]))[1])
+    arguments += draw(st.sampled_from([[]] * 6 + [[("extra", {})]]))
+    arguments = arguments[: len(arguments) - draw(st.sampled_from([0] * 6 + [1]))]
+    return argv + [command] + [draw(_value_of(kwargs)) for _, kwargs in arguments]
+
+
+# Mostly argv of nearly the plain shape, which a uniform draw from the whole
+# alphabet would rarely give, and uniform draws besides.
+_ARGV = st.one_of(_nearly_plain(), st.lists(st.sampled_from(_TOKENS), max_size=8))
+
+
+@given(_ARGV)
+@settings(max_examples=1000, deadline=None)
+def test_table_args_is_none_or_what_argparse_returns(argv):
+    table = cli._table_args(argv)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            oracle = cli._build_parser().parse_args(argv)
+        except SystemExit:
+            oracle = None
+    assert table is None or table == oracle
+
+
+_PLAIN = {
+    "disc": ["31,5,11,1,-14,6"],
+    "reduce": ["31,5,11,1,-14,6"],
+    "count": ["1,1,1,0,0,0", "25"],
+    "theta": ["2,2,2,1,1,-1", "20"],
+    "auts": ["11,7,20,7,2,4"],
+    "equiv": ["31,5,11,1,-14,6", "5,11,26,7,3,-1"],
+    "genus": ["TG1", "11"],
+    "mass": ["TG2", "11"],
+    "phi": ["1,1,3,0,0,1"],
+    "phi-inv": ["3,4,4,4,0,0"],
+    "lambda": ["9,9,9,0,0,0", "9"],
+    "density": ["1,1,1,0,0,0", "12", "2"],
+}
+
+
+def test_plain_argv_is_shown_for_every_command_without_options():
+    assert set(_PLAIN) == set(cli.COMMANDS) - {"verify"}
+
+
+def _no_parser():
+    raise AssertionError("argparse was asked to parse a plain argv")
+
+
+@pytest.mark.parametrize("command", _PLAIN)
+def test_plain_argv_never_reaches_argparse(capsys, tmp_path, monkeypatch, command):
+    cache = str(tmp_path / "genus.json")
+    options = ([], ["--cache", cache], ["--format", "tsv"], ["--work-limit", "1000000000"])
+    options += (["--cache", cache, "--threads", "2", "--format", "tsv"],)
+    for argv in ([*opts, command, *_PLAIN[command]] for opts in options):
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_table_args", lambda argv: None)
+            expected = run(capsys, *argv)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_build_parser", _no_parser)
+            assert run(capsys, *argv) == expected, argv
+        assert (expected[0], expected[2]) == (EXIT_OK, ""), argv
+
+
+def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["tqf", "disc", "1,1,1,0,0,0"])
+    code = main(None)
+    assert (code, json.loads(capsys.readouterr().out)) == (EXIT_OK, {"form": "1,1,1,0,0,0", "disc": 4})
 
 
 def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
