@@ -13,9 +13,12 @@ recursion modulo p^(t+1) passes through the one modulo p^t a step before
 its end.  Densities are rationals count / p^(2t), and the counts from that
 one pass are checked to give the same value at t and t+1.
 
-The closed-form densities (odd-prime two-case formula, the 2-adic table for
-sums of three squares, the difference kernel, the squarefree-part product)
-live here as well, so each has an independent counting cross-check.
+The closed-form densities (the odd-prime two-case formula, the 2-adic table
+for sums of three squares, the difference kernel) live here as well, so
+each has an independent counting cross-check.  Each closed form has one
+integer core that returns (num, den) with den > 0, and its public name is
+that pair as a Fraction.  The density suites of `verify` read the cores and
+compare by cross-multiplication, building a Fraction only on failure.
 """
 
 from __future__ import annotations
@@ -41,6 +44,10 @@ def valuation(n: int, p: int) -> tuple[int, int]:
         raise ValueError(f"valuation base must be >= 2, got {p}")
     if n == 0:
         raise ValueError("valuation of 0 is undefined")
+    if p == 2 or p == 4:  # the trailing zero bits of n, in steps of one or two
+        step = p.bit_length() - 1
+        v = ((n & -n).bit_length() - 1) // step
+        return v, n >> step * v
     v = 0
     while n % p == 0:
         n //= p
@@ -349,35 +356,50 @@ def local_density(form: TernaryForm, n: int, p: int) -> LocalDensity:
     return LocalDensity(val, t)
 
 
-def density_formula_odd(n: int, p: int) -> Fraction:
-    """Two-case closed form for the density at an odd prime coprime to 2*disc."""
+def _density_odd_pair(n: int, p: int) -> tuple[int, int]:
+    """(num, den), den > 0, of `density_formula_odd`, in integers."""
     if n < 1:
         raise ValueError("n must be >= 1")
     v, m = valuation(n, p)
     pk = p ** (v // 2)
     if v % 2 == 0:  # 1 + 1/p + ((-m|p) - 1)/p^(k+1)
-        return Fraction(pk * (p + 1) + kronecker(-m, p) - 1, pk * p)
-    return Fraction((p + 1) * (pk * p - 1), pk * p * p)  # (1 + 1/p)(1 - 1/p^(k+1))
+        return pk * (p + 1) + kronecker(-m, p) - 1, pk * p
+    return (p + 1) * (pk * p - 1), pk * p * p  # (1 + 1/p)(1 - 1/p^(k+1))
 
 
-def psi(n: int) -> Fraction:
-    """2-adic density of x^2+y^2+z^2: the three-case 4^a*k table."""
+def density_formula_odd(n: int, p: int) -> Fraction:
+    """Two-case closed form for the density at an odd prime coprime to 2*disc."""
+    return Fraction(*_density_odd_pair(n, p))
+
+
+def _psi_pair(n: int) -> tuple[int, int]:
+    """(num, den), den > 0, of `psi`, in integers."""
     if n < 1:
         raise ValueError("n must be >= 1")
     a, k = valuation(n, 4)
     if k % 8 == 7:
-        return Fraction(0)
+        return 0, 1
     if k % 8 == 3:
-        return Fraction(1, 2**a)
-    return Fraction(3, 2 ** (a + 1))
+        return 1, 2**a
+    return 3, 2 ** (a + 1)
 
 
-def gamma_p(n: int, p: int) -> Fraction:
-    """p * (density(p^2*n) - density(n)) for x^2+y^2+z^2, in closed form."""
+def psi(n: int) -> Fraction:
+    """2-adic density of x^2+y^2+z^2: the three-case 4^a*k table."""
+    return Fraction(*_psi_pair(n))
+
+
+def _gamma_pair(n: int, p: int) -> tuple[int, int]:
+    """(num, den), den > 0, of `gamma_p`, in integers."""
     if n < 1:
         raise ValueError("n must be >= 1")
     v, m = valuation(n, p)
     pk = p ** (v // 2)
     if v % 2 == 0:  # (p-1)/p^(k+1) * (1 - (-m|p))
-        return Fraction((p - 1) * (1 - kronecker(-m, p)), pk * p)
-    return Fraction(p * p - 1, pk * p * p)  # (p-1)/p^(k+1) * (1 + 1/p)
+        return (p - 1) * (1 - kronecker(-m, p)), pk * p
+    return p * p - 1, pk * p * p  # (p-1)/p^(k+1) * (1 + 1/p)
+
+
+def gamma_p(n: int, p: int) -> Fraction:
+    """p * (density(p^2*n) - density(n)) for x^2+y^2+z^2, in closed form."""
+    return Fraction(*_gamma_pair(n, p))

@@ -2,6 +2,12 @@
 
 Every check is an exact integer or rational equality; a report collects the
 full list of counterexamples rather than stopping at the first.
+
+The density suites hold every value as a (num, den) pair of integers with
+den > 0: each closed form has one integer core (in `local`, and the two
+dyadic difference-form tables here), a counted density is its Fraction's
+numerator and denominator, and the suites compare two pairs by
+cross-multiplication.  A Fraction is built only to write a failure line.
 """
 
 from __future__ import annotations
@@ -17,11 +23,11 @@ from .forms import TernaryForm, _minkowski
 from .genus import GenusCache, mass_closed_form
 from .isometry import automorphs
 from .local import (
-    density_formula_odd,
-    gamma_p,
+    _density_odd_pair,
+    _gamma_pair,
+    _psi_pair,
     kronecker,
     local_density,
-    psi,
     valuation,
 )
 from .reduction import reduce_form
@@ -57,20 +63,29 @@ def _check_weighted_identity(identity: str, p: int, n_max: int, weights_forms) -
 
     Weights are ints or Fractions.  The sum is taken in integers over their
     common denominator; a right-hand side that is not an integer is reported
-    as a failure of its own kind.
+    as a failure of its own kind.  Each failure lists every class's term
+    weight * R_form(n) under "terms".
     """
     report = IdentityReport(identity, p, n_max)
     s_n = s_batch(1, n_max)
     s_p2n = s_batch(p * p, n_max)
     den = lcm(*(w.denominator for w, _ in weights_forms))
-    thetas = [(w.numerator * (den // w.denominator), theta(f, n_max)) for w, f in weights_forms]
+    thetas = [(w, f, theta(f, n_max)) for w, f in weights_forms]
+    scaled = [(w.numerator * (den // w.denominator), counts) for w, _, counts in thetas]
     for n in range(1, n_max + 1):
         lhs = s_p2n[n] - p * s_n[n]
-        num = sum(w * counts[n] for w, counts in thetas)
+        num = sum(w * counts[n] for w, counts in scaled)
         if num % den:
-            report.failures.append({"n": n, "lhs": lhs, "rhs": str(Fraction(num, den)), "error": "non-integer RHS"})
+            failure = {"n": n, "lhs": lhs, "rhs": str(Fraction(num, den)), "error": "non-integer RHS"}
         elif lhs != num // den:
-            report.failures.append({"n": n, "lhs": lhs, "rhs": num // den})
+            failure = {"n": n, "lhs": lhs, "rhs": num // den}
+        else:
+            continue
+        failure["terms"] = [
+            {"form": str(f), "weight": str(w), "count": counts[n], "term": str(w * counts[n])}
+            for w, f, counts in thetas
+        ]
+        report.failures.append(failure)
     return report
 
 
@@ -106,22 +121,30 @@ _DENSITY_SUITES = {
 }
 
 
-def _yz_table(n: int) -> Fraction:
+def _yz_pair(n: int) -> tuple[int, int]:
     a, k = valuation(n, 4)
     if k % 8 == 7:
-        return Fraction(3, 2)
+        return 3, 2
     if k % 8 == 3:  # 3/2 - 1/2^(a+1)
-        return Fraction(3 * 2**a - 1, 2 ** (a + 1))
-    return Fraction(3 * 2 ** (a + 1) - 3, 2 ** (a + 2))  # 3/2 - 3/2^(a+2)
+        return 3 * 2**a - 1, 2 ** (a + 1)
+    return 3 * 2 ** (a + 1) - 3, 2 ** (a + 2)  # 3/2 - 3/2^(a+2)
+
+
+def _yz_table(n: int) -> Fraction:
+    return Fraction(*_yz_pair(n))
+
+
+def _four_yz_pair(n: int) -> tuple[int, int]:
+    a, k = valuation(n, 4)
+    if k % 8 == 7:
+        return 3, 1
+    if k % 8 == 3:  # 3 - 1/2^(a-1), and 1 at a = 0
+        return (3 * 2 ** (a - 1) - 1, 2 ** (a - 1)) if a >= 1 else (1, 1)
+    return 3 * 2**a - 3, 2**a  # 3 - 3/2^a
 
 
 def _four_yz_table(n: int) -> Fraction:
-    a, k = valuation(n, 4)
-    if k % 8 == 7:
-        return Fraction(3)
-    if k % 8 == 3:  # 3 - 1/2^(a-1), and 1 at a = 0
-        return Fraction(3 * 2 ** (a - 1) - 1, 2 ** (a - 1)) if a >= 1 else Fraction(1)
-    return Fraction(3 * 2**a - 3, 2**a)  # 3 - 3/2^a
+    return Fraction(*_four_yz_pair(n))
 
 
 def _split_anisotropic_form(p: int) -> TernaryForm:
@@ -135,42 +158,45 @@ def _split_anisotropic_form(p: int) -> TernaryForm:
 def _density_checks(n_odd: int, n_dyadic: int, n_split: int, n_gamma: int, n_scale: int):
     """(suite, case arguments, counted, expected) for every density check, each suite's in order.
 
-    Every density is read through one memo that ends with the generator, so
-    each (form, n, p) is counted once per call.
+    Both sides are (num, den) pairs with den > 0.  Every density is read
+    through one memo that ends with the generator, so each (form, n, p) is
+    counted once per call.
     """
-    density = functools.cache(lambda form, n, p: local_density(form, n, p).value)
+    density = functools.cache(lambda form, n, p: local_density(form, n, p).value.as_integer_ratio())
     for p in (3, 5, 7, 11):
         for n in range(1, n_odd + 1):
-            yield "odd-prime-closed-form", (p, n), density(THREE_SQUARES, n, p), density_formula_odd(n, p)
+            yield "odd-prime-closed-form", (p, n), density(THREE_SQUARES, n, p), _density_odd_pair(n, p)
     for n in range(1, n_dyadic + 1):
-        yield "dyadic-three-squares", (n,), density(THREE_SQUARES, n, 2), psi(n)
+        yield "dyadic-three-squares", (n,), density(THREE_SQUARES, n, 2), _psi_pair(n)
     for p in (3, 5, 7):
         form = _split_anisotropic_form(p)
         for n in range(1, n_split + 1):
-            yield "split-anisotropic-odd", (p, n), density(form, n, p), Fraction(p, p - 1) * gamma_p(n, p)
+            g, h = _gamma_pair(n, p)
+            yield "split-anisotropic-odd", (p, n), density(form, n, p), (p * g, (p - 1) * h)
         for n in range(1, n_scale + 1):
             if n % (p * p):
+                a, b = density(form, n, p)
                 for k in (1, 2) if p < 7 else (1,):
-                    counted = density(form, n * p ** (2 * k), p)
-                    yield "prime-square-scaling", (p, n, k), counted, density(form, n, p) / p**k
+                    yield "prime-square-scaling", (p, n, k), density(form, n * p ** (2 * k), p), (a, b * p**k)
     for n in range(1, n_dyadic + 1):
-        d1 = density(YZ_MINUS_XX, n, 2)
-        d2 = density(FOUR_YZ_MINUS_XX, n, 2)
+        a1, b1 = d1 = density(YZ_MINUS_XX, n, 2)
+        a2, b2 = d2 = density(FOUR_YZ_MINUS_XX, n, 2)
         rows = [
-            ("yz-xx table", d1, _yz_table(n)),
-            ("4yz-xx table", d2, _four_yz_table(n)),
-            ("three-squares recurrence", 2 * d1 - d2, psi(n)),
-            ("doubling recurrence", 2 * d1, density(FOUR_YZ_MINUS_XX, 4 * n, 2)),
-            ("constant combination", 4 * d1 - d2, 3),
+            ("yz-xx table", d1, _yz_pair(n)),
+            ("4yz-xx table", d2, _four_yz_pair(n)),
+            ("three-squares recurrence", (2 * a1 * b2 - a2 * b1, b1 * b2), _psi_pair(n)),
+            ("doubling recurrence", (2 * a1, b1), density(FOUR_YZ_MINUS_XX, 4 * n, 2)),
+            ("constant combination", (4 * a1 * b2 - a2 * b1, b1 * b2), (3, 1)),
         ]
         if n % 4:
-            rows.append(("initial values", d2, 3 if n % 8 == 7 else 1 if n % 8 == 3 else 0))
+            rows.append(("initial values", d2, (3 if n % 8 == 7 else 1 if n % 8 == 3 else 0, 1)))
         for name, counted, expected in rows:
             yield "dyadic-difference-forms", (name, n), counted, expected
     for p in (3, 5, 7, 11):
         for n in range(1, n_gamma + 1):
-            kernel = p * (density_formula_odd(p * p * n, p) - density_formula_odd(n, p))
-            yield "difference-kernel", (p, n), gamma_p(n, p), kernel
+            a, b = _density_odd_pair(p * p * n, p)
+            c, d = _density_odd_pair(n, p)
+            yield "difference-kernel", (p, n), _gamma_pair(n, p), (p * (a * d - c * b), b * d)
 
 
 def density_suites(
@@ -181,11 +207,14 @@ def density_suites(
     n_scale: int = 50,
 ) -> dict[str, list[str]]:
     """Run every closed-form-vs-counting density check; values are failure
-    lists of "<case>: <counted> != <expected>"."""
+    lists of "<case>: <counted> != <expected>".
+
+    Each check compares two (num, den) pairs by cross-multiplication; the
+    Fractions are built only to write a failure line."""
     failures: dict[str, list[str]] = {suite: [] for suite in _DENSITY_SUITES}
-    for suite, case, counted, expected in _density_checks(n_odd, n_dyadic, n_split, n_gamma, n_scale):
-        if counted != expected:
-            failures[suite].append(f"{_DENSITY_SUITES[suite].format(*case)}: {counted} != {expected}")
+    for suite, case, (a, b), (c, d) in _density_checks(n_odd, n_dyadic, n_split, n_gamma, n_scale):
+        if a * d != c * b:
+            failures[suite].append(f"{_DENSITY_SUITES[suite].format(*case)}: {Fraction(a, b)} != {Fraction(c, d)}")
     return failures
 
 

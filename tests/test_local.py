@@ -2,6 +2,7 @@ from collections import Counter
 from fractions import Fraction
 from math import isqrt
 
+import random
 import time
 
 import pytest
@@ -489,9 +490,26 @@ def test_valuation():
     assert valuation(-50, 5) == (2, -2)
     assert valuation(7, 3) == (0, 7)
     assert valuation(4**5 * 7, 4) == (5, 7)
-    for n, p in ((5, 1), (5, 0), (5, -3), (0, 3)):
+    for n, p in ((5, 1), (5, 0), (5, -3), (0, 3), (0, 2), (0, 4), (0, 1)):
         with pytest.raises(ValueError):
             valuation(n, p)
+
+
+def valuation_oracle(n, p):
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v, n
+
+
+def test_valuation_at_two_and_four_reads_the_trailing_zero_bits():
+    rng = random.Random(2951)
+    samples = [*range(1, 10**4 + 1), *(rng.getrandbits(200) << rng.randrange(40) for _ in range(200))]
+    for n in samples:
+        for m in (n, -n):
+            for p in (2, 4):
+                assert valuation(m, p) == valuation_oracle(m, p), (m, p)
 
 
 def test_counting_rejects_non_prime_p():

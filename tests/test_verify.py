@@ -8,12 +8,23 @@ from test_isometry import TIED_DIAGONALS
 from ternaryforms import verify
 from ternaryforms.forms import TernaryForm, apply_map
 from ternaryforms.genus import GenusCache, GenusSet
-from ternaryforms.local import LocalDensity, valuation
+from ternaryforms.local import (
+    LocalDensity,
+    _density_odd_pair,
+    _gamma_pair,
+    _psi_pair,
+    density_formula_odd,
+    gamma_p,
+    psi,
+    valuation,
+)
 from ternaryforms.verify import (
     FOUR_YZ_MINUS_XX,
     IdentityReport,
     _check_weighted_identity,
+    _four_yz_pair,
     _four_yz_table,
+    _yz_pair,
     _yz_table,
     density_suites,
     mass_suite,
@@ -66,8 +77,51 @@ def test_wrong_weights_are_detected():
             (-4, TernaryForm(4, 3, 4, 0, 4, 0)),
         ),
     )
-    assert {"n": 3, "lhs": 8, "rhs": "16/3", "error": "non-integer RHS"} in report.failures
-    assert {"n": 1, "lhs": 12, "rhs": 10} in report.failures
+    assert {
+        "n": 3,
+        "lhs": 8,
+        "rhs": "16/3",
+        "error": "non-integer RHS",
+        "terms": [
+            {"form": "1,1,3,0,0,1", "weight": "5/3", "count": 8, "term": "40/3"},
+            {"form": "4,3,4,0,4,0", "weight": "-4", "count": 2, "term": "-8"},
+        ],
+    } in report.failures
+    assert {
+        "n": 1,
+        "lhs": 12,
+        "rhs": 10,
+        "terms": [
+            {"form": "1,1,3,0,0,1", "weight": "5/3", "count": 6, "term": "10"},
+            {"form": "4,3,4,0,4,0", "weight": "-4", "count": 0, "term": "0"},
+        ],
+    } in report.failures
+
+
+def test_a_failure_names_each_class_term(monkeypatch):
+    # One theta value of thm1.1's second class raised by one: only n = 7
+    # fails, and its entry gives each class's weight * R_form(7).
+    theta = verify.theta
+
+    def perturbed(form, bound):
+        counts = theta(form, bound)
+        return counts[:7] + (counts[7] + 1,) + counts[8:] if form == TernaryForm(4, 3, 4, 0, 4, 0) else counts
+
+    monkeypatch.setattr(verify, "theta", perturbed)
+    report = verify_theorem_1_1(20)
+    r1, r2 = theta(TernaryForm(1, 1, 3, 0, 0, 1), 7)[7], theta(TernaryForm(4, 3, 4, 0, 4, 0), 7)[7]
+    assert report.failures == [
+        {
+            "n": 7,
+            "lhs": 2 * r1 - 4 * r2,
+            "rhs": 2 * r1 - 4 * (r2 + 1),
+            "terms": [
+                {"form": "1,1,3,0,0,1", "weight": "2", "count": r1, "term": str(2 * r1)},
+                {"form": "4,3,4,0,4,0", "weight": "-4", "count": r2 + 1, "term": str(-4 * (r2 + 1))},
+            ],
+        }
+    ]
+    assert report.to_dict()["pass"] is False
 
 
 def test_failing_report_is_not_pass():
@@ -96,18 +150,34 @@ SPLIT_3 = TernaryForm(1, 3, 3, 0, 0, 0)  # <u, p, pu> at p = 3, where -1 is a no
 
 
 def _one_more_at(f, at):
-    """f, with its value at the arguments `at` raised by one (a density's value for local_density)."""
+    """f, with its value at the arguments `at` raised by one.
+
+    f is a closed form's integer core, whose (num, den) becomes
+    (num + den, den), or local_density, whose density is raised.
+    """
 
     def perturbed(*args):
         value = f(*args)
         if args != at:
             return value
-        return replace(value, value=value.value + 1) if isinstance(value, LocalDensity) else value + 1
+        if isinstance(value, LocalDensity):
+            return replace(value, value=value.value + 1)
+        num, den = value
+        return num + den, den
 
     return perturbed
 
 
-# (name in verify, the arguments it is perturbed at, {suite: case labels that fail})
+# The integer core in verify that the suites read for each closed form.
+CORES = {
+    "density_formula_odd": "_density_odd_pair",
+    "psi": "_psi_pair",
+    "gamma_p": "_gamma_pair",
+    "_yz_table": "_yz_pair",
+    "_four_yz_table": "_four_yz_pair",
+}
+
+# (closed form, or name in verify, the arguments it is perturbed at, {suite: case labels that fail})
 PERTURBATIONS = [
     ("density_formula_odd", (5, 3), {"odd-prime-closed-form": ["p=3 n=5"], "difference-kernel": ["p=3 n=5"]}),
     ("psi", (5,), {"dyadic-three-squares": ["n=5"], "dyadic-difference-forms": ["three-squares recurrence n=5"]}),
@@ -127,16 +197,35 @@ PERTURBATIONS = [
 
 @pytest.mark.parametrize("name, at, fired", PERTURBATIONS)
 def test_every_density_suite_reports_a_wrong_value(monkeypatch, name, at, fired):
+    name = CORES.get(name, name)
     monkeypatch.setattr(verify, name, _one_more_at(getattr(verify, name), at))
     suites = density_suites(**SMALL_SUITES)
     assert {suite: [line.split(":")[0] for line in lines] for suite, lines in suites.items() if lines} == fired
 
 
 def test_density_failure_lines_read_case_counted_expected(monkeypatch):
-    monkeypatch.setattr(verify, "_yz_table", _one_more_at(verify._yz_table, (5,)))
+    with monkeypatch.context() as patch:
+        patch.setattr(verify, "_yz_pair", _one_more_at(verify._yz_pair, (5,)))
+        suites = density_suites(**{**SUITES_OFF, "n_dyadic": 6})
     counted = verify.local_density(verify.YZ_MINUS_XX, 5, 2).value
-    suites = density_suites(**{**SUITES_OFF, "n_dyadic": 6})
     assert suites["dyadic-difference-forms"] == [f"yz-xx table n=5: {counted} != {_yz_table(5) + 1}"]
+
+
+def test_each_integer_core_is_its_closed_form():
+    for n in range(1, 2001):
+        for core, public in ((_psi_pair, psi), (_yz_pair, _yz_table), (_four_yz_pair, _four_yz_table)):
+            assert core(n)[1] > 0 and Fraction(*core(n)) == public(n), (core.__name__, n)
+        for p in (3, 5, 7, 11, 13):
+            for core, public in ((_density_odd_pair, density_formula_odd), (_gamma_pair, gamma_p)):
+                assert core(n, p)[1] > 0 and Fraction(*core(n, p)) == public(n, p), (core.__name__, n, p)
+
+
+def test_passing_density_suites_build_no_fraction(monkeypatch):
+    def refuse(*args):
+        raise AssertionError(f"Fraction{args} built on the density-suite path")
+
+    monkeypatch.setattr(verify, "Fraction", refuse)
+    assert not any(density_suites(**SMALL_SUITES).values())
 
 
 @pytest.mark.parametrize(
