@@ -43,12 +43,16 @@ once, before any shortcut for n <= 0.  `s_batch`
 reads the sum of three squares on whole progressions from one two-squares
 table per process, grown in place, and adds the table's strided slices as
 whole integers whose 16-bit lanes are the entries, a few C calls per slice
-rather than one addition per entry.  Each charges its size to the work
-limit (`forms.charge`) before it starts: the rows, theta's points and
-counts, and s_batch's table entries and slice reads at 2 units each, their
-bytes, so the limit also bounds the table's memory.  theta charges the
-points of every layer, shared or not, so its refusals do not depend on the
-groups.
+rather than one addition per entry.  The table is sieved from Jacobi's
+r2(k) = 4 sum_{d | k} chi(d), one strided byte-map update per divisor d
+over all its multiples in a block, in 8-bit lanes that are exact below
+`_LANE_BOUND` (larger tables are refused) and blocks of `_BLOCK` lanes, so
+the memory beside the table does not grow with it.  Each charges its size
+to the work limit (`forms.charge`) before it starts: the rows, theta's
+points and counts, and s_batch's table entries and slice reads at 2 units
+each, their bytes, so the limit also bounds the table's memory.  theta
+charges the points of every layer, shared or not, so its refusals do not
+depend on the groups.
 """
 
 from __future__ import annotations
@@ -59,7 +63,7 @@ from math import gcd, isqrt
 from operator import add
 from typing import Iterator
 
-from .forms import FormError, TernaryForm, _minkowski, _require_definite, charge, discriminant
+from .forms import FormError, ResourceLimitError, TernaryForm, _minkowski, _require_definite, charge, discriminant
 
 THREE_SQUARES = TernaryForm(1, 1, 1, 0, 0, 0)
 
@@ -322,9 +326,23 @@ def rep_count(form: TernaryForm, n: int) -> int:
 
 # r2(k) = #{(u, v) in Z^2 : u^2 + v^2 == k} for 0 <= k < len(_R2), shared by
 # every caller in the process.  It is a pure function of k, so it is grown in
-# place and never rebuilt.  r2(k) <= 4 d(k) <= 5376 for k <= 10^9, and an
-# array raises OverflowError rather than wrap.
+# place and never rebuilt.  The sieve holds r2(k)/4 in 8-bit lanes, exact for
+# k < _LANE_BOUND = 5^3*13*17*29*37*41*53, the least k with r2(k)/4 >= 256;
+# below it r2(k) <= 1020 fits every entry, and larger tables are refused.
 _R2 = array("H", [1])
+_LANE_BOUND = 64_411_251_125
+
+# New entries k = 1 (mod 4) are sieved, and new even entries copied, this
+# many at a time, so the memory beside the table (about 5 bytes a sieved
+# lane) stays fixed.
+_BLOCK = 1 << 15
+
+# Byte maps: a lane plus or minus 2 (mod 256), and the low and high byte of
+# 4 * lane, r2(k).
+_PLUS_2 = bytes((i + 2) & 255 for i in range(256))
+_MINUS_2 = bytes((i - 2) & 255 for i in range(256))
+_LOW = bytes((4 * i) & 255 for i in range(256))
+_HIGH = bytes((4 * i) >> 8 for i in range(256))
 
 # Arrays hold their entries in the host's byte order; the lanes of s_batch
 # are little-endian on every host.
@@ -334,34 +352,58 @@ _BIG_ENDIAN = sys.byteorder == "big"
 def _two_squares_table(limit: int) -> array:
     """The shared r2 table, grown to cover 0 <= k <= limit.
 
-    An odd k = u^2 + v^2 has u and v of opposite parity, so k = 1 (mod 4) and
-    r2(k) = 0 when k = 3 (mod 4).  Only the unordered pairs 0 <= a < b of
-    opposite parity whose a^2 + b^2 is new to the table are visited; each
-    stands for 8 signed ordered pairs, or 4 when a = 0.  The map
+    Jacobi: r2(k) = 4 * sum_{d | k} chi(d), chi the character mod 4.  For odd
+    k the divisors pair up as (d, k/d) with d < sqrt(k), and a pair adds
+    chi(d) + chi(k/d), which is 2 chi(d) when k/d = d (mod 4) and 0
+    otherwise; d = sqrt(k) adds chi(d).  So r2(k) = 0 for k = 3 (mod 4), and
+    the entries k = 1 (mod 4) are sieved in lanes, one byte per entry, lane i
+    for k = 4i + 1: each odd d adds 2 chi(d) to the k = d(d + 4) + 4dj, every
+    d-th lane from lane (d^2 - 1)/4 + d, by one strided slice passed through
+    a byte map, and chi(d) to d^2.  The lanes hold r2(k)/4 mod 256, which is
+    exact below _LANE_BOUND, and are sieved _BLOCK lanes at a time; two more
+    byte maps widen each block into the table as 4 * lane.  The map
     (u, v) -> (u + v, u - v) is a bijection from the representations of k
     onto those of 2k, so r2(2^j m) = r2(m) for odd m: the new even entries
-    are filled by one strided slice copy per power of two 2^j, from the odd
-    entries r2(k >> j).
+    are filled by strided slice copies per power of two 2^j, from the odd
+    entries r2(k >> j), _BLOCK entries at a time.
     """
+    if limit >= _LANE_BOUND:
+        raise ResourceLimitError(
+            f"a two-squares table up to {limit} is refused: its sieve is exact only below {_LANE_BOUND}"
+        )
     r2 = _R2
     old = len(r2)
     if limit >= old:
         r2.frombytes(bytes(r2.itemsize * (limit + 1 - old)))
-        squares = [b * b for b in range(isqrt(limit) + 1)]
-        for a in range(isqrt(limit // 2) + 1):
-            aa = squares[a]
-            lo = a + 1 if old <= aa else max(a + 1, isqrt(old - aa - 1) + 1)
-            lo += (lo - a + 1) % 2  # b - a odd
-            w = 8 if a else 4
-            for bb in squares[lo : isqrt(limit - aa) + 1 : 2]:
-                r2[aa + bb] += w
+        end = (limit - 1) // 4 + 1  # lanes i < end have 4i + 1 <= limit
+        for lo in range((old + 2) // 4, end, _BLOCK):
+            hi = min(lo + _BLOCK, end)
+            lanes = bytearray(hi - lo)
+            top = isqrt(4 * hi - 3) + 1
+            for d0, chi, add_2chi in ((1, 1, _PLUS_2), (3, -1, _MINUS_2)):
+                for d in range(d0, top, 4):
+                    square_lane = (d * d - 1) // 4
+                    if lo <= square_lane:
+                        first = square_lane + d - lo
+                        lanes[square_lane - lo] = (lanes[square_lane - lo] + chi) & 255
+                    else:
+                        first = (square_lane - lo) % d
+                    lanes[first::d] = lanes[first::d].translate(add_2chi)
+            wide = bytearray(2 * (hi - lo))
+            wide[0::2] = lanes.translate(_LOW)
+            wide[1::2] = lanes.translate(_HIGH)
+            block = array("H", wide)
+            if _BIG_ENDIAN:
+                block.byteswap()
+            r2[4 * lo + 1 : 4 * hi : 4] = block
         j = 1
         while 1 << j <= limit:
             # k = 2^j * m with m odd, for the k >= old: the least is start.
             period = 1 << (j + 1)
             start = old + ((1 << j) - old) % period
-            if start <= limit:
-                r2[start : limit + 1 : period] = r2[start >> j : (limit >> j) + 1 : 2]
+            for at in range(start, limit + 1, period * _BLOCK):
+                stop = min(at + period * _BLOCK, limit + 1)
+                r2[at:stop:period] = r2[at >> j : ((stop - 1) >> j) + 1 : 2]
             j += 1
     return r2
 

@@ -130,10 +130,6 @@ def _yz_pair(n: int) -> tuple[int, int]:
     return 3 * 2 ** (a + 1) - 3, 2 ** (a + 2)  # 3/2 - 3/2^(a+2)
 
 
-def _yz_table(n: int) -> Fraction:
-    return Fraction(*_yz_pair(n))
-
-
 def _four_yz_pair(n: int) -> tuple[int, int]:
     a, k = valuation(n, 4)
     if k % 8 == 7:
@@ -141,10 +137,6 @@ def _four_yz_pair(n: int) -> tuple[int, int]:
     if k % 8 == 3:  # 3 - 1/2^(a-1), and 1 at a = 0
         return (3 * 2 ** (a - 1) - 1, 2 ** (a - 1)) if a >= 1 else (1, 1)
     return 3 * 2**a - 3, 2**a  # 3 - 3/2^a
-
-
-def _four_yz_table(n: int) -> Fraction:
-    return Fraction(*_four_yz_pair(n))
 
 
 def _split_anisotropic_form(p: int) -> TernaryForm:

@@ -725,6 +725,20 @@ def test_a_table_larger_than_memory_exits_three():
     assert seconds < 10
 
 
+def test_a_table_past_the_lane_bound_exits_three():
+    # A work limit of 10^17 admits the bytes of an r2 table up to
+    # 64411251125, but its 8-bit sieve lanes would wrap there.  It is
+    # refused before anything is allocated: in a child capped at 1 GiB, an
+    # allocation would fail with a MemoryError and another message.
+    args = ("--work-limit", str(10**17), "verify", "thm1.1", "--n-max", "64411251125")
+    code, seconds, _, err = _run_child(args, memory=1 << 30)
+    assert code == EXIT_RESOURCE, err
+    assert err == (
+        "error: a two-squares table up to 64411251125 is refused: its sieve is exact only below 64411251125\n"
+    )
+    assert seconds < 10
+
+
 @pytest.mark.parametrize("argv", [("density", "1,1,1,0,0,0", "5", "3"), ("verify", "density")])
 def test_a_density_that_does_not_stabilize_is_an_internal_error(capsys, monkeypatch, argv):
     # verify density reads this density in its odd-prime suite; a crash must not exit 1.

@@ -242,6 +242,83 @@ def test_two_squares_table_grows_from_an_odd_or_even_length(first, parity, limit
     assert list(table) == two_squares_sieve(first + max(limits))
 
 
+@pytest.fixture(scope="module")
+def sieve_200k():
+    return two_squares_sieve(200_000)
+
+
+@given(st.lists(st.integers(1, 199_999), min_size=2, max_size=2))
+@settings(max_examples=5, deadline=None)
+def test_two_squares_table_grown_in_three_random_steps_to_2e5(sieve_200k, cuts):
+    # 160225 = 5^2 * 13 * 17 * 29: r2 = 4 * 3 * 2 * 2 * 2 = 96, a lane of 24
+    # summed from the chi of twelve divisor pairs.
+    table = array("H", [1])
+    with patch.object(counting, "_R2", table):
+        for limit in (*sorted(cuts), 200_000):
+            counting._two_squares_table(limit)
+    assert table[160_225] == 96
+    assert list(table) == sieve_200k
+
+
+@pytest.mark.parametrize("block", [1, 3, 1000])
+@given(limits=st.lists(st.integers(0, 5000), min_size=1, max_size=4))
+@example(limits=[5000])
+@settings(max_examples=25, deadline=None)
+def test_two_squares_table_grows_across_blocks(block, limits):
+    table = array("H", [1])
+    with patch.object(counting, "_R2", table), patch.object(counting, "_BLOCK", block):
+        for limit in sorted(limits):
+            counting._two_squares_table(limit)
+    assert list(table) == two_squares_sieve(max(limits))
+
+
+@pytest.mark.parametrize("first", range(1, 14))
+def test_two_squares_table_grows_from_every_length_mod_four(first):
+    # Lane i holds k = 4i + 1, so the first new lane, and where blocks of 3
+    # lanes start, depend on len(table) = first + 1 mod 4.
+    table = array("H", [1])
+    with patch.object(counting, "_R2", table), patch.object(counting, "_BLOCK", 3):
+        counting._two_squares_table(first)
+        counting._two_squares_table(first + 400)
+    assert list(table) == two_squares_sieve(first + 400)
+
+
+def test_lane_bound_is_the_least_k_whose_r2_over_4_reaches_256():
+    # r2(k)/4 = prod (e_q + 1) over the primes q = 1 (mod 4), e_q their
+    # exponents in k, when the primes 3 (mod 4) divide k to even powers, and 0
+    # otherwise.  So the least k with r2(k)/4 >= 256 has prime factors 1
+    # (mod 4) only, with exponents not increasing along the primes.
+    primes = [q for q in range(5, 200, 4) if all(q % r for r in range(3, isqrt(q) + 1, 2))]
+    least = 5**256
+
+    def search(i, k, count, top):
+        nonlocal least
+        if count >= 256:
+            least = min(least, k)
+            return
+        for e in range(1, top + 1):
+            k *= primes[i]
+            if k >= least:
+                return
+            search(i + 1, k, count * (e + 1), e)
+
+    search(0, 1, 1, 255)
+    assert least == counting._LANE_BOUND == 5**3 * 13 * 17 * 29 * 37 * 41 * 53
+
+
+def test_two_squares_table_refuses_lanes_that_would_wrap():
+    # Refused before anything is allocated, from the table and from s_batch
+    # at a work limit that admits the table's bytes.
+    bound = counting._LANE_BOUND
+    table = array("H", [1])
+    with patch.object(counting, "_R2", table):
+        with pytest.raises(ResourceLimitError, match=f"sieve is exact only below {bound}$"):
+            counting._two_squares_table(bound)
+        with pytest.raises(ResourceLimitError, match=f"up to {bound} is refused"):
+            limited(10**17, s_batch, 1, bound)
+    assert list(table) == [1]
+
+
 def test_s_vanishes_on_forbidden_residues():
     for a in range(3):
         for k in range(6):

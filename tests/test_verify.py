@@ -23,9 +23,7 @@ from ternaryforms.verify import (
     IdentityReport,
     _check_weighted_identity,
     _four_yz_pair,
-    _four_yz_table,
     _yz_pair,
-    _yz_table,
     density_suites,
     mass_suite,
     verify_theorem_1_1,
@@ -208,12 +206,12 @@ def test_density_failure_lines_read_case_counted_expected(monkeypatch):
         patch.setattr(verify, "_yz_pair", _one_more_at(verify._yz_pair, (5,)))
         suites = density_suites(**{**SUITES_OFF, "n_dyadic": 6})
     counted = verify.local_density(verify.YZ_MINUS_XX, 5, 2).value
-    assert suites["dyadic-difference-forms"] == [f"yz-xx table n=5: {counted} != {_yz_table(5) + 1}"]
+    assert suites["dyadic-difference-forms"] == [f"yz-xx table n=5: {counted} != {Fraction(*_yz_pair(5)) + 1}"]
 
 
 def test_each_integer_core_is_its_closed_form():
     for n in range(1, 2001):
-        for core, public in ((_psi_pair, psi), (_yz_pair, _yz_table), (_four_yz_pair, _four_yz_table)):
+        for core, public in ((_psi_pair, psi), (_yz_pair, _yz_table_oracle), (_four_yz_pair, _four_yz_table_oracle)):
             assert core(n)[1] > 0 and Fraction(*core(n)) == public(n), (core.__name__, n)
         for p in (3, 5, 7, 11, 13):
             for core, public in ((_density_odd_pair, density_formula_odd), (_gamma_pair, gamma_p)):
@@ -270,8 +268,8 @@ def _four_yz_table_oracle(n):
 
 def test_dyadic_tables_match_their_fraction_expressions():
     for n in range(1, 3000):
-        assert _yz_table(n) == _yz_table_oracle(n), n
-        assert _four_yz_table(n) == _four_yz_table_oracle(n), n
+        assert Fraction(*_yz_pair(n)) == _yz_table_oracle(n), n
+        assert Fraction(*_four_yz_pair(n)) == _four_yz_table_oracle(n), n
 
 
 def test_watson_suite_small():
