@@ -1,15 +1,16 @@
 """Command line front end.
 
 Each subcommand is declared once, by `_command` on the function that builds
-its report, each `verify` target once, as a row of `VERIFY_TARGETS`, and
-each top-level option once, as a row of `OPTIONS`. An argv of the plain
-shape (options spelled in full, each with its value, then a command and
-exactly its positionals) is parsed from those tables in one pass
-(`_table_args`); argparse parses everything else, so help, every usage
-message, abbreviations and `--opt=value` spellings are argparse's own.
-A report is written in one pass over it (`_json`), byte-identical to
-json.dumps(report, indent=1) with each Fraction and TernaryForm given as
-its string; `--format tsv` writes one line per field.
+its report, each `verify` target once, as a row of `VERIFY_TARGETS`, each
+genus label once, as a key of `_GENERA`, and each top-level option once, as
+a row of `OPTIONS`. An argv of the plain shape (options spelled in full,
+each with its value, then a command and exactly its positionals) is parsed
+from those tables in one pass (`_table_args`); argparse parses everything
+else, so help, every usage message, abbreviations and `--opt=value`
+spellings are argparse's own. A report is written in one pass over it
+(`_json`), byte-identical to json.dumps(report, indent=1) with each
+Fraction and TernaryForm given as its string; `--format tsv` writes one
+line per field.
 
 Exit codes: 0 success (and identity checks passing), 1 identity failure,
 2 usage error (including a bad form, a non-prime p and an unreadable,
@@ -36,6 +37,7 @@ from .isometry import automorphs, equivalent
 from .local import ResourceLimitError, local_density
 from .reduction import reduce_form
 from .verify import (
+    N_IDENTITIES,
     verify_all,
     verify_density_theorems,
     verify_theorem_1_1,
@@ -142,7 +144,9 @@ OPTIONS = {
 COMMANDS: dict[str, tuple] = {}
 FORM = ("form", {"help": "sextuple a,b,c,d,e,f"})
 INT = {"type": int}
-LABEL = ("label", {"choices": ("TG1", "TG2")})
+# label: the GenusCache reader of that genus
+_GENERA = {"TG1": GenusCache.tg1, "TG2": GenusCache.tg2}
+LABEL = ("label", {"choices": _GENERA})
 
 
 def _command(name, help_, *arguments):
@@ -199,11 +203,10 @@ def _equiv(args):
 
 
 def _genus_set(args):
-    cache = GenusCache(args.cache)
-    return cache.tg1(args.p) if args.label == "TG1" else cache.tg2(args.p)
+    return _GENERA[args.label](GenusCache(args.cache), args.p)
 
 
-@_command("genus", "enumerate TG1 or TG2 for an odd prime", LABEL, ("p", INT))
+@_command("genus", f"enumerate {' or '.join(_GENERA)} for an odd prime", LABEL, ("p", INT))
 def _genus(args):
     genus = _genus_set(args)
     classes = [{"form": f, "aut": aut} for f, aut in genus.classes]
@@ -246,8 +249,8 @@ def _density(args):
 # target: (takes and so requires --p, default --n-max or None if it refuses
 # --n-max, report of the parsed arguments and n_max)
 VERIFY_TARGETS = {
-    "thm1.1": (False, 1000, lambda args, n_max: verify_theorem_1_1(n_max).to_dict()),
-    "thm1.2": (False, 1000, lambda args, n_max: verify_theorem_1_2(n_max).to_dict()),
+    "thm1.1": (False, N_IDENTITIES, lambda args, n_max: verify_theorem_1_1(n_max).to_dict()),
+    "thm1.2": (False, N_IDENTITIES, lambda args, n_max: verify_theorem_1_2(n_max).to_dict()),
     "thm1.3": (True, 200, lambda args, n_max: verify_theorem_1_3(args.p, n_max, GenusCache(args.cache)).to_dict()),
     "density": (False, None, lambda args, n_max: verify_density_theorems()),
     "all": (False, None, lambda args, n_max: verify_all(cache=GenusCache(args.cache))),

@@ -20,10 +20,10 @@ each list sorted, so the search order does not depend on the scan.
 The two stages are separate calls: `_canonical_bases` is `_minkowski`
 followed by `_search` on the Minkowski form and its witness.  The search
 works in the Minkowski basis and multiplies by the witness only the bases
-it returns.  Since the canonical form keeps the Minkowski diagonal, a
-caller that needs only to tell classes apart (`isometry.equivalent`,
-`verify.mass_suite`) compares the diagonals first and searches only when
-they tie.
+it returns.  Since the canonical form keeps the Minkowski diagonal,
+`isometry.equivalent`, which only tells classes apart, compares the
+diagonals first and searches only when they tie; the mass suite asks it
+for each pair of classes of a genus.
 
 This search is the package's only short-vector backtrack.  It keeps every
 basis that reaches the least sextuple r: these are all the U with

@@ -13,15 +13,14 @@ cross-multiplication.  A Fraction is built only to write a failure line.
 from __future__ import annotations
 
 import functools
-from collections import Counter
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from math import lcm
 
 from .counting import THREE_SQUARES, s_batch, theta
-from .forms import TernaryForm, _minkowski
+from .forms import TernaryForm
 from .genus import GenusCache, mass_closed_form
-from .isometry import automorphs
+from .isometry import automorphs, equivalent
 from .local import (
     _density_odd_pair,
     _gamma_pair,
@@ -30,7 +29,6 @@ from .local import (
     local_density,
     valuation,
 )
-from .reduction import reduce_form
 from .watson import lambda_m, phi, transport_automorph
 
 THM11_FORMS = (
@@ -265,18 +263,9 @@ def mass_suite(primes=SUITE_PRIMES, cache: GenusCache | None = None) -> list[str
         if tg2.mass != tg1.mass:
             fails.append(f"p={p}: TG2 mass {tg2.mass} != TG1 mass {tg1.mass}")
         for genus in (tg1, tg2):
-            # A class is reduced only when its Minkowski diagonal, which the
-            # canonical form keeps, ties with another's; otherwise its
-            # Minkowski form stands in, equal to no other class's key.
-            pres = [_minkowski(form)[0] for form, _ in genus.classes]
-            ties = Counter((pre.a, pre.b, pre.c) for pre in pres)
-            canon = [
-                reduce_form(form)[0] if ties[pre.a, pre.b, pre.c] > 1 else pre
-                for (form, _), pre in zip(genus.classes, pres)
-            ]
             for i, (f1, _) in enumerate(genus.classes):
-                for j, (f2, _) in enumerate(genus.classes[i + 1 :], i + 1):
-                    if canon[i] == canon[j]:
+                for f2, _ in genus.classes[i + 1 :]:
+                    if equivalent(f1, f2) is not None:
                         fails.append(f"p={p}: {genus.label} classes {f1} and {f2} are equivalent")
     return fails
 

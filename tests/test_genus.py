@@ -73,6 +73,11 @@ def test_tg2_construction():
     assert sorted(a for _, a in tg2.classes) == sorted(a for _, a in tg1.classes)
     with pytest.raises(FormError):
         build_tg2(tg2)
+    # TG1(11) with its two |Aut| values, 8 and 12, swapped.
+    (f1, aut1), (f2, aut2) = tg1.classes
+    changed = "automorph order changed under Phi: 1,3,11,0,0,1 has 12, image 4,11,12,0,4,0 has 8"
+    with pytest.raises(FormError, match=f"^{changed}$"):
+        build_tg2(GenusSet("TG1", 11, ((f1, aut2), (f2, aut1))))
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61])

@@ -6,7 +6,7 @@ import pytest
 from test_genus import count_calls
 from test_isometry import TIED_DIAGONALS
 from ternaryforms import verify
-from ternaryforms.forms import TernaryForm, apply_map
+from ternaryforms.forms import TernaryForm, _minkowski, apply_map
 from ternaryforms.genus import GenusCache, GenusSet
 from ternaryforms.local import (
     LocalDensity,
@@ -278,34 +278,32 @@ def test_watson_suite_small():
         assert failures == [], name
 
 
-def test_mass_suite_reduces_each_class_once(monkeypatch):
+def test_mass_suite_searches_no_class_when_no_diagonals_tie(monkeypatch):
     # No two classes of TG1(29) or of TG2(29) share a Minkowski diagonal, so
-    # the diagonals alone show the classes inequivalent, with no reduction.
+    # the diagonals alone show the classes inequivalent, with no search.
     cache = GenusCache(None)
     cache.tg1(29), cache.tg2(29)
-    reductions = count_calls(monkeypatch, "reduction", "reduce_form")
-    equivalences = count_calls(monkeypatch, "isometry", "equivalent")
+    searches = count_calls(monkeypatch, "reduction", "_search")
     assert mass_suite(primes=(29,), cache=cache) == []
-    assert reductions == []
-    assert equivalences == []
+    assert searches == []
 
 
-def test_mass_suite_reduces_only_classes_whose_diagonals_tie(monkeypatch):
+def test_mass_suite_searches_only_classes_whose_diagonals_tie(monkeypatch):
     # The classes of TIED_DIAGONALS stored as one genus: each pair shares its
-    # Minkowski diagonal, 1,1,1,0,0,0 shares none and is not reduced.
+    # Minkowski diagonal, 1,1,1,0,0,0 shares none and is not searched.
     cache = GenusCache(None)
     classes = ((TernaryForm(1, 1, 1, 0, 0, 0), 48), *((form, 1) for pair in TIED_DIAGONALS for form in pair))
     twin = apply_map(TIED_DIAGONALS[0][0], ((1, 1, 0), (0, 1, 0), (0, 0, 1)))
     cache.put(GenusSet("TG1", 29, classes + ((twin, 1),)))
     cache.put(GenusSet("TG2", 29, classes))
-    reductions = count_calls(monkeypatch, "reduction", "reduce_form")
+    searches = count_calls(monkeypatch, "reduction", "_search")
     assert mass_suite(primes=(29,), cache=cache) == [
         "p=29: TG1 mass 529/48 != 7/12",
         "p=29: TG2 mass 481/48 != TG1 mass 529/48",
         "p=29: TG1 classes 1,1,2,0,0,1 and 1,3,2,0,0,3 are equivalent",
     ]
-    tied = [(form,) for form, _ in classes[1:]]
-    assert reductions == [*tied, (twin,), *tied]
+    tied = {_minkowski(form)[0] for form, _ in (*classes[1:], (twin, 1))}
+    assert {pre for pre, _ in searches} == tied
 
 
 def test_mass_suite_names_equivalent_classes():
