@@ -9,12 +9,11 @@ spellings and abbreviations of the options, bad labels, non-primes, work
 limits from 10^5 to 10^8 and, for `verify`, small `--n-max` with
 `verify all` once.  Each argv runs through `ternaryforms.cli.main` of the
 checkout this script sits in, from a fresh temporary directory that holds a
-shared genus cache file, a corrupt one and a directory in place of one.
-(A cache that cannot be written is left out: its error names a temporary
-file whose name is random.)  One line per command gives its
-name, the exit codes seen and the SHA-256 of every (argv, exit code,
-stdout, stderr) in order.  Two checkouts answer alike on the replayed argv
-when their lines agree.
+shared genus cache file, a corrupt one and a directory in place of one;
+one more cache is named under a directory that does not exist, so it
+cannot be written.  One line per command gives its name, the exit codes
+seen and the SHA-256 of every (argv, exit code, stdout, stderr) in order.
+Two checkouts answer alike on the replayed argv when their lines agree.
 
 The script exits 1 if any argv exits 1 (an identity reported disproved) or
 4 (an internal error), and names those argv on stderr; otherwise 0.
@@ -111,7 +110,7 @@ def options(rng):
     if rng.random() < 0.5:
         chosen.append(option(rng, "--format", rarely(rng, rng.choice(("json", "tsv")), ("xml",), 0.05)))
     if rng.random() < 0.5:
-        chosen.append(option(rng, "--cache", rarely(rng, "genus.json", ("bad.json", "unreadable"))))
+        chosen.append(option(rng, "--cache", rarely(rng, "genus.json", ("bad.json", "unreadable", "no-such-dir/genus.json"))))
     if rng.random() < 0.5:
         limit = rng.choice((10 ** rng.randint(5, 8), rng.randint(1, 9) * 10 ** rng.randint(5, 7)))
         value = rarely(rng, str(limit), ("0", "-5", "x"), 0.05)

@@ -16,9 +16,9 @@ work limit, charged with the closure's size before the seed, is the only
 bound on p.  |Aut| of each class is the number of bases its canonical
 reduction finds.  TG2(p) is the set of Phi images of TG1's classes.
 `_checked_classes` is the one path from the forms of TG1's classes to a
-checked genus, TG1 from the forms or TG2 from their Phi images; `build_tg2`
-calls it, and so does GenusCache, which stores only the canonical forms of
-TG1, when a genus is first read from them.
+checked genus, TG1 or TG2 (their Phi images, each |Aut| checked to carry
+over whenever TG1's orders are known), for `build_tg2` and for GenusCache,
+which stores only TG1's canonical forms and reads TG2 from those rows.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .forms import FormError, TernaryForm, apply_basis, charge, discriminant, is_positive_definite
 from .local import is_prime
@@ -167,9 +167,8 @@ def enumerate_tg1(p: int) -> GenusSet:
     return GenusSet("TG1", p, tuple(sorted(seen.items())))
 
 
-def _checked_classes(label: str, p: int, forms: list[TernaryForm]) -> dict[TernaryForm, int]:
-    """{canonical class: |Aut|} of TG1(p), or of TG2(p) through Phi, from
-    forms of TG1's classes, in the order of forms.
+def _checked_classes(label: str, p: int, classes: Sequence[tuple[TernaryForm, int | None]]) -> GenusSet:
+    """TG1(p), or TG2 through Phi, checked from (form, |Aut| or None) pairs.
 
     Every form must be positive definite of discriminant p^2, so primitive
     (disc(kQ) = k^3 disc(Q)).  For TG1 each form must be its own canonical
@@ -179,37 +178,37 @@ def _checked_classes(label: str, p: int, forms: list[TernaryForm]) -> dict[Terna
     classes) are refused, and the mass must be the closed-form (p-1)/48.
     These checks are complete: distinct classes of discriminant p^2 whose
     masses sum to the mass of all of TG1 are all of TG1, and their images
-    are all of TG2.  Each refusal names "TG1,p", the forms' genus.
+    are all of TG2.  Each refusal names "TG1,p", the forms' genus; last, a
+    given |Aut| (TG1's order) must equal its image's, as Phi keeps it.
     """
     key = f"TG1,{p}"
-    classes: dict[TernaryForm, int] = {}
+    images: dict[TernaryForm, int] = {}
     form_of: dict[TernaryForm, TernaryForm] = {}
-    for form in forms:
+    for form, _ in classes:
         if not is_positive_definite(form) or discriminant(form) != p * p:
             raise FormError(f"{key} holds {form}, not positive definite of discriminant {p * p}")
         canon, bases = _canonical_bases(form if label == "TG1" else _phi_raw(form))
         if label == "TG1" and canon != form:
             raise FormError(f"{key} holds {form}, not its canonical form {canon}")
-        if canon in classes:
+        if canon in images:
             first = form_of[canon]
             twice = f"{form} twice" if first == form else f"{first} and {form}, of one class"
             raise FormError(f"{key} holds {twice}")
-        classes[canon], form_of[canon] = len(bases), form
-    mass = sum((Fraction(1, aut) for aut in classes.values()), Fraction(0))
-    if mass != mass_closed_form(p):
-        raise FormError(f"{key} has mass {mass}, not {mass_closed_form(p)}")
-    return classes
+        images[canon], form_of[canon] = len(bases), form
+    genus = GenusSet(label, p, tuple(sorted(images.items())))
+    if genus.mass != mass_closed_form(p):
+        raise FormError(f"{key} has mass {genus.mass}, not {mass_closed_form(p)}")
+    for (form, aut), (image, image_aut) in zip(classes, images.items()):
+        if aut is not None and aut != image_aut:
+            raise FormError(f"automorph order changed under Phi: {form} has {aut}, image {image} has {image_aut}")
+    return genus
 
 
 def build_tg2(tg1: GenusSet) -> GenusSet:
-    """Image genus under Phi (`_checked_classes`), with each class's |Aut| checked to transfer."""
+    """Image genus under Phi, each class's |Aut| checked to carry over (`_checked_classes`)."""
     if tg1.label != "TG1":
         raise FormError("build_tg2 expects a TG1 genus")
-    classes = _checked_classes("TG2", tg1.prime, [form for form, _ in tg1.classes])
-    for (form, aut), (image, image_aut) in zip(tg1.classes, classes.items()):
-        if image_aut != aut:
-            raise FormError(f"automorph order changed under Phi: {form} has {aut}, image {image} has {image_aut}")
-    return GenusSet("TG2", tg1.prime, tuple(sorted(classes.items())))
+    return _checked_classes("TG2", tg1.prime, tg1.classes)
 
 
 # -- JSON cache -----------------------------------------------------------
@@ -221,11 +220,11 @@ class GenusCache:
     The file maps "TG1,p" to the coefficient rows of the classes; other
     entries are not read, and a file with any entry that is not a list is
     refused when it is opened, so `put` never writes rows beside an entry of
-    another layout.  `put` of TG1 also stores its rows, and TG2 is always
-    read from TG1's rows, never from a TG1 in memory.  A genus is read from
-    the rows once per instance and checked by `_checked_classes`, with one
-    canonical reduction per row: TG1 from the rows, TG2 from their Phi
-    images.  The instance keeps every genus it has checked or been given.
+    another layout.  `put` of TG1 also stores its rows.  A genus is read
+    from the rows once per instance and checked by `_checked_classes`, with
+    one canonical reduction per row: TG1 from the rows, TG2 from their Phi
+    images, never from a TG1 in memory, though TG1's orders, once held, must
+    carry over.  The instance keeps every genus it has checked or been given.
     """
 
     def __init__(self, path: str | None = None):
@@ -247,14 +246,15 @@ class GenusCache:
     def get(self, label: str, p: int) -> GenusSet | None:
         key, rows = f"{label},{p}", self._rows.get(f"TG1,{p}")
         if key not in self._genera and rows is not None:
+            orders = dict(self._genera[f"TG1,{p}"].classes) if f"TG1,{p}" in self._genera else {}
             try:
                 if not all(isinstance(r, list) and len(r) == 6 and all(type(v) is int for v in r) for r in rows):
                     raise FormError(f"TG1,{p} is not a list of six-integer rows")
-                classes = _checked_classes(label, p, [TernaryForm(*row) for row in rows])
+                forms = [TernaryForm(*row) for row in rows]
+                self._genera[key] = _checked_classes(label, p, [(form, orders.get(form)) for form in forms])
             except FormError as exc:
                 where = f"genus cache {self.path}: " if self.path else ""
                 raise FormError(f"{where}genus cache entry {exc}; cache corrupt") from None
-            self._genera[key] = GenusSet(label, p, tuple(sorted(classes.items())))
         return self._genera.get(key)
 
     def put(self, genus: GenusSet) -> None:
@@ -273,7 +273,7 @@ class GenusCache:
                     fh.write(json.dumps(self._rows, separators=(",", ":")))
                 os.replace(tmp, self.path)
             except OSError as exc:
-                raise FormError(f"cannot write genus cache {self.path}: {exc}") from None
+                raise FormError(f"cannot write genus cache {self.path}: {exc.strerror}") from None
             finally:
                 if tmp is not None and os.path.exists(tmp):
                     os.unlink(tmp)

@@ -434,11 +434,13 @@ def test_threads_flag_accepted(capsys):
     assert out1 == out4
 
 
-@pytest.mark.parametrize("kind", ["garbage", "directory"])
+@pytest.mark.parametrize("kind", ["garbage", "array", "directory"])
 def test_unreadable_cache_is_a_usage_error(capsys, tmp_path, kind):
     path = tmp_path / "genus.json"
     if kind == "garbage":
         path.write_text('{"TG1,5": ')
+    elif kind == "array":
+        path.write_text('[["TG1,5"]]')
     else:
         path.mkdir()
     code, _, err = run(capsys, "--cache", str(path), "mass", "TG1", "5")
@@ -448,11 +450,10 @@ def test_unreadable_cache_is_a_usage_error(capsys, tmp_path, kind):
 
 def test_unwritable_cache_is_a_usage_error(capsys, tmp_path):
     # A missing directory: permission bits would not stop a run as root.
+    # The line names the cache, not a temporary file, so every run prints it alike.
     path = tmp_path / "no-such-dir" / "genus.json"
-    code, out, err = run(capsys, "--cache", str(path), "mass", "TG1", "11")
-    assert code == EXIT_USAGE
-    assert out == ""
-    assert f"cannot write genus cache {path}: " in err
+    first, second = (run(capsys, "--cache", str(path), "mass", "TG1", "11") for _ in range(2))
+    assert first == second == (EXIT_USAGE, "", f"error: cannot write genus cache {path}: No such file or directory\n")
 
 
 @pytest.mark.parametrize(

@@ -84,6 +84,8 @@ def test_vectors_with_value():
     assert vectors_with_value(f, 0) == [(0, 0, 0)]
     assert vectors_with_value(f, -1) == []
     assert vectors_with_value(f, 7) == []
+    # A negative bound yields nothing; it is checked before the row bound's isqrt.
+    assert list(half_points_up_to(f, -1)) == []
 
 
 def brute_s(n):

@@ -1,3 +1,4 @@
+import errno
 import importlib
 import json
 import sys
@@ -80,6 +81,18 @@ def test_tg2_construction():
         build_tg2(GenusSet("TG1", 11, ((f1, aut2), (f2, aut1))))
 
 
+def test_cache_checks_tg2_against_the_tg1_it_holds():
+    # The cache reads TG2's forms from TG1's rows and, holding TG1, passes
+    # its orders along: TG1(11) with |Aut| 8 and 12 swapped is refused.
+    (f1, aut1), (f2, aut2) = enumerate_tg1(11).classes
+    cache = GenusCache(None)
+    cache.put(GenusSet("TG1", 11, ((f1, aut2), (f2, aut1))))
+    changed = "automorph order changed under Phi: 1,3,11,0,0,1 has 12, image 4,11,12,0,4,0 has 8"
+    with pytest.raises(FormError) as info:
+        cache.tg2(11)
+    assert str(info.value) == f"genus cache entry {changed}; cache corrupt"
+
+
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61])
 def test_tg2_reads_image_and_aut_off_one_reduction(p, monkeypatch):
     tg1 = enumerate_tg1(p)
@@ -108,6 +121,18 @@ def test_cache_round_trip(tmp_path):
         assert g2.mass == mass_closed_form(p)
     assert cache2.tg1(7).classes == built["TG1", 7].classes
     assert cache2.tg2(11).classes == built["TG2", 11].classes
+
+
+def test_failed_cache_write_leaves_no_temporary_file(tmp_path, monkeypatch):
+    def refuse(src, dst):
+        raise PermissionError(errno.EACCES, "Permission denied", src)
+
+    monkeypatch.setattr(genus_module.os, "replace", refuse)
+    path = tmp_path / "genus.json"
+    with pytest.raises(FormError) as info:
+        GenusCache(str(path)).tg1(5)
+    assert str(info.value) == f"cannot write genus cache {path}: Permission denied"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cache_stores_only_the_rows(tmp_path):

@@ -314,6 +314,11 @@ def test_counts_that_do_not_stabilize_raise(monkeypatch):
 def test_local_density_rejects_nonpositive():
     with pytest.raises(ValueError):
         local_density(TernaryForm(1, 1, 1, 0, 0, 0), 0, 3)
+    with pytest.raises(ValueError, match="^t must be >= 1$"):
+        count_solutions_mod(TernaryForm(1, 1, 1, 0, 0, 0), 1, 3, 0)
+    for closed_form in (lambda n: density_formula_odd(n, 3), psi, lambda n: gamma_p(n, 3)):
+        with pytest.raises(ValueError, match="^n must be >= 1$"):
+            closed_form(0)
 
 
 def test_psi_table():

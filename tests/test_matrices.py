@@ -61,6 +61,8 @@ def test_unimodular_inverse():
     inv = unimodular_inverse(m)
     assert mat_mul(m, inv) == IDENTITY
     assert mat_mul(inv, m) == IDENTITY
+    with pytest.raises(ValueError, match="^matrix has determinant 2, not ±1$"):
+        unimodular_inverse(((2, 0, 0), (0, 1, 0), (0, 0, 1)))
 
 
 def _in_lattice(basis, v):

@@ -254,6 +254,8 @@ def test_phi_lattice_is_spanned_by_the_kernel_vector(a, b, c, d, e, f):
 def test_lambda_rejects_bad_modulus():
     with pytest.raises(FormError):
         lambda_m(TernaryForm(1, 1, 1, 0, 0, 0), 1)
+    with pytest.raises(FormError, match="^modulus must be >= 1$"):
+        divisibility_lattice_basis(TernaryForm(1, 1, 1, 0, 0, 0), 0)
 
 
 def test_rep_scaling_under_phi():
