@@ -1,16 +1,16 @@
 """Command line front end.
 
 Each subcommand is declared once, by `_command` on the function that builds
-its report, each `verify` target once, as a row of `VERIFY_TARGETS`, each
-genus label once, as a key of `_GENERA`, and each top-level option once, as
-a row of `OPTIONS`. An argv of the plain shape (options spelled in full,
-each with its value, then a command and exactly its positionals) is parsed
-from those tables in one pass (`_table_args`); argparse parses everything
-else, so help, every usage message, abbreviations and `--opt=value`
-spellings are argparse's own. A report is written in one pass over it
-(`_json`), byte-identical to json.dumps(report, indent=1) with each
-Fraction and TernaryForm given as its string; `--format tsv` writes one
-line per field.
+its report, each `verify` target once, as a row of `VERIFY_TARGETS`, and
+each top-level option once, as a row of `OPTIONS`; the genus labels are the
+keys of `genus.GENERA`, each read by `GenusCache.read`. An argv of the
+plain shape (options spelled in full, each with its value, then a command
+and exactly its positionals) is parsed from those tables in one pass
+(`_table_args`); argparse parses everything else, so help, every usage
+message, abbreviations and `--opt=value` spellings are argparse's own. A
+report is written in one pass over it (`_json`), byte-identical to
+json.dumps(report, indent=1) with each Fraction and TernaryForm given as
+its string; `--format tsv` writes one line per field.
 
 Exit codes: 0 success (and identity checks passing), 1 identity failure,
 2 usage error (including a bad form, a non-prime p and an unreadable,
@@ -32,7 +32,7 @@ from json.encoder import encode_basestring_ascii
 
 from .counting import rep_count, theta
 from .forms import WORK_LIMIT, FormError, TernaryForm, discriminant
-from .genus import GenusCache, mass_closed_form
+from .genus import GENERA, GenusCache, mass_closed_form
 from .isometry import automorphs, equivalent
 from .local import ResourceLimitError, local_density
 from .reduction import reduce_form
@@ -144,9 +144,7 @@ OPTIONS = {
 COMMANDS: dict[str, tuple] = {}
 FORM = ("form", {"help": "sextuple a,b,c,d,e,f"})
 INT = {"type": int}
-# label: the GenusCache reader of that genus
-_GENERA = {"TG1": GenusCache.tg1, "TG2": GenusCache.tg2}
-LABEL = ("label", {"choices": _GENERA})
+LABEL = ("label", {"choices": GENERA})
 
 
 def _command(name, help_, *arguments):
@@ -202,20 +200,16 @@ def _equiv(args):
     return {"form1": f1, "form2": f2, "equivalent": witness is not None, "witness": witness}
 
 
-def _genus_set(args):
-    return _GENERA[args.label](GenusCache(args.cache), args.p)
-
-
-@_command("genus", f"enumerate {' or '.join(_GENERA)} for an odd prime", LABEL, ("p", INT))
+@_command("genus", f"enumerate {' or '.join(GENERA)} for an odd prime", LABEL, ("p", INT))
 def _genus(args):
-    genus = _genus_set(args)
+    genus = GenusCache(args.cache).read(args.label, args.p)
     classes = [{"form": f, "aut": aut} for f, aut in genus.classes]
     return {"label": genus.label, "p": genus.prime, "classes": classes, "mass": genus.mass}
 
 
 @_command("mass", "genus mass, enumerated and closed form", LABEL, ("p", INT))
 def _mass(args):
-    mass, closed = _genus_set(args).mass, mass_closed_form(args.p)
+    mass, closed = GenusCache(args.cache).read(args.label, args.p).mass, mass_closed_form(args.p)
     return {"label": args.label, "p": args.p, "mass": mass, "closed_form": closed, "match": mass == closed}
 
 

@@ -14,11 +14,11 @@ reach the closed-form mass (p-1)/48, and that mass is the certificate of
 completeness.  The drained box scan stays in the tests as the oracle; the
 work limit, charged with the closure's size before the seed, is the only
 bound on p.  |Aut| of each class is the number of bases its canonical
-reduction finds.  TG2(p) is the set of Phi images of TG1's classes.
-`_checked_classes` is the one path from the forms of TG1's classes to a
-checked genus, TG1 or TG2 (their Phi images, each |Aut| checked to carry
-over whenever TG1's orders are known), for `build_tg2` and for GenusCache,
-which stores only TG1's canonical forms and reads TG2 from those rows.
+reduction finds.  `GENERA` maps each genus to the sublattice map taking
+TG1's classes into it (Phi for TG2).  `_checked_classes` is the one path
+from the forms of TG1's classes to a checked genus (each |Aut| checked to
+carry over whenever TG1's orders are known), for `build_tg2` and for
+GenusCache, which stores only TG1's forms and reads every genus from them.
 """
 
 from __future__ import annotations
@@ -42,9 +42,13 @@ class IncompletenessError(RuntimeError):
     """The neighbour closure of TG1 fell short of the closed-form mass."""
 
 
+# label: the map taking a TG1(p) class's form into the genus (None: itself)
+GENERA = {"TG1": None, "TG2": _phi_raw}
+
+
 @dataclass(frozen=True)
 class GenusSet:
-    label: str  # "TG1" or "TG2"
+    label: str  # a key of GENERA
     prime: int
     classes: tuple[tuple[TernaryForm, int], ...]  # (canonical form, |Aut|)
 
@@ -168,27 +172,27 @@ def enumerate_tg1(p: int) -> GenusSet:
 
 
 def _checked_classes(label: str, p: int, classes: Sequence[tuple[TernaryForm, int | None]]) -> GenusSet:
-    """TG1(p), or TG2 through Phi, checked from (form, |Aut| or None) pairs.
+    """label's genus at p, checked from TG1(p)'s (form, |Aut| or None) pairs.
 
     Every form must be positive definite of discriminant p^2, so primitive
-    (disc(kQ) = k^3 disc(Q)).  For TG1 each form must be its own canonical
-    form; for TG2 it is not reduced at all, and one canonical reduction of
-    its Phi sublattice form (`watson._phi_raw`) gives the image class and
-    its |Aut|.  Forms of one class (equal images, as Phi is a bijection on
+    (disc(kQ) = k^3 disc(Q)).  With no map in GENERA (TG1) each form must be
+    its own canonical form; else one canonical reduction of the form's image
+    under the map (Phi's sublattice form for TG2) gives its class and
+    |Aut|.  Forms of one class (equal images, as Phi is a bijection on
     classes) are refused, and the mass must be the closed-form (p-1)/48.
     These checks are complete: distinct classes of discriminant p^2 whose
     masses sum to the mass of all of TG1 are all of TG1, and their images
     are all of TG2.  Each refusal names "TG1,p", the forms' genus; last, a
     given |Aut| (TG1's order) must equal its image's, as Phi keeps it.
     """
-    key = f"TG1,{p}"
+    key, sublattice = f"TG1,{p}", GENERA[label]
     images: dict[TernaryForm, int] = {}
     form_of: dict[TernaryForm, TernaryForm] = {}
     for form, _ in classes:
         if not is_positive_definite(form) or discriminant(form) != p * p:
             raise FormError(f"{key} holds {form}, not positive definite of discriminant {p * p}")
-        canon, bases = _canonical_bases(form if label == "TG1" else _phi_raw(form))
-        if label == "TG1" and canon != form:
+        canon, bases = _canonical_bases(form if sublattice is None else sublattice(form))
+        if sublattice is None and canon != form:
             raise FormError(f"{key} holds {form}, not its canonical form {canon}")
         if canon in images:
             first = form_of[canon]
@@ -206,8 +210,6 @@ def _checked_classes(label: str, p: int, classes: Sequence[tuple[TernaryForm, in
 
 def build_tg2(tg1: GenusSet) -> GenusSet:
     """Image genus under Phi, each class's |Aut| checked to carry over (`_checked_classes`)."""
-    if tg1.label != "TG1":
-        raise FormError("build_tg2 expects a TG1 genus")
     return _checked_classes("TG2", tg1.prime, tg1.classes)
 
 
@@ -215,16 +217,16 @@ def build_tg2(tg1: GenusSet) -> GenusSet:
 
 class GenusCache:
     """Persists the classes of TG1 to a JSON file, written atomically, or
-    keeps them in memory only when no path is given; TG2 is derived.
+    keeps them in memory only when no path is given.
 
     The file maps "TG1,p" to the coefficient rows of the classes; other
     entries are not read, and a file with any entry that is not a list is
     refused when it is opened, so `put` never writes rows beside an entry of
-    another layout.  `put` of TG1 also stores its rows.  A genus is read
-    from the rows once per instance and checked by `_checked_classes`, with
-    one canonical reduction per row: TG1 from the rows, TG2 from their Phi
-    images, never from a TG1 in memory, though TG1's orders, once held, must
-    carry over.  The instance keeps every genus it has checked or been given.
+    another layout.  `put` of TG1 also stores its rows.  `get` reads a genus
+    of GENERA (any other label is refused) from the rows once per instance,
+    or None before they exist, checked by `_checked_classes`, never from a
+    TG1 in memory, though TG1's orders, once held, must carry over; `read`
+    fills a miss.  The instance keeps every genus it has checked or been given.
     """
 
     def __init__(self, path: str | None = None):
@@ -244,6 +246,8 @@ class GenusCache:
                     raise FormError(f"genus cache {self.path}: entry {key} is not a list of rows; cache corrupt")
 
     def get(self, label: str, p: int) -> GenusSet | None:
+        if label not in GENERA:
+            raise FormError(f"no genus {label!r}; the genera are {', '.join(GENERA)}")
         key, rows = f"{label},{p}", self._rows.get(f"TG1,{p}")
         if key not in self._genera and rows is not None:
             orders = dict(self._genera[f"TG1,{p}"].classes) if f"TG1,{p}" in self._genera else {}
@@ -259,9 +263,11 @@ class GenusCache:
 
     def put(self, genus: GenusSet) -> None:
         """Keep genus; a TG1 genus is also stored as rows, and written to the file."""
+        if genus.label not in GENERA:
+            raise FormError(f"no genus {genus.label!r}; the genera are {', '.join(GENERA)}")
         key = f"{genus.label},{genus.prime}"
         self._genera[key] = genus
-        if genus.label != "TG1":
+        if GENERA[genus.label] is not None:
             return
         self._rows[key] = [list(form.coeffs) for form, _ in genus.classes]
         if self.path:
@@ -278,16 +284,16 @@ class GenusCache:
                 if tmp is not None and os.path.exists(tmp):
                     os.unlink(tmp)
 
+    def read(self, label: str, p: int) -> GenusSet:
+        """label's genus at p, read from the rows of TG1(p), enumerated on a miss."""
+        genus = self.get(label, p)
+        if genus is None:
+            self.put(enumerate_tg1(p))
+            genus = self.get(label, p)
+        return genus
+
     def tg1(self, p: int) -> GenusSet:
-        cached = self.get("TG1", p)
-        if cached is None:
-            cached = enumerate_tg1(p)
-            self.put(cached)
-        return cached
+        return self.read("TG1", p)
 
     def tg2(self, p: int) -> GenusSet:
-        cached = self.get("TG2", p)
-        if cached is None:
-            self.tg1(p)  # stores TG1's rows, which `get` reads TG2 from
-            cached = self.get("TG2", p)
-        return cached
+        return self.read("TG2", p)

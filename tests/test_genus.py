@@ -93,6 +93,42 @@ def test_cache_checks_tg2_against_the_tg1_it_holds():
     assert str(info.value) == f"genus cache entry {changed}; cache corrupt"
 
 
+@pytest.mark.parametrize("label", ["TG3", "tg2"])
+def test_cache_refuses_an_unknown_genus_label(label):
+    # Holding TG1(11), whose rows any genus of GENERA is read from, the cache
+    # still names no genus by a label outside the table.
+    cache = GenusCache(None)
+    tg1 = cache.tg1(11)
+    refusal = f"^no genus '{label}'; the genera are TG1, TG2$"
+    with pytest.raises(FormError, match=refusal):
+        cache.get(label, 11)
+    with pytest.raises(FormError, match=refusal):
+        cache.read(label, 11)
+    with pytest.raises(FormError, match=refusal):
+        cache.put(GenusSet(label, 11, tg1.classes))
+    assert list(genus_module.GENERA) == ["TG1", "TG2"]
+    assert cache.get("TG2", 11).classes == build_tg2(tg1).classes
+
+
+@pytest.mark.parametrize("path", [None, "genus.json"])
+def test_get_misses_until_the_tg1_rows_are_held(tmp_path, monkeypatch, path):
+    # `get` never builds a genus: it returns None for every label until TG1's
+    # rows are put, and the held genus after.
+    path = path and str(tmp_path / path)
+    cache = GenusCache(path)
+    calls = count_calls(monkeypatch, "genus", "enumerate_tg1")
+    assert cache.get("TG1", 11) is None
+    assert cache.get("TG2", 11) is None
+    assert calls == []
+    assert list(tmp_path.iterdir()) == []
+    monkeypatch.undo()
+    tg1 = enumerate_tg1(11)
+    cache.put(tg1)
+    assert cache.get("TG1", 11) is tg1
+    assert cache.get("TG2", 11) == build_tg2(tg1)
+    assert cache.get("TG1", 13) is None and cache.get("TG2", 13) is None
+
+
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61])
 def test_tg2_reads_image_and_aut_off_one_reduction(p, monkeypatch):
     tg1 = enumerate_tg1(p)

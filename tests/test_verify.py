@@ -8,6 +8,7 @@ from test_isometry import TIED_DIAGONALS
 from ternaryforms import verify
 from ternaryforms.forms import TernaryForm, _minkowski, apply_map
 from ternaryforms.genus import GenusCache, GenusSet
+from ternaryforms.isometry import equivalent
 from ternaryforms.local import (
     LocalDensity,
     _density_odd_pair,
@@ -49,6 +50,22 @@ def test_small_scale_identities():
     assert verify_theorem_1_2(100).passed
     assert verify_theorem_1_3(3, 60).passed
     assert verify_theorem_1_3(11, 60).passed
+
+
+@pytest.mark.parametrize("p, forms", [(3, verify.THM11_FORMS), (5, verify.THM12_FORMS)])
+def test_theorem_forms_are_the_classes_of_the_genera(p, forms):
+    # Each (weight, form) of Theorems 1.1 and 1.2 is one class of TG1(p),
+    # weighed 48/|Aut|, or of TG2(p), weighed -96/|Aut|, and every class of
+    # the two genera is matched.
+    cache = GenusCache()
+    classes = [(Fraction(48, aut), f) for f, aut in cache.tg1(p).classes]
+    classes += [(Fraction(-96, aut), f) for f, aut in cache.tg2(p).classes]
+    matched = []
+    for weight, form in forms:
+        (match,) = [(w, g) for w, g in classes if equivalent(form, g) is not None]
+        assert match[0] == weight
+        matched.append(match)
+    assert sorted(matched) == sorted(classes)
 
 
 def test_wrong_weights_are_detected():
