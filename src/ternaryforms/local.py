@@ -1,12 +1,15 @@
 """Exact p-adic local representation densities by congruence counting.
 
 The counter works modulo p^t by recursion on x mod p, in work that grows
-with t, not with p^t.  At odd p the form is diagonalised over Z/p^t and a
-Jordan recursion counts the solutions that are smooth mod p in closed form
-and recurses on the rest with one exponent less.  At p = 2 Hensel
-lifting on x mod 2 lifts smooth residues by a power of 4 and passes the
-singular ones down one exponent, level by level, counting identical
-subproblems once.  Each count is charged to the work limit first.
+with t, not with p^t.  At odd p the form is diagonalised over Z/p^t, each
+step pivoting on the first unit on the diagonal, and a Jordan recursion
+counts the solutions that are smooth mod p in closed form and recurses on
+the rest with one exponent less.  At p = 2 Hensel lifting on x mod 2 lifts
+smooth residues by a power of 4 and passes the singular ones down one
+exponent, level by level, counting identical subproblems once.  Each
+subproblem is 2^j Q1 + L.x + k, with Q1 the form over its 2-content: at
+j >= 1 the parity of k alone settles it, and only j = 0 branches on x mod 2.
+Each count is charged to the work limit first.
 
 Both counters give the counts modulo p^t and p^(t+1) from one pass: the
 recursion modulo p^(t+1) passes through the one modulo p^t a step before
@@ -108,18 +111,19 @@ def kronecker(a: int, n: int) -> int:
         n = -n
         if a < 0:
             result = -1
-    t, n = valuation(n, 2)
-    if t:
-        if a % 2 == 0:
+    if not n & 1:
+        if not a & 1:
             return 0
-        if t % 2 == 1 and a % 8 in (3, 5):
+        t, n = valuation(n, 2)
+        if t & 1 and a % 8 in (3, 5):
             result = -result
     a %= n
     # Jacobi loop: n odd positive.
     while a:
-        e, a = valuation(a, 2)
-        if e % 2 and n % 8 in (3, 5):
-            result = -result
+        if not a & 1:
+            e, a = valuation(a, 2)
+            if e & 1 and n % 8 in (3, 5):
+                result = -result
         a, n = n, a
         if a % 4 == 3 and n % 4 == 3:
             result = -result
@@ -133,44 +137,44 @@ def _diagonal_odd(coeffs, p: int, q: int) -> list[int]:
     """Diagonal coefficients of the form after a change of basis over Z/q.
 
     q is a power of the odd prime p, so the form is x'Ax with A = Gram/2.
-    Each step pivots on an entry of A of least valuation (gcd with q),
-    preferring a diagonal one; an off-diagonal pivot A_ij is first moved onto
-    the diagonal by e_i -> e_i + e_j, which gives A_ii + 2A_ij + A_jj of the
-    same valuation.  The Schur complement of the pivot is the rest of the form.
+    Each step pivots on the first unit on the diagonal and takes its Schur
+    complement as the rest of the form; the last 1x1 block is the last
+    coefficient.  Only when no diagonal entry is a unit does a step scan for
+    an entry of least valuation (gcd with q), preferring a diagonal one; an
+    off-diagonal pivot A_ij is first moved onto the diagonal by
+    e_i -> e_i + e_j, which gives A_ii + 2A_ij + A_jj of the same valuation.
     """
     a, b, c, d, e, f = coeffs
     h = (q + 1) // 2  # 1/2 mod q
     m = [[a, f * h, e * h], [f * h, b, d * h], [e * h, d * h, c]]
     diag = []
-    while m:
+    while len(m) > 1:
         k = len(m)
-        # The first entry, row by row from the diagonal, of least key
-        # 2 * gcd(A_rs, q) + (r != s); the key 2 (a unit on the diagonal) is
-        # the least there is.
-        i = j = 0
-        best = 2 * q + 2  # above every key
-        for r in range(k):
-            row = m[r]
-            for s in range(r, k):
-                key = gcd(row[s], q) * 2 + (r != s)
-                if key < best:
-                    i, j, best = r, s, key
-                    if key == 2:
-                        break
-            if best == 2:
+        g = 1
+        for i in range(k):
+            if m[i][i] % p:
                 break
-        if i != j:
-            m[i] = [x + y for x, y in zip(m[i], m[j])]
-            for row in m:
-                row[i] += row[j]
-        g = gcd(m[i][i], q)
-        if g == q:  # every entry left is 0 mod q
-            return diag + [0] * k
+        else:
+            # The first entry, row by row from the diagonal, of least key
+            # 2 * gcd(A_rs, q) + (r != s).
+            best = 2 * q + 2  # above every key
+            for r in range(k):
+                for s in range(r, k):
+                    key = gcd(m[r][s], q) * 2 + (r != s)
+                    if key < best:
+                        i, j, best = r, s, key
+            if i != j:
+                m[i] = [x + y for x, y in zip(m[i], m[j])]
+                for row in m:
+                    row[i] += row[j]
+            g = gcd(m[i][i], q)
+            if g == q:  # every entry left is 0 mod q
+                return diag + [0] * k
         diag.append(m[i][i] % q)
         inv = pow(m[i][i] // g, -1, q)
         rest = [r for r in range(k) if r != i]
         m = [[(m[r][s] - m[i][r] // g * inv * m[i][s]) % q for s in rest] for r in rest]
-    return diag
+    return diag + [m[0][0] % q]
 
 
 def _nonzero_solutions(units: list[int], m: int, p: int) -> int:
@@ -246,13 +250,21 @@ def _parity_split(bits: int) -> tuple[int, tuple[tuple[int, int, int], ...]]:
 def _counts_two(coeffs, n: int, t: int) -> tuple[int, int]:
     """(N_t(n), N_(t+1)(n)) by one walk of the Hensel tree modulo 2^(t+1).
 
-    F = Q + L.x + k ≡ 0 (mod 2^s), level by level.  An all-even F is halved
-    (8 lifts per solution).  Otherwise each x0 mod 2 with F(x0) even is
-    either smooth (an odd entry of grad F(x0)), lifting 4^(s-1) ways, or
-    passed down as F(x0 + 2y)/2 = F(x0)/2 + grad F(x0).y + 2Q(y) modulo
-    2^(s-1).  Each level maps its distinct subproblems to the number of ways
-    they are reached; the keys below the top level are reduced modulo the
-    level's 2^s, so identical subproblems are counted once.
+    With 2^c the 2-content of the form and Q1 the form divided by it, every
+    subproblem is F = 2^j Q1 + L.x + k ≡ 0 (mod 2^s), keyed (j, l1, l2, l3, k)
+    with j <= s; the root has j = min(c, t+1), L = 0 and k = -n.
+
+    Only at j = 0 does a residue x0 mod 2 with F(x0) even branch: it is
+    smooth (an odd entry of grad F(x0)), lifting 4^(s-1) ways, or passed
+    down as F(x0 + 2y)/2 = F(x0)/2 + grad F(x0).y + 2 Q1(y) modulo 2^(s-1),
+    a child with j = 1 whose L, a gradient at a singular residue, is even.
+    Halving keeps L ≡ 0 (mod 2^j), so at j >= 1 F ≡ k (mod 2) and nothing
+    branches: an odd k leaves no solution, and an even k halves F to the
+    child (j-1, L/2, k/2), reached 8 ways.  Each level maps its distinct
+    subproblems to the number of ways they are reached; L and k below the
+    top level are reduced modulo the level's 2^s, so identical subproblems
+    are counted once (2^j Q1 modulo 2^s is 0 at j = s and otherwise tells
+    j apart).
 
     Every branch reads only parities, and above the leaves the keys are
     reduced modulo at least 2, so the tree modulo 2^t is this tree cut one
@@ -261,7 +273,11 @@ def _counts_two(coeffs, n: int, t: int) -> tuple[int, int]:
     modulo 2^s costs 8*s units of work: 8 residues on s-bit integers,
     charged level by level against the work limit.
     """
-    level = {(*coeffs, 0, 0, 0, -n): 1}
+    g = gcd(*coeffs)
+    j = min(valuation(g, 2)[0], t + 1) if g else t + 1
+    a, b, c, d, e, f = (x >> j for x in coeffs)  # Q1, read only at j = 0
+    quad = a & 1 | (b & 1) << 1 | (c & 1) << 2 | (d & 1) << 3 | (e & 1) << 4 | (f & 1) << 5
+    level = {(j, 0, 0, 0, -n): 1}
     low = high = work = 0
     for s in range(t + 1, 0, -1):  # the exponent left
         if not level:
@@ -273,24 +289,18 @@ def _counts_two(coeffs, n: int, t: int) -> tuple[int, int]:
         below: dict[tuple[int, ...], int] = {}
         mask = (1 << (s - 1)) - 1
         smooth = 0
-        for F, ways in level.items():
-            a, b, c, d, e, f, l1, l2, l3, k = F
-            if not (a | b | c | d | e | f | l1 | l2 | l3 | k) & 1:
-                child = (a >> 1 & mask, b >> 1 & mask, c >> 1 & mask, d >> 1 & mask, e >> 1 & mask,
-                         f >> 1 & mask, l1 >> 1 & mask, l2 >> 1 & mask, l3 >> 1 & mask, k >> 1 & mask)
-                below[child] = below.get(child, 0) + 8 * ways
+        for (j, l1, l2, l3, k), ways in level.items():
+            if j:  # F ≡ k (mod 2): halve F or drop it
+                if not k & 1:
+                    child = (j - 1, l1 >> 1 & mask, l2 >> 1 & mask, l3 >> 1 & mask, k >> 1 & mask)
+                    below[child] = below.get(child, 0) + 8 * ways
                 continue
-            count, singular = _parity_split(
-                a & 1 | (b & 1) << 1 | (c & 1) << 2 | (d & 1) << 3 | (e & 1) << 4
-                | (f & 1) << 5 | (l1 & 1) << 6 | (l2 & 1) << 7 | (l3 & 1) << 8 | (k & 1) << 9
-            )
+            count, singular = _parity_split(quad | (l1 & 1) << 6 | (l2 & 1) << 7 | (l3 & 1) << 8 | (k & 1) << 9)
             smooth += count * ways
-            if not singular:
-                continue
-            head = (2 * a & mask, 2 * b & mask, 2 * c & mask, 2 * d & mask, 2 * e & mask, 2 * f & mask)
             for x, y, z in singular:
                 val = k + x * (a + l1) + y * (b + l2) + z * (c + l3) + y * z * d + z * x * e + x * y * f
-                child = head + (
+                child = (
+                    1,
                     (l1 + 2 * a * x + f * y + e * z) & mask,
                     (l2 + f * x + 2 * b * y + d * z) & mask,
                     (l3 + e * x + d * y + 2 * c * z) & mask,

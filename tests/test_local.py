@@ -1,7 +1,9 @@
 from collections import Counter
 from fractions import Fraction
 from math import isqrt
+from pathlib import Path
 
+import json
 import random
 import time
 
@@ -70,6 +72,42 @@ def test_kronecker_at_negative_n(a, n, expected):
 @settings(max_examples=300, deadline=None)
 def test_kronecker_multiplicative_in_modulus(a, m, n):
     assert kronecker(a, m * n) == kronecker(a, m) * kronecker(a, n)
+
+
+def kronecker_oracle(a, n):
+    """(a|n) from the factorisation of n by trial division: Euler's criterion
+    at each odd prime, (a|2) = 0, 1, -1 for a even, a ≡ ±1, a ≡ ±3 (mod 8),
+    and (a|-1) = -1 exactly when a < 0."""
+    if n == 0:
+        return int(a in (1, -1))
+    result = -1 if n < 0 and a < 0 else 1
+    n, p = abs(n), 2
+    while n > 1:
+        if p * p > n:
+            p = n
+        while n % p == 0:
+            n //= p
+            if p == 2:
+                result *= 0 if a % 2 == 0 else 1 if a % 8 in (1, 7) else -1
+            else:
+                euler = pow(a, (p - 1) // 2, p)
+                result *= -1 if euler == p - 1 else euler
+        p += 1
+    return result
+
+
+# n = ±2^e * m: composite, even and negative moduli, besides small n of either sign.
+KRONECKER_MODULI = st.one_of(
+    st.integers(-10**4, 10**4),
+    st.builds(lambda sign, e, m: sign * (m << e), st.sampled_from((1, -1)), st.integers(0, 12), st.integers(1, 10**5)),
+)
+
+
+@given(st.integers(-10**4, 10**4), KRONECKER_MODULI)
+@settings(max_examples=500, deadline=None)
+def test_kronecker_matches_the_factorisation_oracle(a, n):
+    assert kronecker(a, n) == kronecker_oracle(a, n)
+
 
 
 def brute_hist(form, q):
@@ -168,6 +206,49 @@ def test_a_density_diagonalises_once(monkeypatch):
         moduli.clear()
         t = local_density(form, n, p).exponent_used
         assert moduli == [p ** (t + 1)], (form, n, p, moduli)
+
+
+# For each (form, n, p): the density and exponent, and every charge of the
+# count in order (units and message), recorded before the 2-adic subproblems
+# were keyed (j, l, k) and the odd-p pivot became the first diagonal unit.
+FROZEN_KERNELS = json.loads((Path(__file__).resolve().parent / "data" / "frozen_kernels.json").read_text())
+
+
+@pytest.mark.parametrize("case", FROZEN_KERNELS, ids=lambda c: f"{c['form']}@{c['n']},{c['p']}")
+def test_kernels_count_and_charge_as_recorded(monkeypatch, case):
+    charges = []
+    real = local.charge
+
+    def record(units, what, *args):
+        charges.append([units, what % args])
+        real(units, what, *args)
+
+    monkeypatch.setattr(local, "charge", record)
+    res = local_density(TernaryForm.parse(case["form"]), case["n"], case["p"])
+    assert (str(res.value), res.exponent_used) == (case["density"], case["exponent_used"])
+    assert charges == case["charges"]
+
+
+# 2-content 2, 4 and 8 over odd squares, odd cross terms or both; pure cross
+# terms; and the zero form.
+SCALED_AND_CROSS_FORMS = [
+    TernaryForm.parse(s)
+    for s in (
+        "2,2,2,0,0,0", "2,6,10,2,2,-2", "0,0,0,2,2,2", "2,4,4,2,0,0",
+        "4,4,12,4,4,0", "-4,0,0,8,0,0", "4,8,8,4,0,12",
+        "8,8,8,0,0,0", "8,24,40,8,0,-8", "0,0,0,8,8,0",
+        "0,0,0,1,0,0", "0,0,0,1,1,1", "0,0,0,3,2,0", "0,0,0,0,0,2", "0,0,0,4,6,2",
+        "0,0,0,0,0,0",
+    )
+]
+
+
+@pytest.mark.parametrize("form", SCALED_AND_CROSS_FORMS, ids=str)
+def test_two_adic_counts_of_scaled_and_cross_term_forms(form):
+    hists = [brute_hist(form, 2**s) for s in range(7)]
+    for t in range(6):
+        for n in range(2 ** (t + 1)):
+            assert _counts(form, n, 2, t) == (hists[t][n % 2**t], hists[t + 1][n]), (form, t, n)
 
 
 @pytest.mark.parametrize(
