@@ -14,14 +14,17 @@ Each count is charged to the work limit first.
 Both counters give the counts modulo p^t and p^(t+1) from one pass: the
 recursion modulo p^(t+1) passes through the one modulo p^t a step before
 its end.  Densities are rationals count / p^(2t), and the counts from that
-one pass are checked to give the same value at t and t+1.
+one pass are checked to give the same value at t and t+1.  One integer
+core, `_density_pair`, returns that count, p^(2t) and t; `local_density`
+is its count over p^(2t) as a Fraction, with t.
 
 The closed-form densities (the odd-prime two-case formula, the 2-adic table
 for sums of three squares, the difference kernel) live here as well, so
 each has an independent counting cross-check.  Each closed form has one
 integer core that returns (num, den) with den > 0, and its public name is
-that pair as a Fraction.  The density suites of `verify` read the cores and
-compare by cross-multiplication, building a Fraction only on failure.
+that pair as a Fraction.  The density suites of `verify` read these cores
+and `_density_pair` and compare by cross-multiplication, building a
+Fraction only on failure.
 """
 
 from __future__ import annotations
@@ -143,8 +146,13 @@ def _diagonal_odd(coeffs, p: int, q: int) -> list[int]:
     an entry of least valuation (gcd with q), preferring a diagonal one; an
     off-diagonal pivot A_ij is first moved onto the diagonal by
     e_i -> e_i + e_j, which gives A_ii + 2A_ij + A_jj of the same valuation.
+    A form with no cross terms is its own diagonal: each step would leave
+    the rest of it as it is, so it is only reduced mod q.  The order of the
+    coefficients may then differ from the steps', which no count reads.
     """
     a, b, c, d, e, f = coeffs
+    if not (d or e or f):
+        return [a % q, b % q, c % q]
     h = (q + 1) // 2  # 1/2 mod q
     m = [[a, f * h, e * h], [f * h, b, d * h], [e * h, d * h, c]]
     diag = []
@@ -274,8 +282,9 @@ def _counts_two(coeffs, n: int, t: int) -> tuple[int, int]:
     charged level by level against the work limit.
     """
     g = gcd(*coeffs)
-    j = min(valuation(g, 2)[0], t + 1) if g else t + 1
-    a, b, c, d, e, f = (x >> j for x in coeffs)  # Q1, read only at j = 0
+    j = min((g & -g).bit_length() - 1, t + 1) if g else t + 1  # 2^c is g's lowest set bit
+    a, b, c, d, e, f = coeffs
+    a, b, c, d, e, f = a >> j, b >> j, c >> j, d >> j, e >> j, f >> j  # Q1, read only at j = 0
     quad = a & 1 | (b & 1) << 1 | (c & 1) << 2 | (d & 1) << 3 | (e & 1) << 4 | (f & 1) << 5
     level = {(j, 0, 0, 0, -n): 1}
     low = high = work = 0
@@ -344,8 +353,8 @@ def sufficient_exponent(n: int, p: int) -> int:
     return valuation(n, p)[0] + (5 if p == 2 else 3)
 
 
-def local_density(form: TernaryForm, n: int, p: int) -> LocalDensity:
-    """d_{form,p}(n) = count / p^(2t) at a stabilized exponent t.
+def _density_pair(form: TernaryForm, n: int, p: int) -> tuple[int, int, int]:
+    """(N_t(n), p^(2t), t): `local_density` in integers, not in lowest terms.
 
     t = v_p(n) + 3 for odd p, v_2(n) + 5 for p = 2.  One pass of the counter
     modulo p^(t+1) gives the counts N_t and N_(t+1); the values at t and t+1
@@ -358,12 +367,17 @@ def local_density(form: TernaryForm, n: int, p: int) -> LocalDensity:
         raise FormError(f"{p} is not a prime")
     t = sufficient_exponent(n, p)
     low, high = _counts(form, n, p, t)
-    val = Fraction(low, p ** (2 * t))
     if high != low * p * p:
         raise StabilizationError(
             f"density of {form} at p={p}, n={n} differs between t={t} and t={t + 1}"
         )
-    return LocalDensity(val, t)
+    return low, p ** (2 * t), t
+
+
+def local_density(form: TernaryForm, n: int, p: int) -> LocalDensity:
+    """d_{form,p}(n) = count / p^(2t) at a stabilized exponent t (see `_density_pair`)."""
+    count, den, t = _density_pair(form, n, p)
+    return LocalDensity(Fraction(count, den), t)
 
 
 def _density_odd_pair(n: int, p: int) -> tuple[int, int]:

@@ -5,9 +5,10 @@ full list of counterexamples rather than stopping at the first.
 
 The density suites hold every value as a (num, den) pair of integers with
 den > 0: each closed form has one integer core (in `local`, and the two
-dyadic difference-form tables here), a counted density is its Fraction's
-numerator and denominator, and the suites compare two pairs by
-cross-multiplication.  A Fraction is built only to write a failure line.
+dyadic difference-form tables here), a counted density is the count over
+p^(2t) of `local._density_pair`, the integer core of `local_density`, and
+the suites compare two pairs by cross-multiplication.  A Fraction is built
+only to write a failure line.
 """
 
 from __future__ import annotations
@@ -23,10 +24,10 @@ from .genus import GenusCache, mass_closed_form
 from .isometry import automorphs, equivalent
 from .local import (
     _density_odd_pair,
+    _density_pair,
     _gamma_pair,
     _psi_pair,
     kronecker,
-    local_density,
     valuation,
 )
 from .watson import lambda_m, phi, transport_automorph
@@ -138,11 +139,15 @@ def _four_yz_pair(n: int) -> tuple[int, int]:
 
 
 def _split_anisotropic_form(p: int) -> TernaryForm:
-    """<u, p, pu> with -u the least quadratic nonresidue mod p."""
-    u = 1
-    while kronecker(-u, p) != -1:
-        u += 1
-    return TernaryForm(u, p, p * u, 0, 0, 0)
+    """<u, p, pu> with -u the least quadratic nonresidue mod the odd prime p.
+
+    Half of 1, ..., p - 1 are nonresidues, so the search stops below p; a u
+    not found there means `kronecker` is wrong, and is an error.
+    """
+    for u in range(1, p):
+        if kronecker(-u, p) == -1:
+            return TernaryForm(u, p, p * u, 0, 0, 0)
+    raise RuntimeError(f"no u < {p} with (-u|{p}) = -1: kronecker is wrong at p={p}")
 
 
 def _density_checks(n_odd: int, n_dyadic: int, n_split: int, n_gamma: int, n_scale: int):
@@ -150,9 +155,10 @@ def _density_checks(n_odd: int, n_dyadic: int, n_split: int, n_gamma: int, n_sca
 
     Both sides are (num, den) pairs with den > 0.  Every density is read
     through one memo that ends with the generator, so each (form, n, p) is
-    counted once per call.
+    counted once per call; it keeps the (count, p^(2t)) of
+    `local._density_pair`, not in lowest terms.
     """
-    density = functools.cache(lambda form, n, p: local_density(form, n, p).value.as_integer_ratio())
+    density = functools.cache(lambda form, n, p: _density_pair(form, n, p)[:2])
     for p in (3, 5, 7, 11):
         for n in range(1, n_odd + 1):
             yield "odd-prime-closed-form", (p, n), density(THREE_SQUARES, n, p), _density_odd_pair(n, p)

@@ -1,21 +1,23 @@
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from test_genus import count_calls
 from test_isometry import TIED_DIAGONALS
-from ternaryforms import verify
+from test_local import break_stabilization
+from ternaryforms import local, verify
+from ternaryforms.cli import main
 from ternaryforms.forms import TernaryForm, _minkowski, apply_map
 from ternaryforms.genus import GenusCache, GenusSet
 from ternaryforms.isometry import equivalent
 from ternaryforms.local import (
-    LocalDensity,
+    StabilizationError,
     _density_odd_pair,
     _gamma_pair,
     _psi_pair,
     density_formula_odd,
     gamma_p,
+    local_density,
     psi,
     valuation,
 )
@@ -167,29 +169,30 @@ SPLIT_3 = TernaryForm(1, 3, 3, 0, 0, 0)  # <u, p, pu> at p = 3, where -1 is a no
 def _one_more_at(f, at):
     """f, with its value at the arguments `at` raised by one.
 
-    f is a closed form's integer core, whose (num, den) becomes
-    (num + den, den), or local_density, whose density is raised.
+    f is an integer core: a closed form's, whose (num, den) becomes
+    (num + den, den), or `_density_pair`, whose (count, den, t) becomes
+    (count + den, den, t).
     """
 
     def perturbed(*args):
         value = f(*args)
         if args != at:
             return value
-        if isinstance(value, LocalDensity):
-            return replace(value, value=value.value + 1)
-        num, den = value
-        return num + den, den
+        num, den, *rest = value
+        return num + den, den, *rest
 
     return perturbed
 
 
-# The integer core in verify that the suites read for each closed form.
+# The integer core in verify that the suites read for each closed form and
+# for the counted density.
 CORES = {
     "density_formula_odd": "_density_odd_pair",
     "psi": "_psi_pair",
     "gamma_p": "_gamma_pair",
     "_yz_table": "_yz_pair",
     "_four_yz_table": "_four_yz_pair",
+    "local_density": "_density_pair",
 }
 
 # (closed form, or name in verify, the arguments it is perturbed at, {suite: case labels that fail})
@@ -222,7 +225,7 @@ def test_density_failure_lines_read_case_counted_expected(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(verify, "_yz_pair", _one_more_at(verify._yz_pair, (5,)))
         suites = density_suites(**{**SUITES_OFF, "n_dyadic": 6})
-    counted = verify.local_density(verify.YZ_MINUS_XX, 5, 2).value
+    counted = local_density(verify.YZ_MINUS_XX, 5, 2).value
     assert suites["dyadic-difference-forms"] == [f"yz-xx table n=5: {counted} != {Fraction(*_yz_pair(5)) + 1}"]
 
 
@@ -239,7 +242,9 @@ def test_passing_density_suites_build_no_fraction(monkeypatch):
     def refuse(*args):
         raise AssertionError(f"Fraction{args} built on the density-suite path")
 
+    # Neither the suites nor the counted densities they read build one.
     monkeypatch.setattr(verify, "Fraction", refuse)
+    monkeypatch.setattr(local, "Fraction", refuse)
     assert not any(density_suites(**SMALL_SUITES).values())
 
 
@@ -259,10 +264,58 @@ def test_passing_density_suites_build_no_fraction(monkeypatch):
     ],
 )
 def test_density_suites_count_each_density_once(monkeypatch, sizes, calls):
-    densities = count_calls(monkeypatch, "local", "local_density")
+    densities = count_calls(monkeypatch, "local", "_density_pair")
     suites = density_suites(**sizes)
     assert not any(suites.values())
     assert len(densities) == len(set(densities)) == calls
+
+
+def test_density_pair_is_local_density_at_every_counted_triple(monkeypatch):
+    # Every (form, n, p) that the suites of `verify all` count.
+    triples = count_calls(monkeypatch, "local", "_density_pair")
+    assert not any(density_suites().values())
+    monkeypatch.undo()
+    assert len(set(triples)) == 2420
+    for form, n, p in triples:
+        count, den, t = local._density_pair(form, n, p)
+        res = local_density(form, n, p)
+        assert (Fraction(count, den), t) == (res.value, res.exponent_used), (form, n, p)
+        assert den == p ** (2 * t), (form, n, p)
+
+
+def test_density_suites_raise_on_counts_that_do_not_stabilize(monkeypatch):
+    break_stabilization(monkeypatch, SPLIT_3, 5, 3)
+    message = "density of 1,3,3,0,0,0 at p=3, n=5 differs between t=3 and t=4"
+    with pytest.raises(StabilizationError, match=f"^{message}$"):
+        density_suites(**SMALL_SUITES)
+
+
+def _kronecker_always_one(monkeypatch, p):
+    """Make `verify.kronecker` answer 1, and fail once it has been asked 10*p times."""
+    calls = []
+
+    def one(a, n):
+        calls.append((a, n))
+        if len(calls) >= 10 * p:
+            raise AssertionError(f"the nonresidue search at p={p} did not stop")
+        return 1
+
+    monkeypatch.setattr(verify, "kronecker", one)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_nonresidue_search_stops_below_p(monkeypatch, p):
+    _kronecker_always_one(monkeypatch, p)
+    with pytest.raises(RuntimeError, match=f"^no u < {p} with \\(-u\\|{p}\\) = -1: kronecker is wrong at p={p}$"):
+        verify._split_anisotropic_form(p)
+
+
+def test_verify_density_exits_4_when_no_nonresidue_is_found(monkeypatch, capsys):
+    _kronecker_always_one(monkeypatch, 3)
+    assert main(["verify", "density"]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "internal error: RuntimeError: no u < 3 with (-u|3) = -1: kronecker is wrong at p=3\n"
 
 
 def _yz_table_oracle(n):
