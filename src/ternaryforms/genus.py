@@ -44,6 +44,13 @@ class IncompletenessError(RuntimeError):
 
 # label: the map taking a TG1(p) class's form into the genus (None: itself)
 GENERA = {"TG1": None, "TG2": _phi_raw}
+_BASE = next(label for label, sublattice in GENERA.items() if sublattice is None)
+
+
+def _rows_key(p: int) -> str:
+    """The cache's key of the base genus's rows at p ("TG1,p"), and the name
+    every refusal of those rows starts with."""
+    return f"{_BASE},{p}"
 
 
 @dataclass(frozen=True)
@@ -182,10 +189,10 @@ def _checked_classes(label: str, p: int, classes: Sequence[tuple[TernaryForm, in
     classes) are refused, and the mass must be the closed-form (p-1)/48.
     These checks are complete: distinct classes of discriminant p^2 whose
     masses sum to the mass of all of TG1 are all of TG1, and their images
-    are all of TG2.  Each refusal names "TG1,p", the forms' genus; last, a
-    given |Aut| (TG1's order) must equal its image's, as Phi keeps it.
+    are all of TG2.  Each refusal names `_rows_key(p)`, the forms' genus;
+    last, a given |Aut| (TG1's order) must equal its image's, as Phi keeps it.
     """
-    key, sublattice = f"TG1,{p}", GENERA[label]
+    key, sublattice = _rows_key(p), GENERA[label]
     images: dict[TernaryForm, int] = {}
     form_of: dict[TernaryForm, TernaryForm] = {}
     for form, _ in classes:
@@ -219,7 +226,7 @@ class GenusCache:
     """Persists the classes of TG1 to a JSON file, written atomically, or
     keeps them in memory only when no path is given.
 
-    The file maps "TG1,p" to the coefficient rows of the classes; other
+    The file maps `_rows_key(p)` to the coefficient rows of the classes; other
     entries are not read, and a file with any entry that is not a list is
     refused when it is opened, so `put` never writes rows beside an entry of
     another layout.  `put` of TG1 also stores its rows.  `get` reads a genus
@@ -248,12 +255,13 @@ class GenusCache:
     def get(self, label: str, p: int) -> GenusSet | None:
         if label not in GENERA:
             raise FormError(f"no genus {label!r}; the genera are {', '.join(GENERA)}")
-        key, rows = f"{label},{p}", self._rows.get(f"TG1,{p}")
+        key, rows_key = f"{label},{p}", _rows_key(p)
+        rows = self._rows.get(rows_key)
         if key not in self._genera and rows is not None:
-            orders = dict(self._genera[f"TG1,{p}"].classes) if f"TG1,{p}" in self._genera else {}
+            orders = dict(self._genera[rows_key].classes) if rows_key in self._genera else {}
             try:
                 if not all(isinstance(r, list) and len(r) == 6 and all(type(v) is int for v in r) for r in rows):
-                    raise FormError(f"TG1,{p} is not a list of six-integer rows")
+                    raise FormError(f"{rows_key} is not a list of six-integer rows")
                 forms = [TernaryForm(*row) for row in rows]
                 self._genera[key] = _checked_classes(label, p, [(form, orders.get(form)) for form in forms])
             except FormError as exc:
@@ -269,7 +277,7 @@ class GenusCache:
         self._genera[key] = genus
         if GENERA[genus.label] is not None:
             return
-        self._rows[key] = [list(form.coeffs) for form, _ in genus.classes]
+        self._rows[_rows_key(genus.prime)] = [list(form.coeffs) for form, _ in genus.classes]
         if self.path:
             d = os.path.dirname(os.path.abspath(self.path))
             tmp = None

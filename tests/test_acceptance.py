@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+import pins
 from ternaryforms.forms import TernaryForm, apply_map
 from ternaryforms.genus import GenusCache
 from ternaryforms.isometry import equivalent
@@ -178,10 +179,11 @@ def test_criterion_8_headless_and_deterministic(full_run):
 
 
 # SHA-256 of the `verify all` stdout (1658 bytes), recorded at commit 87e0c13
-# with `python -m ternaryforms.cli --cache <fresh file> verify all`.  A
-# refactor leaves it unchanged; only a deliberate change to the report's
-# content, order or formatting may update it.
-VERIFY_ALL_STDOUT_SHA256 = "b6547fa4c73e7e9069c84b13ea57ad41ca80d6c8be5e0fff9bc179959fdf2786"
+# with `python -m ternaryforms.cli --cache <fresh file> verify all` and pinned
+# in the `verify-all` row of data/pins.json.  A refactor leaves it unchanged;
+# only a deliberate change to the report's content, order or formatting may
+# update it.
+VERIFY_ALL_STDOUT_SHA256 = {row["name"]: row for row in pins.rows()}["verify-all"]["stdout_sha256"]
 
 
 def test_verify_all_stdout_is_byte_identical(full_run):
