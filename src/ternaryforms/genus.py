@@ -18,7 +18,9 @@ reduction finds.  `GENERA` maps each genus to the sublattice map taking
 TG1's classes into it (Phi for TG2).  `_checked_classes` is the one path
 from the forms of TG1's classes to a checked genus (each |Aut| checked to
 carry over whenever TG1's orders are known), for `build_tg2` and for
-GenusCache, which stores only TG1's forms and reads every genus from them.
+GenusCache, which stores only TG1's forms and reads every genus from them;
+the genus it returns records each class's TG1 form, so the Watson suite
+reads Phi's image of a class off TG2 instead of reducing it again.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
 from typing import Iterator, Sequence
@@ -58,6 +60,10 @@ class GenusSet:
     label: str  # a key of GENERA
     prime: int
     classes: tuple[tuple[TernaryForm, int], ...]  # (canonical form, |Aut|)
+    # The TG1 form each class is the image of, in the order of classes
+    # (`_checked_classes`); empty when built otherwise.  Not compared: two
+    # genera with the same classes are equal whatever sources they record.
+    sources: tuple[TernaryForm, ...] = field(default=(), compare=False)
 
     @property
     def mass(self) -> Fraction:
@@ -191,6 +197,7 @@ def _checked_classes(label: str, p: int, classes: Sequence[tuple[TernaryForm, in
     masses sum to the mass of all of TG1 are all of TG1, and their images
     are all of TG2.  Each refusal names `_rows_key(p)`, the forms' genus;
     last, a given |Aut| (TG1's order) must equal its image's, as Phi keeps it.
+    The genus records, as its `sources`, the form each class was read from.
     """
     key, sublattice = _rows_key(p), GENERA[label]
     images: dict[TernaryForm, int] = {}
@@ -206,7 +213,8 @@ def _checked_classes(label: str, p: int, classes: Sequence[tuple[TernaryForm, in
             twice = f"{form} twice" if first == form else f"{first} and {form}, of one class"
             raise FormError(f"{key} holds {twice}")
         images[canon], form_of[canon] = len(bases), form
-    genus = GenusSet(label, p, tuple(sorted(images.items())))
+    ordered = sorted(images.items())
+    genus = GenusSet(label, p, tuple(ordered), tuple(form_of[canon] for canon, _ in ordered))
     if genus.mass != mass_closed_form(p):
         raise FormError(f"{key} has mass {genus.mass}, not {mass_closed_form(p)}")
     for (form, aut), (image, image_aut) in zip(classes, images.items()):

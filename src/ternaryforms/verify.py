@@ -17,6 +17,7 @@ import functools
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from math import lcm
+from operator import add, sub
 
 from .counting import THREE_SQUARES, s_batch, theta
 from .forms import TernaryForm
@@ -60,26 +61,33 @@ class IdentityReport:
 def _check_weighted_identity(identity: str, p: int, n_max: int, weights_forms) -> IdentityReport:
     """s(p^2 n) - p*s(n) == sum of weight * R_form(n), for 1 <= n <= n_max.
 
-    Weights are ints or Fractions.  The sum is taken in integers over their
-    common denominator; a right-hand side that is not an integer is reported
-    as a failure of its own kind.  Each failure lists every class's term
-    weight * R_form(n) under "terms".
+    Weights are ints or Fractions.  With den their common denominator, the
+    integer series den*(s(p^2 n) - p*s(n)) and sum of (weight*den) * R_form(n)
+    are built whole and compared once; n is walked only to write the
+    failures, where the two differ.  A right-hand side that is not an
+    integer is reported as a failure of its own kind.  Each failure lists
+    every class's term weight * R_form(n) under "terms".
     """
     report = IdentityReport(identity, p, n_max)
-    s_n = s_batch(1, n_max)
-    s_p2n = s_batch(p * p, n_max)
+    s_n, s_p2n = s_batch(1, n_max), s_batch(p * p, n_max)
     den = lcm(*(w.denominator for w, _ in weights_forms))
     thetas = [(w, f, theta(f, n_max)) for w, f in weights_forms]
-    scaled = [(w.numerator * (den // w.denominator), counts) for w, _, counts in thetas]
+    lhs = list(map(sub, s_p2n, map(p.__mul__, s_n)))
+    scaled = list(map(den.__mul__, lhs))
+    num = [0] * (n_max + 1)
+    for w, _, counts in thetas:
+        num = list(map(add, num, map((w.numerator * (den // w.denominator)).__mul__, counts)))
+    # The lists start at n = 0, where a mismatch is no failure: the walk
+    # below starts at 1.
+    if scaled == num:
+        return report
     for n in range(1, n_max + 1):
-        lhs = s_p2n[n] - p * s_n[n]
-        num = sum(w * counts[n] for w, counts in scaled)
-        if num % den:
-            failure = {"n": n, "lhs": lhs, "rhs": str(Fraction(num, den)), "error": "non-integer RHS"}
-        elif lhs != num // den:
-            failure = {"n": n, "lhs": lhs, "rhs": num // den}
-        else:
+        if scaled[n] == num[n]:
             continue
+        if num[n] % den:
+            failure = {"n": n, "lhs": lhs[n], "rhs": str(Fraction(num[n], den)), "error": "non-integer RHS"}
+        else:
+            failure = {"n": n, "lhs": lhs[n], "rhs": num[n] // den}
         failure["terms"] = [
             {"form": str(f), "weight": str(w), "count": counts[n], "term": str(w * counts[n])}
             for w, f, counts in thetas
@@ -232,13 +240,21 @@ SUITE_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 73)
 def watson_suite(
     primes=SUITE_PRIMES, n_scaling: int = 300, cache: GenusCache | None = None
 ) -> dict[str, list[str]]:
+    """Watson's properties of every TG1(p) class and its Phi image.
+
+    The image of each class is read from TG2(p), which records the TG1 form
+    each of its classes came from; a class TG2 does not name as a source (a
+    genus built by hand) is mapped by `phi`.
+    """
     cache = cache or GenusCache()
     failures: dict[str, list[str]] = {
         k: [] for k in ("lambda4-involution", "phi-equals-lambda4", "rep-scaling", "automorph-transport")
     }
     for p in primes:
-        for form, _ in cache.tg1(p).classes:
-            image = phi(form)
+        tg1, tg2 = cache.tg1(p), cache.tg2(p)
+        images = dict(zip(tg2.sources, (image for image, _ in tg2.classes)))
+        for form, _ in tg1.classes:
+            image = images[form] if form in images else phi(form)
             lam, transported, aut_img = transport_automorph(form, 4, automorphs(form))
             if lam != image:
                 failures["phi-equals-lambda4"].append(f"p={p} {form}: lambda_4 differs from phi")

@@ -13,6 +13,10 @@ r = (d, e, f) mod 2, with no rescaling; in a basis where a and d are odd
 and e and f even this is the coefficient map
 <a,b,c,d,e,f> -> <a,4b,4c,4d,2e,2f>.  On forms of odd discriminant lambda_4
 inverts Phi on classes, so Phi^-1 is lambda_4 with Phi as its exact check.
+
+Lemma: for a primitive form f of odd discriminant, {v : G v ≡ 0,
+f(v) ≡ 0 (mod 4)} = 2 (Z r + 2 Z^3) (proof at `_phi_raw`), so
+`_lambda_raw(f, 4)[0] == _phi_raw(f)`: the Watson suite's "phi-equals-lambda4".
 """
 
 from __future__ import annotations
@@ -90,6 +94,13 @@ def lambda_m(form: TernaryForm, m: int) -> TernaryForm:
     return _canonical(_lambda_raw(form, m)[0])
 
 
+# Proof of the lemma in the module docstring.  G has determinant twice the
+# odd discriminant, so its 2-adic invariants are 1, 1, 2: G Z^3 + 4 Z^3 has
+# index 2, and {v : G v ≡ 0 (mod 4)}, 4 times its dual, index 4^3 / 2 = 32.
+# That set holds 2 (Z r + 2 Z^3), also of index 32, so the two are equal, and
+# f(2w) = 4 f(w) vanishes mod 4 on it.  The column HNF of twice a lattice is
+# twice its column HNF, so lambda_4's basis is twice Phi's and the forms on
+# them, rescaled by 1/4 and not, agree coefficient for coefficient.
 def _phi_raw(form: TernaryForm) -> TernaryForm:
     """The form on {v : G v ≡ 0 (mod 2)}, in its column-HNF basis, unreduced.
 

@@ -20,7 +20,7 @@ from ternaryforms.genus import (
 from ternaryforms.isometry import automorphs, equivalent
 from ternaryforms.local import is_prime
 from ternaryforms.reduction import _canonical_bases, reduce_form
-from ternaryforms.verify import verify_theorem_1_3
+from ternaryforms.verify import SUITE_PRIMES, verify_theorem_1_3
 from ternaryforms.watson import _phi_raw, phi
 
 KNOWN_TG1 = {
@@ -347,6 +347,20 @@ def test_tg2_refuses_a_class_held_twice():
     assert str(info.value) == f"genus cache entry {message}; cache corrupt"
 
 
+@pytest.mark.parametrize("p", SUITE_PRIMES)
+def test_tg2_records_the_tg1_source_of_each_class(p):
+    # TG2's sources are TG1's classes, each once, in the order of the images
+    # they map to, whether TG2 is read from the cache or built from TG1.
+    tg1 = enumerate_tg1(p)
+    for tg2 in (GenusCache(None).tg2(p), build_tg2(tg1)):
+        assert sorted(tg2.sources) == [form for form, _ in tg1.classes]
+        assert len(tg2.sources) == len(tg2.classes)
+        for (image, _), source in zip(tg2.classes, tg2.sources):
+            assert phi(source) == image
+        # The sources are not part of the genus's value.
+        assert GenusSet("TG2", p, tg2.classes) == tg2
+
+
 @pytest.mark.parametrize("p", [11, 29, 73])
 def test_warm_tg2_reduces_one_phi_image_per_class(tmp_path, monkeypatch, p):
     path = tmp_path / "genus.json"
@@ -534,3 +548,21 @@ def test_neighbours_lie_in_the_genus(p, ell):
         neighbours = list(genus_module._neighbours(form, ell))
         assert len(neighbours) == ell + 1
         assert {reduce_form(nb)[0] for nb in neighbours} <= set(classes)
+
+
+@pytest.mark.parametrize("p", [p for p in range(3, 62) if is_prime(p)])
+def test_the_neighbour_closure_of_one_tg2_class_is_tg2(p):
+    # Phi's images of TG1(p) lie in one genus and no ell-neighbour leads out
+    # of them: the closure of one class is every class of TG2(p), which the
+    # closure builds without Phi.
+    ell = 5 if p == 3 else 3
+    classes = {form for form, _ in GenusCache(None).tg2(p).classes}
+    start = min(classes)
+    seen, todo = {start}, [start]
+    while todo:
+        for neighbour in genus_module._neighbours(todo.pop(), ell):
+            canon = reduce_form(neighbour)[0]
+            if canon not in seen:
+                seen.add(canon)
+                todo.append(canon)
+    assert seen == classes

@@ -114,31 +114,58 @@ def test_wrong_weights_are_detected():
         ],
     } in report.failures
 
+    # At n_max = 3 the non-integer right side is the last term of the series,
+    # and still reported as its own kind.
+    report = _check_weighted_identity(
+        "broken",
+        3,
+        3,
+        (
+            (Fraction(5, 3), TernaryForm(1, 1, 3, 0, 0, 1)),
+            (-4, TernaryForm(4, 3, 4, 0, 4, 0)),
+        ),
+    )
+    assert report.failures[-1] == {
+        "n": 3,
+        "lhs": 8,
+        "rhs": "16/3",
+        "error": "non-integer RHS",
+        "terms": [
+            {"form": "1,1,3,0,0,1", "weight": "5/3", "count": 8, "term": "40/3"},
+            {"form": "4,3,4,0,4,0", "weight": "-4", "count": 2, "term": "-8"},
+        ],
+    }
+
 
 def test_a_failure_names_each_class_term(monkeypatch):
     # One theta value of thm1.1's second class raised by one: only n = 7
     # fails, and its entry gives each class's weight * R_form(7).
+    # Raised at n = 20 = n_max instead, only n = n_max fails: the series are
+    # compared to their last term.
     theta = verify.theta
+    for at in (7, 20):
 
-    def perturbed(form, bound):
-        counts = theta(form, bound)
-        return counts[:7] + (counts[7] + 1,) + counts[8:] if form == TernaryForm(4, 3, 4, 0, 4, 0) else counts
+        def perturbed(form, bound):
+            counts = theta(form, bound)
+            if form != TernaryForm(4, 3, 4, 0, 4, 0):
+                return counts
+            return counts[:at] + (counts[at] + 1,) + counts[at + 1 :]
 
-    monkeypatch.setattr(verify, "theta", perturbed)
-    report = verify_theorem_1_1(20)
-    r1, r2 = theta(TernaryForm(1, 1, 3, 0, 0, 1), 7)[7], theta(TernaryForm(4, 3, 4, 0, 4, 0), 7)[7]
-    assert report.failures == [
-        {
-            "n": 7,
-            "lhs": 2 * r1 - 4 * r2,
-            "rhs": 2 * r1 - 4 * (r2 + 1),
-            "terms": [
-                {"form": "1,1,3,0,0,1", "weight": "2", "count": r1, "term": str(2 * r1)},
-                {"form": "4,3,4,0,4,0", "weight": "-4", "count": r2 + 1, "term": str(-4 * (r2 + 1))},
-            ],
-        }
-    ]
-    assert report.to_dict()["pass"] is False
+        monkeypatch.setattr(verify, "theta", perturbed)
+        report = verify_theorem_1_1(20)
+        r1, r2 = theta(TernaryForm(1, 1, 3, 0, 0, 1), at)[at], theta(TernaryForm(4, 3, 4, 0, 4, 0), at)[at]
+        assert report.failures == [
+            {
+                "n": at,
+                "lhs": 2 * r1 - 4 * r2,
+                "rhs": 2 * r1 - 4 * (r2 + 1),
+                "terms": [
+                    {"form": "1,1,3,0,0,1", "weight": "2", "count": r1, "term": str(2 * r1)},
+                    {"form": "4,3,4,0,4,0", "weight": "-4", "count": r2 + 1, "term": str(-4 * (r2 + 1))},
+                ],
+            }
+        ]
+        assert report.to_dict()["pass"] is False
 
 
 def test_failing_report_is_not_pass():
@@ -346,6 +373,22 @@ def test_watson_suite_small():
     result = watson_suite(primes=(3,), n_scaling=30)
     for name, failures in result.items():
         assert failures == [], name
+
+
+def test_watson_suite_maps_a_hand_built_tg2_by_phi(monkeypatch):
+    # A TG2 put by hand records no sources: the suite maps each TG1 class by
+    # phi and reports what it reports on the TG2 it reads from the rows,
+    # which names a source for every class and needs no phi.
+    cache = GenusCache(None)
+    expected = watson_suite(primes=(11, 23), n_scaling=20, cache=cache)
+    calls = count_calls(monkeypatch, "watson", "phi")
+    assert watson_suite(primes=(11, 23), n_scaling=20, cache=cache) == expected
+    assert calls == []
+    for p in (11, 23):
+        cache.put(GenusSet("TG2", p, cache.tg2(p).classes))
+    assert watson_suite(primes=(11, 23), n_scaling=20, cache=cache) == expected
+    assert sorted(form for form, in calls) == sorted(form for p in (11, 23) for form, _ in cache.tg1(p).classes)
+    assert not any(expected.values())
 
 
 def test_mass_suite_searches_no_class_when_no_diagonals_tie(monkeypatch):

@@ -1,7 +1,7 @@
 from itertools import product
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ternaryforms import isometry, verify, watson
@@ -15,7 +15,7 @@ from ternaryforms.forms import (
     is_positive_definite,
     is_primitive,
 )
-from ternaryforms.genus import GenusCache, build_tg2, enumerate_tg1
+from ternaryforms.genus import GenusCache, GenusSet, build_tg2, enumerate_tg1
 from ternaryforms.isometry import automorphs, equivalent
 from test_matrices import IDENTITY, shear
 from ternaryforms.matrices import (
@@ -158,6 +158,7 @@ def test_phi_is_a_class_invariant_equal_to_lambda_4(residue, a0, b0, c0, k, e, f
 @pytest.mark.parametrize("p", PRIMES)
 def test_lambda_4_equals_phi(p):
     for form, _ in enumerate_tg1(p).classes:
+        assert _lambda_raw(form, 4)[0] == _phi_raw(form)
         assert lambda_m(form, 4) == phi(form)
         assert lambda_m(lambda_m(form, 4), 4) == form
 
@@ -251,6 +252,26 @@ def test_phi_lattice_is_spanned_by_the_kernel_vector(a, b, c, d, e, f):
     assert column_hnf([(2, 0, 0), (0, 2, 0), (0, 0, 2), (d % 2, e % 2, f % 2)]) == basis
 
 
+odd_discriminant_forms = st.one_of(
+    st.builds(TernaryForm, *[st.integers(-20, 20)] * 6),
+    st.builds(_odd_discriminant_form, st.sampled_from([1, 3]), diagonal, diagonal, diagonal, cross, cross, cross),
+)
+
+
+@given(odd_discriminant_forms)
+@example(TernaryForm(-1, 0, 0, 1, 0, 0))  # yz - x^2, indefinite
+@example(TernaryForm(3, 4, 4, 3, 2, -2))  # a TG1(11) class
+@settings(max_examples=300, deadline=None)
+def test_the_lambda_4_lattice_is_twice_the_phi_lattice(form):
+    # Definite and indefinite forms alike: at odd discriminant the lambda_4
+    # lattice {v : G v ≡ 0, f(v) ≡ 0 (mod 4)} is 2 (Z r + 2 Z^3), so lambda_4
+    # before reduction is Phi before reduction, coefficient for coefficient.
+    assume(discriminant(form) % 2 and is_primitive(form))
+    raw, basis = _lambda_raw(form, 4)
+    assert basis == mat_scale_exact(_phi_scan_basis(form), 2, 1)
+    assert raw == _phi_raw(form)
+
+
 def test_lambda_rejects_bad_modulus():
     with pytest.raises(FormError):
         lambda_m(TernaryForm(1, 1, 1, 0, 0, 0), 1)
@@ -327,13 +348,21 @@ def test_watson_suite_searches_each_class_for_its_automorphs_once(monkeypatch):
 
 def test_transport_rejects_a_wrong_image(monkeypatch):
     # transport_automorph returns the image it built; the suite compares it
-    # with phi, so a wrong image is reported by name, not transported into.
+    # with the image TG2 records for the class, or with phi for a TG2 built
+    # by hand without sources, so a wrong image is reported by name, not
+    # transported into.
     form = TernaryForm(3, 4, 4, 3, 2, -2)
     wrong = TernaryForm(1, 3, 11, 0, 0, 1)
     assert transport_automorph(form, 4, automorphs(form))[0] != wrong
+    line = [f"p=11 {form}: lambda_4 differs from phi"]
+    cache = GenusCache()
+    tg2 = cache.tg2(11)
+    classes = tuple((wrong if source == form else image, aut) for (image, aut), source in zip(tg2.classes, tg2.sources))
+    cache.put(GenusSet("TG2", 11, classes, tg2.sources))
+    assert verify.watson_suite(primes=(11,), n_scaling=4, cache=cache)["phi-equals-lambda4"] == line
+    cache.put(GenusSet("TG2", 11, tg2.classes))
     monkeypatch.setattr(verify, "phi", lambda f: wrong if f == form else phi(f))
-    report = verify.watson_suite(primes=(11,), n_scaling=4)
-    assert report["phi-equals-lambda4"] == [f"p=11 {form}: lambda_4 differs from phi"]
+    assert verify.watson_suite(primes=(11,), n_scaling=4, cache=cache)["phi-equals-lambda4"] == line
 
 
 G11 = TernaryForm(3, 4, 4, 3, 2, -2)  # a TG1(11) class with |Aut| = 12
