@@ -20,7 +20,10 @@ from the forms of TG1's classes to a checked genus (each |Aut| checked to
 carry over whenever TG1's orders are known), for `build_tg2` and for
 GenusCache, which stores only TG1's forms and reads every genus from them;
 the genus it returns records each class's TG1 form, so the Watson suite
-reads Phi's image of a class off TG2 instead of reducing it again.
+reads Phi's image of a class off TG2 instead of reducing it again.  Both
+record, as a class's `witnesses`, every basis the search that found the
+class returned, so the Watson suite reads each automorph group off the genus
+with no search of its own.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from typing import Iterator, Sequence
 
 from .forms import FormError, TernaryForm, apply_basis, charge, discriminant, is_positive_definite
 from .local import is_prime
-from .matrices import column_hnf
+from .matrices import Mat3, column_hnf
 from .reduction import _canonical_bases
 from .watson import _phi_raw
 
@@ -64,6 +67,12 @@ class GenusSet:
     # (`_checked_classes`); empty when built otherwise.  Not compared: two
     # genera with the same classes are equal whatever sources they record.
     sources: tuple[TernaryForm, ...] = field(default=(), compare=False)
+    # Each class's bases from the canonical search that found it, in the
+    # order of classes: of the first neighbour to reach it (`enumerate_tg1`)
+    # or of the form's image under the map (`_checked_classes`).  Each U
+    # takes the searched form to the class, so with W0 the first,
+    # Aut(class) = {W0^-1 U}.  Empty when built otherwise; not compared.
+    witnesses: tuple[Sequence[Mat3], ...] = field(default=(), compare=False, repr=False)
 
     @property
     def mass(self) -> Fraction:
@@ -164,14 +173,14 @@ def enumerate_tg1(p: int) -> GenusSet:
     mass = mass_closed_form(p)
     ell = 5 if p == 3 else 3
     charge(1000 * (ell + 1) * (p - 1), "the %d-neighbour closure of TG1(%d)", ell, p)
-    seen: dict[TernaryForm, int] = {}
+    seen: dict[TernaryForm, list[Mat3]] = {}
     found = Fraction(0)
     stack = [iter([_seed(p)])]
     while stack and found < mass:
         for form in stack[-1]:
             canon, bases = _canonical_bases(form)
             if canon not in seen:
-                seen[canon] = len(bases)  # |Aut(form)| = |Aut(canon)|
+                seen[canon] = bases  # |Aut(form)| = |Aut(canon)| = len(bases)
                 found += Fraction(1, len(bases))
                 stack.append(_neighbours(canon, ell))
                 break
@@ -181,7 +190,9 @@ def enumerate_tg1(p: int) -> GenusSet:
         raise IncompletenessError(
             f"TG1({p}) mass {found} != {mass}; the {ell}-neighbour closure fell short of the mass"
         )
-    return GenusSet("TG1", p, tuple(sorted(seen.items())))
+    order = sorted(seen)
+    classes = tuple((canon, len(seen[canon])) for canon in order)
+    return GenusSet("TG1", p, classes, witnesses=tuple(map(seen.get, order)))
 
 
 def _checked_classes(label: str, p: int, classes: Sequence[tuple[TernaryForm, int | None]]) -> GenusSet:
@@ -197,10 +208,11 @@ def _checked_classes(label: str, p: int, classes: Sequence[tuple[TernaryForm, in
     masses sum to the mass of all of TG1 are all of TG1, and their images
     are all of TG2.  Each refusal names `_rows_key(p)`, the forms' genus;
     last, a given |Aut| (TG1's order) must equal its image's, as Phi keeps it.
-    The genus records, as its `sources`, the form each class was read from.
+    The genus records, as its `sources`, the form each class was read from,
+    and as its `witnesses`, the bases of that class's search.
     """
     key, sublattice = _rows_key(p), GENERA[label]
-    images: dict[TernaryForm, int] = {}
+    images: dict[TernaryForm, list[Mat3]] = {}
     form_of: dict[TernaryForm, TernaryForm] = {}
     for form, _ in classes:
         if not is_positive_definite(form) or discriminant(form) != p * p:
@@ -212,14 +224,20 @@ def _checked_classes(label: str, p: int, classes: Sequence[tuple[TernaryForm, in
             first = form_of[canon]
             twice = f"{form} twice" if first == form else f"{first} and {form}, of one class"
             raise FormError(f"{key} holds {twice}")
-        images[canon], form_of[canon] = len(bases), form
-    ordered = sorted(images.items())
-    genus = GenusSet(label, p, tuple(ordered), tuple(form_of[canon] for canon, _ in ordered))
+        images[canon], form_of[canon] = bases, form
+    order = sorted(images)
+    genus = GenusSet(
+        label,
+        p,
+        tuple((canon, len(images[canon])) for canon in order),
+        tuple(map(form_of.get, order)),
+        tuple(map(images.get, order)),
+    )
     if genus.mass != mass_closed_form(p):
         raise FormError(f"{key} has mass {genus.mass}, not {mass_closed_form(p)}")
-    for (form, aut), (image, image_aut) in zip(classes, images.items()):
-        if aut is not None and aut != image_aut:
-            raise FormError(f"automorph order changed under Phi: {form} has {aut}, image {image} has {image_aut}")
+    for (form, aut), (image, bases) in zip(classes, images.items()):
+        if aut is not None and aut != len(bases):
+            raise FormError(f"automorph order changed under Phi: {form} has {aut}, image {image} has {len(bases)}")
     return genus
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from itertools import zip_longest
 from math import lcm
 from operator import add, sub
 
@@ -31,7 +32,7 @@ from .local import (
     kronecker,
     valuation,
 )
-from .watson import lambda_m, phi, transport_automorph
+from .watson import _witnessed_transport, lambda_m, phi, transport_automorph
 
 THM11_FORMS = (
     (2, TernaryForm(1, 1, 3, 0, 0, 1)),
@@ -244,7 +245,11 @@ def watson_suite(
 
     The image of each class is read from TG2(p), which records the TG1 form
     each of its classes came from; a class TG2 does not name as a source (a
-    genus built by hand) is mapped by `phi`.
+    genus built by hand) is mapped by `phi`.  When both genera record the
+    witnesses of their searches, both automorph groups, the transport and
+    lambda_4 of the image are read off them (`watson._witnessed_transport`)
+    with no search; a genus without them, or a witness that fails, takes
+    `automorphs`, `transport_automorph` and `lambda_m`.
     """
     cache = cache or GenusCache()
     failures: dict[str, list[str]] = {
@@ -253,12 +258,15 @@ def watson_suite(
     for p in primes:
         tg1, tg2 = cache.tg1(p), cache.tg2(p)
         images = dict(zip(tg2.sources, (image for image, _ in tg2.classes)))
-        for form, _ in tg1.classes:
+        image_witnesses = dict(zip(tg2.sources, tg2.witnesses))
+        for (form, _), bases in zip_longest(tg1.classes, tg1.witnesses):
             image = images[form] if form in images else phi(form)
-            lam, transported, aut_img = transport_automorph(form, 4, automorphs(form))
+            image_bases = image_witnesses.get(form)
+            witnessed = bases and image_bases and _witnessed_transport(form, bases, image, image_bases)
+            lam, transported, aut_img = witnessed or transport_automorph(form, 4, automorphs(form))
             if lam != image:
                 failures["phi-equals-lambda4"].append(f"p={p} {form}: lambda_4 differs from phi")
-            if lambda_m(image, 4) != form:
+            if not witnessed and lambda_m(image, 4) != form:
                 failures["lambda4-involution"].append(f"p={p} {form}: lambda_4^2 is not the identity")
             counts = theta(form, n_scaling)
             image_counts = theta(image, 4 * n_scaling)

@@ -17,6 +17,14 @@ inverts Phi on classes, so Phi^-1 is lambda_4 with Phi as its exact check.
 Lemma: for a primitive form f of odd discriminant, {v : G v ≡ 0,
 f(v) ≡ 0 (mod 4)} = 2 (Z r + 2 Z^3) (proof at `_phi_raw`), so
 `_lambda_raw(f, 4)[0] == _phi_raw(f)`: the Watson suite's "phi-equals-lambda4".
+
+The suite's "lambda4-involution" needs no reduction either.  Let (raw, M) =
+`_lambda_raw(f, 4)`, W0 a basis taking raw to g = phi(f), and (raw_g, M_g)
+= `_lambda_raw(g, 4)`.  Gram matrices give raw = M'GM/4, g = W0' raw W0 and
+raw_g = M_g' g M_g/4, so raw_g = V'GV with V = M W0 M_g/4.  An integral V
+with det ±1 and apply_map(f, V) == raw_g shows lambda_4(g) ≅ f, and when f
+is canonical, lambda_m(g, 4) == f.  Conversely that equation, with M_g
+invertible, gives W0' raw W0 = g, so it also certifies W0.
 """
 
 from __future__ import annotations
@@ -153,8 +161,20 @@ def transport_automorph(
     not an automorph (which would contradict the transport construction).
     """
     raw, mbasis = _lambda_raw(preimage, m)
+    return _transport(preimage, raw, mbasis, *_canonical_bases(raw), rs)
+
+
+def _transport(
+    preimage: TernaryForm,
+    raw: TernaryForm,
+    mbasis: Mat3,
+    image: TernaryForm,
+    bases: Sequence[Mat3],
+    rs: Sequence[Mat3],
+) -> tuple[TernaryForm, tuple[Mat3, ...], tuple[Mat3, ...]]:
+    """`transport_automorph` onto raw, preimage's lambda form in the basis
+    mbasis, given every basis taking raw to its canonical form image."""
     adj, det = adjugate(mbasis), det3(mbasis)
-    image, bases = _canonical_bases(raw)
     w, w_inv = bases[0], unimodular_inverse(bases[0])
     out = []
     for r in rs:
@@ -168,3 +188,31 @@ def transport_automorph(
             raise FormError("transported matrix is not an automorph of the image")
         out.append(mat_mul(w_inv, mat_mul(s_raw, w)))
     return image, tuple(out), tuple(sorted(mat_mul(w_inv, u) for u in bases))
+
+
+def _witnessed_transport(
+    form: TernaryForm, bases: Sequence[Mat3], image: TernaryForm, image_bases: Sequence[Mat3]
+) -> tuple[TernaryForm, tuple[Mat3, ...], tuple[Mat3, ...]] | None:
+    """transport_automorph(form, 4, automorphs(form)) with no search, for
+    the canonical form of a TG1 class and its image under phi; None when
+    lambda_4's raw form is not phi's or V fails.
+
+    bases are every basis from the search that found form's class, so with
+    W0 the first, Aut(form) = {W0^-1 U}; image_bases likewise for the class
+    of `_phi_raw(form)`.  When lambda_4's raw form is `_phi_raw(form)` (the
+    lemma), image_bases are the bases the transport's own search of it
+    would find.  A result also proves lambda_m(image, 4) == form, by the
+    unimodular V of the module docstring.
+    """
+    raw, mbasis = _lambda_raw(form, 4)
+    if raw != _phi_raw(form):
+        return None
+    raw_image, mbasis_image = _lambda_raw(image, 4)
+    try:
+        v = mat_scale_exact(mat_mul(mbasis, mat_mul(image_bases[0], mbasis_image)), 1, 4)
+    except ValueError:
+        return None
+    if det3(v) not in (1, -1) or apply_map(form, v) != raw_image:
+        return None
+    w_inv = unimodular_inverse(bases[0])
+    return _transport(form, raw, mbasis, image, image_bases, [mat_mul(w_inv, u) for u in bases])

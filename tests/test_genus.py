@@ -8,8 +8,9 @@ from math import isqrt
 import pytest
 
 from ternaryforms import genus as genus_module
-from ternaryforms.forms import FormError, TernaryForm, discriminant, is_positive_definite, is_primitive
+from ternaryforms.forms import FormError, TernaryForm, apply_map, discriminant, is_positive_definite, is_primitive
 from ternaryforms.genus import (
+    GENERA,
     GenusCache,
     GenusSet,
     IncompletenessError,
@@ -19,6 +20,7 @@ from ternaryforms.genus import (
 )
 from ternaryforms.isometry import automorphs, equivalent
 from ternaryforms.local import is_prime
+from ternaryforms.matrices import mat_mul, unimodular_inverse
 from ternaryforms.reduction import _canonical_bases, reduce_form
 from ternaryforms.verify import SUITE_PRIMES, verify_theorem_1_3
 from ternaryforms.watson import _phi_raw, phi
@@ -191,19 +193,26 @@ def test_cache_reads_the_indented_layout(tmp_path):
     assert reread.get("TG2", 11).classes == tg2.classes
 
 
+def replace_everywhere(monkeypatch, module: str, name: str, new):
+    """Put new in place of ternaryforms.<module>.<name> in each package module
+    that holds a reference to it; returns the original."""
+    original = getattr(importlib.import_module(f"ternaryforms.{module}"), name)
+    for key, mod in list(sys.modules.items()):
+        if key.split(".")[0] == "ternaryforms" and vars(mod).get(name) is original:
+            monkeypatch.setattr(mod, name, new)
+    return original
+
+
 def count_calls(monkeypatch, module: str, name: str) -> list:
     """The argument tuples of every later call of ternaryforms.<module>.<name>,
     through each package module that holds a reference to it."""
-    original = getattr(importlib.import_module(f"ternaryforms.{module}"), name)
     calls = []
 
     def counting(*args):
         calls.append(args)
         return original(*args)
 
-    for key, mod in list(sys.modules.items()):
-        if key.split(".")[0] == "ternaryforms" and vars(mod).get(name) is original:
-            monkeypatch.setattr(mod, name, counting)
+    original = replace_everywhere(monkeypatch, module, name, counting)
     return calls
 
 
@@ -359,6 +368,31 @@ def test_tg2_records_the_tg1_source_of_each_class(p):
             assert phi(source) == image
         # The sources are not part of the genus's value.
         assert GenusSet("TG2", p, tg2.classes) == tg2
+
+
+@pytest.mark.parametrize("p", SUITE_PRIMES)
+def test_witnesses_are_the_bases_of_each_class_search(tmp_path, p):
+    # Enumerated, built from TG1 and read from the cache's rows, each class
+    # records every basis its search returned, in search order: each takes
+    # the searched form to the class, there are |Aut| of them, and
+    # {W0^-1 U} is the automorph group.  The searched form is the image of
+    # the class's source under the genus's map, or for an enumerated TG1
+    # the first neighbour to reach the class, which every U^-1 takes the
+    # class back to.
+    path = str(tmp_path / "genus.json")
+    tg1 = enumerate_tg1(p)
+    GenusCache(path).put(tg1)
+    cache = GenusCache(path)
+    for genus in (tg1, build_tg2(tg1), cache.tg1(p), cache.tg2(p)):
+        assert len(genus.witnesses) == len(genus.classes)
+        sublattice = GENERA[genus.label] or (lambda form: form)
+        for i, ((form, aut), bases) in enumerate(zip(genus.classes, genus.witnesses)):
+            w_inv = unimodular_inverse(bases[0])
+            searched = sublattice(genus.sources[i]) if genus.sources else apply_map(form, w_inv)
+            assert all(apply_map(searched, u) == form for u in bases)
+            assert len(bases) == aut
+            assert tuple(sorted(mat_mul(w_inv, u) for u in bases)) == automorphs(form)
+            assert _canonical_bases(searched) == (form, list(bases))
 
 
 @pytest.mark.parametrize("p", [11, 29, 73])

@@ -26,10 +26,13 @@ from ternaryforms.matrices import (
     mat_scale_exact,
     unimodular_inverse,
 )
-from ternaryforms.reduction import reduce_form
+from ternaryforms.reduction import _canonical_bases, reduce_form
+from ternaryforms.verify import SUITE_PRIMES
 from ternaryforms.watson import (
     _lambda_raw,
     _phi_raw,
+    _transport,
+    _witnessed_transport,
     divisibility_lattice_basis,
     lambda_m,
     phi,
@@ -37,6 +40,7 @@ from ternaryforms.watson import (
     transport_automorph,
 )
 from test_forms import SHAPE_1
+from test_genus import count_calls, replace_everywhere
 
 PRIMES = [3, 5, 7, 11, 13]
 
@@ -327,30 +331,80 @@ def test_transport_group_is_the_automorph_group_of_the_image(p):
         assert all(apply_map(image, u) == image for u in group)
 
 
-def test_watson_suite_searches_each_class_for_its_automorphs_once(monkeypatch):
-    # The image's group comes with the transport, so only the preimage's
-    # group is searched for.
-    cache = GenusCache()
-    classes = len(cache.tg1(11).classes)
-    calls = []
-    search = isometry.automorphs
-
-    def counted(form):
-        calls.append(form)
-        return search(form)
-
-    for module in (isometry, verify, watson):
-        monkeypatch.setattr(module, "automorphs", counted, raising=False)
+def test_watson_suite_searches_each_class_for_its_automorphs_once(tmp_path, monkeypatch):
+    # Each class's group is read off the one search that checked it as TG1
+    # was read from its rows, and its image's group off the one search of
+    # its Phi form that built TG2: the suite itself searches nothing.
+    path = str(tmp_path / "genus.json")
+    GenusCache(path).tg1(11)
+    cache = GenusCache(path)
+    calls = count_calls(monkeypatch, "reduction", "_canonical_bases")
     report = verify.watson_suite(primes=(11,), n_scaling=4, cache=cache)
     assert not any(report.values())
-    assert len(calls) == classes
+    forms = [form for form, _ in cache.tg1(11).classes]
+    assert sorted(form for form, in calls) == sorted(forms + [_phi_raw(form) for form in forms])
+
+
+@pytest.mark.parametrize("p", [q for q in range(3, 74) if all(q % k for k in range(2, q))])
+def test_watson_suite_makes_no_canonical_search_on_a_checked_cache(tmp_path, monkeypatch, p):
+    # TG1 enumerated (cold) or read from its rows (warm), both genera record
+    # the witnesses of their searches, so the suite takes no fallback.
+    path = str(tmp_path / "genus.json")
+    cold = GenusCache(path)
+    cold.tg1(p), cold.tg2(p)
+    warm = GenusCache(path)
+    warm.tg1(p), warm.tg2(p)
+    names = (
+        ("reduction", "_search"),
+        ("isometry", "automorphs"),
+        ("watson", "transport_automorph"),
+        ("watson", "lambda_m"),
+    )
+    calls = [count_calls(monkeypatch, module, name) for module, name in names]
+    for cache in (cold, warm):
+        assert not any(verify.watson_suite(primes=(p,), n_scaling=4, cache=cache).values())
+    assert calls == [[]] * len(names)
+
+
+@pytest.mark.parametrize("p", SUITE_PRIMES)
+def test_the_witnessed_transport_is_the_transport(p):
+    # Read off the witnesses of TG1 and TG2, lambda_4's image, the image of
+    # each automorph and the image's group are transport_automorph's.
+    cache = GenusCache()
+    tg1, tg2 = cache.tg1(p), cache.tg2(p)
+    image_of = {source: (image, bases) for source, (image, _), bases in zip(tg2.sources, tg2.classes, tg2.witnesses)}
+    for (form, _), bases in zip(tg1.classes, tg1.witnesses):
+        image, image_bases = image_of[form]
+        lam, transported, group = _witnessed_transport(form, bases, image, image_bases)
+        expected = transport_automorph(form, 4, automorphs(form))
+        assert (lam, group) == (expected[0], expected[2])
+        assert sorted(transported) == sorted(expected[1])
+
+
+@pytest.mark.parametrize("residue", [1, 3])
+@given(diagonal, diagonal, diagonal, cross, cross, cross)
+@settings(max_examples=100, deadline=None)
+def test_v_takes_the_form_to_lambda_4_of_its_phi_image(residue, a0, b0, c0, k, e, f):
+    # watson's module docstring: with (raw, M) lambda_4's raw form and basis,
+    # g and W0 from the search of phi's raw form, and M_g lambda_4's basis
+    # of g, V = M W0 M_g / 4 is integral and unimodular and takes the form to
+    # lambda_4's raw form of g.
+    form = _odd_discriminant_form(residue, a0, b0, c0, k, e, f)
+    assume(is_primitive(form))
+    mbasis = _lambda_raw(form, 4)[1]
+    image, bases = _canonical_bases(_phi_raw(form))
+    raw_image, mbasis_image = _lambda_raw(image, 4)
+    v = mat_scale_exact(mat_mul(mbasis, mat_mul(bases[0], mbasis_image)), 1, 4)
+    assert det3(v) in (1, -1)
+    assert apply_map(form, v) == raw_image
 
 
 def test_transport_rejects_a_wrong_image(monkeypatch):
     # transport_automorph returns the image it built; the suite compares it
     # with the image TG2 records for the class, or with phi for a TG2 built
     # by hand without sources, so a wrong image is reported by name, not
-    # transported into.
+    # transported into.  TG2's witnesses do not take lambda_4's raw form to
+    # the wrong image, so the suite does not trust them.
     form = TernaryForm(3, 4, 4, 3, 2, -2)
     wrong = TernaryForm(1, 3, 11, 0, 0, 1)
     assert transport_automorph(form, 4, automorphs(form))[0] != wrong
@@ -358,8 +412,9 @@ def test_transport_rejects_a_wrong_image(monkeypatch):
     cache = GenusCache()
     tg2 = cache.tg2(11)
     classes = tuple((wrong if source == form else image, aut) for (image, aut), source in zip(tg2.classes, tg2.sources))
-    cache.put(GenusSet("TG2", 11, classes, tg2.sources))
-    assert verify.watson_suite(primes=(11,), n_scaling=4, cache=cache)["phi-equals-lambda4"] == line
+    for witnesses in (tg2.witnesses, ()):
+        cache.put(GenusSet("TG2", 11, classes, tg2.sources, witnesses))
+        assert verify.watson_suite(primes=(11,), n_scaling=4, cache=cache)["phi-equals-lambda4"] == line
     cache.put(GenusSet("TG2", 11, tg2.classes))
     monkeypatch.setattr(verify, "phi", lambda f: wrong if f == form else phi(f))
     assert verify.watson_suite(primes=(11,), n_scaling=4, cache=cache)["phi-equals-lambda4"] == line
@@ -369,7 +424,9 @@ G11 = TernaryForm(3, 4, 4, 3, 2, -2)  # a TG1(11) class with |Aut| = 12
 
 
 def _wrong_lambda(f, m):
-    return TernaryForm(1, 3, 11, 0, 0, 1) if f == phi(G11) else lambda_m(f, m)
+    # lambda_m's raw form, with the TG1(11) class 1,3,11,0,0,1 as that of Phi(G11).
+    raw, basis = _lambda_raw(f, m)
+    return (TernaryForm(1, 3, 11, 0, 0, 1) if f == phi(G11) else raw), basis
 
 
 def _wrong_theta(f, bound):
@@ -377,9 +434,19 @@ def _wrong_theta(f, bound):
     return (counts[0], counts[1] + 2, *counts[2:]) if f == G11 else counts
 
 
-def _wrong_transport(f, m, rs):
-    image, transported, group = transport_automorph(f, m, rs)
+def _wrong_transport(f, *args):
+    image, transported, group = _transport(f, *args)
     return (image, transported[:1] * len(transported), group) if f == G11 else (image, transported, group)
+
+
+# Where the suite reads each property, with witnesses or without: lambda_m
+# and transport_automorph read lambda_m's raw form and the transport from
+# the same two functions the witnessed transport reads.
+READS = {
+    "lambda_m": ("watson", "_lambda_raw"),
+    "theta": ("counting", "theta"),
+    "transport_automorph": ("watson", "_transport"),
+}
 
 
 @pytest.mark.parametrize(
@@ -391,7 +458,7 @@ def _wrong_transport(f, m, rs):
     ],
 )
 def test_each_watson_property_reports_its_own_fault(monkeypatch, name, wrong, key):
-    monkeypatch.setattr(verify, name, wrong)
+    replace_everywhere(monkeypatch, *READS[name], wrong)
     report = verify.watson_suite(primes=(11,), n_scaling=4)
     assert list(report) == ["lambda4-involution", "phi-equals-lambda4", "rep-scaling", "automorph-transport"]
     assert [k for k, lines in report.items() if lines] == [key]
