@@ -20,12 +20,14 @@ w = (x, y).  z*mu is integral exactly when m | z, m = A2 / gcd(A2, 2be - fd,
 2ad - fe), and Q2(w) = Q2(-w); so when z = +-z0 (mod m), layer z holds the
 values of layer z0 shifted by (z^2 - z0^2)*D/A2, an integer.  The layers
 0 <= z <= zmax are grouped by z mod m up to sign; a group is enumerated
-once, at its least z, and its histogram added at each member's shift by one
-`map(add)` over list slices, when that costs less than enumerating the
-other members (`_layer_plan`).  Layer 0 is its half region (y > 0, or y = 0
-< x) twice plus the origin, and a layer z > 0 counts twice, for +-z.  For
-x^2+xy+y^2+3z^2 (m = 1) up to 1000 that is the 1,821 points of the half
-of layer 0 and 18 shifts, instead of 44,289 points.
+once, at its least z, when that costs less than enumerating the other
+members (`_layer_plan`).  Its histogram is packed once into an integer of
+64-bit lanes, and each member adds it at its shift by one big-integer shift
+and addition; the sum is cut to the lanes 0..bound and unpacked once.
+Layer 0 is its half region (y > 0, or y = 0 < x) twice plus the origin, and
+a layer z > 0 counts twice, for +-z.  For x^2+xy+y^2+3z^2 (m = 1) up to
+1000 that is the 1,821 points of the half of layer 0 and 18 shifts, instead
+of 44,289 points.
 
 A single value n needs no x loop: in each (y, z) row the points of value n
 are the integer roots of a quadratic in x, found by one isqrt and a
@@ -39,20 +41,23 @@ they enumerate the Minkowski-reduced form (`forms._minkowski`), whose short
 diagonal keeps the row ranges tight however skewed the input basis is;
 `vectors_with_value` answers in the input coordinates and enumerates the
 input basis.  `_layers` does not test definiteness: each entry point does,
-once, before any shortcut for n <= 0.  `s_batch`
-reads the sum of three squares on whole progressions from one two-squares
-table per process, grown in place, and adds the table's strided slices as
-whole integers whose 16-bit lanes are the entries, a few C calls per slice
-rather than one addition per entry.  The table is sieved from Jacobi's
-r2(k) = 4 sum_{d | k} chi(d), one strided byte-map update per divisor d
-over all its multiples in a block, in 8-bit lanes that are exact below
-`_LANE_BOUND` (larger tables are refused) and blocks of `_BLOCK` lanes, so
-the memory beside the table does not grow with it.  Each charges its size
-to the work limit (`forms.charge`) before it starts: the rows, theta's
+once, before any shortcut for n <= 0.  `s_batch` reads the sum of three
+squares on whole progressions from one two-squares table per process, grown
+in place, and adds the table's strided slices as whole integers whose
+16-bit lanes are the entries, a few C calls per slice rather than one
+addition per entry; an entry is at most 1020, so at least 64 slices share
+the 16-bit lanes before they are widened.  The table is sieved from
+Jacobi's r2(k) = 4 sum_{d | k} chi(d), one strided byte-map update per
+divisor d over all its multiples in a block, in 8-bit lanes that are exact
+below `_LANE_BOUND` (larger tables are refused) and blocks of `_BLOCK`
+lanes, and its even entries are copied from r2(2m) = r2(m), so the memory
+beside the table does not grow with it.  Each charges its size to the work
+limit (`forms.charge`) before it starts: the rows, theta's
 points and counts, and s_batch's table entries and slice reads at 2 units
 each, their bytes, so the limit also bounds the table's memory.  theta
 charges the points of every layer, shared or not, so its refusals do not
-depend on the groups.
+depend on the groups, and refuses as many points as its 64-bit lanes could
+not hold (`_THETA_POINTS`).
 """
 
 from __future__ import annotations
@@ -236,12 +241,44 @@ def _add_rows(hist: list[int], form: TernaryForm, bound: int, top: int, layers) 
             delta -= dd
 
 
-# A point of `_add_rows` costs about three entries of a slice addition, and a
-# whole layer with a window of W values holds about 2*pi*W/sqrt(a2) points.
-# So a group is added at its shifts when 2*pi*3*W_others/sqrt(a2) > W_all,
-# squared: _SHARE * W_others^2 > a2 * W_all^2, with _SHARE = (6*pi)^2.  This
-# never holds when a2 >= _SHARE.
+# Arrays hold their entries in the host's byte order; the lanes of theta and
+# s_batch are little-endian on every host.
+_BIG_ENDIAN = sys.byteorder == "big"
+
+
+def _lanes(row: array) -> int:
+    """The integer whose lanes of row.itemsize bytes, least significant
+    first, are the entries of row (byteswapped in place on big-endian hosts)."""
+    if _BIG_ENDIAN:
+        row.byteswap()
+    return int.from_bytes(row.tobytes(), "little")
+
+
+def _unlanes(lanes: int, count: int) -> array:
+    """The first `count` 64-bit lanes of lanes, which holds no more, as an array."""
+    out = array("Q")
+    out.frombytes(lanes.to_bytes(8 * count, "little"))
+    if _BIG_ENDIAN:
+        out.byteswap()
+    return out
+
+
+# A whole layer with a window of W values holds about 2*pi*W/sqrt(a2) points.
+# A group is added at its shifts when 2*pi*3*W_others/sqrt(a2) > W_all,
+# squared: _SHARE * W_others^2 > a2 * W_all^2, with _SHARE = (6*pi)^2, that
+# is when a point costs 3 added values.  This never holds when a2 >= _SHARE.
+# Measured (Python 3.11), a point of `_add_rows` costs 85-120 ns and a lane
+# of the packed shift and addition 6-7 ns, about 15 lanes a point; but each
+# addition spans the whole sum, and packing, cutting and unpacking cost
+# 25-50 ns a value once per theta, so at the class thetas' bounds (60 to
+# 1000) sharing more groups (_SHARE from 1,000 to 100,000) was slower.
 _SHARE = 355
+
+# theta adds its shared layers in 64-bit lanes.  A lane it keeps holds the
+# points of one value n <= bound in layers z != 0, both signs of z: at most
+# twice the points of the half region that theta charges, so those must be
+# fewer than 2^63.
+_THETA_POINTS = 1 << 63
 
 
 def _layer_plan(a2: int, disc: int, bound: int, m: int) -> tuple[list[int], list[list[int]]]:
@@ -278,7 +315,14 @@ def theta(form: TernaryForm, bound: int) -> tuple[int, ...]:
     (z^2 - z0^2)*disc/a2 (module docstring).  A group of such layers is
     enumerated once, at its least z, and added at each member's shift when
     that costs less than enumerating the other members (`_layer_plan`);
-    every other layer is enumerated row by row.
+    every other layer is enumerated row by row.  A group's histogram is
+    packed once into an integer of 64-bit lanes (`_lanes`), and each member
+    adds it shifted by its least value, one big-integer addition.  The sum
+    is cut to its lanes 0..bound, unpacked once (`_unlanes`) and added to the
+    counts of the other layers.  A carry only moves up, out of the lanes
+    that are kept, and each kept lane holds the points of value n in the
+    members' layers, which is below 2^64 when theta is admitted
+    (`_THETA_POINTS`).
     """
     if bound < 0:
         raise FormError("theta bound must be nonnegative")
@@ -288,9 +332,14 @@ def theta(form: TernaryForm, bound: int) -> tuple[int, ...]:
     # dx <= 4*a*bound, so a row holds at most (isqrt(4*a*bound) + 1) // a + 1 points.
     points = _row_bound(a, a2, disc, bound) * ((isqrt(4 * a * bound) + 1) // a + 1)
     charge(points + bound + 1, "theta up to %d", bound)
+    if points >= _THETA_POINTS:
+        raise ResourceLimitError(
+            f"theta up to {bound} is refused: its 64-bit lanes are exact only below {_THETA_POINTS} points"
+        )
     counts = [0] * (bound + 1)
     counts[0] = 1
     singles, groups = _layer_plan(a2, disc, bound, a2 // gcd(a2, 2 * b * e - f * d, 2 * a * d - f * e))
+    shifted = 0
     for z0, *zs in groups:
         # A member z's values start at ceil(disc*z^2/a2), where those of the
         # base layer z0, shifted, start.
@@ -300,17 +349,20 @@ def theta(form: TernaryForm, bound: int) -> tuple[int, ...]:
             # is its half twice plus the origin; each z = jm > 0 adds it twice
             # more, for +-z.
             _add_rows(counts, reduced, bound, bound, (0,))
-            layer = list(map(add, counts, counts))
+            layer = _lanes(array("Q", counts)) << 1
         else:
             # The whole layer z0, twice for +-z0, from its least value on.
             low = _ceil_div(disc * z0 * z0, a2)
-            layer = [0] * (bound + 1 - low)
-            _add_rows(layer, reduced, bound, bound - low, (z0,))
+            hist = [0] * (bound + 1 - low)
+            _add_rows(hist, reduced, bound, bound - low, (z0,))
+            layer = _lanes(array("Q", hist))
             lows.append(low)
         for low in lows:
-            counts[low:] = map(add, counts[low:], layer[: bound + 1 - low])
+            shifted += layer << 64 * low
     _add_rows(counts, reduced, bound, bound, singles)
-    return tuple(counts)
+    if not groups:
+        return tuple(counts)
+    return tuple(map(add, counts, _unlanes(shifted & ((1 << 64 * (bound + 1)) - 1), bound + 1)))
 
 
 def rep_count(form: TernaryForm, n: int) -> int:
@@ -344,11 +396,6 @@ _MINUS_2 = bytes((i - 2) & 255 for i in range(256))
 _LOW = bytes((4 * i) & 255 for i in range(256))
 _HIGH = bytes((4 * i) >> 8 for i in range(256))
 
-# Arrays hold their entries in the host's byte order; the lanes of s_batch
-# are little-endian on every host.
-_BIG_ENDIAN = sys.byteorder == "big"
-
-
 def _two_squares_table(limit: int) -> array:
     """The shared r2 table, grown to cover 0 <= k <= limit.
 
@@ -362,10 +409,12 @@ def _two_squares_table(limit: int) -> array:
     a byte map, and chi(d) to d^2.  The lanes hold r2(k)/4 mod 256, which is
     exact below _LANE_BOUND, and are sieved _BLOCK lanes at a time; two more
     byte maps widen each block into the table as 4 * lane.  The map
-    (u, v) -> (u + v, u - v) is a bijection from the representations of k
-    onto those of 2k, so r2(2^j m) = r2(m) for odd m: the new even entries
-    are filled by strided slice copies per power of two 2^j, from the odd
-    entries r2(k >> j), _BLOCK entries at a time.
+    (u, v) -> (u + v, u - v) is a bijection from the representations of m
+    onto those of 2m, so r2(2m) = r2(m) for every m >= 1: the new even
+    entries are copied from r2(k/2) by strided slice copies, in increasing
+    chunks of the even k from some k0 up to stop <= 2*k0, at most _BLOCK
+    entries each, so that every entry a chunk reads, below stop/2 <= k0, is
+    already filled.
     """
     if limit >= _LANE_BOUND:
         raise ResourceLimitError(
@@ -396,24 +445,14 @@ def _two_squares_table(limit: int) -> array:
             if _BIG_ENDIAN:
                 block.byteswap()
             r2[4 * lo + 1 : 4 * hi : 4] = block
-        j = 1
-        while 1 << j <= limit:
-            # k = 2^j * m with m odd, for the k >= old: the least is start.
-            period = 1 << (j + 1)
-            start = old + ((1 << j) - old) % period
-            for at in range(start, limit + 1, period * _BLOCK):
-                stop = min(at + period * _BLOCK, limit + 1)
-                r2[at:stop:period] = r2[at >> j : ((stop - 1) >> j) + 1 : 2]
-            j += 1
+        k = old + old % 2  # the least new even entry
+        while k <= limit:
+            # The even entries k, k + 2, ... below stop <= 2k read entries
+            # below k, all filled already.
+            stop = min(2 * k, k + 2 * _BLOCK, limit + 1)
+            r2[k:stop:2] = r2[k // 2 : (stop + 1) // 2]
+            k = stop + stop % 2
     return r2
-
-
-def _lanes(row: array) -> int:
-    """The integer whose 16-bit lanes, least significant first, are the
-    entries of row (a slice copy, byteswapped in place on big-endian hosts)."""
-    if _BIG_ENDIAN:
-        row.byteswap()
-    return int.from_bytes(row.tobytes(), "little")
 
 
 def _widen(lanes: int, count: int) -> int:
@@ -434,10 +473,13 @@ def s_batch(step: int, n_max: int) -> list[int]:
     down to the least n with step*n >= z^2.  The slices all start at n_max,
     and no z reaches n = 0.  Each slice is read as one integer whose 16-bit
     lanes are its entries (`_lanes`), so adding integers adds the slices
-    position by position.  r2(k) <= 4 d(k) <= 8 sqrt(k), so `per` slices add
-    up to at most 65535 in every lane and no lane carries into the next.
-    Each such partial sum is widened into 64-bit lanes (`_widen`), where the
-    sum over every z cannot carry, and the lanes are read back as one array.
+    position by position.  Every entry is r2(k) = 4 * lane <= 1020 below
+    _LANE_BOUND (`_two_squares_table`), and r2(k) <= 4 d(k) <= 8 sqrt(k), so
+    `per` = 65535 // min(1020, 8 isqrt(top) + 8) slices add up to at most
+    65535 in every lane and no lane carries into the next: 64 slices when
+    top >= 127^2.  Each such partial sum is widened into 64-bit lanes
+    (`_widen`), where the sum over every z cannot carry, and the lanes are
+    read back as one array (`_unlanes`).
     """
     if step < 1 or n_max < 0:
         raise FormError("s_batch requires step >= 1 and n_max >= 0")
@@ -446,18 +488,14 @@ def s_batch(step: int, n_max: int) -> list[int]:
     charge(2 * (top + 1 + isqrt(top) * (n_max + 1)), "s_batch up to %d", top)
     r2 = _two_squares_table(top)
     size, zs = n_max + 1, isqrt(top)
-    per = max(1, 65535 // (8 * zs + 8))
+    per = 65535 // min(1020, 8 * zs + 8)
     tails = 0
     for first in range(1, zs + 1, per):
         part = 0
         for z in range(first, min(first + per, zs + 1)):
             part += _lanes(r2[top - z * z :: -step])
         tails += _widen(part, size)
-    total = _widen(_lanes(r2[top::-step]), size) + 2 * tails
-    out = array("Q")
-    out.frombytes(total.to_bytes(8 * size, "little"))
-    if _BIG_ENDIAN:
-        out.byteswap()
+    out = _unlanes(_widen(_lanes(r2[top::-step]), size) + 2 * tails, size)
     out.reverse()
     return out.tolist()
 

@@ -30,16 +30,17 @@ from __future__ import annotations
 
 import json
 import os
+import stat
 import tempfile
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
 from typing import Iterator, Sequence
 
-from .forms import FormError, TernaryForm, apply_basis, charge, discriminant, is_positive_definite
+from .forms import FormError, TernaryForm, _minkowski, apply_basis, charge, discriminant, is_positive_definite
 from .local import is_prime
 from .matrices import Mat3, column_hnf
-from .reduction import _canonical_bases
+from .reduction import _canonical_bases, _search
 from .watson import _phi_raw
 
 
@@ -156,6 +157,17 @@ def _neighbours(form: TernaryForm, ell: int) -> Iterator[TernaryForm]:
     return build()
 
 
+def _sign_key(form: TernaryForm) -> tuple[int, ...]:
+    """The least sextuple form takes under sign changes of its basis vectors.
+
+    Negating e_1, e_2, e_3 by s1, s2, s3 takes (d, e, f) to (d*s2*s3,
+    e*s1*s3, f*s1*s2) and keeps (a, b, c); s and -s act alike, so s1 = 1
+    gives all 8 patterns.  Forms with equal keys are equivalent.
+    """
+    a, b, c, d, e, f = form.coeffs
+    return (a, b, c, *min((d * s2 * s3, e * s3, f * s2) for s2 in (1, -1) for s3 in (1, -1)))
+
+
 def enumerate_tg1(p: int) -> GenusSet:
     """All classes of positive primitive forms of discriminant p^2.
 
@@ -163,22 +175,32 @@ def enumerate_tg1(p: int) -> GenusSet:
     p = 3) of each new class in turn, depth first, until the classes found
     reach the closed-form mass (p-1)/48, which certifies completeness.  The
     closure keeps a stack of neighbour iterators, so a neighbour is built
-    only when it is reduced.  A closure that runs out of neighbours short of
-    the mass raises IncompletenessError.  Every form of discriminant p^2 is
-    primitive, as disc(kQ) = k^3 disc(Q).  The closure is charged
-    1000 (ell + 1)(p - 1) units before the seed: |Aut| <= 48 bounds the
-    class number by p - 1, and one neighbour reduction costs about as much
-    time as 1300 theta units.
+    only when it is reduced.  Each form drawn is Minkowski-reduced first,
+    and searched (`reduction._search`) only when no form searched before
+    has its sign key (`_sign_key`): a form with a key already seen is a sign
+    change of a searched one, so its class is seen, and the first form to
+    reach each class is still the one searched.  A closure that runs out of
+    neighbours short of the mass raises IncompletenessError.  Every form of
+    discriminant p^2 is primitive, as disc(kQ) = k^3 disc(Q).  The closure
+    is charged 1000 (ell + 1)(p - 1) units before the seed: |Aut| <= 48
+    bounds the class number by p - 1, and one neighbour reduction costs
+    about as much time as 1300 theta units.
     """
     mass = mass_closed_form(p)
     ell = 5 if p == 3 else 3
     charge(1000 * (ell + 1) * (p - 1), "the %d-neighbour closure of TG1(%d)", ell, p)
     seen: dict[TernaryForm, list[Mat3]] = {}
+    searched: set[tuple[int, ...]] = set()
     found = Fraction(0)
     stack = [iter([_seed(p)])]
     while stack and found < mass:
         for form in stack[-1]:
-            canon, bases = _canonical_bases(form)
+            pre, u = _minkowski(form)
+            key = _sign_key(pre)
+            if key in searched:
+                continue
+            searched.add(key)
+            canon, bases = _search(pre, u)
             if canon not in seen:
                 seen[canon] = bases  # |Aut(form)| = |Aut(canon)| = len(bases)
                 found += Fraction(1, len(bases))
@@ -248,9 +270,22 @@ def build_tg2(tg1: GenusSet) -> GenusSet:
 
 # -- JSON cache -----------------------------------------------------------
 
+def _file_mode(path: str) -> int:
+    """The permission bits path has, or for a new file those that open() would
+    give it: 0666 less the umask.  mkstemp makes its file 0600, and
+    os.replace keeps that mode."""
+    try:
+        return stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        return 0o666 & ~umask
+
+
 class GenusCache:
-    """Persists the classes of TG1 to a JSON file, written atomically, or
-    keeps them in memory only when no path is given.
+    """Persists the classes of TG1 to a JSON file, written atomically with
+    the file's mode kept (`_file_mode`), or keeps them in memory only when
+    no path is given.
 
     The file maps `_rows_key(p)` to the coefficient rows of the classes; other
     entries are not read, and a file with any entry that is not a list is
@@ -311,6 +346,7 @@ class GenusCache:
                 fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
                 with os.fdopen(fd, "w") as fh:
                     fh.write(json.dumps(self._rows, separators=(",", ":")))
+                os.chmod(tmp, _file_mode(self.path))
                 os.replace(tmp, self.path)
             except OSError as exc:
                 raise FormError(f"cannot write genus cache {self.path}: {exc.strerror}") from None

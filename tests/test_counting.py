@@ -158,26 +158,31 @@ def test_s_batch_lanes_match_the_zip_longest_sums(step, n_max):
 
 
 def test_s_batch_widens_each_slice_alone_near_two_to_the_sixteen():
-    # isqrt(top) = 4096 makes per = 1: no two slices share a 16-bit lane, and
-    # the sums of these entries near 2^16 need the 64-bit lanes.
+    # Below _LANE_BOUND every entry is r2(k) = 4 * lane <= 1020, so 64 slices
+    # share a 16-bit lane and fill it to 64 * 1020 = 65280, near 2^16.
+    # isqrt(top) = 4096 makes 64 such groups, each widened alone: their sums
+    # need the 64-bit lanes.
     step, n_max = 4096 * 4096, 1
-    assert 65535 // (8 * isqrt(step * n_max) + 8) == 1
-    table = array("H", [65535]) * (step * n_max + 1)
+    assert 65535 // min(1020, 8 * isqrt(step * n_max) + 8) == 64
+    table = array("H", [1020]) * (step * n_max + 1)
     for z in range(isqrt(step * n_max) + 1):
         table[step * n_max - z * z] -= z % 13
     with patch.object(counting, "_R2", table):
         got = s_batch(step, n_max)
         assert got == _zip_longest_s_batch(step, n_max)
-    assert got[1] > 2**28
+    assert got[1] > 2**22
 
 
-@pytest.mark.parametrize("step, n_max", [(1, 20000), (9, 3000), (121, 200)])
+@pytest.mark.parametrize("step, n_max", [(1, 20000), (9, 3000), (121, 200), (1, 10000)])
 def test_s_batch_lanes_do_not_carry_at_the_bound(step, n_max):
-    # Every entry at the largest value the lanes allow, 8 isqrt(top) + 8: per
-    # slices fill a 16-bit lane to per * bound <= 65535, and one more would
-    # carry.  There are more slices than per, so the first group is full.
+    # Every entry at the largest value the lanes allow: r2(k) = 4 * lane <=
+    # 1020 below _LANE_BOUND, and r2(k) <= 8 sqrt(k), the tighter bound when
+    # top < 127^2 = 16129 (the last case).  per slices fill a 16-bit lane to
+    # per * bound <= 65535, and one more would carry.  There are more slices
+    # than per, so the first group is full.
     top = step * n_max
-    bound = 8 * isqrt(top) + 8
+    bound = min(1020, 8 * isqrt(top) + 8)
+    assert (bound < 1020) == (top < 16129)
     per = 65535 // bound
     assert 1 < per < isqrt(top) and (per + 1) * bound > 65535
     table = array("H", [bound]) * (top + 1)
@@ -471,6 +476,8 @@ def test_the_layer_plan_groups_layers_congruent_up_to_sign(name):
 @example(PLANS["m = 162, above the 6 layers"][0], 300)
 @example(PLANS["m = 2, a2 = 212: no group pays"][0], 300)
 @example(PLANS["m = 1, a2 = 396 >= _SHARE"][0], 300)
+@example(TernaryForm(4, 3, 4, 0, 4, 0), 1000)
+@example(TernaryForm(7, 8, 8, -4, 8, 8), 1000)
 @settings(max_examples=80, deadline=None)
 def test_theta_matches_the_histogram_in_the_input_basis(g, bound):
     counts = [1] + [0] * bound
@@ -524,6 +531,18 @@ def test_theta_is_admitted_at_the_same_work_limit(form, bound, least):
 def test_theta_refuses_three_squares_to_3e8_at_the_same_charge():
     with pytest.raises(ResourceLimitError, match="theta up to 300000000 costs 20787280702727 units"):
         theta(TernaryForm(1, 1, 1, 0, 0, 0), 300000000)
+
+
+def test_theta_refuses_the_points_its_lanes_cannot_hold():
+    # x^2+y^2+z^2 to 10^13 is charged 10^13 + 1 counts and more than 2^64
+    # points.  A work limit that admits the charge still refuses it, before
+    # the counts of 10^13 + 1 values are allocated.
+    bound, charged = 10**13, 126491177186538334377
+    assert charged - bound - 1 >= 2**64
+    with pytest.raises(ResourceLimitError, match=f"theta up to {bound} costs {charged} units"):
+        theta(THREE_SQUARES, bound)
+    with pytest.raises(ResourceLimitError, match=f"up to {bound} is refused: .* exact only below {2**63} points$"):
+        limited(charged, theta, THREE_SQUARES, bound)
 
 
 # The short vectors of several values come from one row scan; the per-value

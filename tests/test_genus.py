@@ -1,11 +1,15 @@
 import errno
 import importlib
 import json
+import os
+import stat
 import sys
 from fractions import Fraction
 from math import isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ternaryforms import genus as genus_module
 from ternaryforms.forms import FormError, TernaryForm, apply_map, discriminant, is_positive_definite, is_primitive
@@ -171,6 +175,27 @@ def test_failed_cache_write_leaves_no_temporary_file(tmp_path, monkeypatch):
         GenusCache(str(path)).tg1(5)
     assert str(info.value) == f"cannot write genus cache {path}: Permission denied"
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("mode", [0o644, 0o600, 0o640])
+def test_cache_put_keeps_the_file_mode(tmp_path, mode):
+    path = tmp_path / "genus.json"
+    GenusCache(str(path)).tg1(5)
+    path.chmod(mode)
+    GenusCache(str(path)).tg1(7)
+    assert stat.S_IMODE(path.stat().st_mode) == mode
+    assert json.loads(path.read_text()).keys() == {"TG1,5", "TG1,7"}
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o027])
+def test_a_new_cache_file_takes_the_umask_mode(tmp_path, umask):
+    path = tmp_path / "genus.json"
+    old = os.umask(umask)
+    try:
+        GenusCache(str(path)).tg1(5)
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
 
 
 def test_cache_stores_only_the_rows(tmp_path):
@@ -513,8 +538,9 @@ def test_neighbour_closure_matches_the_drained_scan(p):
 
 
 def test_enumeration_pulls_only_the_seed_and_reduces_per_neighbour(monkeypatch):
+    # Each form drawn, the seed and each neighbour, is Minkowski-reduced once.
     seeds = count_calls(monkeypatch, "genus", "_seed")
-    calls = count_calls(monkeypatch, "reduction", "_canonical_bases")
+    calls = count_calls(monkeypatch, "forms", "_minkowski")
     classes = enumerate_tg1(61).classes
     assert seeds == [(61,)]
     assert len(calls) <= 1 + (3 + 1) * len(classes)
@@ -522,10 +548,11 @@ def test_enumeration_pulls_only_the_seed_and_reduces_per_neighbour(monkeypatch):
 
 def test_the_closure_builds_only_the_neighbours_it_reduces(monkeypatch):
     builds = count_calls(monkeypatch, "genus", "apply_basis")
-    calls = count_calls(monkeypatch, "reduction", "_canonical_bases")
+    calls = count_calls(monkeypatch, "forms", "_minkowski")
     enumerate_tg1(61)
-    # The forms reduced, in order: lazy building must not change the
-    # depth-first sequence, last line first.
+    # The forms reduced (each Minkowski-reduced, then searched unless its
+    # sign key was), in order: lazy building must not change the depth-first
+    # sequence, last line first.
     assert [form.coeffs for form, in calls] == [
         (2, 23, 23, -15, 1, 1),
         (200, 207, 23, 45, 71, 397),
@@ -542,6 +569,47 @@ def test_the_closure_builds_only_the_neighbours_it_reduces(monkeypatch):
             enumerate_tg1(p)
             # Every form reduced but the seed is a neighbour built for it.
             assert len(builds) == len(calls) - 1, p
+
+
+# The canonical searches of the closure of TG1(p): one per class at these p.
+# Searching every form drawn made 1, 1, 1, 4, 1, 2, 2, 8 and 6.
+CLOSURE_SEARCHES = {3: 1, 5: 1, 7: 1, 11: 2, 13: 1, 17: 2, 19: 2, 23: 3, 73: 4}
+
+
+@pytest.mark.parametrize("p", SUITE_PRIMES)
+def test_the_closure_searches_each_sign_key_once(monkeypatch, p):
+    drawn = count_calls(monkeypatch, "forms", "_minkowski")
+    searches = count_calls(monkeypatch, "reduction", "_search")
+    tg1 = enumerate_tg1(p)
+    monkeypatch.undo()
+    assert len(searches) == CLOSURE_SEARCHES[p] >= len(tg1.classes)
+    # Each search is of a drawn form's Minkowski form, and every drawn form's
+    # key is the key of one search.
+    keys = [genus_module._sign_key(pre) for pre, _ in searches]
+    assert len(set(keys)) == len(keys)
+    assert {genus_module._sign_key(genus_module._minkowski(form)[0]) for form, in drawn} == set(keys)
+
+
+def test_the_closure_searches_47_forms_up_to_61(monkeypatch):
+    searches = count_calls(monkeypatch, "reduction", "_search")
+    for p in range(3, 62, 2):
+        if is_prime(p):
+            enumerate_tg1(p)
+    assert len(searches) == 47  # 79 when every form drawn was searched
+
+
+SIGNS = [((s1, 0, 0), (0, s2, 0), (0, 0, s3)) for s1 in (1, -1) for s2 in (1, -1) for s3 in (1, -1)]
+
+
+@given(st.builds(TernaryForm, *[st.integers(1, 9)] * 3, *[st.integers(-9, 9)] * 3), st.sampled_from(SIGNS))
+@settings(max_examples=100, deadline=None)
+def test_the_sign_key_is_the_least_sign_change_of_the_form(form, signs):
+    # The key is a sextuple the form takes under a sign change, the least of
+    # them, and the same for every sign change of the form.
+    images = {apply_map(form, u).coeffs for u in SIGNS}
+    key = genus_module._sign_key(form)
+    assert key == min(images)
+    assert genus_module._sign_key(apply_map(form, signs)) == key
 
 
 @pytest.mark.parametrize(
