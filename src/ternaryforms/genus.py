@@ -31,7 +31,6 @@ from __future__ import annotations
 import json
 import os
 import stat
-import tempfile
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
@@ -53,10 +52,13 @@ GENERA = {"TG1": None, "TG2": _phi_raw}
 _BASE = next(label for label, sublattice in GENERA.items() if sublattice is None)
 
 
-def _rows_key(p: int) -> str:
-    """The cache's key of the base genus's rows at p ("TG1,p"), and the name
-    every refusal of those rows starts with."""
-    return f"{_BASE},{p}"
+def _key(label: str, p: int) -> str:
+    """The cache's key of label's genus at p ("label,p"); the key of the base
+    genus (`_key(_BASE, p)`, "TG1,p") names its rows and starts every refusal
+    of them.  A label outside GENERA is refused."""
+    if label not in GENERA:
+        raise FormError(f"no genus {label!r}; the genera are {', '.join(GENERA)}")
+    return f"{label},{p}"
 
 
 @dataclass(frozen=True)
@@ -228,12 +230,12 @@ def _checked_classes(label: str, p: int, classes: Sequence[tuple[TernaryForm, in
     classes) are refused, and the mass must be the closed-form (p-1)/48.
     These checks are complete: distinct classes of discriminant p^2 whose
     masses sum to the mass of all of TG1 are all of TG1, and their images
-    are all of TG2.  Each refusal names `_rows_key(p)`, the forms' genus;
+    are all of TG2.  Each refusal names `_key(_BASE, p)`, the forms' genus;
     last, a given |Aut| (TG1's order) must equal its image's, as Phi keeps it.
     The genus records, as its `sources`, the form each class was read from,
     and as its `witnesses`, the bases of that class's search.
     """
-    key, sublattice = _rows_key(p), GENERA[label]
+    key, sublattice = _key(_BASE, p), GENERA[label]
     images: dict[TernaryForm, list[Mat3]] = {}
     form_of: dict[TernaryForm, TernaryForm] = {}
     for form, _ in classes:
@@ -270,24 +272,13 @@ def build_tg2(tg1: GenusSet) -> GenusSet:
 
 # -- JSON cache -----------------------------------------------------------
 
-def _file_mode(path: str) -> int:
-    """The permission bits path has, or for a new file those that open() would
-    give it: 0666 less the umask.  mkstemp makes its file 0600, and
-    os.replace keeps that mode."""
-    try:
-        return stat.S_IMODE(os.stat(path).st_mode)
-    except FileNotFoundError:
-        umask = os.umask(0)
-        os.umask(umask)
-        return 0o666 & ~umask
-
-
 class GenusCache:
-    """Persists the classes of TG1 to a JSON file, written atomically with
-    the file's mode kept (`_file_mode`), or keeps them in memory only when
-    no path is given.
+    """Persists the classes of TG1 to a JSON file, or keeps them in memory
+    only when the path is None (an empty path is refused).  `put` writes a
+    temporary file beside it, created exclusively (so 0666 less the umask),
+    gives it an existing file's mode and renames it over the file.
 
-    The file maps `_rows_key(p)` to the coefficient rows of the classes; other
+    The file maps `_key(_BASE, p)` to the coefficient rows of the classes; other
     entries are not read, and a file with any entry that is not a list is
     refused when it is opened, so `put` never writes rows beside an entry of
     another layout.  `put` of TG1 also stores its rows.  `get` reads a genus
@@ -298,10 +289,12 @@ class GenusCache:
     """
 
     def __init__(self, path: str | None = None):
+        if path == "":
+            raise FormError("the genus cache path is empty; name a file")
         self.path = path
         self._rows: dict[str, list] = {}
         self._genera: dict[str, GenusSet] = {}
-        if self.path and os.path.exists(self.path):
+        if self.path is not None and os.path.exists(self.path):
             try:
                 with open(self.path) as fh:
                     self._rows = json.load(fh)
@@ -314,9 +307,7 @@ class GenusCache:
                     raise FormError(f"genus cache {self.path}: entry {key} is not a list of rows; cache corrupt")
 
     def get(self, label: str, p: int) -> GenusSet | None:
-        if label not in GENERA:
-            raise FormError(f"no genus {label!r}; the genera are {', '.join(GENERA)}")
-        key, rows_key = f"{label},{p}", _rows_key(p)
+        key, rows_key = _key(label, p), _key(_BASE, p)
         rows = self._rows.get(rows_key)
         if key not in self._genera and rows is not None:
             orders = dict(self._genera[rows_key].classes) if rows_key in self._genera else {}
@@ -326,32 +317,35 @@ class GenusCache:
                 forms = [TernaryForm(*row) for row in rows]
                 self._genera[key] = _checked_classes(label, p, [(form, orders.get(form)) for form in forms])
             except FormError as exc:
-                where = f"genus cache {self.path}: " if self.path else ""
+                where = f"genus cache {self.path}: " if self.path is not None else ""
                 raise FormError(f"{where}genus cache entry {exc}; cache corrupt") from None
         return self._genera.get(key)
 
     def put(self, genus: GenusSet) -> None:
         """Keep genus; a TG1 genus is also stored as rows, and written to the file."""
-        if genus.label not in GENERA:
-            raise FormError(f"no genus {genus.label!r}; the genera are {', '.join(GENERA)}")
-        key = f"{genus.label},{genus.prime}"
+        key = _key(genus.label, genus.prime)
         self._genera[key] = genus
         if GENERA[genus.label] is not None:
             return
-        self._rows[_rows_key(genus.prime)] = [list(form.coeffs) for form, _ in genus.classes]
-        if self.path:
-            d = os.path.dirname(os.path.abspath(self.path))
-            tmp = None
+        self._rows[key] = [list(form.coeffs) for form, _ in genus.classes]
+        if self.path is not None:
+            # A name of fixed length, so a long cache file name still fits.
+            tmp = os.path.join(os.path.dirname(os.path.abspath(self.path)), f"tmp{os.urandom(6).hex()}.tmp")
+            made = False
             try:
-                fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-                with os.fdopen(fd, "w") as fh:
+                with open(tmp, "x") as fh:
+                    made = True
                     fh.write(json.dumps(self._rows, separators=(",", ":")))
-                os.chmod(tmp, _file_mode(self.path))
+                try:
+                    os.chmod(tmp, stat.S_IMODE(os.stat(self.path).st_mode))
+                except FileNotFoundError:
+                    pass  # a new file keeps open()'s mode, 0666 less the umask
                 os.replace(tmp, self.path)
+                made = False
             except OSError as exc:
                 raise FormError(f"cannot write genus cache {self.path}: {exc.strerror}") from None
             finally:
-                if tmp is not None and os.path.exists(tmp):
+                if made:
                     os.unlink(tmp)
 
     def read(self, label: str, p: int) -> GenusSet:

@@ -332,11 +332,6 @@ def test_s_vanishes_on_forbidden_residues():
             assert s(4**a * (8 * k + 7)) == 0
 
 
-def test_s_rejects_negative():
-    with pytest.raises(FormError):
-        s(-1)
-
-
 def two_squares_sieve(limit):
     """Oracle: r2[k] = #{(u,v) in Z^2 : u^2 + v^2 == k} for 0 <= k <= limit,
     sieved in one pass over the unordered pairs 0 <= a <= b."""

@@ -198,6 +198,65 @@ def test_a_new_cache_file_takes_the_umask_mode(tmp_path, umask):
     assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
 
 
+def test_cache_write_never_reads_the_umask(tmp_path, monkeypatch):
+    # The umask is process-wide: setting it, even to read it, would change
+    # the mode of files other threads create meanwhile.
+    def refuse(mask):
+        raise AssertionError(f"os.umask({mask:#o}) called")
+
+    path = tmp_path / "genus.json"
+    old = os.umask(0o027)
+    monkeypatch.setattr(genus_module.os, "umask", refuse)
+    try:
+        GenusCache(str(path)).tg1(5)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640
+        path.chmod(0o604)
+        GenusCache(str(path)).tg1(7)
+    finally:
+        monkeypatch.undo()
+        os.umask(old)
+    assert stat.S_IMODE(path.stat().st_mode) == 0o604
+    assert json.loads(path.read_text()).keys() == {"TG1,5", "TG1,7"}
+
+
+def test_cache_write_leaves_a_taken_temporary_name_alone(tmp_path, monkeypatch):
+    # The temporary file is created exclusively: a file that already has its
+    # name is neither written over nor removed.
+    monkeypatch.setattr(genus_module.os, "urandom", lambda n: bytes(n))
+    taken = tmp_path / f"tmp{bytes(6).hex()}.tmp"
+    taken.write_text("not the cache's")
+    path = tmp_path / "genus.json"
+    with pytest.raises(FormError) as info:
+        GenusCache(str(path)).tg1(5)
+    assert str(info.value) == f"cannot write genus cache {path}: File exists"
+    assert list(tmp_path.iterdir()) == [taken]
+    assert taken.read_text() == "not the cache's"
+
+
+def test_a_directory_that_refuses_the_create_is_left_empty(tmp_path, monkeypatch):
+    def refuse(file, mode="r", *args, **kwargs):
+        if "x" in mode:
+            raise PermissionError(errno.EACCES, "Permission denied", file)
+        return open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(genus_module, "open", refuse, raising=False)
+    path = tmp_path / "genus.json"
+    with pytest.raises(FormError) as info:
+        GenusCache(str(path)).tg1(5)
+    assert str(info.value) == f"cannot write genus cache {path}: Permission denied"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_an_empty_cache_path_is_refused(tmp_path, monkeypatch):
+    # None alone means no file; "" is refused before anything is read or built.
+    monkeypatch.chdir(tmp_path)
+    calls = count_calls(monkeypatch, "genus", "enumerate_tg1")
+    with pytest.raises(FormError, match="^the genus cache path is empty; name a file$"):
+        GenusCache("")
+    assert calls == []
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cache_stores_only_the_rows(tmp_path):
     path = tmp_path / "genus.json"
     GenusCache(str(path)).tg2(11)

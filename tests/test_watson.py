@@ -522,12 +522,6 @@ def _count_suite_lambda_builds(monkeypatch):
     return calls["lambda"], calls["equivalent"], len(enumerate_tg1(11).classes)
 
 
-def test_watson_suite_builds_at_most_three_lambda_lattices_per_class(monkeypatch):
-    builds, searches, classes = _count_suite_lambda_builds(monkeypatch)
-    assert 0 < builds <= 3 * classes
-    assert searches == 0
-
-
 def test_watson_suite_builds_at_most_two_lambda_lattices_per_class(monkeypatch):
     # lambda_4 of the form comes with the transport of its automorph group;
     # only lambda_4 of the image is built on its own.
