@@ -63,6 +63,7 @@ not hold (`_THETA_POINTS`).
 from __future__ import annotations
 
 import sys
+import threading
 from array import array
 from math import gcd, isqrt
 from operator import add
@@ -378,15 +379,17 @@ def rep_count(form: TernaryForm, n: int) -> int:
 
 # r2(k) = #{(u, v) in Z^2 : u^2 + v^2 == k} for 0 <= k < len(_R2), shared by
 # every caller in the process.  It is a pure function of k, so it is grown in
-# place and never rebuilt.  The sieve holds r2(k)/4 in 8-bit lanes, exact for
-# k < _LANE_BOUND = 5^3*13*17*29*37*41*53, the least k with r2(k)/4 >= 256;
-# below it r2(k) <= 1020 fits every entry, and larger tables are refused.
+# place and never rebuilt, and every entry below len(_R2) is final: readers
+# take no lock, and growers take turns under _GROWING.  The sieve holds
+# r2(k)/4 in 8-bit lanes, exact for k < _LANE_BOUND =
+# 5^3*13*17*29*37*41*53, the least k with r2(k)/4 >= 256; below it
+# r2(k) <= 1020 fits every entry, and larger tables are refused.
 _R2 = array("H", [1])
 _LANE_BOUND = 64_411_251_125
+_GROWING = threading.Lock()
 
-# New entries k = 1 (mod 4) are sieved, and new even entries copied, this
-# many at a time, so the memory beside the table (about 5 bytes a sieved
-# lane) stays fixed.
+# New entries are made at most 4 * _BLOCK at a time (_BLOCK sieved lanes), so
+# the memory beside the table (about 5 bytes a sieved lane) stays fixed.
 _BLOCK = 1 << 15
 
 # Byte maps: a lane plus or minus 2 (mod 256), and the low and high byte of
@@ -399,6 +402,28 @@ _HIGH = bytes((4 * i) >> 8 for i in range(256))
 def _two_squares_table(limit: int) -> array:
     """The shared r2 table, grown to cover 0 <= k <= limit.
 
+    The new entries are made in chunks, old <= k < stop, each in an array of
+    its own (`_two_squares_chunk`) that one `extend` appends once it is
+    filled.  So an interrupted or failed growth keeps the chunks before it
+    and publishes no entry that is not final.  A chunk holds at most
+    4 * _BLOCK entries and ends at stop <= 2 * old, so the entries it reads
+    are all published.
+    """
+    if limit >= _LANE_BOUND:
+        raise ResourceLimitError(
+            f"a two-squares table up to {limit} is refused: its sieve is exact only below {_LANE_BOUND}"
+        )
+    r2 = _R2
+    if limit >= len(r2):
+        with _GROWING:
+            while (old := len(r2)) <= limit:
+                r2.extend(_two_squares_chunk(r2, old, min(limit + 1, 2 * old, old + 4 * _BLOCK)))
+    return r2
+
+
+def _two_squares_chunk(r2: array, old: int, stop: int) -> array:
+    """r2(k) for old <= k < stop <= 2 * old, from the table r2's first old entries.
+
     Jacobi: r2(k) = 4 * sum_{d | k} chi(d), chi the character mod 4.  For odd
     k the divisors pair up as (d, k/d) with d < sqrt(k), and a pair adds
     chi(d) + chi(k/d), which is 2 chi(d) when k/d = d (mod 4) and 0
@@ -407,52 +432,34 @@ def _two_squares_table(limit: int) -> array:
     for k = 4i + 1: each odd d adds 2 chi(d) to the k = d(d + 4) + 4dj, every
     d-th lane from lane (d^2 - 1)/4 + d, by one strided slice passed through
     a byte map, and chi(d) to d^2.  The lanes hold r2(k)/4 mod 256, which is
-    exact below _LANE_BOUND, and are sieved _BLOCK lanes at a time; two more
-    byte maps widen each block into the table as 4 * lane.  The map
-    (u, v) -> (u + v, u - v) is a bijection from the representations of m
-    onto those of 2m, so r2(2m) = r2(m) for every m >= 1: the new even
-    entries are copied from r2(k/2) by strided slice copies, in increasing
-    chunks of the even k from some k0 up to stop <= 2*k0, at most _BLOCK
-    entries each, so that every entry a chunk reads, below stop/2 <= k0, is
-    already filled.
+    exact below _LANE_BOUND; two more byte maps widen them into the chunk as
+    4 * lane.  The map (u, v) -> (u + v, u - v) is a bijection from the
+    representations of m onto those of 2m, so r2(2m) = r2(m) for every
+    m >= 1: the even entries are one strided copy of r2(k/2), k/2 < old.
     """
-    if limit >= _LANE_BOUND:
-        raise ResourceLimitError(
-            f"a two-squares table up to {limit} is refused: its sieve is exact only below {_LANE_BOUND}"
-        )
-    r2 = _R2
-    old = len(r2)
-    if limit >= old:
-        r2.frombytes(bytes(r2.itemsize * (limit + 1 - old)))
-        end = (limit - 1) // 4 + 1  # lanes i < end have 4i + 1 <= limit
-        for lo in range((old + 2) // 4, end, _BLOCK):
-            hi = min(lo + _BLOCK, end)
-            lanes = bytearray(hi - lo)
-            top = isqrt(4 * hi - 3) + 1
-            for d0, chi, add_2chi in ((1, 1, _PLUS_2), (3, -1, _MINUS_2)):
-                for d in range(d0, top, 4):
-                    square_lane = (d * d - 1) // 4
-                    if lo <= square_lane:
-                        first = square_lane + d - lo
-                        lanes[square_lane - lo] = (lanes[square_lane - lo] + chi) & 255
-                    else:
-                        first = (square_lane - lo) % d
-                    lanes[first::d] = lanes[first::d].translate(add_2chi)
-            wide = bytearray(2 * (hi - lo))
-            wide[0::2] = lanes.translate(_LOW)
-            wide[1::2] = lanes.translate(_HIGH)
-            block = array("H", wide)
-            if _BIG_ENDIAN:
-                block.byteswap()
-            r2[4 * lo + 1 : 4 * hi : 4] = block
-        k = old + old % 2  # the least new even entry
-        while k <= limit:
-            # The even entries k, k + 2, ... below stop <= 2k read entries
-            # below k, all filled already.
-            stop = min(2 * k, k + 2 * _BLOCK, limit + 1)
-            r2[k:stop:2] = r2[k // 2 : (stop + 1) // 2]
-            k = stop + stop % 2
-    return r2
+    chunk = array("H", bytes(2 * (stop - old)))
+    lo, hi = (old + 2) // 4, (stop + 2) // 4  # the lanes i with old <= 4i + 1 < stop
+    lanes = bytearray(hi - lo)
+    top = isqrt(4 * hi - 3) + 1
+    for d0, chi, add_2chi in ((1, 1, _PLUS_2), (3, -1, _MINUS_2)):
+        for d in range(d0, top, 4):
+            square_lane = (d * d - 1) // 4
+            if lo <= square_lane:
+                first = square_lane + d - lo
+                lanes[square_lane - lo] = (lanes[square_lane - lo] + chi) & 255
+            else:
+                first = (square_lane - lo) % d
+            lanes[first::d] = lanes[first::d].translate(add_2chi)
+    wide = bytearray(2 * (hi - lo))
+    wide[0::2] = lanes.translate(_LOW)
+    wide[1::2] = lanes.translate(_HIGH)
+    block = array("H", wide)
+    if _BIG_ENDIAN:
+        block.byteswap()
+    chunk[4 * lo + 1 - old :: 4] = block
+    even = old + old % 2
+    chunk[even - old :: 2] = r2[even // 2 : (stop + 1) // 2]
+    return chunk
 
 
 def _widen(lanes: int, count: int) -> int:

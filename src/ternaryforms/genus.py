@@ -28,6 +28,7 @@ with no search of its own.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import stat
@@ -331,21 +332,20 @@ class GenusCache:
         if self.path is not None:
             # A name of fixed length, so a long cache file name still fits.
             tmp = os.path.join(os.path.dirname(os.path.abspath(self.path)), f"tmp{os.urandom(6).hex()}.tmp")
-            made = False
+            # ours holds the temporary file from the statement that creates
+            # it to the one that renames it, so that an interrupt at any line
+            # removes the file if, and only if, this call made it.
+            ours = None
             try:
-                with open(tmp, "x") as fh:
-                    made = True
-                    fh.write(json.dumps(self._rows, separators=(",", ":")))
-                try:
+                with (ours := open(tmp, "xb")):
+                    ours.write(json.dumps(self._rows, separators=(",", ":")).encode())
+                with contextlib.suppress(FileNotFoundError):  # a new file keeps open()'s mode, 0666 less the umask
                     os.chmod(tmp, stat.S_IMODE(os.stat(self.path).st_mode))
-                except FileNotFoundError:
-                    pass  # a new file keeps open()'s mode, 0666 less the umask
-                os.replace(tmp, self.path)
-                made = False
+                ours = os.replace(tmp, self.path)  # None
             except OSError as exc:
                 raise FormError(f"cannot write genus cache {self.path}: {exc.strerror}") from None
             finally:
-                if made:
+                if ours is not None:
                     os.unlink(tmp)
 
     def read(self, label: str, p: int) -> GenusSet:

@@ -1,13 +1,22 @@
 """Pinned `tqf` outputs in one table, and the one checker that reads it.
 
-`data/pins.json` is a list of rows, one per line.  A row holds `name` (its
-test id), `argv` and the expected `exit` code, and any of:
+`data/pins.json` is a list of rows, one per line, each with a `name` (its
+test id) and of one of two kinds.  A row of the first kind holds `argv` and
+the expected `exit` code, and any of:
 - `stdout`, the exact text, or `stdout_sha256`, the SHA-256 of its UTF-8 bytes;
 - `stdout_has` and `stderr_has`, text the stream must contain;
 - `files`, {file name: text} written into the row's directory first (a
   corrupt cache file);
 - `before`, argv lists run first and not checked (to warm a cache file);
 - `why`, a note for the reader.
+A replay row, `replay-<command>-seed<seed>`, holds `replay` (one of the 13
+commands), `seed` and `n`, and pins `exits` (each exit code seen, with its
+count) and `sha256`.  It runs the n argv that `replay_argv.draws(seed, n)`
+gives that command, in order, with `COLUMNS=80` (argparse wraps help to the
+terminal) in a directory that holds `replay_argv.fixture`; `sha256` is taken
+over one JSON line [argv, exit, stdout, stderr] per argv.  Any argv that
+exits 1 (an identity reported disproved) or 4 (an internal error) fails the
+row, named in a form a shell takes.
 Each row runs alone in a fresh temporary directory, so the cache files its
 argv names are relative and no row sees another row's files.
 
@@ -31,20 +40,29 @@ and each `genus`/`mass` case is three rows: uncached, into a fresh cache file
 
 To record outputs that are meant to change, run
 `PYTHONPATH=src python3 tests/test_pins.py` from the root of the repository.
-It rewrites the `stdout` and `stdout_sha256` of every row from this checkout
-and leaves every other key as it is; read the diff of `data/pins.json`, and
-name each row it changes in CHANGES.md.
+It rewrites the `stdout` and `stdout_sha256` of every row, and the `exits`
+and `sha256` of every replay row, from this checkout and leaves every other
+key as it is; read the diff of `data/pins.json`, and name each row it
+changes in CHANGES.md.
 """
 
+import contextlib
 import hashlib
 import json
+import os
+import shlex
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
+from unittest.mock import patch
+
+import replay_argv
 
 PINS = Path(__file__).resolve().parent / "data" / "pins.json"
 KEYS = {"name", "why", "files", "before", "argv", "exit", "stdout", "stdout_sha256", "stdout_has", "stderr_has"}
+REPLAY_KEYS = {"name", "replay", "seed", "n", "exits", "sha256"}
 
 
 def rows() -> list[dict]:
@@ -55,21 +73,43 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def run(row: dict, invoke) -> tuple[int, str, str]:
-    """(exit, stdout, stderr) of row's argv, each run as invoke(argv, cwd) in a
-    fresh directory that holds row's files, after row's before."""
-    with tempfile.TemporaryDirectory() as cwd:
-        for name, text in row.get("files", {}).items():
-            Path(cwd, name).write_text(text)
-        for argv in row.get("before", []):
-            invoke(argv, cwd)
-        return invoke(row["argv"], cwd)
+def run(row: dict, invoke) -> list[tuple[list[str], int, str, str]]:
+    """(argv, exit, stdout, stderr) of each argv that row checks, each run as
+    invoke(argv, cwd) in one fresh directory: row's argv after its files and
+    its before, or a replay row's drawn argv in its fixture."""
+    replay = "replay" in row
+    columns = patch.dict(os.environ, {"COLUMNS": "80"}) if replay else contextlib.nullcontext()
+    with tempfile.TemporaryDirectory() as cwd, columns:
+        if replay:
+            replay_argv.fixture(cwd)
+            argvs = replay_argv.draws(row["seed"], row["n"])[row["replay"]]
+        else:
+            for name, text in row.get("files", {}).items():
+                Path(cwd, name).write_text(text)
+            for argv in row.get("before", []):
+                invoke(argv, cwd)
+            argvs = [row["argv"]]
+        return [(argv, *invoke(argv, cwd)) for argv in argvs]
+
+
+def _replay_pins(runs) -> dict:
+    """A replay row's `exits` and `sha256` from its runs."""
+    exits = Counter(str(code) for _, code, _, _ in runs)
+    lines = "".join(json.dumps(result) + "\n" for result in runs)
+    return {"exits": dict(sorted(exits.items())), "sha256": _sha256(lines)}
 
 
 def check(row: dict, invoke) -> list[str]:
     """What differs from row's pins when invoke runs it; [] when all hold."""
-    problems = [f"unknown keys {sorted(set(row) - KEYS)}"] if set(row) - KEYS else []
-    code, out, err = run(row, invoke)
+    keys = REPLAY_KEYS if "replay" in row else KEYS
+    problems = [f"unknown keys {sorted(set(row) - keys)}"] if set(row) - keys else []
+    runs = run(row, invoke)
+    if "replay" in row:
+        problems += [f"exit {code}: tqf {shlex.join(argv)}: {err.strip()}" for argv, code, _, err in runs if code in (1, 4)]
+        got = _replay_pins(runs)
+        problems += [f"{key} {got[key]}, pinned {row[key]}" for key in got if got[key] != row[key]]
+        return problems
+    [(_, code, out, err)] = runs
     if code != row["exit"]:
         problems.append(f"exit {code}, pinned {row['exit']}; stderr {err!r}")
     if "stdout" in row and out != row["stdout"]:
@@ -83,10 +123,15 @@ def check(row: dict, invoke) -> list[str]:
 
 
 def record(invoke) -> None:
-    """Rewrite every row's stdout and stdout_sha256 from invoke's runs."""
+    """Rewrite every row's stdout and stdout_sha256, and every replay row's
+    exits and sha256, from invoke's runs."""
     table = rows()
     for row in table:
-        out = run(row, invoke)[1]
+        runs = run(row, invoke)
+        if "replay" in row:
+            row.update(_replay_pins(runs))
+            continue
+        out = runs[0][2]
         if "stdout" in row:
             row["stdout"] = out
         if "stdout_sha256" in row:

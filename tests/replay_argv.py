@@ -1,41 +1,20 @@
-"""Replay seeded argv through `tqf` in process and print one digest per command.
+"""Seeded `tqf` argv for the `replay-...` rows of `data/pins.json`.
 
-    python3 replay/run.py --seed 1 --n 20
-
-For each of the 13 commands the script draws N argv from the seed alone
-(it imports nothing from the program to do so, so one seed gives the same
-argv on every checkout): valid and invalid forms, JSON and TSV, `=`
+`draws(seed, n)` gives n argv for each of the 13 commands, drawn from the
+seed alone (this module imports nothing from the program, so one seed gives
+the same argv on every checkout): valid and invalid forms, JSON and TSV, `=`
 spellings and abbreviations of the options, bad labels, non-primes, work
-limits from 10^5 to 10^8 and, for `verify`, small `--n-max` with
-`verify all` once.  Each argv runs through `ternaryforms.cli.main` of the
-checkout this script sits in, from a fresh temporary directory that holds a
-shared genus cache file, a corrupt one and a directory in place of one;
-one more cache is named under a directory that does not exist, so it
-cannot be written.  One line per command gives its name, the exit codes
-seen and the SHA-256 of every (argv, exit code, stdout, stderr) in order.
-Two checkouts answer alike on the replayed argv when their lines agree.
-
-The script exits 1 if any argv exits 1 (an identity reported disproved) or
-4 (an internal error), and names those argv on stderr; otherwise 0.
+limits from 10^5 to 10^8 and, for `verify`, small `--n-max` with `verify all`
+once.  `fixture(cwd)` makes what the drawn `--cache` values name: a corrupt
+cache file and a directory in place of one; a cache named under a directory
+that does not exist cannot be written, and `genus.json` starts absent.
+`pins.py` says how a row runs and digests one command's argv.
 """
 
 from __future__ import annotations
 
-import argparse
-import contextlib
-import hashlib
-import io
-import json
-import os
 import random
-import sys
-import tempfile
-from collections import Counter
 from pathlib import Path
-
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-
-from ternaryforms.cli import main as tqf  # noqa: E402
 
 # Classes of TG1 and TG2 for small p, x^2+y^2+z^2 and a form of discriminant 6.
 BASE_FORMS = (
@@ -110,7 +89,7 @@ def options(rng):
     if rng.random() < 0.5:
         chosen.append(option(rng, "--format", rarely(rng, rng.choice(("json", "tsv")), ("xml",), 0.05)))
     if rng.random() < 0.5:
-        chosen.append(option(rng, "--cache", rarely(rng, "genus.json", ("bad.json", "unreadable", "no-such-dir/genus.json"))))
+        chosen.append(option(rng, "--cache", rarely(rng, "genus.json", ("bad.json", "unreadable", "no-such-dir/genus.json", ""))))
     if rng.random() < 0.5:
         limit = rng.choice((10 ** rng.randint(5, 8), rng.randint(1, 9) * 10 ** rng.randint(5, 7)))
         value = rarely(rng, str(limit), ("0", "-5", "x"), 0.05)
@@ -176,14 +155,14 @@ def command_argv(name, rng, limit):
 COMMANDS = ("disc", "reduce", "count", "theta", "auts", "equiv", "genus", "mass", "phi", "phi-inv", "lambda", "density", "verify")
 
 
-def replay(seed: int, n: int):
-    """{command: [(argv, exit code, stdout, stderr), ...]} for one seed, run
-    from the current directory."""
+def draws(seed: int, n: int) -> dict[str, list[list[str]]]:
+    """{command: [argv, ...]}, n argv for each of COMMANDS, drawn in order
+    from one generator seeded with seed."""
     rng = random.Random(seed)
-    records = {}
+    out = {}
     verify_all_at = rng.randrange(n) if n else None
     for name in COMMANDS:
-        runs = records[name] = []
+        argvs = out[name] = []
         for i in range(n):
             prefix, limit = options(rng)
             if name == "verify" and i == verify_all_at:
@@ -192,43 +171,11 @@ def replay(seed: int, n: int):
                 rest = [name, "--help"]
             else:
                 rest = command_argv(name, rng, limit)
-            argv = prefix + rest
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = tqf(argv)
-            runs.append((argv, code, out.getvalue(), err.getvalue()))
-    return records
+            argvs.append(prefix + rest)
+    return out
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--n", type=int, required=True, help="argv per command")
-    args = parser.parse_args(argv)
-    os.environ["COLUMNS"] = "80"  # argparse wraps help and usage to the terminal
-    here = os.getcwd()
-    with tempfile.TemporaryDirectory() as tmp:
-        os.chdir(tmp)
-        try:
-            Path("bad.json").write_text('{"TG1,11":[[1,3,11,0,0,1],[1,3,12,1,2,1]]}')
-            Path("unreadable").mkdir()
-            records = replay(args.seed, args.n)
-        finally:
-            os.chdir(here)
-    bad = []
-    for name, runs in records.items():
-        digest = hashlib.sha256()
-        for run in runs:
-            digest.update(json.dumps(run).encode() + b"\n")
-            if run[1] in (1, 4):
-                bad.append(run)
-        exits = Counter(code for _, code, _, _ in runs)
-        codes = ",".join(f"{code}:{count}" for code, count in sorted(exits.items()))
-        print(f"{name}\t{len(runs)}\texits {codes}\t{digest.hexdigest()}")
-    for argv, code, _, err in bad:
-        print(f"exit {code}: {' '.join(argv)}: {err.strip()}", file=sys.stderr)
-    return 1 if bad else 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+def fixture(cwd: str) -> None:
+    """The files that the drawn `--cache` values name, made in cwd."""
+    Path(cwd, "bad.json").write_text('{"TG1,11":[[1,3,11,0,0,1],[1,3,12,1,2,1]]}')
+    Path(cwd, "unreadable").mkdir()

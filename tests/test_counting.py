@@ -1,3 +1,4 @@
+import threading
 from array import array
 from itertools import zip_longest
 from math import gcd, isqrt
@@ -288,6 +289,62 @@ def test_two_squares_table_grows_from_every_length_mod_four(first):
         counting._two_squares_table(first)
         counting._two_squares_table(first + 400)
     assert list(table) == two_squares_sieve(first + 400)
+
+
+def test_an_interrupted_growth_leaves_only_filled_entries():
+    # s_batch calls isqrt once for its charge, and the sieve once per chunk of
+    # at most 4 * _BLOCK = 1000 entries, so the third call interrupts the
+    # second chunk: the first, up to 5000, is kept, and nothing after it.
+    table, r2 = array("H", two_squares_sieve(4000)), two_squares_sieve(18000)
+    calls = []
+
+    def interrupting(n):
+        calls.append(n)
+        if len(calls) == 3:
+            raise KeyboardInterrupt
+        return isqrt(n)
+
+    with patch.object(counting, "_R2", table), patch.object(counting, "_BLOCK", 250):
+        with patch.object(counting, "isqrt", interrupting), pytest.raises(KeyboardInterrupt):
+            s_batch(9, 2000)
+        assert len(table) == 5001
+        assert list(table) == r2[:5001]
+        # s(m) = r2(m) + 2 * sum_{z >= 1} r2(m - z^2)
+        expected = [sum(r2[9 * n - z * z] * (2 - (z == 0)) for z in range(isqrt(9 * n) + 1)) for n in range(2001)]
+        assert s_batch(9, 2000) == expected
+    assert list(table) == r2
+
+
+def test_two_squares_table_grows_one_grower_at_a_time():
+    # Grower A is held inside its sieve, in its first chunk, while grower B
+    # asks for a growth of its own.  B must not append to the table under A:
+    # A's chunk would then land after B's entries.
+    table = array("H", two_squares_sieve(1000))
+    inside, release, answers = threading.Event(), threading.Event(), {}
+
+    def held(n):
+        if threading.current_thread().name == "A" and not inside.is_set():
+            inside.set()
+            release.wait(10)
+        return isqrt(n)
+
+    def grow(limit):
+        answers[threading.current_thread().name] = counting._two_squares_table(limit)[: limit + 1].tolist()
+
+    a = threading.Thread(target=grow, args=(4000,), name="A")
+    b = threading.Thread(target=grow, args=(3000,), name="B")
+    with patch.object(counting, "_R2", table), patch.object(counting, "_BLOCK", 250):
+        with patch.object(counting, "isqrt", held):
+            a.start()
+            assert inside.wait(10)
+            b.start()
+            b.join(0.5)
+            release.set()
+            a.join(10)
+            b.join(10)
+        assert not a.is_alive() and not b.is_alive()
+    assert answers == {"A": two_squares_sieve(4000), "B": two_squares_sieve(3000)}
+    assert list(table) == two_squares_sieve(4000)
 
 
 def test_lane_bound_is_the_least_k_whose_r2_over_4_reaches_256():

@@ -257,6 +257,58 @@ def test_an_empty_cache_path_is_refused(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+def _interrupt_at_line_event(code, k):
+    """A trace function that raises KeyboardInterrupt at the k-th line event
+    of code's frames (and then, having raised, is unset)."""
+    seen = 0
+
+    def local(frame, event, arg):
+        nonlocal seen
+        if event == "line":
+            seen += 1
+            if seen == k:
+                raise KeyboardInterrupt
+        return local
+
+    return lambda frame, event, arg: local if frame.f_code is code else None
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new-file", "existing-file"])
+def test_an_interrupted_cache_write_leaves_the_old_or_the_new_file(tmp_path, existing):
+    # A KeyboardInterrupt at each line event of put in turn, raised from
+    # sys.settrace where a signal would land only where the interpreter checks
+    # for one: it reaches the caller, no temporary file is left, and the
+    # cache file holds its old bytes or its new ones.
+    tg1_5, tg1_7 = enumerate_tg1(5), enumerate_tg1(7)
+    reference, old = tmp_path / "reference.json", None
+    if existing:
+        GenusCache(str(reference)).put(tg1_5)
+        old = reference.read_bytes()
+    GenusCache(str(reference)).put(tg1_7)
+    new = reference.read_bytes()
+    k, tracing = 0, sys.gettrace()
+    while True:
+        k += 1
+        where = tmp_path / str(k)
+        where.mkdir()
+        path = where / "genus.json"
+        if existing:
+            path.write_bytes(old)
+        cache = GenusCache(str(path))
+        sys.settrace(_interrupt_at_line_event(GenusCache.put.__code__, k))
+        try:
+            cache.put(tg1_7)
+        except KeyboardInterrupt:
+            pass
+        else:
+            break
+        finally:
+            sys.settrace(tracing)
+        assert [f.name for f in where.iterdir() if f.name != "genus.json"] == [], k
+        assert (path.read_bytes() if path.exists() else None) in (old, new), k
+    assert k > 10 and path.read_bytes() == new
+
+
 def test_cache_stores_only_the_rows(tmp_path):
     path = tmp_path / "genus.json"
     GenusCache(str(path)).tg2(11)
