@@ -18,7 +18,6 @@ starts.
 from __future__ import annotations
 
 from contextvars import ContextVar
-from dataclasses import dataclass
 from math import gcd
 
 from .matrices import Mat3, det3
@@ -41,18 +40,73 @@ def charge(units: int, what: str, *args) -> None:
         raise ResourceLimitError(f"{what % args} costs {units} units, above the work limit {WORK_LIMIT.get()}")
 
 
-@dataclass(frozen=True, order=True)
-class TernaryForm:
-    a: int
-    b: int
-    c: int
-    d: int
-    e: int
-    f: int
+def _read_only(self, name: str, *value) -> None:
+    """`__setattr__` and `__delattr__` of the read-only classes: both refuse every name."""
+    raise AttributeError(f"cannot assign to or delete {name!r}: {self.__class__.__name__} is read-only")
 
-    @property
-    def coeffs(self) -> tuple[int, int, int, int, int, int]:
-        return (self.a, self.b, self.c, self.d, self.e, self.f)
+
+class TernaryForm:
+    """The form <a,b,c,d,e,f>, immutable.
+
+    Its one slot, `coeffs`, holds the six coefficients as a tuple, set once
+    by the constructor through the slot's own setter; `a` ... `f` are
+    read-only views of it, and hot paths read `coeffs`.  Forms compare,
+    order and hash as their coefficient tuples, but a form equals no tuple
+    (nor anything but a form).  The repr names the six fields,
+    `TernaryForm(a=1, b=1, c=1, d=0, e=0, f=0)`, and a form pickles and
+    copies as its coefficients.
+    """
+
+    __slots__ = ("coeffs",)
+    __match_args__ = ("a", "b", "c", "d", "e", "f")
+    coeffs: tuple[int, int, int, int, int, int]
+
+    def __init__(self, a: int, b: int, c: int, d: int, e: int, f: int):
+        _set_coeffs(self, (a, b, c, d, e, f))
+
+    a = property(lambda self: self.coeffs[0])
+    b = property(lambda self: self.coeffs[1])
+    c = property(lambda self: self.coeffs[2])
+    d = property(lambda self: self.coeffs[3])
+    e = property(lambda self: self.coeffs[4])
+    f = property(lambda self: self.coeffs[5])
+
+    __setattr__ = __delattr__ = _read_only
+
+    def __repr__(self) -> str:
+        a, b, c, d, e, f = self.coeffs
+        return f"{self.__class__.__qualname__}(a={a!r}, b={b!r}, c={c!r}, d={d!r}, e={e!r}, f={f!r})"
+
+    def __reduce__(self):
+        return TernaryForm, self.coeffs
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.coeffs == other.coeffs
+        return NotImplemented
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return self.coeffs < other.coeffs
+        return NotImplemented
+
+    def __le__(self, other):
+        if other.__class__ is self.__class__:
+            return self.coeffs <= other.coeffs
+        return NotImplemented
+
+    def __gt__(self, other):
+        if other.__class__ is self.__class__:
+            return self.coeffs > other.coeffs
+        return NotImplemented
+
+    def __ge__(self, other):
+        if other.__class__ is self.__class__:
+            return self.coeffs >= other.coeffs
+        return NotImplemented
 
     def gram(self) -> Mat3:
         a, b, c, d, e, f = self.coeffs
@@ -88,6 +142,9 @@ class TernaryForm:
             except ValueError:
                 raise FormError(f"coefficient {name} is not an integer: {part!r}") from None
         return cls(*vals)
+
+
+_set_coeffs = TernaryForm.coeffs.__set__  # the slot's own setter: __setattr__ refuses every name
 
 
 def discriminant(form: TernaryForm) -> int:

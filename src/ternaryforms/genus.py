@@ -32,12 +32,20 @@ import contextlib
 import json
 import os
 import stat
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
 from typing import Iterator, Sequence
 
-from .forms import FormError, TernaryForm, _minkowski, apply_basis, charge, discriminant, is_positive_definite
+from .forms import (
+    FormError,
+    TernaryForm,
+    _minkowski,
+    _read_only,
+    apply_basis,
+    charge,
+    discriminant,
+    is_positive_definite,
+)
 from .local import is_prime
 from .matrices import Mat3, column_hnf
 from .reduction import _canonical_bases, _search
@@ -62,21 +70,47 @@ def _key(label: str, p: int) -> str:
     return f"{label},{p}"
 
 
-@dataclass(frozen=True)
 class GenusSet:
-    label: str  # a key of GENERA
-    prime: int
-    classes: tuple[tuple[TernaryForm, int], ...]  # (canonical form, |Aut|)
-    # The TG1 form each class is the image of, in the order of classes
-    # (`_checked_classes`); empty when built otherwise.  Not compared: two
-    # genera with the same classes are equal whatever sources they record.
-    sources: tuple[TernaryForm, ...] = field(default=(), compare=False)
-    # Each class's bases from the canonical search that found it, in the
-    # order of classes: of the first neighbour to reach it (`enumerate_tg1`)
-    # or of the form's image under the map (`_checked_classes`).  Each U
-    # takes the searched form to the class, so with W0 the first,
-    # Aut(class) = {W0^-1 U}.  Empty when built otherwise; not compared.
-    witnesses: tuple[Sequence[Mat3], ...] = field(default=(), compare=False, repr=False)
+    """The classes of one genus at one prime, read-only.
+
+    `label` is a key of GENERA; `classes` holds (canonical form, |Aut|)
+    pairs, sorted by form.  `sources` holds the TG1 form each class is the
+    image of, in the order of classes (`_checked_classes`).  `witnesses`
+    holds each class's bases from the canonical search that found it, in the
+    order of classes: of the first neighbour to reach it (`enumerate_tg1`)
+    or of the form's image under the map (`_checked_classes`).  Each U takes
+    the searched form to the class, so with W0 the first,
+    Aut(class) = {W0^-1 U}.  Both are empty when the genus is built
+    otherwise.  Two genera are equal, and hash alike, when their label,
+    prime and classes are, whatever sources and witnesses they record; the
+    repr leaves out the witnesses.
+    """
+
+    def __init__(
+        self,
+        label: str,
+        prime: int,
+        classes: tuple[tuple[TernaryForm, int], ...],
+        sources: tuple[TernaryForm, ...] = (),
+        witnesses: tuple[Sequence[Mat3], ...] = (),
+    ):
+        vars(self).update(label=label, prime=prime, classes=classes, sources=sources, witnesses=witnesses)
+
+    __setattr__ = __delattr__ = _read_only
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.label, self.prime, self.classes) == (other.label, other.prime, other.classes)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.label, self.prime, self.classes))
+
+    def __repr__(self) -> str:
+        return (
+            f"{self.__class__.__qualname__}(label={self.label!r}, prime={self.prime!r}, "
+            f"classes={self.classes!r}, sources={self.sources!r})"
+        )
 
     @property
     def mass(self) -> Fraction:

@@ -24,7 +24,7 @@ def equivalent(g: TernaryForm, h: TernaryForm) -> Mat3 | None:
         _require_definite(h)
         return None
     (pre_g, u_g), (pre_h, u_h) = _minkowski(g), _minkowski(h)
-    if (pre_g.a, pre_g.b, pre_g.c) != (pre_h.a, pre_h.b, pre_h.c):
+    if pre_g.coeffs[:3] != pre_h.coeffs[:3]:
         return None
     (canon_g, bases_g), (canon_h, bases_h) = _search(pre_g, u_g), _search(pre_h, u_h)
     return mat_mul(bases_g[0], unimodular_inverse(bases_h[0])) if canon_g == canon_h else None

@@ -29,13 +29,12 @@ Fraction only on failure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import product
 from math import gcd, isqrt, prod
 
-from .forms import FormError, ResourceLimitError as ResourceLimitError, TernaryForm, charge
+from .forms import FormError, ResourceLimitError as ResourceLimitError, TernaryForm, _read_only, charge
 
 
 class StabilizationError(RuntimeError):
@@ -343,10 +342,25 @@ def count_solutions_mod(form: TernaryForm, n: int, p: int, t: int) -> int:
 
 # -- densities ------------------------------------------------------------
 
-@dataclass(frozen=True)
 class LocalDensity:
-    value: Fraction
-    exponent_used: int
+    """A local density `value`, counted at the exponent `exponent_used`
+    (`local_density`); read-only, equal and hashed by both."""
+
+    def __init__(self, value: Fraction, exponent_used: int):
+        vars(self).update(value=value, exponent_used=exponent_used)
+
+    __setattr__ = __delattr__ = _read_only
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.value, self.exponent_used) == (other.value, other.exponent_used)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.value, self.exponent_used))
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}(value={self.value!r}, exponent_used={self.exponent_used!r})"
 
 
 def sufficient_exponent(n: int, p: int) -> int:

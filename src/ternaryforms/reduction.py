@@ -59,6 +59,7 @@ def _search(pre: TernaryForm, u: Mat3) -> tuple[TernaryForm, list[Mat3]]:
     the negated bases follow the bases found.  Only the bases returned are
     multiplied by u.  It does not test definiteness; `_minkowski` has.
     """
+    a, b, c = pre.coeffs[:3]
     (g11, g12, g13), (_, g22, g23), (_, _, g33) = pre.gram()
     # For each diagonal value, its vectors v with G*v, all from one scan of
     # the rows up to c.
@@ -67,14 +68,14 @@ def _search(pre: TernaryForm, u: Mat3) -> tuple[TernaryForm, list[Mat3]]:
             (x, y, z, g11 * x + g12 * y + g13 * z, g12 * x + g22 * y + g23 * z, g13 * x + g23 * y + g33 * z)
             for x, y, z in vecs
         ]
-        for value, vecs in _vectors_with_values(pre, {pre.a, pre.b, pre.c}).items()
+        for value, vecs in _vectors_with_values(pre, {a, b, c}).items()
     }
-    firsts = [v for v in lifted[pre.a] if v[:3] < (0, 0, 0)]
-    seconds, thirds = lifted[pre.b], lifted[pre.c]
+    firsts = [v for v in lifted[a] if v[:3] < (0, 0, 0)]
+    seconds, thirds = lifted[b], lifted[c]
     # |d| = |B(v2, v3)| <= 2 sqrt(bc) <= b + c, and a triple with |d| above
     # that of the best so far cannot reach it.
     best = None
-    bound = pre.b + pre.c
+    bound = b + c
     bases: list[Mat3] = []
     for x1, y1, z1, h1, h2, h3 in firsts:
         for x2, y2, z2, _, _, _ in seconds:
@@ -99,7 +100,7 @@ def _search(pre: TernaryForm, u: Mat3) -> tuple[TernaryForm, list[Mat3]]:
                 bases.append(((x1, x2, x3), (y1, y2, y3), (z1, z2, z3)))
     assert best is not None
     bases = [mat_mul(u, v) for v in bases]
-    return TernaryForm(pre.a, pre.b, pre.c, *coeffs), bases + [mat_neg(v) for v in bases]
+    return TernaryForm(a, b, c, *coeffs), bases + [mat_neg(v) for v in bases]
 
 
 def reduce_form(form: TernaryForm) -> tuple[TernaryForm, Mat3]:

@@ -14,7 +14,7 @@ only to write a failure line.
 from __future__ import annotations
 
 import functools
-from dataclasses import asdict, dataclass, field
+from copy import deepcopy
 from fractions import Fraction
 from itertools import zip_longest
 from math import lcm
@@ -44,19 +44,41 @@ THM12_FORMS = (
 )
 
 
-@dataclass
 class IdentityReport:
-    identity: str
-    p: int | None
-    n_max: int
-    failures: list[dict] = field(default_factory=list)
+    """The counterexamples (`failures`) to `identity` at p for 1 <= n <= n_max.
+
+    Reports are equal when all four fields are, and are not hashable, as
+    `failures` grows; `to_dict` writes the fields in that order, then
+    "pass", over a fresh copy of the failures.
+    """
+
+    def __init__(self, identity: str, p: int | None, n_max: int, failures: list[dict] | None = None):
+        self.identity, self.p, self.n_max = identity, p, n_max
+        self.failures = [] if failures is None else failures
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return vars(self) == vars(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return (
+            f"{self.__class__.__qualname__}(identity={self.identity!r}, p={self.p!r}, "
+            f"n_max={self.n_max!r}, failures={self.failures!r})"
+        )
 
     @property
     def passed(self) -> bool:
         return not self.failures
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "pass": self.passed}
+        return {
+            "identity": self.identity,
+            "p": self.p,
+            "n_max": self.n_max,
+            "failures": deepcopy(self.failures),
+            "pass": self.passed,
+        }
 
 
 def _check_weighted_identity(identity: str, p: int, n_max: int, weights_forms) -> IdentityReport:

@@ -122,7 +122,8 @@ def _phi_raw(form: TernaryForm) -> TernaryForm:
         raise FormError("phi requires odd discriminant")
     if not is_primitive(form):
         raise FormError("phi requires a primitive form")
-    r = (form.d % 2, form.e % 2, form.f % 2)
+    d, e, f = form.coeffs[3:]
+    r = (d % 2, e % 2, f % 2)
     return apply_basis(form, column_hnf([(2, 0, 0), (0, 2, 0), (0, 0, 2), r]))
 
 

@@ -861,3 +861,15 @@ def test_emit_writes_what_json_dumps_writes_of_the_converted_report(report, fmt)
 def test_emit_refuses_a_value_json_cannot_write():
     with pytest.raises(TypeError, match="Object of type set is not JSON serializable"):
         cli._json({"x": [{1}]}, "\n")
+
+
+def test_importing_the_cli_loads_no_dataclass_machinery():
+    # A fresh interpreter: what `import ternaryforms.cli` adds to the modules
+    # a bare one already holds.
+    probe = (
+        "import json, sys; bare = set(sys.modules); import ternaryforms.cli; "
+        "print(json.dumps(sorted(set(sys.modules) - bare)))"
+    )
+    added = json.loads(subprocess.run([sys.executable, "-c", probe], capture_output=True, check=True).stdout)
+    assert "ternaryforms.cli" in added
+    assert "dataclasses" not in added and "inspect" not in added, added

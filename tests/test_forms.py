@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -237,3 +240,38 @@ def test_every_export_resolves_once():
     assert len(exports) == len(set(exports))
     for name in exports:
         assert hasattr(ternaryforms, name), name
+
+
+@pytest.mark.parametrize("name", ["a", "f", "coeffs", "other"])
+def test_a_form_refuses_assignment_and_deletion(name):
+    form = TernaryForm(1, 1, 1, 0, 0, 0)
+    with pytest.raises(AttributeError):
+        setattr(form, name, 2)
+    with pytest.raises(AttributeError):
+        delattr(form, name)
+    assert form.coeffs == (1, 1, 1, 0, 0, 0) and (form.a, form.f) == (1, 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(*[st.integers(-3, 3)] * 6), st.tuples(*[st.integers(-3, 3)] * 6))
+def test_forms_compare_and_hash_as_their_coefficients(s, t):
+    f, g = TernaryForm(*s), TernaryForm(*t)
+    assert f.coeffs == s and (f.a, f.b, f.c, f.d, f.e, f.f) == s
+    assert (f == g, f != g, f < g, f <= g, f > g, f >= g) == (s == t, s != t, s < t, s <= t, s > t, s >= t)
+    assert hash(f) == hash(s)
+    # A form is never its coefficient tuple, nor ordered against one.
+    assert f != s and s != f and f not in {s}
+    with pytest.raises(TypeError):
+        f < s  # noqa: B015
+
+
+def test_form_repr_names_the_six_fields():
+    assert repr(TernaryForm(1, 1, 1, 0, 0, 0)) == "TernaryForm(a=1, b=1, c=1, d=0, e=0, f=0)"
+    assert repr(H1) == "TernaryForm(a=31, b=5, c=11, d=1, e=-14, f=6)"
+
+
+def test_forms_pickle_and_copy_as_their_coefficients():
+    for form in (H1, TernaryForm(a=1, b=1, c=1, d=0, e=0, f=0)):
+        for twin in (pickle.loads(pickle.dumps(form)), copy.deepcopy(form), copy.copy(form)):
+            assert twin == form and type(twin) is TernaryForm and twin.coeffs == form.coeffs
+

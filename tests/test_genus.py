@@ -257,9 +257,10 @@ def test_an_empty_cache_path_is_refused(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
-def _interrupt_at_line_event(code, k):
+def _interrupt_at_line_event(codes, k):
     """A trace function that raises KeyboardInterrupt at the k-th line event
-    of code's frames (and then, having raised, is unset)."""
+    of the frames of the code objects in codes (and then, having raised, is
+    unset)."""
     seen = 0
 
     def local(frame, event, arg):
@@ -270,7 +271,7 @@ def _interrupt_at_line_event(code, k):
                 raise KeyboardInterrupt
         return local
 
-    return lambda frame, event, arg: local if frame.f_code is code else None
+    return lambda frame, event, arg: local if frame.f_code in codes else None
 
 
 @pytest.mark.parametrize("existing", [False, True], ids=["new-file", "existing-file"])
@@ -295,7 +296,7 @@ def test_an_interrupted_cache_write_leaves_the_old_or_the_new_file(tmp_path, exi
         if existing:
             path.write_bytes(old)
         cache = GenusCache(str(path))
-        sys.settrace(_interrupt_at_line_event(GenusCache.put.__code__, k))
+        sys.settrace(_interrupt_at_line_event({GenusCache.put.__code__}, k))
         try:
             cache.put(tg1_7)
         except KeyboardInterrupt:
@@ -307,6 +308,62 @@ def test_an_interrupted_cache_write_leaves_the_old_or_the_new_file(tmp_path, exi
         assert [f.name for f in where.iterdir() if f.name != "genus.json"] == [], k
         assert (path.read_bytes() if path.exists() else None) in (old, new), k
     assert k > 10 and path.read_bytes() == new
+
+
+@pytest.mark.parametrize("label", ["TG1", "TG2"])
+@pytest.mark.parametrize("held", [None, 5, 7], ids=["new-file", "other-rows", "its-rows"])
+def test_an_interrupted_cache_read_answers_as_a_fresh_cache_does(tmp_path, label, held):
+    # A KeyboardInterrupt at each line event of read, and of the get and put
+    # calls it makes, in turn, on a cache file that is missing, holds the rows
+    # of another prime, or holds the rows asked for: the next read on the same
+    # instance answers as a fresh instance does, no temporary file is left, and
+    # the cache file holds its old bytes or its new ones.
+    reference, old = tmp_path / "reference.json", None
+    if held is not None:
+        GenusCache(str(reference)).put(enumerate_tg1(held))
+        old = reference.read_bytes()
+    expected = GenusCache(str(reference)).read(label, 7)
+    new = reference.read_bytes()
+    codes = {GenusCache.read.__code__, GenusCache.get.__code__, GenusCache.put.__code__}
+    k, tracing = 0, sys.gettrace()
+    while True:
+        k += 1
+        where = tmp_path / str(k)
+        where.mkdir()
+        path = where / "genus.json"
+        if held is not None:
+            path.write_bytes(old)
+        cache = GenusCache(str(path))
+        sys.settrace(_interrupt_at_line_event(codes, k))
+        try:
+            genus = cache.read(label, 7)
+        except KeyboardInterrupt:
+            pass
+        else:
+            break
+        finally:
+            sys.settrace(tracing)
+        assert [f.name for f in where.iterdir() if f.name != "genus.json"] == [], k
+        assert (path.read_bytes() if path.exists() else None) in (old, new), k
+        again, fresh = cache.read(label, 7), GenusCache(str(path)).read(label, 7)
+        assert again == fresh == expected, k
+    assert k > 5 and genus == expected and path.read_bytes() == new
+
+
+def test_a_genus_is_compared_and_hashed_by_its_classes_alone():
+    tg1 = enumerate_tg1(11)
+    bare = GenusSet("TG1", 11, tg1.classes)
+    other = GenusSet("TG1", 11, tg1.classes, sources=tuple(f for f, _ in tg1.classes), witnesses=((),) * 2)
+    assert tg1.witnesses and not bare.witnesses and tg1.witnesses != other.witnesses
+    assert tg1 == bare == other and hash(tg1) == hash(bare) == hash(other)
+    for label, prime, classes in (("TG2", 11, tg1.classes), ("TG1", 13, tg1.classes), ("TG1", 11, tg1.classes[1:])):
+        assert tg1 != GenusSet(label, prime, classes)
+    assert tg1 != (tg1.label, tg1.prime, tg1.classes)
+    assert repr(other) == f"GenusSet(label='TG1', prime=11, classes={tg1.classes!r}, sources={other.sources!r})"
+    assert "witnesses" not in repr(tg1)
+    with pytest.raises(AttributeError):
+        tg1.classes = ()
+    assert tg1.mass == Fraction(10, 48)
 
 
 def test_cache_stores_only_the_rows(tmp_path):

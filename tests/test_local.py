@@ -15,6 +15,7 @@ from ternaryforms import local
 from ternaryforms.forms import WORK_LIMIT, FormError, TernaryForm
 from ternaryforms.genus import enumerate_tg1
 from ternaryforms.local import (
+    LocalDensity,
     ResourceLimitError,
     StabilizationError,
     _counts,
@@ -605,3 +606,14 @@ def test_counting_rejects_non_prime_p():
             count_solutions_mod(form, 1, p, 2)
         with pytest.raises(FormError):
             local_density(form, 1, p)
+
+
+def test_local_density_is_compared_and_hashed_by_value_and_exponent():
+    d = local_density(TernaryForm(1, 1, 1, 0, 0, 0), 3, 3)
+    same = LocalDensity(d.value, d.exponent_used)
+    assert d == same and hash(d) == hash(same)
+    assert d != LocalDensity(d.value, d.exponent_used + 1) and d != LocalDensity(d.value + 1, d.exponent_used)
+    assert d != (d.value, d.exponent_used)
+    assert repr(same) == f"LocalDensity(value={d.value!r}, exponent_used={d.exponent_used})"
+    with pytest.raises(AttributeError):
+        d.value = Fraction(0)

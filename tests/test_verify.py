@@ -1,12 +1,19 @@
+import copy
+import sys
+import threading
+from array import array
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 
+from test_counting import two_squares_sieve
 from test_genus import count_calls
 from test_isometry import TIED_DIAGONALS
 from test_local import break_stabilization
-from ternaryforms import local, verify
+from ternaryforms import counting, local, verify
 from ternaryforms.cli import main
+from ternaryforms.counting import s_batch, theta
 from ternaryforms.forms import TernaryForm, _minkowski, apply_map
 from ternaryforms.genus import GenusCache, GenusSet
 from ternaryforms.isometry import equivalent
@@ -45,6 +52,67 @@ def test_report_schema():
     assert d["n_max"] == 25
     assert d["failures"] == []
     assert d["pass"] is True
+
+
+def test_report_dict_keeps_its_key_order_and_is_a_fresh_copy():
+    failures = [{"n": 1, "lhs": 0, "rhs": 1, "terms": [{"form": "1,1,3,0,0,1", "count": 0}]}]
+    report = IdentityReport("thm1.1", 3, 2, copy.deepcopy(failures))
+    d = report.to_dict()
+    assert list(d) == ["identity", "p", "n_max", "failures", "pass"] and d["pass"] is False
+    assert d["failures"] == failures
+    d["failures"][0]["terms"][0]["count"] = 7
+    d["failures"].append({})
+    assert report.failures == failures
+    assert report == IdentityReport("thm1.1", 3, 2, failures) and report != IdentityReport("thm1.1", 3, 2)
+    with pytest.raises(TypeError):
+        hash(report)
+    assert repr(IdentityReport("thm1.3", None, 5)) == "IdentityReport(identity='thm1.3', p=None, n_max=5, failures=[])"
+    assert IdentityReport("x", 3, 1).failures is not IdentityReport("x", 3, 1).failures
+
+
+def test_four_threads_answer_as_one_thread_does():
+    # Four threads of one process share the two-squares table, grown from its
+    # first entry by whichever thread asks first; each runs every job, from
+    # its own starting point, with switches every 0.1 ms, and every answer
+    # must be the single-thread one.
+    jobs = [
+        (s_batch, 9, 4000),
+        (theta, TernaryForm(1, 1, 1, 0, 0, 0), 3000),
+        (s_batch, 121, 600),
+        (lambda p, n_max: verify_theorem_1_3(p, n_max).to_dict(), 13, 150),
+        (s_batch, 1, 25000),
+        (theta, TernaryForm(2, 2, 2, -1, 1, 1), 2000),
+        (lambda p, n_max: verify_theorem_1_3(p, n_max).to_dict(), 7, 300),
+        (s_batch, 49, 1200),
+    ]
+    with patch.object(counting, "_R2", array("H", [1])):
+        expected = [job(*args) for job, *args in jobs]
+    answers: dict[int, list] = {}
+
+    def run(i):
+        order = list(range(2 * i, len(jobs))) + list(range(2 * i))
+        barrier.wait(timeout=30)
+        answers[i] = [None] * len(jobs)
+        for k in order:
+            job, *args = jobs[k]
+            answers[i][k] = job(*args)
+
+    barrier, interval = threading.Barrier(4), sys.getswitchinterval()
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+    with patch.object(counting, "_R2", array("H", [1])):
+        sys.setswitchinterval(1e-4)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert list(counting._R2) == two_squares_sieve(121 * 600)
+    assert sorted(answers) == [0, 1, 2, 3]
+    for i in range(4):
+        assert answers[i] == expected, i
 
 
 def test_small_scale_identities():
