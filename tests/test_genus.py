@@ -439,6 +439,33 @@ def test_cache_detects_corruption(tmp_path):
         GenusCache(str(path)).get("TG1", 7)
 
 
+@pytest.mark.parametrize(
+    "content, reason",
+    [
+        (b"\x80abc", "'utf-8' codec can't decode byte 0x80 in position 0: invalid start byte"),
+        (b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+        (b"\xef\xbb\xbf{}", "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+    ],
+    ids=["not-utf-8", "utf-16-mark", "utf-8-mark"],
+)
+def test_a_cache_file_that_is_not_utf_8_json_is_refused_with_its_reason(tmp_path, content, reason):
+    # The file is read as UTF-8 text: bytes that json.loads would decode by
+    # their byte-order mark are refused too, each with the decoder's reason.
+    path = tmp_path / "genus.json"
+    path.write_bytes(content)
+    with pytest.raises(FormError) as info:
+        GenusCache(str(path))
+    assert str(info.value) == f"cannot read genus cache {path}: {reason}"
+    assert path.read_bytes() == content
+
+
+def test_a_cache_path_that_is_a_directory_is_refused(tmp_path):
+    with pytest.raises(FormError) as info:
+        GenusCache(str(tmp_path))
+    assert str(info.value) == f"cannot read genus cache {tmp_path}: [Errno 21] Is a directory: '{tmp_path}'"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cache_detects_swapped_automorph_orders(tmp_path):
     # The file stores no |Aut|: with the two TG1(11) rows swapped, each form
     # still gets its own order.
