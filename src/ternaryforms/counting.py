@@ -33,7 +33,8 @@ A single value n needs no x loop: in each (y, z) row the points of value n
 are the integer roots of a quadratic in x, found by one isqrt and a
 perfect-square test on dx, so `rep_count` and `vectors_with_value` cost
 O(n) rows instead of the O(n^(3/2)) points up to n, each row a square test
-and two additions in `_half_solutions`' loop over a layer.  Several values
+and two additions in `_half_solutions`' loop over a layer, which yields the
+roots of a square row itself, with no generator per row.  Several values
 share one scan of the rows up to the largest (`_vectors_with_values`,
 which canonical reduction reads); a lower value is tested only in the rows
 whose dx reaches it.  `theta` and `rep_count` count class invariants, so
@@ -154,13 +155,6 @@ def half_points_up_to(form: TernaryForm, bound: int) -> Iterator[tuple[int, int,
                     yield (x, y, z, v)
 
 
-def _row_roots(v: int, y: int, z: int, lin: int, r: int, two_a: int) -> Iterator[tuple[int, int, int, int]]:
-    """(v, x, y, z) for the integer roots x = (-lin +- r) / 2a of a row, one per +-pair."""
-    for num in (-lin - r, -lin + r) if r else (-lin,):
-        if num % two_a == 0 and (z or y or num > 0):
-            yield v, num // two_a, y, z
-
-
 def _half_solutions(form: TernaryForm, values: tuple[int, ...]) -> Iterator[tuple[int, int, int, int]]:
     """Yield (v, x, y, z) with form(x, y, z) == v for each v in `values`, one
     per +-pair.  `values` holds distinct integers >= 1 in decreasing order.
@@ -173,7 +167,10 @@ def _half_solutions(form: TernaryForm, values: tuple[int, ...]) -> Iterator[tupl
     top has its own test in every row.  The lower values are tested only in
     rows whose dx reaches the largest of them, dx >= 4a(top - v); the
     discriminant falls with v, so a row stops at the first value it cannot
-    reach.  The rows are charged once, before the first (`_layers`).
+    reach.  A square discriminant r^2 gives the roots x = (-lin +- r) / 2a,
+    lin = fy + ez, each yielded here when it is an integer, one per +-pair
+    (the half region: z > 0, or z = 0 < y, or z = y = 0 < x).  The rows are
+    charged once, before the first (`_layers`).
     """
     top = values[0]
     a, b, _, _, e, f = form.coeffs
@@ -185,7 +182,10 @@ def _half_solutions(form: TernaryForm, values: tuple[int, ...]) -> Iterator[tupl
         for y in range(ylo, yhi + 1):
             r = isqrt(dx)
             if r * r == dx:
-                yield from _row_roots(top, y, z, f * y + e * z, r, two_a)
+                lin = f * y + e * z
+                for num in (-lin - r, -lin + r) if r else (-lin,):
+                    if num % two_a == 0 and (z or y or num > 0):
+                        yield top, num // two_a, y, z
             if dx >= reach:
                 for v, shift in lower:
                     d = dx - shift
@@ -193,7 +193,10 @@ def _half_solutions(form: TernaryForm, values: tuple[int, ...]) -> Iterator[tupl
                         break
                     r = isqrt(d)
                     if r * r == d:
-                        yield from _row_roots(v, y, z, f * y + e * z, r, two_a)
+                        lin = f * y + e * z
+                        for num in (-lin - r, -lin + r) if r else (-lin,):
+                            if num % two_a == 0 and (z or y or num > 0):
+                                yield v, num // two_a, y, z
             dx += delta
             delta -= dd
 

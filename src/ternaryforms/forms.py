@@ -204,13 +204,23 @@ def apply_basis(form: TernaryForm, u: Mat3, den: int = 1) -> TernaryForm:
 
 
 def _shear(g: list[list[int]], u: list[list[int]], i: int, j: int, t: int) -> None:
-    """e_i -> e_i + t*e_j, in place on the Gram matrix g and the basis columns of u."""
-    gii = g[i][i] + 2 * t * g[i][j] + t * t * g[j][j]
-    for k in range(3):
-        g[i][k] += t * g[j][k]
-        g[k][i] = g[i][k]
-        u[k][i] += t * u[k][j]
-    g[i][i] = gii
+    """e_i -> e_i + t*e_j, in place on the Gram matrix g and the basis columns of u.
+
+    Row i of g gains t times row j, its diagonal entry becomes
+    g_ii + 2t g_ij + t^2 g_jj, and column i is set to the new row i.
+    """
+    gi, gj = g[i], g[j]
+    gii = gi[i] + t * (2 * gi[j] + t * gj[j])
+    gi[0] += t * gj[0]
+    gi[1] += t * gj[1]
+    gi[2] += t * gj[2]
+    gi[i] = gii
+    g0, g1, g2 = g
+    g0[i], g1[i], g2[i] = gi
+    u0, u1, u2 = u
+    u0[i] += t * u0[j]
+    u1[i] += t * u1[j]
+    u2[i] += t * u2[j]
 
 
 def _greedy(g: list[list[int]], u: list[list[int]]) -> None:
@@ -218,16 +228,13 @@ def _greedy(g: list[list[int]], u: list[list[int]]) -> None:
     improved = True
     while improved:
         improved = False
-        for i in range(3):
-            for j in range(3):
-                if i == j:
-                    continue
-                gij, gjj = g[i][j], g[j][j]
-                # t minimizing g_ii + 2*t*g_ij + t^2*g_jj (nearest integer).
-                t = -((2 * gij + gjj) // (2 * gjj))
-                if t and 2 * t * gij + t * t * gjj < 0:
-                    _shear(g, u, i, j, t)
-                    improved = True
+        for i, j in ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)):
+            gij, gjj = g[i][j], g[j][j]
+            # t minimizing g_ii + 2*t*g_ij + t^2*g_jj (nearest integer).
+            t = -((2 * gij + gjj) // (2 * gjj))
+            if t and 2 * t * gij + t * t * gjj < 0:
+                _shear(g, u, i, j, t)
+                improved = True
     if not g[0][0] <= g[1][1] <= g[2][2]:
         order = sorted(range(3), key=lambda k: g[k][k])
         g[:] = [[g[r][c] for c in order] for r in order]

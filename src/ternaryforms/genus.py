@@ -33,7 +33,7 @@ import json
 import os
 import stat
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from typing import Iterator, Sequence
 
 from .forms import (
@@ -59,6 +59,7 @@ class IncompletenessError(RuntimeError):
 # label: the map taking a TG1(p) class's form into the genus (None: itself)
 GENERA = {"TG1": None, "TG2": _phi_raw}
 _BASE = next(label for label, sublattice in GENERA.items() if sublattice is None)
+_PHI_IMAGE = next(label for label, sublattice in GENERA.items() if sublattice is _phi_raw)
 
 
 def _key(label: str, p: int) -> str:
@@ -114,7 +115,10 @@ class GenusSet:
 
     @property
     def mass(self) -> Fraction:
-        return sum((Fraction(1, aut) for _, aut in self.classes), Fraction(0))
+        """The sum of 1/|Aut| over the classes, as one Fraction over the lcm of the orders."""
+        orders = [aut for _, aut in self.classes]
+        common = lcm(*orders)
+        return Fraction(sum(common // aut for aut in orders), common)
 
 
 def mass_closed_form(p: int) -> Fraction:
@@ -247,11 +251,11 @@ def enumerate_tg1(p: int) -> GenusSet:
             stack.pop()
     if found != mass:
         raise IncompletenessError(
-            f"TG1({p}) mass {found} != {mass}; the {ell}-neighbour closure fell short of the mass"
+            f"{_BASE}({p}) mass {found} != {mass}; the {ell}-neighbour closure fell short of the mass"
         )
     order = sorted(seen)
     classes = tuple((canon, len(seen[canon])) for canon in order)
-    return GenusSet("TG1", p, classes, witnesses=tuple(map(seen.get, order)))
+    return GenusSet(_BASE, p, classes, witnesses=tuple(map(seen.get, order)))
 
 
 def _checked_classes(label: str, p: int, classes: Sequence[tuple[TernaryForm, int | None]]) -> GenusSet:
@@ -292,8 +296,9 @@ def _checked_classes(label: str, p: int, classes: Sequence[tuple[TernaryForm, in
         tuple(map(form_of.get, order)),
         tuple(map(images.get, order)),
     )
-    if genus.mass != mass_closed_form(p):
-        raise FormError(f"{key} has mass {genus.mass}, not {mass_closed_form(p)}")
+    mass, closed = genus.mass, mass_closed_form(p)
+    if mass != closed:
+        raise FormError(f"{key} has mass {mass}, not {closed}")
     for (form, aut), (image, bases) in zip(classes, images.items()):
         if aut is not None and aut != len(bases):
             raise FormError(f"automorph order changed under Phi: {form} has {aut}, image {image} has {len(bases)}")
@@ -302,16 +307,18 @@ def _checked_classes(label: str, p: int, classes: Sequence[tuple[TernaryForm, in
 
 def build_tg2(tg1: GenusSet) -> GenusSet:
     """Image genus under Phi, each class's |Aut| checked to carry over (`_checked_classes`)."""
-    return _checked_classes("TG2", tg1.prime, tg1.classes)
+    return _checked_classes(_PHI_IMAGE, tg1.prime, tg1.classes)
 
 
 # -- JSON cache -----------------------------------------------------------
 
 class GenusCache:
     """Persists the classes of TG1 to a JSON file, or keeps them in memory
-    only when the path is None (an empty path is refused).  `put` writes a
-    temporary file beside it, created exclusively (so 0666 less the umask),
-    gives it an existing file's mode and renames it over the file.
+    only when the path is None (an empty path is refused).  The constructor
+    reads the file once, as UTF-8 text; a missing file is an empty cache.
+    `put` writes a temporary file beside it, created exclusively (so 0666
+    less the umask), gives it an existing file's mode and renames it over
+    the file.
 
     The file maps `_key(_BASE, p)` to the coefficient rows of the classes; other
     entries are not read, and a file with any entry that is not a list is
@@ -329,10 +336,12 @@ class GenusCache:
         self.path = path
         self._rows: dict[str, list] = {}
         self._genera: dict[str, GenusSet] = {}
-        if self.path is not None and os.path.exists(self.path):
+        if self.path is not None:
             try:
-                with open(self.path) as fh:
+                with open(self.path, encoding="utf-8") as fh:
                     self._rows = json.load(fh)
+            except FileNotFoundError:
+                pass
             except (OSError, ValueError) as exc:
                 raise FormError(f"cannot read genus cache {self.path}: {exc}") from None
             if not isinstance(self._rows, dict):
@@ -391,7 +400,7 @@ class GenusCache:
         return genus
 
     def tg1(self, p: int) -> GenusSet:
-        return self.read("TG1", p)
+        return self.read(_BASE, p)
 
     def tg2(self, p: int) -> GenusSet:
-        return self.read("TG2", p)
+        return self.read(_PHI_IMAGE, p)

@@ -59,26 +59,28 @@ def _search(pre: TernaryForm, u: Mat3) -> tuple[TernaryForm, list[Mat3]]:
     the negated bases follow the bases found.  Only the bases returned are
     multiplied by u.  It does not test definiteness; `_minkowski` has.
     """
-    a, b, c = pre.coeffs[:3]
-    (g11, g12, g13), (_, g22, g23), (_, _, g33) = pre.gram()
-    # For each diagonal value, its vectors v with G*v, all from one scan of
-    # the rows up to c.
-    lifted = {
-        value: [
+    a, b, c, g23, g13, g12 = pre.coeffs
+    g11, g22, g33 = 2 * a, 2 * b, 2 * c  # the Gram matrix G
+
+    def lifted(vecs):
+        """Each v as (v, G*v)."""
+        return [
             (x, y, z, g11 * x + g12 * y + g13 * z, g12 * x + g22 * y + g23 * z, g13 * x + g23 * y + g33 * z)
             for x, y, z in vecs
         ]
-        for value, vecs in _vectors_with_values(pre, {a, b, c}).items()
-    }
-    firsts = [v for v in lifted[a] if v[:3] < (0, 0, 0)]
-    seconds, thirds = lifted[b], lifted[c]
+
+    # The vectors of each diagonal value, all from one scan of the rows up to
+    # c; the first and third vectors carry G*v, which the second never needs.
+    vecs = _vectors_with_values(pre, {a, b, c})
+    firsts = lifted(v for v in vecs[a] if v < (0, 0, 0))
+    seconds, thirds = vecs[b], lifted(vecs[c])
     # |d| = |B(v2, v3)| <= 2 sqrt(bc) <= b + c, and a triple with |d| above
     # that of the best so far cannot reach it.
     best = None
     bound = b + c
     bases: list[Mat3] = []
     for x1, y1, z1, h1, h2, h3 in firsts:
-        for x2, y2, z2, _, _, _ in seconds:
+        for x2, y2, z2 in seconds:
             # v1 x v2, so that det(v1, v2, v3) is its dot product with v3.
             c1, c2, c3 = y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2
             if not (c1 or c2 or c3):  # v2 = +-v1: no v3 completes a basis

@@ -115,8 +115,11 @@ def _phi_raw(form: TernaryForm) -> TernaryForm:
     G mod 2 is the alternating matrix of (d, e, f) mod 2, whose kernel holds
     r = (d, e, f) mod 2.  At odd discriminant (≡ def + ad + be + cf mod 2) r
     is not 0 and G mod 2 has rank 2, so the sublattice is Z r + 2 Z^3, of
-    index 4 whatever the basis.  When a and d are odd and e and f even,
-    r = e_1 and the basis (e_1, 2e_2, 2e_3) gives <a,4b,4c,4d,2e,2f>.
+    index 4 whatever the basis.  Its column HNF is written out, not computed:
+    with i the first index where r is 1, it is 2I with column i replaced by
+    r (the pivot 1 in row i, and below it entries of r, already reduced mod
+    the pivots 2).  When a and d are odd and e and f even, r = e_1 and the
+    basis (e_1, 2e_2, 2e_3) gives <a,4b,4c,4d,2e,2f>.
     """
     if discriminant(form) % 2 == 0:
         raise FormError("phi requires odd discriminant")
@@ -124,7 +127,9 @@ def _phi_raw(form: TernaryForm) -> TernaryForm:
         raise FormError("phi requires a primitive form")
     d, e, f = form.coeffs[3:]
     r = (d % 2, e % 2, f % 2)
-    return apply_basis(form, column_hnf([(2, 0, 0), (0, 2, 0), (0, 0, 2), r]))
+    cols = [(2, 0, 0), (0, 2, 0), (0, 0, 2)]
+    cols[r.index(1)] = r
+    return apply_basis(form, tuple(zip(*cols)))
 
 
 def phi(form: TernaryForm) -> TernaryForm:

@@ -1,3 +1,4 @@
+import inspect
 import threading
 from array import array
 from itertools import zip_longest
@@ -621,6 +622,28 @@ def test_half_solutions_match_the_filtered_enumeration(g, values):
     values = tuple(sorted(values, reverse=True))
     expected = sorted((v, x, y, z) for x, y, z, v in half_points_up_to(g, values[0]) if v in values)
     assert sorted(_half_solutions(g, values)) == expected
+
+
+def test_half_solutions_yield_each_root_as_its_row_is_walked():
+    # rep_count and s(n) count row by row in constant memory: the roots come
+    # from a generator, the first while the scan is still in its first layer,
+    # not from a list built over every layer.
+    walked = []
+    layers = counting._layers
+
+    def recording_layers(*args):
+        for layer in layers(*args):
+            walked.append(layer[0])
+            yield layer
+
+    expected = s(10**4)
+    with patch.object(counting, "_layers", recording_layers):
+        solutions = _half_solutions(THREE_SQUARES, (10**4,))
+        assert inspect.isgenerator(solutions)
+        assert next(solutions) == (10**4, 100, 0, 0)
+        assert walked == [0]
+        assert 2 * (1 + sum(1 for _ in solutions)) == expected
+    assert walked == list(range(101))
 
 
 SHORT_VECTOR_SEARCHES = {

@@ -1,5 +1,7 @@
+import contextlib
 import errno
 import importlib
+import io
 import json
 import os
 import stat
@@ -8,9 +10,10 @@ from fractions import Fraction
 from math import isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ternaryforms import cli
 from ternaryforms import genus as genus_module
 from ternaryforms.forms import FormError, TernaryForm, apply_map, discriminant, is_positive_definite, is_primitive
 from ternaryforms.genus import (
@@ -350,6 +353,105 @@ def test_an_interrupted_cache_read_answers_as_a_fresh_cache_does(tmp_path, label
     assert k > 5 and genus == expected and path.read_bytes() == new
 
 
+def _answer(call):
+    """("ok", call()) or ("refused", the FormError's message)."""
+    try:
+        return "ok", call()
+    except FormError as exc:
+        return "refused", str(exc)
+
+
+@pytest.mark.parametrize("held", ["existing", "missing", "corrupt"])
+def test_an_interrupted_cache_open_answers_as_a_fresh_cache_does(tmp_path, held):
+    # A KeyboardInterrupt at each line event of GenusCache.__init__ in turn,
+    # on a file that holds TG1(7), is missing, or is not JSON: the next
+    # instance answers as a fresh one does, the file keeps its bytes and no
+    # temporary file is left.
+    reference = tmp_path / "reference.json"
+    if held == "existing":
+        GenusCache(str(reference)).put(enumerate_tg1(7))
+    elif held == "corrupt":
+        reference.write_text('{"TG1,7": [[1,2,7,0,0,1]')
+    old = reference.read_bytes() if reference.exists() else None
+    paths = []
+
+    def answer(k):
+        """The answer of a fresh instance on directory k's file, with its path left out."""
+        kind, value = _answer(lambda: GenusCache(str(paths[k])).read("TG2", 7))
+        return kind, value.replace(str(paths[k]), "<path>") if kind == "refused" else value
+
+    k, tracing = -1, sys.gettrace()
+    while True:
+        k += 1
+        where = tmp_path / str(k)
+        where.mkdir()
+        paths.append(path := where / "genus.json")
+        if old is not None:
+            path.write_bytes(old)
+        if k == 0:
+            expected = answer(0)
+            assert expected[0] == ("refused" if held == "corrupt" else "ok")
+            continue
+        sys.settrace(_interrupt_at_line_event({GenusCache.__init__.__code__}, k))
+        try:
+            GenusCache(str(path))
+        except (KeyboardInterrupt, FormError) as exc:
+            interrupted = isinstance(exc, KeyboardInterrupt)
+        else:
+            interrupted = False
+        finally:
+            sys.settrace(tracing)
+        if not interrupted:
+            break
+        assert (path.read_bytes() if path.exists() else None) == old, k
+        assert answer(k) == expected, k
+        assert [f.name for f in where.iterdir()] == ["genus.json"], k
+    assert k > 3
+
+
+class _PackageCode:
+    """Holds the code object of every function of the package (for
+    `_interrupt_at_line_event`)."""
+
+    def __contains__(self, code):
+        return code.co_filename.startswith(os.path.dirname(genus_module.__file__))
+
+
+def test_an_interrupted_warm_mass_query_answers_as_a_fresh_process_does(tmp_path):
+    # A KeyboardInterrupt at each line event, in any function of the package,
+    # of `tqf --cache f mass TG2 13` on a warm cache file: it reaches the
+    # caller, the next run answers as a fresh one does, the file keeps its
+    # bytes and no temporary file is left.
+    path = tmp_path / "genus.json"
+    GenusCache(str(path)).tg1(13)
+    old = path.read_bytes()
+    argv = ["--cache", str(path), "mass", "TG2", "13"]
+
+    def run():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            return cli.main(argv), out.getvalue()
+
+    expected = run()
+    assert expected[0] == 0 and path.read_bytes() == old
+    k, tracing = 0, sys.gettrace()
+    while True:
+        k += 1
+        sys.settrace(_interrupt_at_line_event(_PackageCode(), k))
+        try:
+            answer = run()
+        except KeyboardInterrupt:
+            pass
+        else:
+            break
+        finally:
+            sys.settrace(tracing)
+        assert path.read_bytes() == old, k
+        assert [f.name for f in tmp_path.iterdir()] == ["genus.json"], k
+        assert run() == expected, k
+    assert k > 100 and answer == expected and path.read_bytes() == old
+
+
 def test_a_genus_is_compared_and_hashed_by_its_classes_alone():
     tg1 = enumerate_tg1(11)
     bare = GenusSet("TG1", 11, tg1.classes)
@@ -364,6 +466,18 @@ def test_a_genus_is_compared_and_hashed_by_its_classes_alone():
     with pytest.raises(AttributeError):
         tg1.classes = ()
     assert tg1.mass == Fraction(10, 48)
+
+
+@given(st.lists(st.one_of(st.sampled_from([1, 2, 3, 4, 6, 8, 12, 16, 24, 48]), st.integers(1, 10**9)), max_size=40))
+@example([])
+@example([48])
+@example([48] * 40)
+@settings(max_examples=200, deadline=None)
+def test_the_mass_is_the_sum_of_the_inverse_orders(orders):
+    # GenusSet.mass is one Fraction over the lcm of the orders; the sum of
+    # Fraction(1, |Aut|) it replaced stays as its oracle.
+    classes = tuple((TernaryForm(1, 1, k + 1, 0, 0, 0), aut) for k, aut in enumerate(orders))
+    assert GenusSet("TG1", 3, classes).mass == sum((Fraction(1, aut) for aut in orders), Fraction(0))
 
 
 def test_cache_stores_only_the_rows(tmp_path):

@@ -262,6 +262,29 @@ odd_discriminant_forms = st.one_of(
 )
 
 
+@pytest.mark.parametrize("r", [r for r in product((0, 1), repeat=3) if any(r)])
+def test_phi_writes_out_the_column_hnf_of_its_lattice(monkeypatch, r):
+    # _phi_raw builds the basis of Z r + 2 Z^3 itself, with no column_hnf:
+    # it must be that HNF, for each of the seven residues r of (d, e, f).
+    form = next(
+        g
+        for a, b, c in product((1, 2, 3), repeat=3)
+        if discriminant(g := TernaryForm(a, b, c, *r)) % 2 and is_primitive(g)
+    )
+    bases = []
+    monkeypatch.setattr(watson, "apply_basis", lambda form, u: bases.append(u) or apply_basis(form, u))
+    _phi_raw(form)
+    assert bases == [column_hnf([(2, 0, 0), (0, 2, 0), (0, 0, 2), r])]
+
+
+@given(odd_discriminant_forms)
+@settings(max_examples=300, deadline=None)
+def test_phi_is_the_form_on_the_column_hnf_basis(form):
+    assume(discriminant(form) % 2 and is_primitive(form))
+    r = tuple(v % 2 for v in form.coeffs[3:])
+    assert _phi_raw(form) == apply_basis(form, column_hnf([(2, 0, 0), (0, 2, 0), (0, 0, 2), r]))
+
+
 @given(odd_discriminant_forms)
 @example(TernaryForm(-1, 0, 0, 1, 0, 0))  # yz - x^2, indefinite
 @example(TernaryForm(3, 4, 4, 3, 2, -2))  # a TG1(11) class
