@@ -315,7 +315,9 @@ def build_tg2(tg1: GenusSet) -> GenusSet:
 class GenusCache:
     """Persists the classes of TG1 to a JSON file, or keeps them in memory
     only when the path is None (an empty path is refused).  The constructor
-    reads the file once, as UTF-8 text; a missing file is an empty cache.
+    reads the file once, as UTF-8 text; a missing file is an empty cache,
+    even under a path that does not lead through directories (then `put`
+    refuses to write it).
     `put` writes a temporary file beside it, created exclusively (so 0666
     less the umask), gives it an existing file's mode and renames it over
     the file.
@@ -340,7 +342,7 @@ class GenusCache:
             try:
                 with open(self.path, encoding="utf-8") as fh:
                     self._rows = json.load(fh)
-            except FileNotFoundError:
+            except (FileNotFoundError, NotADirectoryError):  # no file there
                 pass
             except (OSError, ValueError) as exc:
                 raise FormError(f"cannot read genus cache {self.path}: {exc}") from None

@@ -580,6 +580,18 @@ def test_a_cache_path_that_is_a_directory_is_refused(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_a_cache_path_under_a_file_is_empty_and_refused_when_written(tmp_path):
+    # No file can be there, so the cache opens empty and the write names the fault.
+    (tmp_path / "file").write_text("")
+    path = tmp_path / "file" / "genus.json"
+    cache = GenusCache(str(path))
+    assert cache.get("TG1", 5) is None
+    with pytest.raises(FormError) as info:
+        cache.tg1(5)
+    assert str(info.value) == f"cannot write genus cache {path}: Not a directory"
+    assert [f.name for f in tmp_path.iterdir()] == ["file"]
+
+
 def test_cache_detects_swapped_automorph_orders(tmp_path):
     # The file stores no |Aut|: with the two TG1(11) rows swapped, each form
     # still gets its own order.

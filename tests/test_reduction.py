@@ -113,6 +113,27 @@ def minkowski_by_shears(form):
             return reduced, tuple(map(tuple, u))
 
 
+@given(
+    st.lists(st.integers(-50, 50), min_size=6, max_size=6),
+    st.lists(st.integers(-5, 5), min_size=9, max_size=9),
+    st.sampled_from([(i, j) for i in range(3) for j in range(3) if i != j]),
+    st.integers(-4, 4),
+)
+@settings(max_examples=300, deadline=None)
+def test_shear_is_the_change_of_basis_by_the_shear_matrix(entries, basis, pair, t):
+    # e_i -> e_i + t*e_j is the basis S = I + t*E_ji: the Gram matrix goes to
+    # S' G S and the basis to U S, each entry exactly.
+    i, j = pair
+    a, b, c, d, e, f = entries
+    g = [[2 * a, f, e], [f, 2 * b, d], [e, d, 2 * c]]
+    u = [basis[0:3], basis[3:6], basis[6:9]]
+    s = shear(i, j, t)
+    expected_g = [list(row) for row in mat_mul(tuple(zip(*s)), mat_mul(g, s))]
+    expected_u = [list(row) for row in mat_mul(u, s)]
+    _shear(g, u, i, j, t)
+    assert (g, u) == (expected_g, expected_u)
+
+
 # Definite forms as drawn (mostly not reduced), skewed in their class, and
 # already reduced: the last take `_minkowski`'s early return.
 minkowski_inputs = st.one_of(
