@@ -278,14 +278,6 @@ def test_phi_writes_out_the_column_hnf_of_its_lattice(monkeypatch, r):
 
 
 @given(odd_discriminant_forms)
-@settings(max_examples=300, deadline=None)
-def test_phi_is_the_form_on_the_column_hnf_basis(form):
-    assume(discriminant(form) % 2 and is_primitive(form))
-    r = tuple(v % 2 for v in form.coeffs[3:])
-    assert _phi_raw(form) == apply_basis(form, column_hnf([(2, 0, 0), (0, 2, 0), (0, 0, 2), r]))
-
-
-@given(odd_discriminant_forms)
 @example(TernaryForm(-1, 0, 0, 1, 0, 0))  # yz - x^2, indefinite
 @example(TernaryForm(3, 4, 4, 3, 2, -2))  # a TG1(11) class
 @settings(max_examples=300, deadline=None)
